@@ -4,10 +4,10 @@ formula, quasi-invariance of the path measure, and martingales from
 harmonic functions.
 
 Samplers are vectorized over a batch of paths.  All randomness for an
-ensemble comes from one counter-ordered uniform table drawn up front from
-the sampler's seed: row p is path p's stream, and step-major ordering makes
-truncated simulations prefix-consistent.  Results are bit-identical for a
-given seed regardless of worker count.
+ensemble comes from one generator seeded by the sampler's seed: the initial
+uniforms first, then one block of uniforms per step, so a truncated
+simulation with the same number of paths is a bit-exact prefix of a longer
+one.  Sampling runs serially.
 """
 
 from __future__ import annotations
@@ -250,9 +250,9 @@ class PathEnsemble:
 def simulate_paths(s: MarkovSampler, n_paths: int, n_steps: int) -> PathEnsemble:
     """Independent paths with initial states drawn i.i.d. from the initial law.
 
-    Path p reads row p of a uniform table drawn once from the sampler seed;
-    the table is step-major, so a shorter simulation of the same seed is a
-    bit-exact prefix of a longer one.
+    The initial uniforms and then each step's uniforms are drawn in turn from
+    one generator seeded by the sampler seed, so a shorter simulation of the
+    same seed and path count is a bit-exact prefix of a longer one.
     """
     if n_paths < 1 or n_steps < 0:
         raise ValueError("need n_paths >= 1 and n_steps >= 0")

@@ -35,6 +35,7 @@ from .grids import (
     uniform_ppf,
     wasserstein1,
 )
+from .verify import CheckResult
 
 SUITE_CHOICES = ("operators", "chains", "solenoid", "wavelet", "schur", "all")
 
@@ -87,21 +88,6 @@ class RunConfig:
         }
 
 
-@dataclass
-class Check:
-    name: str
-    statistic: float
-    threshold: float
-    direction: str
-    runtime_ms: float = 0.0
-    detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return (self.statistic <= self.threshold if self.direction == "<="
-                else self.statistic >= self.threshold)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -116,7 +102,7 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 def _emit(config: RunConfig, checks: list, manifest: list) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
-    timing_rows = [(c.name, float(c.runtime_ms)) for c in checks]
+    timing_rows = [(c.label, float(c.runtime_ms)) for c in checks]
     _write_csv(os.path.join(config.out_dir, "timings.csv"),
                ["check", "runtime_ms"], timing_rows)
     report = {
@@ -124,7 +110,7 @@ def _emit(config: RunConfig, checks: list, manifest: list) -> int:
         "config": config.as_dict(),
         "checks": [
             {
-                "name": c.name,
+                "name": c.label,
                 "status": "pass" if c.passed else "fail",
                 "statistic": _fmt(c.statistic),
                 "threshold": _fmt(c.threshold),
@@ -141,7 +127,7 @@ def _emit(config: RunConfig, checks: list, manifest: list) -> int:
         fh.write("\n")
     for c in checks:
         mark = "PASS" if c.passed else "FAIL"
-        print(f"[{mark}] {c.name}: statistic={c.statistic:.6g} "
+        print(f"[{mark}] {c.label}: statistic={c.statistic:.6g} "
               f"{c.direction} {c.threshold:.6g}")
     n_fail = sum(not c.passed for c in checks)
     print(f"{len(checks) - n_fail}/{len(checks)} checks passed; "
@@ -198,14 +184,14 @@ def cmd_invariant(config: RunConfig) -> int:
                   "logistic": ("w1", 0.01)}
     metric, tol = thresholds[config.system]
     checks = [
-        Check(name=f"{config.system}-stationary-{metric}",
-              statistic=l1 if metric == "l1" else w1, threshold=tol,
-              direction="<=", runtime_ms=ms,
-              detail=f"L1 {l1:.6g}, W1 {w1:.6g}, residual {res.residual:.3g}, "
-                     f"iterations {res.iterations}"),
-        Check(name=f"{config.system}-converged",
-              statistic=0.0 if res.converged else 1.0, threshold=0.0,
-              direction="<=", runtime_ms=ms, detail=f"residual {res.residual:.3g}"),
+        CheckResult(name=f"{config.system}-stationary-{metric}",
+                    statistic=l1 if metric == "l1" else w1, threshold=tol,
+                    direction="<=", runtime_ms=ms,
+                    detail=f"L1 {l1:.6g}, W1 {w1:.6g}, residual {res.residual:.3g}, "
+                           f"iterations {res.iterations}"),
+        CheckResult(name=f"{config.system}-converged",
+                    statistic=0.0 if res.converged else 1.0, threshold=0.0,
+                    direction="<=", runtime_ms=ms, detail=f"residual {res.residual:.3g}"),
     ]
     return _emit(config, checks, ["density.csv"])
 
@@ -293,20 +279,20 @@ def cmd_simulate(config: RunConfig) -> int:
 
     checks = []
     if sampler.kind in ("branch", "gauss-backward"):
-        checks.append(Check(name="solenoid-constraint",
-                            statistic=pe.solenoid_violation(), threshold=1e-10,
-                            direction="<=", runtime_ms=ms))
+        checks.append(CheckResult(name="solenoid-constraint",
+                                  statistic=pe.solenoid_violation(), threshold=1e-10,
+                                  direction="<=", runtime_ms=ms))
     if ref is not None:
         ks_thresh = max(0.02, 3.0 / np.sqrt(config.n_paths))
         worst = 0.0
         for k in sorted({1, config.n_steps} & set(range(1, config.n_steps + 1))):
             worst = max(worst, ks_distance(EmpiricalSample(pe.paths[:, k]), ref))
-        checks.append(Check(name="marginal-ks-vs-stationary", statistic=worst,
-                            threshold=ks_thresh, direction="<=", runtime_ms=ms,
-                            detail="KS of step marginals against the stationary law"))
+        checks.append(CheckResult(name="marginal-ks-vs-stationary", statistic=worst,
+                                  threshold=ks_thresh, direction="<=", runtime_ms=ms,
+                                  detail="KS of step marginals against the stationary law"))
     if not checks:
-        checks.append(Check(name="simulation-completed", statistic=0.0,
-                            threshold=0.0, direction="<=", runtime_ms=ms))
+        checks.append(CheckResult(name="simulation-completed", statistic=0.0,
+                                  threshold=0.0, direction="<=", runtime_ms=ms))
     return _emit(config, checks, ["paths_head.csv", "marginals.csv"])
 
 
@@ -317,10 +303,7 @@ def cmd_simulate(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     results = verify.run_suite(config.suite, master_seed=config.master_seed,
                                inject_fault=config.inject_fault or None)
-    checks = [Check(name=f"{r.suite}/{r.name}", statistic=r.statistic,
-                    threshold=r.threshold, direction=r.direction,
-                    runtime_ms=r.runtime_ms, detail=r.detail) for r in results]
-    return _emit(config, checks, [])
+    return _emit(config, results, [])
 
 
 def _parse_schur_spec(spec: str):
@@ -357,8 +340,8 @@ def cmd_schur(config: RunConfig) -> int:
         rows = [[int(i), float(p.real), float(p.imag), float(r)]
                 for i, (p, r) in enumerate(zip(params.params, resid))]
         header = ["index", "rho_re", "rho_im", "roundtrip_residual"]
-        checks.append(Check(name="roundtrip-residual", statistic=float(resid.max()),
-                            threshold=1e-8, direction="<="))
+        checks.append(CheckResult(name="roundtrip-residual", statistic=float(resid.max()),
+                                  threshold=1e-8, direction="<="))
         terminated = params.terminated
     else:
         s = (schur.SchurEval.constant(arg[0]) if kind == "constant"
@@ -371,14 +354,14 @@ def cmd_schur(config: RunConfig) -> int:
         header = ["index", "rho_re", "rho_im"]
         terminated = params.terminated
         if kind == "blaschke":
-            checks.append(Check(name="blaschke-terminated",
-                                statistic=1.0 if terminated else 0.0,
-                                threshold=1.0, direction=">=",
-                                detail=f"stopped after {len(params)} parameters"))
+            checks.append(CheckResult(name="blaschke-terminated",
+                                      statistic=1.0 if terminated else 0.0,
+                                      threshold=1.0, direction=">=",
+                                      detail=f"stopped after {len(params)} parameters"))
         else:
-            checks.append(Check(name="constant-extraction",
-                                statistic=float(abs(params.params[0] - arg[0])),
-                                threshold=1e-12, direction="<="))
+            checks.append(CheckResult(name="constant-extraction",
+                                      statistic=float(abs(params.params[0] - arg[0])),
+                                      threshold=1e-12, direction="<="))
     ms = (time.perf_counter() - t0) * 1000.0
     for c in checks:
         c.runtime_ms = ms
@@ -429,6 +412,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _size(flag_value, file_cfg: dict, key: str, default: int, least: int) -> int:
+    """A size from its flag, else the config file, else the default; a value
+    below ``least`` is an error, never a silent fallback."""
+    value = flag_value if flag_value is not None else file_cfg.get(key, default)
+    flag = key.replace("_", "-")
+    try:
+        value = int(value)
+    except (TypeError, ValueError):
+        raise SystemExit(f"--{flag} / {key} must be an integer, got {value!r}") from None
+    if value < least:
+        raise SystemExit(f"--{flag} / {key} must be >= {least}, got {value}")
+    return value
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = {}
     if args.config:
@@ -441,9 +438,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig(command=args.command)
     cfg.system = args.system or file_cfg.get("system", "")
-    cfg.grid_n = args.grid_n or int(file_cfg.get("grid_n", 512))
-    cfg.n_paths = args.paths or int(file_cfg.get("paths", 100_000))
-    cfg.n_steps = args.steps if args.steps is not None else int(file_cfg.get("steps", 10))
+    cfg.grid_n = _size(args.grid_n, file_cfg, "grid_n", 512, 2)
+    cfg.n_paths = _size(args.paths, file_cfg, "paths", 100_000, 1)
+    cfg.n_steps = _size(args.steps, file_cfg, "steps", 10, 0)
     cfg.master_seed = (args.master_seed if args.master_seed is not None
                        else int(file_cfg.get("master_seed", 9001)))
     cfg.threads = (args.threads if args.threads is not None

@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction, integrate, uniform_measure, wasserstein1
-from .operators import apply_operator, cell_flow_matrix
+from .operators import _spread_interval, apply_operator, cell_flow_matrix
 
 __all__ = [
     "UlamMatrix",
@@ -164,22 +164,11 @@ def hutchinson_matrix(ifs: AffineIFS) -> np.ndarray:
     """Pushforward matrix: cell mass flows along each affine map by exact
     interval overlap, weighted by the map probabilities."""
     grid = ifs.grid
-    n, dx, lo = grid.n, grid.dx, grid.lower
-    M = np.zeros((n, n))
-    for j in range(len(ifs.probs)):
+    M = np.zeros((grid.n, grid.n))
+    for j, p_j in enumerate(ifs.probs):
         a = ifs.apply_map(j, grid.edges[:-1])
         b = ifs.apply_map(j, grid.edges[1:])
-        aa, bb = np.minimum(a, b), np.maximum(a, b)
-        width = np.maximum(bb - aa, 1e-300)
-        k0 = np.floor((aa - lo) / dx).astype(int)
-        k1 = np.floor((bb - lo) / dx - 1e-15).astype(int)
-        k1 = np.maximum(k1, k0)
-        for s in range(int(np.max(k1 - k0)) + 1):
-            k = k0 + s
-            left = lo + k * dx
-            overlap = np.clip(np.minimum(bb, left + dx) - np.maximum(aa, left), 0.0, None)
-            tgt = np.clip(k, 0, n - 1)
-            np.add.at(M, (tgt, np.arange(n)), ifs.probs[j] * overlap / width)
+        _spread_interval(M, np.full(grid.n, p_j), np.minimum(a, b), np.maximum(a, b), grid)
     return M
 
 

@@ -15,9 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction
-from .operators import RadonNikodymWeight
-from .chains import PathEnsemble, PathFunctional, ScalingCheckResult, apply_scaling_check
-from .wavelets import HarmonicSequence, WaveletFilter
+from .wavelets import HarmonicSequence, TrigPoly, WaveletFilter
 
 __all__ = [
     "SolenoidPrefix",
@@ -27,7 +25,6 @@ __all__ = [
     "shift_hat",
     "shift_inverse",
     "embed_line",
-    "apply_scaling_U",
     "filter_product",
     "pd_value",
     "pd_gram",
@@ -108,71 +105,20 @@ def embed_line(N: int, t: float, K: int) -> SolenoidPrefix:
     return SolenoidPrefix(N, angles)
 
 
-def apply_scaling_U(pe: PathEnsemble, psi: PathFunctional,
-                    W: RadonNikodymWeight) -> ScalingCheckResult:
-    """Monte Carlo unitarity check of U psi = sqrt(W o pi_0) (psi o sigma-hat)."""
-    return apply_scaling_check(pe, psi, W)
-
-
 # ---------------------------------------------------------------------------
 # coefficient-space machinery for |m^(k)|^2 and the positive-definite function
 # ---------------------------------------------------------------------------
-
-def _conv_dict(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            k = i + j
-            out[k] = out.get(k, 0.0) + u * v
-    return out
-
-
-def _autocorr_dict(filt: WaveletFilter, stride: int = 1) -> dict:
-    c = filt.autocorr
-    out = {0: complex(c[0])}
-    for j in range(1, len(c)):
-        if c[j] != 0.0:
-            out[j * stride] = complex(c[j])
-            out[-j * stride] = complex(c[j])
-    return out
-
-
-def _harmonic_dict(h: HarmonicSequence) -> dict:
-    r = h.coeffs
-    out = {0: complex(r[0])}
-    for n in range(1, len(r)):
-        if r[n] != 0.0:
-            out[n] = complex(r[n])
-            out[-n] = complex(r[n])
-    return out
-
-
-def _ruelle_step_dict(g: dict, c: dict, N: int) -> dict:
-    """(R g)^(p) = (c * g)(N p) for coefficient dictionaries."""
-    out: dict = {}
-    for q, v in g.items():
-        for l, w in c.items():
-            m = q + l
-            if m % N == 0:
-                p = m // N
-                out[p] = out.get(p, 0.0) + v * w
-    return out
-
-
-def _eval_dict(g: dict, t: float) -> complex:
-    return complex(sum(v * np.exp(2j * np.pi * k * t) for k, v in g.items()))
-
 
 def pd_value(filt: WaveletFilter, h: HarmonicSequence, n: int, k: int,
              z_angle: float) -> complex:
     """L(n / N^k) = (R^k (e_n h))(z) with everything in coefficient space."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    c = _autocorr_dict(filt)
-    g = {key + n: val for key, val in _harmonic_dict(h).items()}
+    c = filt.autocorr
+    g = h.poly.shift(n)
     for _ in range(k):
-        g = _ruelle_step_dict(g, c, filt.N)
-    return _eval_dict(g, z_angle)
+        g = (c * g).decimate(filt.N)
+    return complex(g(z_angle))
 
 
 def pd_gram(filt: WaveletFilter, h: HarmonicSequence,
@@ -206,19 +152,18 @@ class FilterProduct:
 
     filt: WaveletFilter
     k: int
-    coeffs: dict  # lag -> complex coefficient
+    poly: TrigPoly
 
     def values(self, grid: Grid) -> GridFunction:
         t = (grid.nodes - grid.lower) / grid.width
-        vals = np.array([_eval_dict(self.coeffs, ti).real for ti in t])
-        return GridFunction(grid, vals)
+        return GridFunction(grid, np.real(self.poly(t)))
 
 
 def filter_product(filt: WaveletFilter, k: int) -> FilterProduct:
-    coeffs = {0: complex(1.0)}
+    poly = TrigPoly(0, [1.0])
     for j in range(k):
-        coeffs = _conv_dict(coeffs, _autocorr_dict(filt, stride=filt.N**j))
-    return FilterProduct(filt=filt, k=k, coeffs=coeffs)
+        poly = poly * filt.autocorr.dilate(filt.N**j)
+    return FilterProduct(filt=filt, k=k, poly=poly)
 
 
 def pi_k_distribution(filt: WaveletFilter, h: HarmonicSequence, k: int,
@@ -231,11 +176,11 @@ def pi_k_distribution(filt: WaveletFilter, h: HarmonicSequence, k: int,
     """
     if grid.domain_kind != "circle":
         raise ValueError("coordinate laws live on circle grids")
-    dens = _conv_dict(filter_product(filt, k).coeffs, _harmonic_dict(h))
+    dens = filter_product(filt, k).poly * h.poly
     edges = (grid.edges - grid.lower) / grid.width
-    masses = np.full(grid.n, float(np.real(dens.get(0, 0.0))) * grid.dx / grid.width)
-    for m, coef in dens.items():
-        if m == 0:
+    masses = np.full(grid.n, float(np.real(dens.coef(0))) * grid.dx / grid.width)
+    for m, coef in zip(dens.lags, dens.c):
+        if m == 0 or coef == 0:
             continue
         prim = (np.exp(2j * np.pi * m * edges[1:]) -
                 np.exp(2j * np.pi * m * edges[:-1])) / (2j * np.pi * m)

@@ -1,22 +1,24 @@
 """Wavelet filters on the circle and their scaling functions.
 
-Everything that can be done in coefficient space is done there: |m0|^2 is
-the autocorrelation trigonometric polynomial of the filter taps, and the
-weighted Ruelle operator acts on Fourier coefficients by convolution with
-that autocorrelation followed by index decimation.  This makes the fixed
-point identity for the harmonic function an exact (round-off level) check
-instead of a quadrature-limited one.
+Everything that can be done in coefficient space is done there, on one
+``TrigPoly`` type: |m0|^2 is the autocorrelation trigonometric polynomial
+of the filter taps, and the weighted Ruelle operator acts on Fourier
+coefficients by convolution with that autocorrelation followed by index
+decimation.  This makes the fixed point identity for the harmonic function
+an exact (round-off level) check instead of a quadrature-limited one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grids import Grid, GridFunction
 
 __all__ = [
+    "TrigPoly",
     "WaveletFilter",
     "ScalingFunction",
     "HarmonicSequence",
@@ -32,12 +34,81 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class TrigPoly:
+    """Trigonometric polynomial p(t) = sum_k c[k] e^{2 pi i (lo + k) t}.
+
+    The coefficient algebra of the transfer operator: multiplication is
+    convolution, and the circle Ruelle average (1/N) sum_k p((t+k)/N) keeps
+    the coefficients at lags divisible by N.
+    """
+
+    lo: int
+    c: np.ndarray
+
+    def __post_init__(self):
+        c = np.array(self.c, dtype=complex if np.iscomplexobj(self.c) else float)
+        c.flags.writeable = False
+        object.__setattr__(self, "c", c)
+
+    @classmethod
+    def even(cls, r) -> "TrigPoly":
+        """Real even polynomial r_0 + sum_{m>0} r_m (e_m + e_{-m})."""
+        r = np.asarray(r, dtype=float)
+        return cls(1 - len(r), np.concatenate((r[:0:-1], r)))
+
+    @property
+    def lags(self) -> np.ndarray:
+        return self.lo + np.arange(len(self.c))
+
+    def coef(self, m: int):
+        """Coefficient at lag m (0 outside the stored range)."""
+        k = m - self.lo
+        return self.c[k] if 0 <= k < len(self.c) else 0.0
+
+    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
+        return TrigPoly(self.lo + other.lo, np.convolve(self.c, other.c))
+
+    def shift(self, n: int) -> "TrigPoly":
+        """e_n p."""
+        return TrigPoly(self.lo + n, self.c)
+
+    def dilate(self, N: int) -> "TrigPoly":
+        """p(N t)."""
+        c = np.zeros(N * (len(self.c) - 1) + 1, dtype=self.c.dtype)
+        c[::N] = self.c
+        return TrigPoly(N * self.lo, c)
+
+    def decimate(self, N: int) -> "TrigPoly":
+        """(1/N) sum_k p((t+k)/N): the coefficients at lags N p become lag p."""
+        first = -self.lo % N
+        return TrigPoly((self.lo + first) // N, self.c[first::N])
+
+    def __call__(self, t):
+        """p(t), vectorized in t.  Lags +-m are paired into a cosine and a
+        sine term, and a zero term is skipped, so a real even polynomial
+        evaluates in real arithmetic."""
+        t = np.asarray(t, dtype=float)[()]  # a scalar stays a scalar
+        hi = max(-self.lo, self.lo + len(self.c) - 1, 0)
+        full = np.zeros(2 * hi + 1, dtype=self.c.dtype)  # lags -hi..hi
+        full[hi + self.lo : hi + self.lo + len(self.c)] = self.c
+        pos, neg = full[hi + 1 :], full[:hi][::-1]
+        out = np.full(t.shape, full[hi])
+        for m, a, b in zip(range(1, hi + 1), pos + neg, pos - neg):
+            if a != 0:
+                out = out + a * np.cos(2 * np.pi * m * t)
+            if b != 0:
+                out = out + 1j * b * np.sin(2 * np.pi * m * t)
+        return out
+
+
+@dataclass(frozen=True)
 class WaveletFilter:
     """Low-pass filter m0(t) = sum_k a_k e^{2 pi i k t} with real taps.
 
     ``coeffs[k]`` is the tap at integer offset ``offset + k``.  |m0|^2 is
-    carried as the real autocorrelation sequence c_j = sum_k a_k a_{k+j},
-    an exact trigonometric polynomial independent of the offset.
+    carried as the real even polynomial with the autocorrelation
+    c_j = sum_k a_k a_{k+j} of the taps as coefficients, independent of the
+    offset.
     """
 
     N: int
@@ -52,30 +123,22 @@ class WaveletFilter:
         a.flags.writeable = False
         object.__setattr__(self, "coeffs", a)
 
-    @property
-    def autocorr(self) -> np.ndarray:
-        """c_j for j = 0 .. len(coeffs)-1 (c_{-j} = c_j)."""
+    @cached_property
+    def autocorr(self) -> TrigPoly:
+        """|m0|^2 with coefficients c_j, c_{-j} = c_j, for |j| < len(coeffs)."""
         a = self.coeffs
         full = np.correlate(a, a, mode="full")
-        return full[len(a) - 1 :]
+        return TrigPoly.even(full[len(a) - 1 :])
 
     def m0_sq(self, t):
         """|m0(t)|^2 evaluated exactly from the autocorrelation."""
-        t = np.asarray(t, dtype=float)
-        c = self.autocorr
-        out = np.full(t.shape, c[0])
-        for j in range(1, len(c)):
-            out = out + 2.0 * c[j] * np.cos(2 * np.pi * j * t)
-        return out
+        return self.autocorr(t)
 
     @property
     def is_normalized(self) -> bool:
         """QMF condition (1/N) sum_k |m0((t+k)/N)|^2 = 1, i.e. c_{jN} = delta_j."""
-        c = self.autocorr
-        if abs(c[0] - 1.0) > 1e-12:
-            return False
-        lags = np.arange(self.N, len(c), self.N)
-        return bool(np.all(np.abs(c[lags]) <= 1e-12)) if lags.size else True
+        avg = self.autocorr.decimate(self.N)
+        return bool(np.all(np.abs(avg.c - (avg.lags == 0)) <= 1e-12))
 
     def normalization_residual(self, grid: Grid) -> float:
         t = grid.nodes
@@ -202,13 +265,12 @@ class HarmonicSequence:
         r.flags.writeable = False
         object.__setattr__(self, "coeffs", r)
 
+    @cached_property
+    def poly(self) -> TrigPoly:
+        return TrigPoly.even(self.coeffs)
+
     def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        r = self.coeffs
-        out = np.full(t.shape, r[0])
-        for n in range(1, len(r)):
-            out = out + 2.0 * r[n] * np.cos(2 * np.pi * n * t)
-        return out
+        return self.poly(t)
 
     def __call__(self, t):
         return self.eval(t)
@@ -217,12 +279,6 @@ class HarmonicSequence:
         if grid.domain_kind != "circle":
             raise ValueError("harmonic functions live on circle grids")
         return GridFunction(grid, self.eval(grid.nodes))
-
-    @property
-    def full_coeffs(self) -> np.ndarray:
-        """Symmetric coefficient array for lags -M..M."""
-        r = self.coeffs
-        return np.concatenate((r[:0:-1], r))
 
 
 def autocorrelation(phi: ScalingFunction) -> HarmonicSequence:
@@ -237,32 +293,12 @@ def autocorrelation(phi: ScalingFunction) -> HarmonicSequence:
     return HarmonicSequence(coeffs=r)
 
 
-def _ruelle_coeffs(filt: WaveletFilter, h: HarmonicSequence) -> np.ndarray:
-    """Coefficients of R h where (Rf)(t) = (1/N) sum_k (|m0|^2 f)((t+k)/N).
-
-    Multiplication by |m0|^2 is convolution with the autocorrelation of the
-    taps; averaging over the N preimages keeps every N-th coefficient.
-    """
-    c = filt.autocorr
-    c_full = np.concatenate((c[:0:-1], c))  # lags -(L-1)..(L-1)
-    r_full = h.full_coeffs
-    conv = np.convolve(c_full, r_full)  # lags -(L-1+M)..(L-1+M)
-    mid = (len(conv) - 1) // 2
-    max_p = mid // filt.N
-    return np.array([conv[mid + filt.N * p] for p in range(max_p + 1)])
-
-
 def verify_ruelle_fixed(filt: WaveletFilter, h: HarmonicSequence, grid_n: int = 1024) -> float:
-    """Max node residual of R h - h, both sides from coefficient arithmetic."""
-    rh = _ruelle_coeffs(filt, h)
-    m = max(len(rh), len(h.coeffs))
-    a = np.zeros(m)
-    a[: len(rh)] = rh
-    b = np.zeros(m)
-    b[: len(h.coeffs)] = h.coeffs
-    resid = HarmonicSequence(coeffs=a - b)
-    grid = Grid(0.0, 1.0, grid_n, "circle")
-    return float(np.max(np.abs(resid.eval(grid.nodes))))
+    """Max node residual of R h - h, where (Rf)(t) = (1/N) sum_k (|m0|^2 f)((t+k)/N)
+    is taken in coefficient space: multiply by |m0|^2, then decimate by N."""
+    rh = (filt.autocorr * h.poly).decimate(filt.N)
+    t = Grid(0.0, 1.0, grid_n, "circle").nodes
+    return float(np.max(np.abs(rh(t) - h.eval(t))))
 
 
 def slanted_toeplitz(filt: WaveletFilter, size: int) -> np.ndarray:

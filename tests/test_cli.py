@@ -157,6 +157,41 @@ def test_unknown_config_key_rejected(tmp_path):
         run(tmp_path, "invariant", "--config", str(cfg))
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--paths", "0", "paths must be >= 1, got 0"),
+    ("--paths", "-5", "paths must be >= 1, got -5"),
+    ("--grid-n", "0", "grid_n must be >= 2, got 0"),
+    ("--grid-n", "1", "grid_n must be >= 2, got 1"),
+    ("--steps", "-1", "steps must be >= 0, got -1"),
+])
+def test_bad_size_flag_rejected(tmp_path, flag, value, message):
+    with pytest.raises(SystemExit, match=message):
+        run(tmp_path, "simulate", "--system", "doubling", flag, value)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("paths", 0, "paths must be >= 1, got 0"),
+    ("paths", -5, "paths must be >= 1, got -5"),
+    ("grid_n", 0, "grid_n must be >= 2, got 0"),
+    ("steps", -1, "steps must be >= 0, got -1"),
+    ("paths", "many", "paths must be an integer, got 'many'"),
+])
+def test_bad_size_config_rejected(tmp_path, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "doubling", key: value}))
+    with pytest.raises(SystemExit, match=message):
+        run(tmp_path, "simulate", "--config", str(cfg))
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_steps_accepted(tmp_path):
+    code, _, report = run(tmp_path, "simulate", "--system", "doubling",
+                          "--paths", "1000", "--steps", "0")
+    assert code == 0
+    assert report["config"]["n_steps"] == 0
+
+
 def test_report_schema_and_manifest(tmp_path):
     _, out, report = run(tmp_path, "invariant", "--system", "doubling")
     assert set(report) == {"version", "config", "checks", "manifest"}

@@ -206,6 +206,33 @@ def test_hutchinson_expansion_detected():
         hutchinson_iterate(expanding, start, 12)
 
 
+def _hutchinson_loop(ifs):
+    """Reference pushforward matrix, one overlap pass per map and target offset."""
+    g = ifs.grid
+    M = np.zeros((g.n, g.n))
+    for j, p_j in enumerate(ifs.probs):
+        a = ifs.apply_map(j, g.edges[:-1])
+        b = ifs.apply_map(j, g.edges[1:])
+        aa, bb = np.minimum(a, b), np.maximum(a, b)
+        k0 = np.floor((aa - g.lower) / g.dx).astype(int)
+        k1 = np.floor((bb - g.lower) / g.dx - 1e-15).astype(int)
+        for s in range(int(np.max(k1 - k0)) + 1):
+            left = g.lower + (k0 + s) * g.dx
+            overlap = np.clip(np.minimum(bb, left + g.dx) - np.maximum(aa, left), 0.0, None)
+            np.add.at(M, (np.clip(k0 + s, 0, g.n - 1), np.arange(g.n)),
+                      p_j * (overlap / (bb - aa)))
+    return M
+
+
+def test_hutchinson_matrix_matches_overlap_loop():
+    for ifs in (cantor_ifs(Grid(0.0, 1.0, 2187)), halving_ifs(Grid(0.0, 1.0, 512)),
+                AffineIFS(Grid(-2.0, 2.0, 256), slopes=np.array([1.3]),
+                          shifts=np.array([0.0]), probs=np.array([1.0])),
+                AffineIFS(Grid(0.0, 1.0, 300), slopes=np.array([-0.4, 0.35]),
+                          shifts=np.array([0.7, 0.1]), probs=np.array([0.3, 0.7]))):
+        assert np.array_equal(hutchinson_matrix(ifs), _hutchinson_loop(ifs))
+
+
 def test_hutchinson_geometric_decay():
     for ifs_fn in (halving_ifs, cantor_ifs):
         g = Grid(0.0, 1.0, 729)

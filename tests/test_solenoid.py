@@ -5,6 +5,7 @@ import pytest
 
 from transferchain.chains import (
     PathFunctional,
+    apply_scaling_check,
     branch_sampler,
     coordinate_functional,
     simulate_paths,
@@ -30,7 +31,6 @@ from transferchain.solenoid import (
     extend_prefix,
     extension_probabilities,
     filter_product,
-    apply_scaling_U,
     pd_gram,
     pd_value,
     pi_k_distribution,
@@ -241,7 +241,7 @@ def test_scaling_unitary_constant_psi():
     pe = simulate_paths(s, 100_000, 2)
     Wone = RadonNikodymWeight(GridFunction.constant(g, 1.0),
                               exact_fn=lambda x: np.ones(np.shape(x)))
-    res = apply_scaling_U(pe, PathFunctional(0, lambda b: np.ones(b.shape[0])), Wone)
+    res = apply_scaling_check(pe, PathFunctional(0, lambda b: np.ones(b.shape[0])), Wone)
     assert res.norm_before == 1.0
     assert res.norm_after == 1.0
     assert res.z == 0.0
@@ -254,7 +254,7 @@ def test_scaling_unitary_measure_preserving():
     Wone = RadonNikodymWeight(GridFunction.constant(g, 1.0),
                               exact_fn=lambda x: np.ones(np.shape(x)))
     psi = coordinate_functional(lambda x: np.sin(2 * np.pi * x), 0)
-    assert apply_scaling_U(pe, psi, Wone).z <= 4.0
+    assert apply_scaling_check(pe, psi, Wone).z <= 4.0
 
 
 def test_scaling_unitary_parametric():
@@ -263,4 +263,4 @@ def test_scaling_unitary_parametric():
     pe = simulate_paths(s, 1_000_000, 2)
     W = RadonNikodymWeight(GridFunction.from_callable(g, parametric_weight(0.3)),
                            exact_fn=parametric_weight(0.3))
-    assert apply_scaling_U(pe, coordinate_functional(lambda x: x, 1), W).z <= 4.0
+    assert apply_scaling_check(pe, coordinate_functional(lambda x: x, 1), W).z <= 4.0

@@ -1,0 +1,33 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import transferchain
+from transferchain import chains, operators, verify
+from transferchain.grids import Grid, arcsine_ppf
+
+
+@pytest.mark.parametrize("seed", [41, 161, 205, 222, 240, 280])
+def test_closed_form_check_passes_at_formerly_red_seeds(seed):
+    # these seeds pushed the bin-centre comparison past 5 under the arcsine law
+    stat, thresh, direction, _ = verify._conditional_closed(seed, None)
+    assert direction == "<=" and thresh == 5.0
+    assert stat <= thresh
+
+
+def test_closed_form_check_flags_shifted_closed_form():
+    g = Grid(0.0, 1.0, 512)
+    s = chains.controlled_sampler(operators.random_control_system(g), arcsine_ppf,
+                                  master_seed=47)
+    pe = chains.simulate_paths(s, 1_000_000, 1)
+    assert verify._closed_form_z(pe, lambda x: (1 + 2 * x) / 4) <= 5.0
+    assert verify._closed_form_z(pe, lambda x: (1 + 2 * x) / 4 + 0.02) > 5.0
+
+
+def test_public_names_resolve():
+    modules = [transferchain] + [importlib.import_module(f"transferchain.{m.name}")
+                                 for m in pkgutil.iter_modules(transferchain.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), f"{module.__name__}.__all__ names {name!r}"

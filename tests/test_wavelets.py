@@ -4,6 +4,7 @@ import pytest
 from transferchain.grids import Grid, stream_rng
 from transferchain.wavelets import (
     HarmonicSequence,
+    TrigPoly,
     WaveletFilter,
     apply_slanted,
     autocorrelation,
@@ -15,6 +16,48 @@ from transferchain.wavelets import (
     stretched_box_filter,
     verify_ruelle_fixed,
 )
+
+
+def _cosine_series(r, t):
+    """r_0 + 2 sum_{n>0} r_n cos(2 pi n t), summed term by term."""
+    out = np.full(t.shape, r[0])
+    for n in range(1, len(r)):
+        out = out + 2.0 * r[n] * np.cos(2 * np.pi * n * t)
+    return out
+
+
+def _direct(p, t):
+    return sum(c * np.exp(2j * np.pi * m * t) for m, c in zip(p.lags, p.c))
+
+
+def test_even_polynomials_match_cosine_series_bitwise():
+    t = stream_rng(3, 0).random(10_000) * 3.0 - 1.0
+    daub4 = WaveletFilter(N=2, coeffs=[0.48296291314453416, 0.8365163037378079,
+                                       0.22414386804201339, -0.12940952255126037])
+    for filt in (haar_filter(), stretched_box_filter(2), daub4):
+        a = filt.coeffs
+        c = np.correlate(a, a, mode="full")[len(a) - 1:]
+        assert filt.m0_sq(t).dtype == np.float64
+        assert np.array_equal(filt.m0_sq(t), _cosine_series(c, t))
+    for h in (autocorrelation(box_scaling_function(2, 8)),
+              HarmonicSequence(np.array([1.0, 0.3, 0.0, -0.2]))):
+        assert np.array_equal(h.eval(t), _cosine_series(h.coeffs, t))
+
+
+def test_trig_poly_algebra_matches_direct_sums():
+    rng = stream_rng(4, 0)
+    t = rng.random(64)
+    p = TrigPoly(-2, rng.normal(size=5) + 1j * rng.normal(size=5))
+    q = TrigPoly(1, rng.normal(size=3))
+    assert np.allclose(p(t), _direct(p, t), atol=1e-12)
+    assert np.allclose((p * q)(t), p(t) * q(t), atol=1e-12)
+    assert np.allclose(p.shift(3)(t), np.exp(6j * np.pi * t) * p(t), atol=1e-12)
+    assert np.allclose(p.dilate(3)(t), p(3 * t), atol=1e-12)
+    for N in (2, 3):
+        avg = sum(p((t + k) / N) for k in range(N)) / N
+        assert np.allclose(p.decimate(N)(t), avg, atol=1e-12)
+    assert np.all(TrigPoly(0, [1.0]).decimate(2)(t) == 1.0)
+    assert np.all(TrigPoly(1, [1.0]).decimate(2)(t) == 0.0)
 
 
 def test_haar_filter_normalized():
