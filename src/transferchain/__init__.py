@@ -33,7 +33,6 @@ from .operators import (  # noqa: F401
     apply_branch,
     apply_gauss,
     apply_integral,
-    apply_operator,
     apply_ruelle_adjoint,
     apply_ruelle_circle,
     doubling_system,
@@ -59,11 +58,8 @@ from .invariant import (  # noqa: F401
 from .chains import (  # noqa: F401
     MarkovSampler,
     PathEnsemble,
-    branch_sampler,
-    controlled_sampler,
     estimate_conditional,
     estimate_transition_matrix,
-    gauss_backward_sampler,
     markov_property_check,
     martingale_check,
     nested_operator_expectation,

@@ -18,16 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction, stream_rng
-from .operators import (
-    BranchSystem,
-    ControlledSystem,
-    GaussOperator,
-    RadonNikodymWeight,
-    apply_branch,
-    apply_integral,
-    apply_operator,
-    gauss_kernel_probs,
-)
+from .operators import RadonNikodymWeight
 
 __all__ = [
     "MarkovSampler",
@@ -53,9 +44,6 @@ __all__ = [
     "martingale_check",
     "estimate_transition_matrix",
     "perron_harmonic_residual",
-    "branch_sampler",
-    "controlled_sampler",
-    "gauss_backward_sampler",
     "finite_chain_sampler",
     "FiniteChain",
 ]
@@ -64,6 +52,10 @@ __all__ = [
 @dataclass(frozen=True)
 class FiniteChain:
     """Row-stochastic transition matrix over a declared finite state set."""
+
+    kind = "finite"
+    channels = 1
+    name = "finite"
 
     states: np.ndarray
     probabilities: np.ndarray
@@ -78,19 +70,27 @@ class FiniteChain:
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "probabilities", P)
 
+    def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """The next state where uniforms[0] falls in the current row's CDF."""
+        rows = np.cumsum(self.probabilities, axis=1)[_state_indices(x, self.states)]
+        nxt = (uniforms[0][:, None] >= rows).sum(axis=1)
+        return self.states[np.clip(nxt, 0, self.states.size - 1)]
+
+    def chain_apply(self, f: GridFunction) -> GridFunction:
+        raise ValueError("a finite chain has no operator on a grid")
+
 
 @dataclass(frozen=True)
 class MarkovSampler:
     """One-step sampler of the chain generated by a transfer operator.
 
-    kind: "branch" (move along inverse branches with weights p_i(x)),
-    "controlled" (T' = F(T, psi) with psi ~ nu), "gauss-backward"
-    (continued-fraction digit moves with density-normalized weights), or
-    "finite" (discrete transition matrix).
-    ``initial_ppf`` maps uniforms to initial states (exact inverse CDF).
+    The system decides how the chain moves: it carries the ``kind`` label
+    ("branch", "controlled", "gauss-backward" or "finite"), the number of
+    uniform ``channels`` one move consumes, and the ``step`` and
+    ``chain_apply`` kernels.  ``initial_ppf`` maps uniforms to initial
+    states (exact inverse CDF); ``name`` defaults to the system's name.
     """
 
-    kind: str
     system: object
     initial_ppf: Callable
     master_seed: int = 9001
@@ -101,9 +101,19 @@ class MarkovSampler:
     # current one), so no reuse is detectable through state conditioning.
     reuse_driver_noise: bool = False
 
+    def __post_init__(self):
+        if not hasattr(type(self.system), "kind"):
+            raise TypeError(f"{type(self.system).__name__} does not generate a Markov chain")
+        if not self.name:
+            object.__setattr__(self, "name", self.system.name)
+
+    @property
+    def kind(self) -> str:
+        return self.system.kind
+
     @property
     def channels(self) -> int:
-        return 2 if self.kind == "controlled" else 1
+        return self.system.channels
 
     @property
     def grid(self) -> Optional[Grid]:
@@ -111,31 +121,11 @@ class MarkovSampler:
 
     def sigma(self, x):
         """The endomorphism undone by one chain move (where defined)."""
-        if self.kind in ("branch",):
-            g = self.system.grid
-            return g.wrap(self.system.sigma(x)) if g.domain_kind == "circle" \
-                else self.system.sigma(x)
-        if self.kind == "gauss-backward":
-            return GaussOperator.sigma(x)
-        raise ValueError(f"{self.kind} sampler has no endomorphism")
-
-
-def branch_sampler(system: BranchSystem, initial_ppf: Callable,
-                   master_seed: int = 9001, name: str = "",
-                   reuse_driver_noise: bool = False) -> MarkovSampler:
-    return MarkovSampler("branch", system, initial_ppf, master_seed,
-                         name or system.name, reuse_driver_noise)
-
-
-def controlled_sampler(system: ControlledSystem, initial_ppf: Callable,
-                       master_seed: int = 9001, name: str = "") -> MarkovSampler:
-    return MarkovSampler("controlled", system, initial_ppf, master_seed,
-                         name or system.name)
-
-
-def gauss_backward_sampler(op: GaussOperator, initial_ppf: Callable,
-                           master_seed: int = 9001) -> MarkovSampler:
-    return MarkovSampler("gauss-backward", op, initial_ppf, master_seed, "gauss-backward")
+        back = getattr(self.system, "sigma", None)
+        if back is None:
+            raise ValueError(f"{self.kind} sampler has no endomorphism")
+        g = self.grid
+        return g.wrap(back(x)) if g is not None and g.domain_kind == "circle" else back(x)
 
 
 def finite_chain_sampler(chain: FiniteChain, initial_probs,
@@ -147,7 +137,7 @@ def finite_chain_sampler(chain: FiniteChain, initial_probs,
         idx = np.searchsorted(cdf0, np.asarray(u, dtype=float), side="left")
         return chain.states[np.clip(idx, 0, chain.states.size - 1)]
 
-    return MarkovSampler("finite", chain, ppf, master_seed, name)
+    return MarkovSampler(chain, ppf, master_seed, name)
 
 
 # ---------------------------------------------------------------------------
@@ -156,44 +146,7 @@ def finite_chain_sampler(chain: FiniteChain, initial_probs,
 
 def step_batch(s: MarkovSampler, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Advance a batch of states one move; uniforms has shape (channels, len(x))."""
-    x = np.asarray(x, dtype=float)
-    u = uniforms[0]
-    if s.kind == "branch":
-        sysm = s.system
-        probs = sysm.weight_matrix(x)
-        total = probs.sum(axis=0)
-        if np.max(np.abs(total - 1.0)) > 1e-9:
-            raise ValueError("branch weights at the current states do not sum to 1")
-        cdf = np.cumsum(probs, axis=0)
-        choice = (u[None, :] >= cdf).sum(axis=0)
-        choice = np.minimum(choice, len(sysm.branches) - 1)
-        taus = sysm.branch_values(x)
-        return taus[choice, np.arange(x.size)]
-    if s.kind == "controlled":
-        sysm = s.system
-        p = np.cumsum(sysm.branch_probs)
-        branch = np.minimum((u[None, :] >= p[:, None]).sum(axis=0), len(sysm.branch_probs) - 1)
-        out = np.empty_like(x)
-        for i in range(len(sysm.branch_probs)):
-            sel = branch == i
-            if not np.any(sel):
-                continue
-            out[sel] = sysm.F(x[sel], i, uniforms[1][sel] if s.channels > 1 else None)
-        return out
-    if s.kind == "gauss-backward":
-        K = s.system.truncation_K
-        z_hat = 1.0 - (1.0 + x) / (K + 1.0 + x)  # truncated kernel mass
-        v = u * z_hat
-        n = np.ceil((1.0 + x) / (1.0 - v) - 1.0 - x)
-        n = np.clip(n, 1, K)
-        return 1.0 / (n + x)
-    if s.kind == "finite":
-        chain = s.system
-        idx = _state_indices(x, chain.states)
-        rows = np.cumsum(chain.probabilities, axis=1)[idx]
-        nxt = (u[:, None] >= rows).sum(axis=1)
-        return chain.states[np.clip(nxt, 0, chain.states.size - 1)]
-    raise ValueError(f"unknown sampler kind {s.kind!r}")
+    return s.system.step(np.asarray(x, dtype=float), uniforms)
 
 
 def step(s: MarkovSampler, x: float, rng: np.random.Generator) -> float:
@@ -277,24 +230,7 @@ def simulate_paths(s: MarkovSampler, n_paths: int, n_steps: int) -> PathEnsemble
 
 def chain_apply(s: MarkovSampler, f: GridFunction) -> GridFunction:
     """The chain's realized one-step operator: x -> E[f(next) | x] on the grid."""
-    if s.kind == "branch":
-        return apply_branch(s.system, f)
-    if s.kind == "controlled":
-        return apply_integral(s.system, f)
-    if s.kind == "gauss-backward":
-        op: GaussOperator = s.system
-        grid = f.grid
-        x = grid.nodes
-        K = op.truncation_K
-        out = np.zeros(grid.n)
-        chunk = 4096
-        for start in range(1, K + 1, chunk):
-            ns = np.arange(start, min(start + chunk, K + 1), dtype=float)[:, None]
-            w = gauss_kernel_probs(x[None, :], ns)
-            out += np.sum(w * f.eval((1.0 / (ns + x[None, :])).ravel()).reshape(w.shape), axis=0)
-        z_hat = 1.0 - (1.0 + x) / (K + 1.0 + x)
-        return GridFunction(grid, out / z_hat)
-    raise ValueError(f"no grid operator for sampler kind {s.kind!r}")
+    return s.system.chain_apply(f)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +344,7 @@ def nested_operator_expectation(op, h: GridFunction, lam: DiscreteMeasure,
         raise ValueError("nested expectation supports at most 7 factors")
     g = fs[-1] * h
     for f in reversed(fs[:-1]):
-        g = f * apply_operator(op, g)
+        g = f * op.apply(g)
     return float(np.dot(g.values, lam.weights))
 
 

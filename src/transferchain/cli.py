@@ -43,16 +43,16 @@ INVARIANT_SYSTEMS = ("gauss", "doubling", "random-control", "logistic", "halving
 SIMULATE_SYSTEMS = ("doubling", "random-control", "parametric-u", "gauss",
                     "logistic", "haar", "fejer-m", "bernoulli-a")
 
-_ALLOWED_PARAMS = {
-    "gauss": {"K"},
-    "parametric-u": {"u"},
-    "fejer-m": {"m"},
-    "bernoulli-a": {"a"},
-    "doubling": set(),
-    "random-control": set(),
-    "logistic": set(),
-    "halving": set(),
-    "haar": set(),
+_ALLOWED_PARAMS = {  # system -> {parameter: type}
+    "gauss": {"K": int},
+    "parametric-u": {"u": float},
+    "fejer-m": {"m": int},
+    "bernoulli-a": {"a": float},
+    "doubling": {},
+    "random-control": {},
+    "logistic": {},
+    "halving": {},
+    "haar": {},
 }
 
 
@@ -157,7 +157,7 @@ def cmd_invariant(config: RunConfig) -> int:
                                            uniform_measure(grid), 40)
     else:
         if config.system == "gauss":
-            op = operators.gauss_operator(K=int(config.params.get("K", 10_000)))
+            op = _with_params(config, operators.gauss_operator, config.params.get("K", 10_000))
         elif config.system == "doubling":
             op = operators.doubling_system(grid)
         elif config.system == "random-control":
@@ -176,9 +176,9 @@ def cmd_invariant(config: RunConfig) -> int:
     _write_csv(os.path.join(config.out_dir, "density.csv"),
                ["x_mid", "density", "reference_density", "abs_err"],
                ([float(a), float(b), float(c), float(d)] for a, b, c, d in rows))
-    # the logistic stationary law matches arcsine in transport distance; its
-    # L1 density gap concentrates in the singular endpoint cells, so that
-    # system is gated on Wasserstein-1 instead
+    # the logistic stationary law is arcsine, whose density is unbounded at
+    # both ends; it is gated on Wasserstein-1, which weighs the endpoint
+    # cells by their mass rather than their density
     thresholds = {"gauss": ("l1", 0.02), "doubling": ("l1", 1e-6),
                   "random-control": ("l1", 0.03), "halving": ("l1", 1e-3),
                   "logistic": ("w1", 0.01)}
@@ -200,42 +200,44 @@ def cmd_invariant(config: RunConfig) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _with_params(config: RunConfig, build, *args):
+    """build(*args), with a constructor's range error reported against --param."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        given = ", ".join(f"{k}={v}" for k, v in sorted(config.params.items()))
+        raise SystemExit(f"--param {given}: {err}") from None
+
+
 def _build_sampler(config: RunConfig):
     """Returns (sampler, reference measure for marginal KS or None)."""
     seed = config.master_seed
     n = config.grid_n
+    params = config.params
     ref2048 = Grid(0.0, 1.0, 2048)
+    g = Grid(0.0, 1.0, n)
     if config.system == "doubling":
-        g = Grid(0.0, 1.0, n)
-        return (chains.branch_sampler(operators.doubling_system(g), uniform_ppf, seed),
+        return (chains.MarkovSampler(operators.doubling_system(g), uniform_ppf, seed),
                 uniform_measure(ref2048))
     if config.system == "logistic":
-        g = Grid(0.0, 1.0, n)
-        return (chains.branch_sampler(operators.logistic_system(g), arcsine_ppf, seed),
+        return (chains.MarkovSampler(operators.logistic_system(g), arcsine_ppf, seed),
                 arcsine_measure(ref2048))
     if config.system == "random-control":
-        g = Grid(0.0, 1.0, n)
-        return (chains.controlled_sampler(operators.random_control_system(g),
-                                          arcsine_ppf, seed),
+        return (chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf, seed),
                 arcsine_measure(ref2048))
     if config.system == "parametric-u":
-        u = float(config.params.get("u", 0.3))
-        g = Grid(0.0, 1.0, n)
-        return (chains.branch_sampler(operators.parametric_system(g, u),
-                                      uniform_ppf, seed), None)
+        sys_u = _with_params(config, operators.parametric_system, g, params.get("u", 0.3))
+        return chains.MarkovSampler(sys_u, uniform_ppf, seed), None
     if config.system == "gauss":
-        K = int(config.params.get("K", 10_000))
-        return (chains.gauss_backward_sampler(operators.gauss_operator(K=K),
-                                              gauss_ppf, seed),
-                gauss_measure(ref2048))
+        op = _with_params(config, operators.gauss_operator, params.get("K", 10_000))
+        return chains.MarkovSampler(op, gauss_ppf, seed), gauss_measure(ref2048)
     if config.system == "bernoulli-a":
         # starts at the fixed point 0 and mixes toward the convolution law,
         # so no stationary-marginal check applies at finite step counts
-        a = float(config.params.get("a", 0.5))
-        span = a / (1.0 - a)
-        g = Grid(-span, span, n)
-        sys_b = operators.bernoulli_system(g, a)
-        return (chains.branch_sampler(sys_b, lambda u: np.zeros(np.shape(u)), seed),
+        a = params.get("a", 0.5)
+        span = _with_params(config, operators.bernoulli_support, a)
+        sys_b = operators.bernoulli_system(Grid(-span, span, n), a)
+        return (chains.MarkovSampler(sys_b, lambda u: np.zeros(np.shape(u)), seed),
                 None)
     if config.system in ("haar", "fejer-m"):
         gc = Grid(0.0, 1.0, max(n, 4096), "circle")
@@ -243,13 +245,13 @@ def _build_sampler(config: RunConfig):
             filt, h = wavelets.haar_filter(), None
             ppf = uniform_ppf
         else:
-            m = int(config.params.get("m", 1))
-            filt = wavelets.stretched_box_filter(m)
+            m = params.get("m", 1)
+            filt = _with_params(config, wavelets.stretched_box_filter, m)
             h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
             h_measure = solenoid.pi_k_distribution(filt, h, 0, Grid(0, 1, 4096, "circle"))
             ppf = lambda u: grids._inverse_cdf(h_measure, np.asarray(u))
         sys_f = operators.circle_filter_system(gc, filt, h)
-        return chains.branch_sampler(sys_f, ppf, seed), None
+        return chains.MarkovSampler(sys_f, ppf, seed), None
     raise SystemExit(f"simulate supports systems {SIMULATE_SYSTEMS}")
 
 
@@ -278,7 +280,7 @@ def cmd_simulate(config: RunConfig) -> int:
                ["step", "x_mid", "count", "density"], rows)
 
     checks = []
-    if sampler.kind in ("branch", "gauss-backward"):
+    if hasattr(sampler.system, "sigma"):  # the chain undoes an endomorphism
         checks.append(CheckResult(name="solenoid-constraint",
                                   statistic=pe.solenoid_violation(), threshold=1e-10,
                                   direction="<=", runtime_ms=ms))
@@ -307,15 +309,15 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _parse_schur_spec(spec: str):
-    kind, _, arg = spec.partition(":")
-    if kind == "constant":
+    form, _, arg = spec.partition(":")
+    if form == "constant":
         return "constant", [complex(arg or "0")]
-    if kind == "blaschke":
+    if form == "blaschke":
         zeros = [complex(tok) for tok in arg.split(",") if tok]
         if not zeros:
             raise SystemExit("blaschke spec needs at least one zero")
         return "blaschke", zeros
-    if kind == "random":
+    if form == "random":
         toks = arg.split(",") if arg else []
         radius = float(toks[0]) if toks else 0.5
         depth = int(toks[1]) if len(toks) > 1 else 8
@@ -326,11 +328,11 @@ def _parse_schur_spec(spec: str):
 def cmd_schur(config: RunConfig) -> int:
     if not config.schur_spec:
         raise SystemExit("schur needs --schur-spec")
-    kind, arg = _parse_schur_spec(config.schur_spec)
+    form, arg = _parse_schur_spec(config.schur_spec)
     t0 = time.perf_counter()
     depth = 8
     checks = []
-    if kind == "random":
+    if form == "random":
         radius, depth = arg
         params = schur.sample_random_schur(schur.uniform_disk_sampler(radius),
                                            depth, config.master_seed)
@@ -344,7 +346,7 @@ def cmd_schur(config: RunConfig) -> int:
                                   threshold=1e-8, direction="<="))
         terminated = params.terminated
     else:
-        s = (schur.SchurEval.constant(arg[0]) if kind == "constant"
+        s = (schur.SchurEval.constant(arg[0]) if form == "constant"
              else schur.blaschke_product(arg))
         params = schur.extract_params(s, depth)
         padded = np.zeros(depth, dtype=complex)
@@ -353,7 +355,7 @@ def cmd_schur(config: RunConfig) -> int:
                 for i, p in enumerate(padded)]
         header = ["index", "rho_re", "rho_im"]
         terminated = params.terminated
-        if kind == "blaschke":
+        if form == "blaschke":
             checks.append(CheckResult(name="blaschke-terminated",
                                       statistic=1.0 if terminated else 0.0,
                                       threshold=1.0, direction=">=",
@@ -413,13 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _size(flag_value, file_cfg: dict, key: str, default: int, least: int) -> int:
-    """A size from its flag, else the config file, else the default; a value
-    below ``least`` is an error, never a silent fallback."""
+    """An integer setting from its flag, else the config file, else the
+    default; a value below ``least`` is an error, never a silent fallback."""
     value = flag_value if flag_value is not None else file_cfg.get(key, default)
     flag = key.replace("_", "-")
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
+    try:  # through str, so that a config float is no silent int
+        value = int(str(value))
+    except ValueError:
         raise SystemExit(f"--{flag} / {key} must be an integer, got {value!r}") from None
     if value < least:
         raise SystemExit(f"--{flag} / {key} must be >= {least}, got {value}")
@@ -441,8 +443,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg.grid_n = _size(args.grid_n, file_cfg, "grid_n", 512, 2)
     cfg.n_paths = _size(args.paths, file_cfg, "paths", 100_000, 1)
     cfg.n_steps = _size(args.steps, file_cfg, "steps", 10, 0)
-    cfg.master_seed = (args.master_seed if args.master_seed is not None
-                       else int(file_cfg.get("master_seed", 9001)))
+    cfg.master_seed = _size(args.master_seed, file_cfg, "master_seed", 9001, 0)
     cfg.threads = (args.threads if args.threads is not None
                    else int(file_cfg.get("threads", os.cpu_count() or 1)))
     cfg.out_dir = args.out or file_cfg.get("out", "transferchain-out")
@@ -452,15 +453,21 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not value:
             raise SystemExit(f"--param needs KEY=VALUE, got {item!r}")
         params[key] = value
+    allowed = _ALLOWED_PARAMS.get(cfg.system)
+    if allowed is not None:
+        unknown = set(params) - set(allowed)
+        if unknown:
+            raise SystemExit(
+                f"system {cfg.system!r} takes parameters {sorted(allowed)}; "
+                f"got unknown {sorted(unknown)}")
+        for key, value in params.items():
+            typ = allowed[key]
+            try:  # through str, so that a config float is no silent int
+                params[key] = typ(str(value))
+            except ValueError:
+                raise SystemExit(f"--param {key} must be {typ.__name__}, "
+                                 f"got {value!r}") from None
     cfg.params = params
-    if cfg.system:
-        allowed = _ALLOWED_PARAMS.get(cfg.system)
-        if allowed is not None:
-            unknown = set(cfg.params) - allowed
-            if unknown:
-                raise SystemExit(
-                    f"system {cfg.system!r} takes parameters {sorted(allowed)}; "
-                    f"got unknown {sorted(unknown)}")
     if args.command == "verify":
         cfg.suite = getattr(args, "suite", None) or file_cfg.get("suite", "all")
         cfg.inject_fault = getattr(args, "inject_fault", None) or \

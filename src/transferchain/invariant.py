@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction, integrate, uniform_measure, wasserstein1
-from .operators import _spread_interval, apply_operator, cell_flow_matrix
+from .operators import _spread_interval, cell_flow_matrix
 
 __all__ = [
     "UlamMatrix",
@@ -104,7 +104,7 @@ def verify_invariance(mu: DiscreteMeasure, op, test_fns: Sequence[GridFunction])
     """Per test function, |int (Rf) dmu - int f dmu|."""
     out = []
     for f in test_fns:
-        rf = apply_operator(op, f)
+        rf = op.apply(f)
         out.append(abs(integrate(rf, mu) - integrate(f, mu)))
     return out
 
@@ -155,11 +155,6 @@ def cantor_ifs(grid: Grid) -> AffineIFS:
                      probs=np.array([0.5, 0.5]), name="cantor")
 
 
-def single_map_ifs(grid: Grid, slope: float, shift: float = 0.0) -> AffineIFS:
-    return AffineIFS(grid, slopes=np.array([slope]), shifts=np.array([shift]),
-                     probs=np.array([1.0]), name="single")
-
-
 def hutchinson_matrix(ifs: AffineIFS) -> np.ndarray:
     """Pushforward matrix: cell mass flows along each affine map by exact
     interval overlap, weighted by the map probabilities."""
@@ -168,7 +163,7 @@ def hutchinson_matrix(ifs: AffineIFS) -> np.ndarray:
     for j, p_j in enumerate(ifs.probs):
         a = ifs.apply_map(j, grid.edges[:-1])
         b = ifs.apply_map(j, grid.edges[1:])
-        _spread_interval(M, np.full(grid.n, p_j), np.minimum(a, b), np.maximum(a, b), grid)
+        _spread_interval(M, np.full(grid.n, p_j), a, b, grid)
     return M
 
 

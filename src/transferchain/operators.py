@@ -3,9 +3,9 @@
 Four operator shapes are supported: branch-weighted sums over inverse
 branches of an endomorphism, integral operators driven by a control
 distribution, the weighted Ruelle operator of a circle filter, and the
-Gauss (continued fraction) operator.  A shared cell-flow construction
-turns any of them into the column-stochastic matrix used by the invariant
-measure module.
+Gauss (continued fraction) operator.  Each is its own kernel: ``apply``
+acts on grid functions, ``flow`` moves cell masses (the matrix behind the
+invariant measures), and ``step`` and ``chain_apply`` move its chain.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "apply_ruelle_adjoint",
     "apply_gauss",
     "apply_gauss_at",
-    "apply_operator",
     "pullout_check",
     "radon_nikodym",
     "cell_flow_matrix",
@@ -42,6 +41,7 @@ __all__ = [
     "random_control_system",
     "gauss_operator",
     "gauss_kernel_probs",
+    "bernoulli_support",
     "bernoulli_system",
     "circle_filter_system",
     "circle_trig_coeffs",
@@ -65,6 +65,9 @@ class BranchSystem:
     Defines (Rf)(x) = sum_i p_i(x) f(tau_i(x)).  Branch maps and weights are
     vectorized callables.  ``normalized`` asserts sum_i p_i(x) = 1 at nodes.
     """
+
+    kind = "branch"
+    channels = 1
 
     grid: Grid
     sigma: Callable
@@ -123,6 +126,37 @@ class BranchSystem:
             out[i] = y
         return out
 
+    def apply(self, f: GridFunction) -> GridFunction:
+        return apply_branch(self, f)
+
+    chain_apply = apply  # the chain's one-step operator is R itself
+
+    def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
+        """Each source cell's image under tau_i, weighted by p_i at its midpoint."""
+        if self.grid != grid:
+            raise GridMismatchError("operator grid differs from requested grid")
+        M = np.zeros((grid.n, grid.n))
+        probs = self.weight_matrix(grid.nodes)
+        for i, tau in enumerate(self.branches):
+            a = np.asarray(tau(grid.edges[:-1]), dtype=float)
+            b = np.asarray(tau(grid.edges[1:]), dtype=float)
+            if grid.domain_kind == "circle":
+                # place the image interval continuously, wrap targets
+                base = grid.wrap(a)
+                b = base + (b - a)
+                a = base
+            _spread_interval(M, probs[i], a, b, grid)
+        return M
+
+    def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Branch i for each state where uniforms[0] falls in p_i's CDF slot."""
+        probs = self.weight_matrix(x)
+        if np.max(np.abs(probs.sum(axis=0) - 1.0)) > 1e-9:
+            raise ValueError("branch weights at the current states do not sum to 1")
+        cdf = np.cumsum(probs, axis=0)
+        choice = np.minimum((uniforms[0][None, :] >= cdf).sum(axis=0), len(self.branches) - 1)
+        return self.branch_values(x)[choice, np.arange(x.size)]
+
 
 @dataclass(frozen=True)
 class ControlledSystem:
@@ -130,8 +164,12 @@ class ControlledSystem:
 
     The control space Y is a finite branch set (probabilities ``branch_probs``)
     optionally crossed with the unit interval, quadratured by ``u_nodes`` /
-    ``u_weights``.  ``F(x, i, u)`` must be vectorized in x and u.
+    ``u_weights``.  ``F(x, i, u)`` must be vectorized in x and u.  Its chain
+    draws branch i and a uniform control u per move: two uniform channels.
     """
+
+    kind = "controlled"
+    channels = 2
 
     grid: Grid
     F: Callable
@@ -153,6 +191,44 @@ class ControlledSystem:
             if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError("control quadrature weights must sum to 1")
 
+    def apply(self, f: GridFunction) -> GridFunction:
+        return apply_integral(self, f)
+
+    chain_apply = apply  # the chain's one-step operator is R itself
+
+    def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
+        """Exact cell masses from ``transition_cdf`` when given, else each
+        midpoint's quadrature images as point masses."""
+        if self.grid != grid:
+            raise GridMismatchError("operator grid differs from requested grid")
+        n, mids = grid.n, grid.nodes
+        if self.transition_cdf is not None:
+            cdf = self.transition_cdf(mids[None, :], grid.edges[:, None])
+            return np.diff(np.asarray(cdf, dtype=float), axis=0)
+        M = np.zeros((n, n))
+        for i, p_i in enumerate(self.branch_probs):
+            if p_i == 0.0:
+                continue
+            if self.u_nodes is None:
+                y = np.asarray(self.F(mids, i, None), dtype=float)
+                np.add.at(M, (grid.cell_index(y), np.arange(n)), p_i)
+            else:
+                for u, w in zip(self.u_nodes, self.u_weights):
+                    y = np.asarray(self.F(mids, i, u), dtype=float)
+                    np.add.at(M, (grid.cell_index(y), np.arange(n)), p_i * w)
+        return M
+
+    def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Branch i where uniforms[0] falls in its slot, then F(x, i, uniforms[1])."""
+        p = np.cumsum(self.branch_probs)
+        branch = np.minimum((uniforms[0][None, :] >= p[:, None]).sum(axis=0), p.size - 1)
+        out = np.empty_like(x)
+        for i in range(p.size):
+            sel = branch == i
+            if np.any(sel):
+                out[sel] = self.F(x[sel], i, uniforms[1][sel])
+        return out
+
 
 @dataclass(frozen=True)
 class CircleFilterOperator:
@@ -170,6 +246,22 @@ class CircleFilterOperator:
     def is_normalized(self) -> bool:
         return self.filt.is_normalized
 
+    def apply(self, f: GridFunction) -> GridFunction:
+        return apply_ruelle_circle(self, f)
+
+    def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
+        """Each source cell's N preimage cells, weighted by |m0|^2 / N there."""
+        if grid.domain_kind != "circle" or grid.n % self.N:
+            raise GridMismatchError("need a circle grid with size divisible by N")
+        M = np.zeros((grid.n, grid.n))
+        N = self.N
+        t = (grid.nodes - grid.lower) / grid.width
+        for k in range(N):
+            w = self.filt.m0_sq((t + k) / N) / N
+            a = grid.lower + ((grid.edges[:-1] - grid.lower) / N + k * grid.width / N)
+            _spread_interval(M, w, a, a + grid.dx / N, grid)
+        return M
+
 
 @dataclass(frozen=True)
 class GaussOperator:
@@ -179,6 +271,9 @@ class GaussOperator:
     remainder is estimated as f(0+) / (K + x + 1/2), using that the tail of
     sum (n+x)^-2 matches the midpoint integral to O(K^-3).
     """
+
+    kind = "gauss-backward"
+    channels = 1
 
     truncation_K: int = 10_000
     tail_mode: str = "integral"  # "integral" | "ignore"
@@ -199,6 +294,57 @@ class GaussOperator:
     def density(x):
         """The invariant density 1 / (ln 2 (1+x))."""
         return 1.0 / (np.log(2.0) * (1.0 + np.asarray(x, dtype=float)))
+
+    def _kernel_mass(self, x):
+        """Total mass of the truncated kernel ``gauss_kernel_probs`` at x."""
+        return 1.0 - (1.0 + x) / (self.truncation_K + 1.0 + x)
+
+    def apply(self, f: GridFunction) -> GridFunction:
+        return apply_gauss(self, f)
+
+    def chain_apply(self, f: GridFunction) -> GridFunction:
+        """The truncated chain's operator: the density-normalized branch sum,
+        renormalized by the kept kernel mass."""
+        x = f.grid.nodes
+        out = _gauss_branch_sum(self, f, x, lambda ns, denom, v:
+                                gauss_kernel_probs(x[None, :], ns) * v)
+        return GridFunction(f.grid, out / self._kernel_mass(x))
+
+    def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
+        """Each source cell's images 1/(n + cell), weighted by the chain
+        kernel at its midpoint, or by the raw (n+x)^-2 when ``raw``."""
+        if grid.domain_kind != "interval":
+            raise GridMismatchError("Gauss operator lives on an interval grid")
+        n = grid.n
+        M = np.zeros((n, n))
+        edges_l, edges_r, x = grid.edges[:-1], grid.edges[1:], grid.nodes
+        ns = np.arange(1, self.truncation_K + 1, dtype=float)
+        for j in range(n):
+            w = (ns + x[j]) ** -2.0 if raw else gauss_kernel_probs(x[j], ns)
+            a = 1.0 / (ns + edges_r[j])
+            b = 1.0 / (ns + edges_l[j])
+            k0 = np.floor((a - grid.lower) / grid.dx).astype(int)
+            k1 = np.floor((b - grid.lower) / grid.dx - 1e-15).astype(int)
+            k1 = np.maximum(k1, k0)
+            width = b - a
+            same = k0 == k1
+            M[:, j] += np.bincount(np.clip(k0[same], 0, n - 1), weights=w[same], minlength=n)
+            split = ~same
+            if np.any(split):
+                cut = grid.lower + k1[split] * grid.dx
+                fr_hi = np.clip((b[split] - cut) / width[split], 0.0, 1.0)
+                M[:, j] += np.bincount(np.clip(k1[split], 0, n - 1),
+                                       weights=w[split] * fr_hi, minlength=n)
+                M[:, j] += np.bincount(np.clip(k0[split], 0, n - 1),
+                                       weights=w[split] * (1 - fr_hi), minlength=n)
+        return M
+
+    def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Digit n from the inverse CDF of the truncated kernel at uniforms[0]."""
+        K = self.truncation_K
+        v = uniforms[0] * self._kernel_mass(x)
+        n = np.ceil((1.0 + x) / (1.0 - v) - 1.0 - x)
+        return 1.0 / (np.clip(n, 1, K) + x)
 
 
 @dataclass(frozen=True)
@@ -334,32 +480,28 @@ def apply_gauss(op: GaussOperator, f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, apply_gauss_at(op, f, f.grid.nodes))
 
 
-def apply_gauss_at(op: GaussOperator, f: GridFunction, x, chunk: int = 4096) -> np.ndarray:
-    """Truncated branch sum sum_{n<=K} (n+x)^-2 f(1/(n+x)) (+ tail estimate)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _gauss_branch_sum(op: GaussOperator, f: GridFunction, x, term,
+                      chunk: int = 4096) -> np.ndarray:
+    """sum over n <= K of term(n, n + x, f(1/(n+x))), in chunks of n."""
     out = np.zeros(x.size)
     K = op.truncation_K
     for start in range(1, K + 1, chunk):
         ns = np.arange(start, min(start + chunk, K + 1), dtype=float)[:, None]
         denom = ns + x[None, :]
-        out += np.sum(f.eval((1.0 / denom).ravel()).reshape(denom.shape) / denom**2, axis=0)
-    if op.tail_mode == "integral":
-        f_origin = float(f.values[0])  # f(0+) under the boundary-cell extension
-        out += f_origin / (K + x + 0.5)
+        # f's values stay unnamed, so each chunk's block is freed before the next
+        out += np.sum(term(ns, denom, f.eval((1.0 / denom).ravel()).reshape(denom.shape)),
+                      axis=0)
     return out
 
 
-def apply_operator(op, f: GridFunction) -> GridFunction:
-    """Dispatch R f for any operator form."""
-    if isinstance(op, BranchSystem):
-        return apply_branch(op, f)
-    if isinstance(op, ControlledSystem):
-        return apply_integral(op, f)
-    if isinstance(op, CircleFilterOperator):
-        return apply_ruelle_circle(op, f)
-    if isinstance(op, GaussOperator):
-        return apply_gauss(op, f)
-    raise TypeError(f"not a transfer operator: {type(op).__name__}")
+def apply_gauss_at(op: GaussOperator, f: GridFunction, x, chunk: int = 4096) -> np.ndarray:
+    """Truncated branch sum sum_{n<=K} (n+x)^-2 f(1/(n+x)) (+ tail estimate)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = _gauss_branch_sum(op, f, x, lambda ns, denom, v: v / denom**2, chunk)
+    if op.tail_mode == "integral":
+        f_origin = float(f.values[0])  # f(0+) under the boundary-cell extension
+        out += f_origin / (op.truncation_K + x + 0.5)
+    return out
 
 
 def pullout_check(bs: BranchSystem, f: GridFunction, g: GridFunction) -> float:
@@ -380,8 +522,7 @@ def _spread_interval(M, col_weights, a, b, grid: Grid):
     covering [a_j, b_j], proportionally to overlap.  Exact for affine
     branch images; circle targets wrap."""
     n, dx, lo = grid.n, grid.dx, grid.lower
-    a = np.minimum(a, b)
-    b = np.maximum(a, b)
+    a, b = np.minimum(a, b), np.maximum(a, b)
     width = b - a
     tiny = width <= 1e-15 * grid.width
     if np.any(tiny):
@@ -418,81 +559,7 @@ def cell_flow_matrix(op, grid: Grid, raw: bool = False) -> np.ndarray:
     kernel with the truncation deficit left in place; ``raw=True`` switches
     to the plain (n+x)^-2 weights, whose dual fixes Lebesgue measure.
     """
-    n = grid.n
-    M = np.zeros((n, n))
-    edges_l = grid.edges[:-1]
-    edges_r = grid.edges[1:]
-    mids = grid.nodes
-    if isinstance(op, BranchSystem):
-        if op.grid != grid:
-            raise GridMismatchError("operator grid differs from requested grid")
-        probs = op.weight_matrix(mids)
-        for i, tau in enumerate(op.branches):
-            a = np.asarray(tau(edges_l), dtype=float)
-            b = np.asarray(tau(edges_r), dtype=float)
-            if grid.domain_kind == "circle":
-                # place the image interval continuously, wrap targets
-                base = grid.wrap(a)
-                b = base + (b - a)
-                a = base
-            _spread_interval(M, probs[i], a, b, grid)
-    elif isinstance(op, ControlledSystem):
-        if op.grid != grid:
-            raise GridMismatchError("operator grid differs from requested grid")
-        if op.transition_cdf is not None:
-            cdf_vals = np.stack([
-                np.asarray(op.transition_cdf(mids, t), dtype=float) for t in grid.edges
-            ])
-            M = np.diff(cdf_vals, axis=0)
-        else:
-            for i, p_i in enumerate(op.branch_probs):
-                if p_i == 0.0:
-                    continue
-                if op.u_nodes is None:
-                    y = np.asarray(op.F(mids, i, None), dtype=float)
-                    np.add.at(M, (grid.cell_index(y), np.arange(n)), p_i)
-                else:
-                    for u, w in zip(op.u_nodes, op.u_weights):
-                        y = np.asarray(op.F(mids, i, u), dtype=float)
-                        np.add.at(M, (grid.cell_index(y), np.arange(n)), p_i * w)
-    elif isinstance(op, CircleFilterOperator):
-        if grid.domain_kind != "circle" or grid.n % op.N:
-            raise GridMismatchError("need a circle grid with size divisible by N")
-        N = op.N
-        t = (mids - grid.lower) / grid.width
-        for k in range(N):
-            pre = (t + k) / N
-            w = op.filt.m0_sq(pre) / N
-            a = grid.lower + ((edges_l - grid.lower) / N + k * grid.width / N)
-            b = a + grid.dx / N
-            _spread_interval(M, w, a, b, grid)
-    elif isinstance(op, GaussOperator):
-        if grid.domain_kind != "interval":
-            raise GridMismatchError("Gauss operator lives on an interval grid")
-        K = op.truncation_K
-        x = mids
-        for j in range(n):
-            ns = np.arange(1, K + 1, dtype=float)
-            w = (ns + x[j]) ** -2.0 if raw else gauss_kernel_probs(x[j], ns)
-            a = 1.0 / (ns + edges_r[j])
-            b = 1.0 / (ns + edges_l[j])
-            k0 = np.floor((a - grid.lower) / grid.dx).astype(int)
-            k1 = np.floor((b - grid.lower) / grid.dx - 1e-15).astype(int)
-            k1 = np.maximum(k1, k0)
-            width = b - a
-            same = k0 == k1
-            M[:, j] += np.bincount(np.clip(k0[same], 0, n - 1), weights=w[same], minlength=n)
-            split = ~same
-            if np.any(split):
-                cut = grid.lower + k1[split] * grid.dx
-                fr_hi = np.clip((b[split] - cut) / width[split], 0.0, 1.0)
-                M[:, j] += np.bincount(np.clip(k1[split], 0, n - 1),
-                                       weights=w[split] * fr_hi, minlength=n)
-                M[:, j] += np.bincount(np.clip(k0[split], 0, n - 1),
-                                       weights=w[split] * (1 - fr_hi), minlength=n)
-    else:
-        raise TypeError(f"not a transfer operator: {type(op).__name__}")
-    return np.clip(M, 0.0, None)
+    return np.clip(op.flow(grid, raw), 0.0, None)
 
 
 def gauss_kernel_probs(x, ns):
@@ -590,7 +657,6 @@ def parametric_system(grid: Grid, u: float) -> BranchSystem:
 def _random_control_cdf(x, t):
     """P(F(x, Y) <= t): the controlled move is U(0,x) or U(x,1) evenly."""
     x = np.asarray(x, dtype=float)
-    t = float(t)
     below = np.clip(t / x, 0.0, 1.0)
     above = np.clip((t - x) / (1.0 - x), 0.0, 1.0)
     return 0.5 * (below + above)
@@ -625,14 +691,20 @@ def gauss_operator(K: int = 10_000, tail_mode: str = "integral") -> GaussOperato
     return GaussOperator(truncation_K=K, tail_mode=tail_mode)
 
 
+def bernoulli_support(a: float) -> float:
+    """Half-width a/(1-a) of the interval the Bernoulli chain lives on."""
+    if not 0.0 < a < 1.0:
+        raise ValueError("a must lie in (0, 1)")
+    return a / (1.0 - a)
+
+
 def bernoulli_system(grid: Grid, a: float) -> BranchSystem:
     """Backward chain of the random series sum_k w_k a^k on [-a/(1-a), a/(1-a)].
 
     Branches a(x-1) and a(x+1) with equal weights; the stationary law is the
     Bernoulli convolution with parameter a.
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError("a must lie in (0, 1)")
+    bernoulli_support(a)  # rejects a outside (0, 1)
 
     def sigma(x):
         x = np.asarray(x, dtype=float)

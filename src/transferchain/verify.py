@@ -228,7 +228,7 @@ def _normalization(seed, fault):
     worst = 0.0
     for op in ops:
         f1 = GridFunction.constant(getattr(op, "grid", gc), 1.0)
-        r1 = operators.apply_operator(op, f1)
+        r1 = op.apply(f1)
         worst = max(worst, float(np.max(np.abs(r1.values - 1.0))))
     return worst, 1e-10, "<=", "R1 = 1 on every normalized operator"
 
@@ -282,7 +282,7 @@ def _positivity(seed, fault):
                      (operators.gauss_operator(K=500), g),
                      (operators.circle_filter_system(gc, wavelets.haar_filter()), gc)):
         f = GridFunction(grid, rng.random(grid.n))
-        worst = min(worst, float(np.min(operators.apply_operator(op, f).values)))
+        worst = min(worst, float(np.min(op.apply(f).values)))
     return -worst, 0.0, "<=", "min node value of R f over nonnegative f"
 
 
@@ -313,8 +313,8 @@ def _cantor_ratio(seed, fault):
 
 def _doubling_sampler(seed, offset=0):
     g = Grid(0.0, 1.0, 512)
-    return chains.branch_sampler(operators.doubling_system(g), uniform_ppf,
-                                 master_seed=seed + offset)
+    return chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
+                                master_seed=seed + offset)
 
 
 @_check("chains", "kolmogorov-moment-doubling")
@@ -341,7 +341,7 @@ def _moment_rc(seed, fault):
     one = GridFunction.constant(gq, 1.0)
     ident = GridFunction.from_callable(gq, lambda x: x)
     cosf = GridFunction.from_callable(gq, lambda x: np.cos(2 * np.pi * x))
-    s = chains.controlled_sampler(op, arcsine_ppf, master_seed=seed + 1)
+    s = chains.MarkovSampler(op, arcsine_ppf, master_seed=seed + 1)
     pe = chains.simulate_paths(s, 1_000_000, 2)
     worst = 0.0
     for fs_grid, fs_mc in (([ident, ident], [lambda x: x] * 2),
@@ -359,8 +359,8 @@ def _quasi(seed, fault):
     details = []
     for i, u in enumerate((0.3, 0.5, 0.7)):
         g = Grid(0.0, 1.0, 512)
-        s = chains.branch_sampler(operators.parametric_system(g, u), uniform_ppf,
-                                  master_seed=seed + 10 + i)
+        s = chains.MarkovSampler(operators.parametric_system(g, u), uniform_ppf,
+                                 master_seed=seed + 10 + i)
         pe = chains.simulate_paths(s, 1_000_000, 2)
         W = RadonNikodymWeight(GridFunction.from_callable(g, operators.parametric_weight(u)),
                                exact_fn=operators.parametric_weight(u))
@@ -376,8 +376,8 @@ def _quasi(seed, fault):
 @_check("chains", "quasi-invariance-wrong-weight")
 def _quasi_wrong(seed, fault):
     g = Grid(0.0, 1.0, 512)
-    s = chains.branch_sampler(operators.parametric_system(g, 0.3), uniform_ppf,
-                              master_seed=seed + 13)
+    s = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
+                             master_seed=seed + 13)
     pe = chains.simulate_paths(s, 1_000_000, 2)
     W = RadonNikodymWeight(GridFunction.from_callable(g, operators.parametric_weight(0.7)),
                            exact_fn=operators.parametric_weight(0.7))
@@ -392,15 +392,15 @@ def _martingale(seed, fault):
     bins = Grid(0.0, 1.0, 32)
     one = GridFunction.constant(g, 1.0)
     systems = [
-        ("doubling", chains.branch_sampler(operators.doubling_system(g), uniform_ppf,
-                                           master_seed=seed + 20), one, g),
-        ("parametric-0.3", chains.branch_sampler(operators.parametric_system(g, 0.3),
-                                                 uniform_ppf, master_seed=seed + 21), one, g),
-        ("random-control", chains.controlled_sampler(operators.random_control_system(g),
-                                                     arcsine_ppf, master_seed=seed + 22), one, g),
-        ("gauss-backward", chains.gauss_backward_sampler(operators.gauss_operator(K=10_000),
-                                                         gauss_ppf, master_seed=seed + 23), one, g),
-        ("haar-chain", chains.branch_sampler(
+        ("doubling", chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
+                                          master_seed=seed + 20), one, g),
+        ("parametric-0.3", chains.MarkovSampler(operators.parametric_system(g, 0.3),
+                                                uniform_ppf, master_seed=seed + 21), one, g),
+        ("random-control", chains.MarkovSampler(operators.random_control_system(g),
+                                                arcsine_ppf, master_seed=seed + 22), one, g),
+        ("gauss-backward", chains.MarkovSampler(operators.gauss_operator(K=10_000),
+                                                gauss_ppf, master_seed=seed + 23), one, g),
+        ("haar-chain", chains.MarkovSampler(
             operators.circle_filter_system(gc, wavelets.haar_filter()), uniform_ppf,
             master_seed=seed + 24), GridFunction.constant(gc, 1.0), gc),
     ]
@@ -417,8 +417,8 @@ def _martingale(seed, fault):
 def _martingale_gauss(seed, fault):
     g = Grid(0.0, 1.0, 512)
     h = GridFunction.from_callable(g, operators.GaussOperator.density)
-    s = chains.gauss_backward_sampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                                      master_seed=seed + 25)
+    s = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
+                             master_seed=seed + 25)
     pe = chains.simulate_paths(s, 1_000_000, 2)
     worst = max(chains.conditional_expectation_check(pe, h, k, Grid(0.0, 1.0, 32))
                 for k in (1, 2))
@@ -442,10 +442,10 @@ def _markov_honest(seed, fault):
     bins = Grid(0.0, 1.0, 8)
     samplers = [
         _doubling_sampler(seed, 30),
-        chains.controlled_sampler(operators.random_control_system(g), arcsine_ppf,
-                                  master_seed=seed + 31),
-        chains.gauss_backward_sampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                                      master_seed=seed + 32),
+        chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
+                             master_seed=seed + 31),
+        chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
+                             master_seed=seed + 32),
     ]
     worst = 0.0
     for s in samplers:
@@ -457,9 +457,8 @@ def _markov_honest(seed, fault):
 @_check("chains", "markov-property-violation")
 def _markov_violation(seed, fault):
     g = Grid(0.0, 1.0, 512)
-    s = chains.MarkovSampler("controlled", operators.random_control_system(g),
-                             arcsine_ppf, seed + 33, "rc-reused-noise",
-                             reuse_driver_noise=True)
+    s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
+                             seed + 33, "rc-reused-noise", reuse_driver_noise=True)
     pe = chains.simulate_paths(s, 1_000_000, 3)
     z = chains.markov_property_check(pe, lambda x: x, 2, Grid(0.0, 1.0, 8))
     return z, 8.0, ">=", "driver noise reused from the previous step"
@@ -470,10 +469,10 @@ def _solenoid_constraint(seed, fault):
     worst = 0.0
     g = Grid(0.0, 1.0, 512)
     for s in (_doubling_sampler(seed, 34),
-              chains.gauss_backward_sampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                                            master_seed=seed + 35),
-              chains.branch_sampler(operators.parametric_system(g, 0.7), uniform_ppf,
-                                    master_seed=seed + 36)):
+              chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
+                                   master_seed=seed + 35),
+              chains.MarkovSampler(operators.parametric_system(g, 0.7), uniform_ppf,
+                                   master_seed=seed + 36)):
         pe = chains.simulate_paths(s, 50_000, 10)
         worst = max(worst, pe.solenoid_violation())
     return worst, 1e-10, "<=", "sigma(T_{k+1}) = T_k along every stored path"
@@ -483,13 +482,13 @@ def _solenoid_constraint(seed, fault):
 def _stationarity(seed, fault):
     g = Grid(0.0, 1.0, 512)
     ref = arcsine_measure(Grid(0.0, 1.0, 2048))
-    s = chains.controlled_sampler(operators.random_control_system(g), arcsine_ppf,
-                                  master_seed=seed + 37)
+    s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
+                             master_seed=seed + 37)
     pe = chains.simulate_paths(s, 100_000, 25)
     worst = max(ks_distance(EmpiricalSample(pe.paths[:, k]), ref) for k in (1, 5, 25))
     refg = gauss_measure(Grid(0.0, 1.0, 2048))
-    sg = chains.gauss_backward_sampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                                       master_seed=seed + 38)
+    sg = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
+                              master_seed=seed + 38)
     peg = chains.simulate_paths(sg, 100_000, 10)
     worst = max(worst, ks_distance(EmpiricalSample(peg.paths[:, 10]), refg))
     return worst, 0.02, "<=", "arcsine at steps {1,5,25}; gauss law at step 10"
@@ -508,8 +507,8 @@ def _conditional_closed(seed, fault):
     pe = chains.simulate_paths(_doubling_sampler(seed, 39), 1_000_000, 1)
     z1 = _closed_form_z(pe, lambda x: x / 2 + 0.25)
     g = Grid(0.0, 1.0, 512)
-    s = chains.controlled_sampler(operators.random_control_system(g), arcsine_ppf,
-                                  master_seed=seed + 40)
+    s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
+                             master_seed=seed + 40)
     pe2 = chains.simulate_paths(s, 1_000_000, 1)
     z2 = _closed_form_z(pe2, lambda x: (1 + 2 * x) / 4)
     return max(z1, z2), 5.0, "<=", \
@@ -555,8 +554,8 @@ def _transition(seed, fault):
 @_check("solenoid", "prefix-invariant")
 def _prefix_invariant(seed, fault):
     gc = Grid(0.0, 1.0, 8192, "circle")
-    s = chains.branch_sampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
-                              uniform_ppf, master_seed=seed + 50)
+    s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
+                             uniform_ppf, master_seed=seed + 50)
     pe = chains.simulate_paths(s, 20_000, 8)
     return pe.solenoid_violation(), 1e-12, "<=", "N t_{k+1} = t_k mod 1 along sampled paths"
 
@@ -625,8 +624,8 @@ def _pi_k_mass(seed, fault):
 @_check("solenoid", "coordinate-distribution-sampled")
 def _pi_k_sampled(seed, fault):
     gc = Grid(0.0, 1.0, 8192, "circle")
-    s = chains.branch_sampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
-                              uniform_ppf, master_seed=seed + 54)
+    s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
+                             uniform_ppf, master_seed=seed + 54)
     pe = chains.simulate_paths(s, 100_000, 3)
     h1 = wavelets.HarmonicSequence(coeffs=np.array([1.0]))
     mu3 = solenoid.pi_k_distribution(wavelets.haar_filter(), h1, 3, Grid(0, 1, 2048, "circle"))
@@ -637,15 +636,15 @@ def _pi_k_sampled(seed, fault):
 @_check("solenoid", "scaling-unitary")
 def _scaling_unitary(seed, fault):
     g = Grid(0.0, 1.0, 512)
-    s = chains.branch_sampler(operators.doubling_system(g), uniform_ppf,
-                              master_seed=seed + 55)
+    s = chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
+                             master_seed=seed + 55)
     pe = chains.simulate_paths(s, 1_000_000, 2)
     Wone = RadonNikodymWeight(GridFunction.constant(g, 1.0),
                               exact_fn=lambda x: np.ones(np.shape(x)))
     res1 = chains.apply_scaling_check(
         pe, chains.coordinate_functional(lambda x: np.sin(2 * np.pi * x), 0), Wone)
-    sp = chains.branch_sampler(operators.parametric_system(g, 0.3), uniform_ppf,
-                               master_seed=seed + 56)
+    sp = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
+                              master_seed=seed + 56)
     pep = chains.simulate_paths(sp, 1_000_000, 2)
     W3 = RadonNikodymWeight(GridFunction.from_callable(g, operators.parametric_weight(0.3)),
                             exact_fn=operators.parametric_weight(0.3))

@@ -140,13 +140,6 @@ class WaveletFilter:
         avg = self.autocorr.decimate(self.N)
         return bool(np.all(np.abs(avg.c - (avg.lags == 0)) <= 1e-12))
 
-    def normalization_residual(self, grid: Grid) -> float:
-        t = grid.nodes
-        s = np.zeros_like(t)
-        for k in range(self.N):
-            s += self.m0_sq((t + k) / self.N)
-        return float(np.max(np.abs(s / self.N - 1.0)))
-
 
 def haar_filter() -> WaveletFilter:
     return WaveletFilter(N=2, coeffs=np.array([1.0, 1.0]) / np.sqrt(2), name="haar")

@@ -108,7 +108,7 @@ def test_criterion_04_kolmogorov_moment_formula():
     one = GridFunction.constant(gq, 1.0)
     ident = GridFunction.from_callable(gq, lambda x: x)
     sq = GridFunction.from_callable(gq, lambda x: x**2)
-    s = chains.branch_sampler(op, uniform_ppf, master_seed=SEED + 400)
+    s = chains.MarkovSampler(op, uniform_ppf, master_seed=SEED + 400)
     pe = chains.simulate_paths(s, 1_000_000, 2)
     for fs_g, fs_m in (([ident, ident], [lambda x: x] * 2),
                        ([ident, sq, ident],
@@ -122,7 +122,7 @@ def test_criterion_04_kolmogorov_moment_formula():
     one2 = GridFunction.constant(gq2, 1.0)
     id2 = GridFunction.from_callable(gq2, lambda x: x)
     cos2 = GridFunction.from_callable(gq2, lambda x: np.cos(2 * np.pi * x))
-    s2 = chains.controlled_sampler(rc, arcsine_ppf, master_seed=SEED + 401)
+    s2 = chains.MarkovSampler(rc, arcsine_ppf, master_seed=SEED + 401)
     pe2 = chains.simulate_paths(s2, 1_000_000, 2)
     for fs_g, fs_m in (([id2, id2], [lambda x: x] * 2),
                        ([id2, cos2, id2],
@@ -146,8 +146,8 @@ def test_criterion_05_quasi_invariance():
             exact_fn=operators.parametric_weight(u))
         if u == 0.5:
             assert np.max(np.abs(W.W.values - 1.0)) == 0.0  # measure-preserving case
-        s = chains.branch_sampler(operators.parametric_system(g, u), uniform_ppf,
-                                  master_seed=SEED + 500 + i)
+        s = chains.MarkovSampler(operators.parametric_system(g, u), uniform_ppf,
+                                 master_seed=SEED + 500 + i)
         pe = chains.simulate_paths(s, 1_000_000, 2)
         res = chains.quasi_invariance_check(pe, W,
                                             chains.coordinate_functional(lambda x: x, 1))
@@ -163,16 +163,16 @@ def test_criterion_06_martingales():
     bins = Grid(0.0, 1.0, 32)
     worst = 0.0
     systems = [
-        chains.branch_sampler(operators.doubling_system(g), uniform_ppf,
-                              master_seed=SEED + 600),
-        chains.branch_sampler(operators.parametric_system(g, 0.3), uniform_ppf,
-                              master_seed=SEED + 601),
-        chains.controlled_sampler(operators.random_control_system(g), arcsine_ppf,
-                                  master_seed=SEED + 602),
-        chains.gauss_backward_sampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                                      master_seed=SEED + 603),
-        chains.branch_sampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
-                              uniform_ppf, master_seed=SEED + 604),
+        chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
+                             master_seed=SEED + 600),
+        chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
+                             master_seed=SEED + 601),
+        chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
+                             master_seed=SEED + 602),
+        chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
+                             master_seed=SEED + 603),
+        chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
+                             uniform_ppf, master_seed=SEED + 604),
     ]
     for s in systems:
         pe = chains.simulate_paths(s, 500_000, 2)
@@ -182,8 +182,8 @@ def test_criterion_06_martingales():
         for k in (1, 2):
             worst = max(worst, chains.martingale_check(pe, h, k, b))
     # the Gauss chain's harmonic density through the k-step identity
-    sg = chains.gauss_backward_sampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                                       master_seed=SEED + 605)
+    sg = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
+                              master_seed=SEED + 605)
     peg = chains.simulate_paths(sg, 1_000_000, 2)
     hd = GridFunction.from_callable(g, GaussOperator.density)
     for k in (1, 2):

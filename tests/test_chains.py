@@ -18,15 +18,12 @@ from transferchain.grids import (
 from transferchain.chains import (
     FiniteChain,
     MarkovSampler,
-    branch_sampler,
     chain_apply,
     conditional_expectation_check,
-    controlled_sampler,
     coordinate_functional,
     estimate_conditional,
     estimate_transition_matrix,
     finite_chain_sampler,
-    gauss_backward_sampler,
     markov_property_check,
     martingale_check,
     nested_operator_expectation,
@@ -39,14 +36,17 @@ from transferchain.chains import (
 )
 from transferchain.operators import (
     BranchSystem,
+    CircleFilterOperator,
     GaussOperator,
     RadonNikodymWeight,
     doubling_system,
+    gauss_kernel_probs,
     gauss_operator,
     parametric_system,
     parametric_weight,
     random_control_system,
 )
+from transferchain.wavelets import haar_filter
 
 G512 = Grid(0.0, 1.0, 512)
 
@@ -60,19 +60,67 @@ def deterministic_doubling(grid=G512):
 
 
 # ---------------------------------------------------------------------------
+# kernel contract: the system decides how the chain moves
+# ---------------------------------------------------------------------------
+
+TWO_STATE = FiniteChain(states=np.array([0.0, 1.0]),
+                        probabilities=np.array([[0.9, 0.1], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("system, kind, channels", [
+    (doubling_system(G512), "branch", 1),
+    (random_control_system(G512), "controlled", 2),
+    (gauss_operator(K=100), "gauss-backward", 1),
+    (TWO_STATE, "finite", 1),
+])
+def test_sampler_kind_and_channels_come_from_the_system(system, kind, channels):
+    s = MarkovSampler(system, uniform_ppf)
+    assert (s.kind, s.channels, s.name) == (kind, channels, system.name)
+    with pytest.raises(AttributeError):
+        s.kind = "branch"
+
+
+def test_operator_without_a_chain_is_no_sampler():
+    with pytest.raises(TypeError, match="CircleFilterOperator"):
+        MarkovSampler(CircleFilterOperator(2, haar_filter()), uniform_ppf)
+
+
+def test_finite_chain_has_no_grid_operator():
+    s = finite_chain_sampler(TWO_STATE, [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite chain"):
+        chain_apply(s, GridFunction.constant(G512, 1.0))
+
+
+def test_gauss_chain_apply_matches_chunked_branch_loop_bitwise():
+    op = gauss_operator(K=10_000)
+    f = GridFunction.from_callable(Grid(0.0, 1.0, 256), lambda x: np.cos(3 * x) + x**2)
+    # the loop chain_apply ran before the branch sum was shared with apply_gauss_at
+    x = f.grid.nodes
+    K = op.truncation_K
+    out = np.zeros(f.grid.n)
+    for start in range(1, K + 1, 4096):
+        ns = np.arange(start, min(start + 4096, K + 1), dtype=float)[:, None]
+        w = gauss_kernel_probs(x[None, :], ns)
+        out += np.sum(w * f.eval((1.0 / (ns + x[None, :])).ravel()).reshape(w.shape), axis=0)
+    expected = out / (1.0 - (1.0 + x) / (K + 1.0 + x))
+    s = MarkovSampler(op, gauss_ppf)
+    assert np.array_equal(chain_apply(s, f).values, expected)
+
+
+# ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
 
 def test_degenerate_weights_always_first_branch():
-    s = branch_sampler(deterministic_doubling(), uniform_ppf, master_seed=1)
+    s = MarkovSampler(deterministic_doubling(), uniform_ppf, master_seed=1)
     rng = stream_rng(1, 5)
     for x in (0.1, 0.5, 0.93):
         assert step(s, x, rng) == x / 2.0
 
 
 def test_doubling_states_stay_dyadic_and_branch_frequency():
-    s = branch_sampler(doubling_system(G512), lambda u: np.zeros(np.shape(u)),
-                       master_seed=2)
+    s = MarkovSampler(doubling_system(G512), lambda u: np.zeros(np.shape(u)),
+                      master_seed=2)
     pe = simulate_paths(s, 100_000, 4)
     for k in range(5):
         scaled = pe.paths[:, k] * 2.0**k
@@ -83,7 +131,7 @@ def test_doubling_states_stay_dyadic_and_branch_frequency():
 
 
 def test_branch_frequency_binomial_from_fixed_state():
-    s = branch_sampler(doubling_system(G512), uniform_ppf, master_seed=3)
+    s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=3)
     u = stream_rng(3, 9).random((1, 100_000))
     ys = step_batch(s, np.full(100_000, 0.3), u)
     freq = np.mean(ys < 0.5)
@@ -93,7 +141,7 @@ def test_branch_frequency_binomial_from_fixed_state():
 def test_random_control_one_step_kernel():
     g = G512
     rc = random_control_system(g)
-    s = controlled_sampler(rc, arcsine_ppf, master_seed=4)
+    s = MarkovSampler(rc, arcsine_ppf, master_seed=4)
     u = stream_rng(4, 2).random((2, 100_000))
     x0 = 0.37
     y = step_batch(s, np.full(100_000, x0), u)
@@ -109,7 +157,7 @@ def test_step_rejects_unnormalized_weights():
                        branches=[lambda x: x / 2.0, lambda x: x / 2.0 + 0.5],
                        weights=[lambda x: np.full(np.shape(x), 0.3)] * 2,
                        normalized=False)
-    s = branch_sampler(bad, uniform_ppf, master_seed=5)
+    s = MarkovSampler(bad, uniform_ppf, master_seed=5)
     with pytest.raises(ValueError, match="sum to 1"):
         step(s, 0.25, stream_rng(5, 0))
 
@@ -119,7 +167,7 @@ def test_step_rejects_unnormalized_weights():
 # ---------------------------------------------------------------------------
 
 def test_simulation_reproducible_and_prefix_consistent():
-    s = branch_sampler(doubling_system(G512), uniform_ppf, master_seed=6)
+    s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=6)
     a = simulate_paths(s, 50_000, 6)
     b = simulate_paths(s, 50_000, 6)
     c = simulate_paths(s, 50_000, 3)
@@ -129,21 +177,21 @@ def test_simulation_reproducible_and_prefix_consistent():
 
 
 def test_zero_steps_samples_initial_law():
-    s = controlled_sampler(random_control_system(G512), arcsine_ppf, master_seed=7)
+    s = MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=7)
     pe = simulate_paths(s, 100_000, 0)
     ks = ks_distance(EmpiricalSample(pe.paths[:, 0]), arcsine_measure(Grid(0, 1, 2048)))
     assert ks <= 0.01
 
 
 def test_solenoid_constraint_along_paths():
-    for s in (branch_sampler(doubling_system(G512), uniform_ppf, master_seed=8),
-              gauss_backward_sampler(gauss_operator(K=10_000), gauss_ppf, master_seed=9)):
+    for s in (MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=8),
+              MarkovSampler(gauss_operator(K=10_000), gauss_ppf, master_seed=9)):
         pe = simulate_paths(s, 20_000, 8)
         assert pe.solenoid_violation() <= 1e-10
 
 
 def test_stationary_marginals():
-    s = controlled_sampler(random_control_system(G512), arcsine_ppf, master_seed=10)
+    s = MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=10)
     pe = simulate_paths(s, 100_000, 25)
     ref = arcsine_measure(Grid(0, 1, 2048))
     for k in (1, 5, 25):
@@ -151,7 +199,7 @@ def test_stationary_marginals():
 
 
 def test_gauss_backward_stationary():
-    s = gauss_backward_sampler(gauss_operator(K=10_000), gauss_ppf, master_seed=11)
+    s = MarkovSampler(gauss_operator(K=10_000), gauss_ppf, master_seed=11)
     pe = simulate_paths(s, 100_000, 10)
     ks = ks_distance(EmpiricalSample(pe.paths[:, 10]), gauss_measure(Grid(0, 1, 2048)))
     assert ks <= 0.02
@@ -162,7 +210,7 @@ def test_gauss_backward_stationary():
 # ---------------------------------------------------------------------------
 
 def test_estimate_conditional_deterministic():
-    s = branch_sampler(deterministic_doubling(), uniform_ppf, master_seed=12)
+    s = MarkovSampler(deterministic_doubling(), uniform_ppf, master_seed=12)
     pe = simulate_paths(s, 100_000, 1)
     bins = Grid(0.0, 1.0, 16)
     est = estimate_conditional(pe, lambda x: x, 0, bins)
@@ -174,14 +222,14 @@ def test_estimate_conditional_deterministic():
 
 def test_estimate_conditional_matches_closed_forms():
     bins = Grid(0.0, 1.0, 32)
-    s = branch_sampler(doubling_system(G512), uniform_ppf, master_seed=13)
+    s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=13)
     pe = simulate_paths(s, 1_000_000, 1)
     est = estimate_conditional(pe, lambda x: x, 0, bins)
     live = est.occupied & (est.std_errors > 0)
     z = np.abs(est.values[live] - (bins.nodes[live] / 2 + 0.25)) / est.std_errors[live]
     assert np.max(z) <= 4.0
 
-    s2 = controlled_sampler(random_control_system(G512), arcsine_ppf, master_seed=14)
+    s2 = MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=14)
     pe2 = simulate_paths(s2, 1_000_000, 1)
     est2 = estimate_conditional(pe2, lambda x: x, 0, bins)
     live2 = est2.occupied & (est2.std_errors > 0)
@@ -194,9 +242,9 @@ def test_conditional_expectation_identity_many_functions():
     fns = [lambda x: np.ones(np.shape(x)), lambda x: x, lambda x: x**2,
            lambda x: np.cos(2 * np.pi * x)]
     samplers = [
-        branch_sampler(doubling_system(G512), uniform_ppf, master_seed=15),
-        controlled_sampler(random_control_system(G512), arcsine_ppf, master_seed=16),
-        gauss_backward_sampler(gauss_operator(K=10_000), gauss_ppf, master_seed=17),
+        MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=15),
+        MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=16),
+        MarkovSampler(gauss_operator(K=10_000), gauss_ppf, master_seed=17),
     ]
     for s in samplers:
         pe = simulate_paths(s, 1_000_000, 1)
@@ -211,22 +259,22 @@ def test_conditional_expectation_identity_many_functions():
 
 def test_markov_property_honest_chains():
     bins = Grid(0.0, 1.0, 8)
-    for s in (branch_sampler(doubling_system(G512), uniform_ppf, master_seed=18),
-              controlled_sampler(random_control_system(G512), arcsine_ppf, master_seed=19),
-              gauss_backward_sampler(gauss_operator(K=10_000), gauss_ppf, master_seed=20)):
+    for s in (MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=18),
+              MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=19),
+              MarkovSampler(gauss_operator(K=10_000), gauss_ppf, master_seed=20)):
         pe = simulate_paths(s, 1_000_000, 3)
         assert markov_property_check(pe, lambda x: x, 2, bins) <= 5.0
 
 
 def test_markov_property_violated_by_noise_reuse():
-    s = MarkovSampler("controlled", random_control_system(G512), arcsine_ppf,
-                      21, "rc-reuse", reuse_driver_noise=True)
+    s = MarkovSampler(random_control_system(G512), arcsine_ppf, 21, "rc-reuse",
+                      reuse_driver_noise=True)
     pe = simulate_paths(s, 1_000_000, 3)
     assert markov_property_check(pe, lambda x: x, 2, Grid(0.0, 1.0, 8)) >= 8.0
 
 
 def test_markov_property_deterministic_zero():
-    s = branch_sampler(deterministic_doubling(), uniform_ppf, master_seed=22)
+    s = MarkovSampler(deterministic_doubling(), uniform_ppf, master_seed=22)
     pe = simulate_paths(s, 200_000, 3)
     assert markov_property_check(pe, lambda x: x, 2, Grid(0.0, 1.0, 8)) <= 1e-6
 
@@ -252,14 +300,14 @@ def test_nested_expectation_doubling_polynomial():
 
 
 def test_path_moments_match_nested():
-    s = branch_sampler(doubling_system(G512), uniform_ppf, master_seed=23)
+    s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=23)
     pe = simulate_paths(s, 1_000_000, 2)
     mom = path_moment_mc(pe, [lambda x: x, lambda x: x])
     assert abs(mom.mean - 7.0 / 24.0) <= 4 * mom.std_error
 
     g = Grid(0.0, 1.0, 8192)
     rc = random_control_system(g)
-    s2 = controlled_sampler(rc, arcsine_ppf, master_seed=24)
+    s2 = MarkovSampler(rc, arcsine_ppf, master_seed=24)
     pe2 = simulate_paths(s2, 1_000_000, 2)
     ident = GridFunction.from_callable(g, lambda x: x)
     nested = nested_operator_expectation(rc, GridFunction.constant(g, 1.0),
@@ -269,7 +317,7 @@ def test_path_moments_match_nested():
 
 
 def test_path_moment_trivial_cases():
-    s = branch_sampler(doubling_system(G512), uniform_ppf, master_seed=25)
+    s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=25)
     pe = simulate_paths(s, 100_000, 2)
     ones = path_moment_mc(pe, [lambda x: np.ones(np.shape(x))] * 3)
     assert ones.mean == 1.0
@@ -288,7 +336,7 @@ def _weight(u):
 
 
 def test_quasi_invariance_measure_preserving():
-    s = branch_sampler(doubling_system(G512), uniform_ppf, master_seed=26)
+    s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=26)
     pe = simulate_paths(s, 1_000_000, 2)
     W1 = RadonNikodymWeight(GridFunction.constant(G512, 1.0),
                             exact_fn=lambda x: np.ones(np.shape(x)))
@@ -299,7 +347,7 @@ def test_quasi_invariance_measure_preserving():
 
 @pytest.mark.parametrize("u", [0.3, 0.5, 0.7])
 def test_quasi_invariance_parametric(u):
-    s = branch_sampler(parametric_system(G512, u), uniform_ppf, master_seed=27)
+    s = MarkovSampler(parametric_system(G512, u), uniform_ppf, master_seed=27)
     pe = simulate_paths(s, 1_000_000, 2)
     res = quasi_invariance_check(pe, _weight(u), coordinate_functional(lambda x: x, 1))
     assert res.z <= 4.0
@@ -308,14 +356,14 @@ def test_quasi_invariance_parametric(u):
 
 
 def test_quasi_invariance_wrong_weight_detected():
-    s = branch_sampler(parametric_system(G512, 0.3), uniform_ppf, master_seed=28)
+    s = MarkovSampler(parametric_system(G512, 0.3), uniform_ppf, master_seed=28)
     pe = simulate_paths(s, 1_000_000, 2)
     res = quasi_invariance_check(pe, _weight(0.7), coordinate_functional(lambda x: x, 1))
     assert res.z >= 8.0
 
 
 def test_martingale_constant_harmonic():
-    s = gauss_backward_sampler(gauss_operator(K=10_000), gauss_ppf, master_seed=29)
+    s = MarkovSampler(gauss_operator(K=10_000), gauss_ppf, master_seed=29)
     pe = simulate_paths(s, 500_000, 2)
     one = GridFunction.constant(G512, 1.0)
     for k in (1, 2):
@@ -323,7 +371,7 @@ def test_martingale_constant_harmonic():
 
 
 def test_martingale_rejects_non_harmonic():
-    s = branch_sampler(doubling_system(G512), uniform_ppf, master_seed=30)
+    s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=30)
     pe = simulate_paths(s, 10_000, 2)
     ident = GridFunction.from_callable(G512, lambda x: x)
     with pytest.raises(ValueError, match="harmonic"):
@@ -333,7 +381,7 @@ def test_martingale_rejects_non_harmonic():
 def test_martingale_eigenfunction_scaling():
     # R(x - 1/2) = (x - 1/2)/2 for the doubling operator, so 2^n (T_n - 1/2)
     # is a martingale
-    s = branch_sampler(doubling_system(G512), uniform_ppf, master_seed=31)
+    s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=31)
     pe = simulate_paths(s, 1_000_000, 2)
     b1 = GridFunction.from_callable(G512, lambda x: x - 0.5)
     for k in (1, 2):
@@ -341,7 +389,7 @@ def test_martingale_eigenfunction_scaling():
 
 
 def test_gauss_density_conditional_identity():
-    s = gauss_backward_sampler(gauss_operator(K=10_000), gauss_ppf, master_seed=32)
+    s = MarkovSampler(gauss_operator(K=10_000), gauss_ppf, master_seed=32)
     pe = simulate_paths(s, 1_000_000, 2)
     h = GridFunction.from_callable(G512, GaussOperator.density)
     for k in (1, 2):
@@ -349,7 +397,7 @@ def test_gauss_density_conditional_identity():
 
 
 def test_chain_apply_gauss_normalized():
-    s = gauss_backward_sampler(gauss_operator(K=10_000), gauss_ppf, master_seed=33)
+    s = MarkovSampler(gauss_operator(K=10_000), gauss_ppf, master_seed=33)
     one = GridFunction.constant(G512, 1.0)
     r1 = chain_apply(s, one)
     assert np.max(np.abs(r1.values - 1.0)) <= 1e-12
@@ -360,10 +408,10 @@ def test_chain_apply_gauss_normalized():
 # ---------------------------------------------------------------------------
 
 def test_kolmogorov_consistency_across_lengths():
-    a = simulate_paths(branch_sampler(doubling_system(G512), uniform_ppf,
-                                      master_seed=34), 100_000, 6)
-    b = simulate_paths(branch_sampler(doubling_system(G512), uniform_ppf,
-                                      master_seed=35), 100_000, 3)
+    a = simulate_paths(MarkovSampler(doubling_system(G512), uniform_ppf,
+                                     master_seed=34), 100_000, 6)
+    b = simulate_paths(MarkovSampler(doubling_system(G512), uniform_ppf,
+                                     master_seed=35), 100_000, 3)
     thresh = 2.4 * np.sqrt(2.0 / 100_000)
     for k in range(4):
         assert ks_two_sample(a.paths[:, k], b.paths[:, k]) <= thresh

@@ -176,6 +176,9 @@ def test_bad_size_flag_rejected(tmp_path, flag, value, message):
     ("grid_n", 0, "grid_n must be >= 2, got 0"),
     ("steps", -1, "steps must be >= 0, got -1"),
     ("paths", "many", "paths must be an integer, got 'many'"),
+    ("paths", 100.7, "paths must be an integer, got 100.7"),
+    ("master_seed", 2.5, "master_seed must be an integer, got 2.5"),
+    ("master_seed", -1, "master_seed must be >= 0, got -1"),
 ])
 def test_bad_size_config_rejected(tmp_path, key, value, message):
     cfg = tmp_path / "cfg.json"
@@ -183,6 +186,32 @@ def test_bad_size_config_rejected(tmp_path, key, value, message):
     with pytest.raises(SystemExit, match=message):
         run(tmp_path, "simulate", "--config", str(cfg))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-s", "gauss", "--param", "K=abc"], "--param K must be int, got 'abc'"),
+    (["-s", "gauss", "--param", "K=1"], r"--param K=1: need at least 2 Gauss branches"),
+    (["-s", "parametric-u", "--param", "u=2"], r"--param u=2.0: u must lie in \(0, 1\)"),
+    (["-s", "fejer-m", "--param", "m=0"], "--param m=0: m must be >= 1"),
+    (["-s", "bernoulli-a", "--param", "a=1.5"], r"--param a=1.5: a must lie in \(0, 1\)"),
+    (["-s", "doubling", "--master-seed", "-3"], "master_seed must be >= 0, got -3"),
+])
+def test_bad_param_or_seed_rejected(tmp_path, argv, message):
+    with pytest.raises(SystemExit, match=message):
+        run(tmp_path, "simulate", "--paths", "100", *argv)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_params_typed_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "gauss", "param": {"K": 2.5}}))
+    with pytest.raises(SystemExit, match="--param K must be int, got 2.5"):
+        run(tmp_path, "simulate", "--config", str(cfg))
+    cfg.write_text(json.dumps({"system": "parametric-u", "param": {"u": 0.4}}))
+    code, _, report = run(tmp_path, "simulate", "--config", str(cfg),
+                          "--paths", "1000", "--steps", "2")
+    assert code == 0
+    assert report["config"]["params"] == {"u": 0.4}
 
 
 def test_zero_steps_accepted(tmp_path):

@@ -20,7 +20,6 @@ from transferchain.invariant import (
     hutchinson_matrix,
     measure_moments,
     power_iterate,
-    single_map_ifs,
     verify_invariance,
 )
 from transferchain.operators import (
@@ -193,7 +192,9 @@ def test_hutchinson_cantor_moments():
 
 def test_hutchinson_single_map_collapses():
     g = Grid(0.0, 1.0, 1024)
-    res = hutchinson_iterate(single_map_ifs(g, 0.5), uniform_measure(g), 60)
+    single = AffineIFS(g, slopes=np.array([0.5]), shifts=np.array([0.0]),
+                       probs=np.array([1.0]))
+    res = hutchinson_iterate(single, uniform_measure(g), 60)
     assert res.measure.weights[0] == pytest.approx(1.0, abs=1e-9)
 
 

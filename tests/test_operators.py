@@ -20,9 +20,9 @@ from transferchain.operators import (
     apply_gauss,
     apply_gauss_at,
     apply_integral,
-    apply_operator,
     apply_ruelle_adjoint,
     apply_ruelle_circle,
+    cell_flow_matrix,
     circle_filter_system,
     circle_trig_coeffs,
     circle_trig_eval,
@@ -316,6 +316,28 @@ def test_rn_requires_fully_charged_reference():
 
 
 # ---------------------------------------------------------------------------
+# cell flow
+# ---------------------------------------------------------------------------
+
+def test_decreasing_branch_spreads_over_its_image():
+    # cell 63 = [63/64, 1) maps to [1/2 - 1/16, 1/2] under the decreasing
+    # branch (1 - sqrt(1-x))/2 and to [1/2, 1/2 + 1/16] under the other: each
+    # image covers four cells, and each branch carries weight 1/2
+    g = Grid(0.0, 1.0, 64)
+    col = cell_flow_matrix(logistic_system(g), g)[:, 63]
+    assert np.allclose(col[28:36], 0.125, rtol=0, atol=1e-12)
+    assert np.sum(col[28:36]) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(col[:28] == 0.0) and np.all(col[36:] == 0.0)
+
+
+def test_random_control_flow_matches_cdf_rows():
+    g = Grid(0.0, 1.0, 64)
+    rc = random_control_system(g)
+    rows = np.stack([rc.transition_cdf(g.nodes, t) for t in g.edges])
+    assert np.array_equal(cell_flow_matrix(rc, g), np.clip(np.diff(rows, axis=0), 0.0, None))
+
+
+# ---------------------------------------------------------------------------
 # shared operator properties
 # ---------------------------------------------------------------------------
 
@@ -329,7 +351,7 @@ def test_positivity_all_forms():
     for op in ops:
         grid = getattr(op, "grid", None) or g
         f = GridFunction(grid, rng.random(grid.n))
-        assert np.min(apply_operator(op, f).values) >= 0.0
+        assert np.min(op.apply(f).values) >= 0.0
 
 
 def test_normalization_propagation():
@@ -339,5 +361,5 @@ def test_normalization_propagation():
            random_control_system(g), circle_filter_system(gc, haar_filter())]
     for op in ops:
         grid = getattr(op, "grid", None) or g
-        r1 = apply_operator(op, GridFunction.constant(grid, 1.0))
+        r1 = op.apply(GridFunction.constant(grid, 1.0))
         assert np.max(np.abs(r1.values - 1.0)) <= 1e-10

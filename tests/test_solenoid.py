@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from transferchain.chains import (
+    MarkovSampler,
     PathFunctional,
     apply_scaling_check,
-    branch_sampler,
     coordinate_functional,
     simulate_paths,
 )
@@ -96,7 +96,7 @@ def test_haar_branch_frequency():
     # ensemble frequency of the lower preimage branch is exactly 1/2
     gc = Grid(0.0, 1.0, 4096, "circle")
     sys = circle_filter_system(gc, haar_filter())
-    s = branch_sampler(sys, uniform_ppf, master_seed=3)
+    s = MarkovSampler(sys, uniform_ppf, master_seed=3)
     pe = simulate_paths(s, 100_000, 1)
     freq = np.mean(pe.paths[:, 1] < 0.5)
     assert abs(freq - 0.5) <= 0.005
@@ -224,8 +224,8 @@ def test_filter_product_norm():
 
 def test_pi_k_matches_sampled_paths():
     gc = Grid(0.0, 1.0, 8192, "circle")
-    s = branch_sampler(circle_filter_system(gc, haar_filter()), uniform_ppf,
-                       master_seed=7)
+    s = MarkovSampler(circle_filter_system(gc, haar_filter()), uniform_ppf,
+                      master_seed=7)
     pe = simulate_paths(s, 100_000, 3)
     mu3 = pi_k_distribution(haar_filter(), H1, 3, Grid(0, 1, 2048, "circle"))
     assert ks_distance(EmpiricalSample(pe.paths[:, 3]), mu3) <= 0.02
@@ -237,7 +237,7 @@ def test_pi_k_matches_sampled_paths():
 
 def test_scaling_unitary_constant_psi():
     g = Grid(0.0, 1.0, 512)
-    s = branch_sampler(doubling_system(g), uniform_ppf, master_seed=8)
+    s = MarkovSampler(doubling_system(g), uniform_ppf, master_seed=8)
     pe = simulate_paths(s, 100_000, 2)
     Wone = RadonNikodymWeight(GridFunction.constant(g, 1.0),
                               exact_fn=lambda x: np.ones(np.shape(x)))
@@ -249,7 +249,7 @@ def test_scaling_unitary_constant_psi():
 
 def test_scaling_unitary_measure_preserving():
     g = Grid(0.0, 1.0, 512)
-    s = branch_sampler(doubling_system(g), uniform_ppf, master_seed=9)
+    s = MarkovSampler(doubling_system(g), uniform_ppf, master_seed=9)
     pe = simulate_paths(s, 1_000_000, 2)
     Wone = RadonNikodymWeight(GridFunction.constant(g, 1.0),
                               exact_fn=lambda x: np.ones(np.shape(x)))
@@ -259,7 +259,7 @@ def test_scaling_unitary_measure_preserving():
 
 def test_scaling_unitary_parametric():
     g = Grid(0.0, 1.0, 512)
-    s = branch_sampler(parametric_system(g, 0.3), uniform_ppf, master_seed=10)
+    s = MarkovSampler(parametric_system(g, 0.3), uniform_ppf, master_seed=10)
     pe = simulate_paths(s, 1_000_000, 2)
     W = RadonNikodymWeight(GridFunction.from_callable(g, parametric_weight(0.3)),
                            exact_fn=parametric_weight(0.3))

@@ -18,8 +18,8 @@ def test_closed_form_check_passes_at_formerly_red_seeds(seed):
 
 def test_closed_form_check_flags_shifted_closed_form():
     g = Grid(0.0, 1.0, 512)
-    s = chains.controlled_sampler(operators.random_control_system(g), arcsine_ppf,
-                                  master_seed=47)
+    s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
+                             master_seed=47)
     pe = chains.simulate_paths(s, 1_000_000, 1)
     assert verify._closed_form_z(pe, lambda x: (1 + 2 * x) / 4) <= 5.0
     assert verify._closed_form_z(pe, lambda x: (1 + 2 * x) / 4 + 0.02) > 5.0

@@ -63,7 +63,8 @@ def test_trig_poly_algebra_matches_direct_sums():
 def test_haar_filter_normalized():
     f = haar_filter()
     assert f.is_normalized
-    assert f.normalization_residual(Grid(0.0, 1.0, 256, "circle")) <= 1e-12
+    t = Grid(0.0, 1.0, 256, "circle").nodes
+    assert np.max(np.abs((f.m0_sq(t / 2) + f.m0_sq((t + 1) / 2)) / 2 - 1.0)) <= 1e-12
     # |m0|^2 = 1 + cos(2 pi t)
     t = np.linspace(0.0, 1.0, 7)
     assert np.allclose(f.m0_sq(t), 1.0 + np.cos(2 * np.pi * t))
