@@ -44,9 +44,9 @@ from .operators import (  # noqa: F401
     random_control_system,
 )
 from .invariant import (  # noqa: F401
-    AffineIFS,
     StationaryResult,
     UlamMatrix,
+    affine_ifs,
     build_ulam,
     cantor_ifs,
     contraction_certificate,

@@ -280,7 +280,7 @@ def cmd_simulate(config: RunConfig) -> int:
                ["step", "x_mid", "count", "density"], rows)
 
     checks = []
-    if hasattr(sampler.system, "sigma"):  # the chain undoes an endomorphism
+    if getattr(sampler.system, "sigma", None) is not None:  # the chain undoes an endomorphism
         checks.append(CheckResult(name="solenoid-constraint",
                                   statistic=pe.solenoid_violation(), threshold=1e-10,
                                   direction="<=", runtime_ms=ms))
@@ -390,8 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--steps", type=int, default=None)
         sp.add_argument("--master-seed", type=int, default=None)
         sp.add_argument("--threads", type=int, default=None,
-                        help="bound on module-internal data parallelism; "
-                             "results are seed-deterministic at any value")
+                        help="worker count (>= 1); sampling runs serially for now, "
+                             "and results do not depend on this value")
         sp.add_argument("--config", default=None, help="JSON config file; flags override")
         sp.add_argument("--out", default=None, help="artifact directory")
         sp.add_argument("--param", action="append", default=[],
@@ -444,8 +444,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg.n_paths = _size(args.paths, file_cfg, "paths", 100_000, 1)
     cfg.n_steps = _size(args.steps, file_cfg, "steps", 10, 0)
     cfg.master_seed = _size(args.master_seed, file_cfg, "master_seed", 9001, 0)
-    cfg.threads = (args.threads if args.threads is not None
-                   else int(file_cfg.get("threads", os.cpu_count() or 1)))
+    cfg.threads = _size(args.threads, file_cfg, "threads", os.cpu_count() or 1, 1)
     cfg.out_dir = args.out or file_cfg.get("out", "transferchain-out")
     params = dict(file_cfg.get("param", {}))
     for item in args.param:

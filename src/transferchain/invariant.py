@@ -9,17 +9,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction, integrate, uniform_measure, wasserstein1
-from .operators import _spread_interval, cell_flow_matrix
+from .operators import BranchSystem, cell_flow_matrix
 
 __all__ = [
     "UlamMatrix",
     "StationaryResult",
-    "AffineIFS",
     "build_ulam",
     "power_iterate",
     "verify_invariance",
-    "hutchinson_matrix",
     "hutchinson_iterate",
+    "affine_ifs",
+    "alpha_bound",
     "contraction_certificate",
     "ContractionCertificate",
     "halving_ifs",
@@ -113,69 +113,55 @@ def verify_invariance(mu: DiscreteMeasure, op, test_fns: Sequence[GridFunction])
 # iterated function systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineIFS:
-    """Affine maps x -> slope_j x + shift_j with constant probabilities."""
-
-    grid: Grid
-    slopes: np.ndarray
-    shifts: np.ndarray
-    probs: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        s = np.asarray(self.slopes, dtype=float)
-        t = np.asarray(self.shifts, dtype=float)
-        p = np.asarray(self.probs, dtype=float)
-        if not (s.shape == t.shape == p.shape):
-            raise ValueError("slopes, shifts, probs must align")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1")
-        for arr, key in ((s, "slopes"), (t, "shifts"), (p, "probs")):
-            a = arr.copy()
-            a.flags.writeable = False
-            object.__setattr__(self, key, a)
-
-    @property
-    def alpha_bound(self) -> float:
-        """sum_j p_j Lip(F_j), the Hutchinson contraction bound."""
-        return float(np.dot(self.probs, np.abs(self.slopes)))
-
-    def apply_map(self, j: int, x):
-        return self.slopes[j] * np.asarray(x, dtype=float) + self.shifts[j]
+def affine_ifs(grid: Grid, slopes, shifts, probs, name: str = "") -> BranchSystem:
+    """The IFS of affine maps x -> slope_j x + shift_j with constant
+    probabilities, as a branch system without an endomorphism: its map
+    images may overlap."""
+    s, t, p = (np.asarray(v, dtype=float) for v in (slopes, shifts, probs))
+    if not (s.shape == t.shape == p.shape):
+        raise ValueError("slopes, shifts, probs must align")
+    if np.any(p < 0):
+        raise ValueError("probabilities must be nonnegative")
+    return BranchSystem(
+        grid=grid,
+        branches=[lambda x, s_j=s_j, t_j=t_j: s_j * x + t_j for s_j, t_j in zip(s, t)],
+        weights=[lambda x, p_j=p_j: np.full(np.shape(x), p_j) for p_j in p],
+        name=name,
+    )
 
 
-def halving_ifs(grid: Grid) -> AffineIFS:
-    return AffineIFS(grid, slopes=np.array([0.5, 0.5]), shifts=np.array([0.0, 0.5]),
-                     probs=np.array([0.5, 0.5]), name="halving")
+def halving_ifs(grid: Grid) -> BranchSystem:
+    return affine_ifs(grid, slopes=[0.5, 0.5], shifts=[0.0, 0.5], probs=[0.5, 0.5],
+                      name="halving")
 
 
-def cantor_ifs(grid: Grid) -> AffineIFS:
-    return AffineIFS(grid, slopes=np.array([1 / 3, 1 / 3]), shifts=np.array([0.0, 2 / 3]),
-                     probs=np.array([0.5, 0.5]), name="cantor")
+def cantor_ifs(grid: Grid) -> BranchSystem:
+    return affine_ifs(grid, slopes=[1 / 3, 1 / 3], shifts=[0.0, 2 / 3], probs=[0.5, 0.5],
+                      name="cantor")
 
 
-def hutchinson_matrix(ifs: AffineIFS) -> np.ndarray:
-    """Pushforward matrix: cell mass flows along each affine map by exact
-    interval overlap, weighted by the map probabilities."""
-    grid = ifs.grid
-    M = np.zeros((grid.n, grid.n))
-    for j, p_j in enumerate(ifs.probs):
-        a = ifs.apply_map(j, grid.edges[:-1])
-        b = ifs.apply_map(j, grid.edges[1:])
-        _spread_interval(M, np.full(grid.n, p_j), a, b, grid)
-    return M
+def alpha_bound(ifs: BranchSystem) -> float:
+    """sum_j p_j Lip(tau_j), the Hutchinson contraction bound of an IFS with
+    constant probabilities.  Lip(tau_j) is the largest stretch of a grid
+    cell under tau_j, exact for affine maps up to round-off."""
+    g = ifs.grid
+    p = ifs.weight_matrix(g.nodes)
+    if np.any(p != p[:, :1]):
+        raise ValueError("alpha_bound needs constant branch probabilities")
+    lip = [np.max(np.abs(np.diff(np.asarray(tau(g.edges), dtype=float)))) / g.dx
+           for tau in ifs.branches]
+    return float(np.dot(p[:, 0], lip))
 
 
-def hutchinson_iterate(ifs: AffineIFS, mu0: DiscreteMeasure, iters: int) -> StationaryResult:
-    """Repeated pushforward mu <- sum_j p_j mu o F_j^{-1}.
+def hutchinson_iterate(ifs: BranchSystem, mu0: DiscreteMeasure, iters: int) -> StationaryResult:
+    """Repeated pushforward mu <- sum_j p_j mu o tau_j^{-1}.
 
     Raises if the Wasserstein distance between successive iterates ever
     expands; the contractive case decays geometrically.
     """
     if mu0.grid != ifs.grid:
         raise ValueError("start measure not on the IFS grid")
-    M = hutchinson_matrix(ifs)
+    M = cell_flow_matrix(ifs, ifs.grid)
     mu = mu0
     last_step = np.inf
     for it in range(1, iters + 1):
@@ -199,18 +185,18 @@ class ContractionCertificate(NamedTuple):
     alpha_bound: float
 
 
-def contraction_certificate(ifs: AffineIFS, mu: DiscreteMeasure,
+def contraction_certificate(ifs: BranchSystem, mu: DiscreteMeasure,
                             nu: DiscreteMeasure) -> ContractionCertificate:
     """Observed one-step contraction ratio of the pushforward against the
-    Lipschitz bound sum_j p_j |slope_j|."""
+    Lipschitz bound ``alpha_bound``."""
     base = wasserstein1(mu, nu)
     if base == 0.0:
         raise ValueError("mu and nu must differ")
-    M = hutchinson_matrix(ifs)
+    M = cell_flow_matrix(ifs, ifs.grid)
     pm = DiscreteMeasure(ifs.grid, (M @ mu.weights), normalized=False).normalize()
     pn = DiscreteMeasure(ifs.grid, (M @ nu.weights), normalized=False).normalize()
     return ContractionCertificate(ratio=wasserstein1(pm, pn) / base,
-                                  alpha_bound=ifs.alpha_bound)
+                                  alpha_bound=alpha_bound(ifs))
 
 
 def measure_moments(mu: DiscreteMeasure) -> tuple:

@@ -1,7 +1,8 @@
 """Concrete transfer-operator forms and their action on grid functions.
 
-Four operator shapes are supported: branch-weighted sums over inverse
-branches of an endomorphism, integral operators driven by a control
+Four operator shapes are supported: branch-weighted sums over the maps of
+an iterated function system (the inverse branches of an endomorphism, where
+there is one), integral operators driven by a control
 distribution, the weighted Ruelle operator of a circle filter, and the
 Gauss (continued fraction) operator.  Each is its own kernel: ``apply``
 acts on grid functions, ``flow`` moves cell masses (the matrix behind the
@@ -60,19 +61,21 @@ class BranchEscapeError(ValueError):
 
 @dataclass(frozen=True)
 class BranchSystem:
-    """Endomorphism sigma with inverse branches tau_i and weights p_i(x).
+    """Branch maps tau_i with weights p_i(x): an iterated function system.
 
     Defines (Rf)(x) = sum_i p_i(x) f(tau_i(x)).  Branch maps and weights are
     vectorized callables.  ``normalized`` asserts sum_i p_i(x) = 1 at nodes.
+    ``sigma`` is the endomorphism the branches invert, when there is one;
+    an IFS whose branch images overlap has none.
     """
 
     kind = "branch"
     channels = 1
 
     grid: Grid
-    sigma: Callable
     branches: Sequence[Callable]
     weights: Sequence[Callable]
+    sigma: Optional[Callable] = None
     normalized: bool = True
     name: str = ""
 
@@ -80,14 +83,15 @@ class BranchSystem:
         if len(self.branches) != len(self.weights):
             raise ValueError("need one weight function per branch")
         x = self.grid.nodes
-        for i, tau in enumerate(self.branches):
-            image = self.sigma(np.asarray(tau(x), dtype=float))
-            err = self._circle_dist(image, x)
-            if np.max(err) > 1e-10:
-                raise ValueError(
-                    f"branch {i} is not a right inverse of sigma "
-                    f"(max |sigma(tau(x)) - x| = {np.max(err):.2e})"
-                )
+        if self.sigma is not None:
+            for i, tau in enumerate(self.branches):
+                image = self.sigma(np.asarray(tau(x), dtype=float))
+                err = self._circle_dist(image, x)
+                if np.max(err) > 1e-10:
+                    raise ValueError(
+                        f"branch {i} is not a right inverse of sigma "
+                        f"(max |sigma(tau(x)) - x| = {np.max(err):.2e})"
+                    )
         if self.normalized:
             total = self.weight_matrix(x).sum(axis=0)
             if np.max(np.abs(total - 1.0)) > 1e-12:
@@ -191,6 +195,16 @@ class ControlledSystem:
             if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError("control quadrature weights must sum to 1")
 
+    def _controls(self):
+        """(i, u, p_i * w) for each branch i with p_i != 0 and each control
+        quadrature node u of weight w; u is None at weight 1 without one."""
+        quad = ([(None, 1.0)] if self.u_nodes is None
+                else list(zip(self.u_nodes, self.u_weights)))
+        for i, p_i in enumerate(self.branch_probs):
+            if p_i != 0.0:
+                for u, w in quad:
+                    yield i, u, p_i * w
+
     def apply(self, f: GridFunction) -> GridFunction:
         return apply_integral(self, f)
 
@@ -206,16 +220,9 @@ class ControlledSystem:
             cdf = self.transition_cdf(mids[None, :], grid.edges[:, None])
             return np.diff(np.asarray(cdf, dtype=float), axis=0)
         M = np.zeros((n, n))
-        for i, p_i in enumerate(self.branch_probs):
-            if p_i == 0.0:
-                continue
-            if self.u_nodes is None:
-                y = np.asarray(self.F(mids, i, None), dtype=float)
-                np.add.at(M, (grid.cell_index(y), np.arange(n)), p_i)
-            else:
-                for u, w in zip(self.u_nodes, self.u_weights):
-                    y = np.asarray(self.F(mids, i, u), dtype=float)
-                    np.add.at(M, (grid.cell_index(y), np.arange(n)), p_i * w)
+        for i, u, c in self._controls():
+            y = np.asarray(self.F(mids, i, u), dtype=float)
+            np.add.at(M, (grid.cell_index(y), np.arange(n)), c)
         return M
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -429,14 +436,8 @@ def apply_integral(cs: ControlledSystem, f: GridFunction) -> GridFunction:
         raise GridMismatchError("function not on the system grid")
     x = cs.grid.nodes
     vals = np.zeros(cs.grid.n)
-    for i, p_i in enumerate(cs.branch_probs):
-        if p_i == 0.0:
-            continue
-        if cs.u_nodes is None:
-            vals += p_i * f.eval(np.asarray(cs.F(x, i, None), dtype=float))
-        else:
-            for u, w in zip(cs.u_nodes, cs.u_weights):
-                vals += p_i * w * f.eval(np.asarray(cs.F(x, i, u), dtype=float))
+    for i, u, c in cs._controls():
+        vals += c * f.eval(np.asarray(cs.F(x, i, u), dtype=float))
     return GridFunction(cs.grid, vals)
 
 
@@ -506,6 +507,8 @@ def apply_gauss_at(op: GaussOperator, f: GridFunction, x, chunk: int = 4096) -> 
 
 def pullout_check(bs: BranchSystem, f: GridFunction, g: GridFunction) -> float:
     """Max node residual of R((f o sigma) g) - f R(g)."""
+    if bs.sigma is None:
+        raise ValueError(f"{bs.name or 'the system'} has no endomorphism sigma")
     x = bs.grid.nodes
     comp = GridFunction(bs.grid, f.eval(bs.grid.wrap(bs.sigma(x))) * g.values)
     lhs = apply_branch(bs, comp).values
@@ -702,7 +705,8 @@ def bernoulli_system(grid: Grid, a: float) -> BranchSystem:
     """Backward chain of the random series sum_k w_k a^k on [-a/(1-a), a/(1-a)].
 
     Branches a(x-1) and a(x+1) with equal weights; the stationary law is the
-    Bernoulli convolution with parameter a.
+    Bernoulli convolution with parameter a.  For a > 1/2 the branch images
+    overlap, so no endomorphism sigma undoes a move.
     """
     bernoulli_support(a)  # rejects a outside (0, 1)
 
@@ -712,7 +716,7 @@ def bernoulli_system(grid: Grid, a: float) -> BranchSystem:
 
     return BranchSystem(
         grid=grid,
-        sigma=sigma,
+        sigma=sigma if a <= 0.5 else None,
         branches=[lambda x: a * (x - 1.0), lambda x: a * (x + 1.0)],
         weights=[lambda x: np.full(np.shape(x), 0.5)] * 2,
         name=f"bernoulli-{a}",

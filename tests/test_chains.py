@@ -39,6 +39,8 @@ from transferchain.operators import (
     CircleFilterOperator,
     GaussOperator,
     RadonNikodymWeight,
+    bernoulli_support,
+    bernoulli_system,
     doubling_system,
     gauss_kernel_probs,
     gauss_operator,
@@ -203,6 +205,22 @@ def test_gauss_backward_stationary():
     pe = simulate_paths(s, 100_000, 10)
     ks = ks_distance(EmpiricalSample(pe.paths[:, 10]), gauss_measure(Grid(0, 1, 2048)))
     assert ks <= 0.02
+
+
+def test_overlapping_bernoulli_chain_variance():
+    # for a > 1/2 the branch images overlap and no sigma exists; from 0 the
+    # chain after k steps is sum_{j<=k} +-a^j, of variance sum_j a^(2j)
+    a, k, n = 0.6, 40, 200_000
+    s = bernoulli_support(a)
+    sampler = MarkovSampler(bernoulli_system(Grid(-s, s, 1024), a),
+                            lambda u: np.zeros(np.shape(u)), master_seed=3)
+    x = simulate_paths(sampler, n, k).paths[:, k]
+    var = np.sum(a ** (2.0 * np.arange(1, k + 1)))
+    se_var = np.sqrt((np.mean((x - x.mean()) ** 4) - x.var() ** 2) / n)
+    assert abs(x.var() - var) / se_var <= 4.0
+    assert abs(x.mean()) / np.sqrt(var / n) <= 4.0
+    with pytest.raises(ValueError, match="no endomorphism"):
+        sampler.sigma(x)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,7 @@ def test_unknown_config_key_rejected(tmp_path):
     ("--grid-n", "0", "grid_n must be >= 2, got 0"),
     ("--grid-n", "1", "grid_n must be >= 2, got 1"),
     ("--steps", "-1", "steps must be >= 0, got -1"),
+    ("--threads", "0", "threads must be >= 1, got 0"),
 ])
 def test_bad_size_flag_rejected(tmp_path, flag, value, message):
     with pytest.raises(SystemExit, match=message):
@@ -179,6 +180,9 @@ def test_bad_size_flag_rejected(tmp_path, flag, value, message):
     ("paths", 100.7, "paths must be an integer, got 100.7"),
     ("master_seed", 2.5, "master_seed must be an integer, got 2.5"),
     ("master_seed", -1, "master_seed must be >= 0, got -1"),
+    ("threads", "many", "threads must be an integer, got 'many'"),
+    ("threads", 2.5, "threads must be an integer, got 2.5"),
+    ("threads", 0, "threads must be >= 1, got 0"),
 ])
 def test_bad_size_config_rejected(tmp_path, key, value, message):
     cfg = tmp_path / "cfg.json"
@@ -212,6 +216,15 @@ def test_config_params_typed_like_flags(tmp_path):
                           "--paths", "1000", "--steps", "2")
     assert code == 0
     assert report["config"]["params"] == {"u": 0.4}
+
+
+def test_simulate_overlapping_bernoulli(tmp_path):
+    # a = 0.6 > 1/2: the branch images overlap, so there is no sigma and no
+    # solenoid constraint to check
+    code, _, report = run(tmp_path, "simulate", "-s", "bernoulli-a", "--param", "a=0.6",
+                          "--paths", "1000", "--steps", "5")
+    assert code == 0
+    assert [c["name"] for c in report["checks"]] == ["simulation-completed"]
 
 
 def test_zero_steps_accepted(tmp_path):

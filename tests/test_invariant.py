@@ -11,13 +11,13 @@ from transferchain.grids import (
     wasserstein1,
 )
 from transferchain.invariant import (
-    AffineIFS,
+    affine_ifs,
+    alpha_bound,
     build_ulam,
     cantor_ifs,
     contraction_certificate,
     halving_ifs,
     hutchinson_iterate,
-    hutchinson_matrix,
     measure_moments,
     power_iterate,
     verify_invariance,
@@ -25,6 +25,9 @@ from transferchain.invariant import (
 from transferchain.operators import (
     BranchSystem,
     GaussOperator,
+    bernoulli_support,
+    bernoulli_system,
+    cell_flow_matrix,
     doubling_system,
     gauss_operator,
     logistic_system,
@@ -192,28 +195,28 @@ def test_hutchinson_cantor_moments():
 
 def test_hutchinson_single_map_collapses():
     g = Grid(0.0, 1.0, 1024)
-    single = AffineIFS(g, slopes=np.array([0.5]), shifts=np.array([0.0]),
-                       probs=np.array([1.0]))
+    single = affine_ifs(g, slopes=np.array([0.5]), shifts=np.array([0.0]),
+                        probs=np.array([1.0]))
     res = hutchinson_iterate(single, uniform_measure(g), 60)
     assert res.measure.weights[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_hutchinson_expansion_detected():
     g = Grid(-2.0, 2.0, 256)
-    expanding = AffineIFS(g, slopes=np.array([1.3]), shifts=np.array([0.0]),
-                          probs=np.array([1.0]))
+    expanding = affine_ifs(g, slopes=np.array([1.3]), shifts=np.array([0.0]),
+                           probs=np.array([1.0]))
     start = point_mass(g, g.cell_index(0.5))
     with pytest.raises(ArithmeticError, match="expanding"):
         hutchinson_iterate(expanding, start, 12)
 
 
-def _hutchinson_loop(ifs):
+def _hutchinson_loop(g, slopes, shifts, probs):
     """Reference pushforward matrix, one overlap pass per map and target offset."""
-    g = ifs.grid
     M = np.zeros((g.n, g.n))
-    for j, p_j in enumerate(ifs.probs):
-        a = ifs.apply_map(j, g.edges[:-1])
-        b = ifs.apply_map(j, g.edges[1:])
+    for s_j, t_j, p_j in zip(np.asarray(slopes, dtype=float),
+                             np.asarray(shifts, dtype=float), probs):
+        a = s_j * g.edges[:-1] + t_j
+        b = s_j * g.edges[1:] + t_j
         aa, bb = np.minimum(a, b), np.maximum(a, b)
         k0 = np.floor((aa - g.lower) / g.dx).astype(int)
         k1 = np.floor((bb - g.lower) / g.dx - 1e-15).astype(int)
@@ -226,19 +229,22 @@ def _hutchinson_loop(ifs):
 
 
 def test_hutchinson_matrix_matches_overlap_loop():
-    for ifs in (cantor_ifs(Grid(0.0, 1.0, 2187)), halving_ifs(Grid(0.0, 1.0, 512)),
-                AffineIFS(Grid(-2.0, 2.0, 256), slopes=np.array([1.3]),
-                          shifts=np.array([0.0]), probs=np.array([1.0])),
-                AffineIFS(Grid(0.0, 1.0, 300), slopes=np.array([-0.4, 0.35]),
-                          shifts=np.array([0.7, 0.1]), probs=np.array([0.3, 0.7]))):
-        assert np.array_equal(hutchinson_matrix(ifs), _hutchinson_loop(ifs))
+    escaping = ([1.3], [0.0], [1.0])
+    overlapping = ([-0.4, 0.35], [0.7, 0.1], [0.3, 0.7])
+    cantor = ([1 / 3, 1 / 3], [0.0, 2 / 3], [0.5, 0.5])
+    halving = ([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    for ifs, maps in ((cantor_ifs(Grid(0.0, 1.0, 2187)), cantor),
+                      (halving_ifs(Grid(0.0, 1.0, 512)), halving),
+                      (affine_ifs(Grid(-2.0, 2.0, 256), *escaping), escaping),
+                      (affine_ifs(Grid(0.0, 1.0, 300), *overlapping), overlapping)):
+        assert np.array_equal(cell_flow_matrix(ifs, ifs.grid), _hutchinson_loop(ifs.grid, *maps))
 
 
 def test_hutchinson_geometric_decay():
     for ifs_fn in (halving_ifs, cantor_ifs):
         g = Grid(0.0, 1.0, 729)
         ifs = ifs_fn(g)
-        M = hutchinson_matrix(ifs)
+        M = cell_flow_matrix(ifs, g)
         mu = point_mass(g, 10).weights
         last = None
         for _ in range(12):
@@ -246,7 +252,7 @@ def test_hutchinson_geometric_decay():
             step = wasserstein1(DiscreteMeasure(g, nxt / nxt.sum()),
                                 DiscreteMeasure(g, mu / mu.sum()))
             if last is not None and step > 1e-12:
-                assert step / last <= ifs.alpha_bound + 3.0 / g.n
+                assert step / last <= alpha_bound(ifs) + 3.0 / g.n
             last = step
             mu = nxt
 
@@ -257,8 +263,8 @@ def test_contraction_certificates():
     assert cert.ratio <= 1.0 / 3.0 + 2.0 / g.n
     assert cert.alpha_bound == pytest.approx(1.0 / 3.0)
 
-    ident = AffineIFS(g, slopes=np.array([1.0]), shifts=np.array([0.0]),
-                      probs=np.array([1.0]))
+    ident = affine_ifs(g, slopes=np.array([1.0]), shifts=np.array([0.0]),
+                       probs=np.array([1.0]))
     ident_ratio = contraction_certificate(ident, uniform_measure(g), point_mass(g, 5)).ratio
     assert ident_ratio == pytest.approx(1.0, abs=1e-12)
 
@@ -272,6 +278,39 @@ def test_contraction_certificate_requires_distinct():
     g = Grid(0.0, 1.0, 64)
     with pytest.raises(ValueError):
         contraction_certificate(halving_ifs(g), uniform_measure(g), uniform_measure(g))
+
+
+def test_affine_ifs_rejects_bad_maps():
+    g = Grid(0.0, 1.0, 64)
+    with pytest.raises(ValueError, match="align"):
+        affine_ifs(g, slopes=[0.5, 0.5], shifts=[0.0], probs=[0.5, 0.5])
+    with pytest.raises(ValueError, match="nonnegative"):
+        affine_ifs(g, slopes=[0.5, 0.5], shifts=[0.0, 0.5], probs=[1.5, -0.5])
+    with pytest.raises(ValueError, match="sum to 1"):
+        affine_ifs(g, slopes=[0.5, 0.5], shifts=[0.0, 0.5], probs=[0.5, 0.6])
+
+
+def test_alpha_bound_needs_constant_probabilities():
+    g = Grid(0.0, 1.0, 64)
+    placed = BranchSystem(grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
+                          weights=[lambda x: x, lambda x: 1.0 - x])
+    with pytest.raises(ValueError, match="constant"):
+        alpha_bound(placed)
+
+
+def test_hutchinson_overlapping_bernoulli_variance():
+    # for a > 1/2 the two maps a(x -+ 1) have overlapping images; the
+    # stationary law of sum_k +-a^k has mean 0 and variance a^2 / (1 - a^2)
+    a = 0.6
+    s = bernoulli_support(a)
+    g = Grid(-s, s, 1024)
+    ifs = bernoulli_system(g, a)
+    assert ifs.sigma is None
+    res = hutchinson_iterate(ifs, uniform_measure(g), 60)
+    mean, var = measure_moments(res.measure)
+    assert res.converged
+    assert mean == pytest.approx(0.0, abs=1e-9)
+    assert var == pytest.approx(a**2 / (1.0 - a**2), abs=1e-3)
 
 
 def test_gauss_sigma_fractional_part():

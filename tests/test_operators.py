@@ -27,6 +27,8 @@ from transferchain.operators import (
     circle_trig_coeffs,
     circle_trig_eval,
     circle_upsample,
+    bernoulli_support,
+    bernoulli_system,
     doubling_system,
     gauss_operator,
     logistic_system,
@@ -285,6 +287,18 @@ def test_pullout_quadratic_refinement():
         medians.append(np.median(vals))
     for a, b in zip(medians, medians[1:]):
         assert a / b >= 3.0
+
+
+def test_pullout_needs_sigma():
+    # the Bernoulli branches invert an endomorphism only while their images
+    # do not overlap, that is for a <= 1/2
+    for a, has_sigma in ((0.5, True), (0.6, False)):
+        s = bernoulli_support(a)
+        sys = bernoulli_system(Grid(-s, s, 256), a)
+        assert (sys.sigma is not None) == has_sigma
+    f = GridFunction.constant(sys.grid, 1.0)
+    with pytest.raises(ValueError, match="no endomorphism"):
+        pullout_check(sys, f, f)
 
 
 # ---------------------------------------------------------------------------
