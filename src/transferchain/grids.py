@@ -96,6 +96,15 @@ class Grid:
             return self.lower + np.mod(x - self.lower, self.width)
         return x
 
+    def stencil(self, x):
+        """Linear-interpolation stencil of interval points: the left node
+        index i0 (kept in 0..n-2, so the half-cell end strips extrapolate
+        the boundary segment) and the fraction of the way to node i0 + 1,
+        which is < 0 or > 1 in the end strips."""
+        t = (x - (self.lower + 0.5 * self.dx)) / self.dx
+        i0 = np.clip(np.floor(t).astype(int), 0, self.n - 2)
+        return i0, t - i0
+
     def cell_index(self, x) -> np.ndarray:
         """Index of the cell containing x (circle points wrapped first)."""
         x = self.wrap(x)
@@ -156,18 +165,25 @@ class GridFunction:
             frac = t - i0
             out = v[i0 % g.n] * (1 - frac) + v[(i0 + 1) % g.n] * frac
         else:
-            nodes = g.nodes
-            t = (x - nodes[0]) / g.dx
-            i0 = np.clip(np.floor(t).astype(int), 0, g.n - 2)
-            frac = t - i0  # <0 / >1 in the end strips: linear extension
-            out = v[i0] * (1 - frac) + v[i0 + 1] * frac
-            # sign-preserving floor/cap: nonnegative data never evaluates
-            # negative (and symmetrically), which operator positivity needs
-            if v.min() >= 0.0:
-                out = np.maximum(out, 0.0)
-            elif v.max() <= 0.0:
-                out = np.minimum(out, 0.0)
+            out = self.sign_clamp(self.linear(x))
         return float(out[0]) if scalar else out
+
+    def linear(self, x) -> np.ndarray:
+        """Interval grids: linear interpolation between midpoints, extended
+        linearly into the end strips; ``eval`` before its sign clamp."""
+        i0, frac = self.grid.stencil(x)
+        v = self.values
+        return v[i0] * (1 - frac) + v[i0 + 1] * frac
+
+    def sign_clamp(self, out) -> np.ndarray:
+        """Sign-preserving floor/cap: with nonnegative data, values are
+        floored at 0 (and symmetrically), which operator positivity needs."""
+        v = self.values
+        if v.min() >= 0.0:
+            return np.maximum(out, 0.0)
+        if v.max() <= 0.0:
+            return np.minimum(out, 0.0)
+        return out
 
     # pointwise algebra (same grid)
     def _binop(self, other, op):

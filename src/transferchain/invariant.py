@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction, integrate, uniform_measure, wasserstein1
-from .operators import BranchSystem, cell_flow_matrix
+from .operators import BranchSystem, CSCMatrix, cell_flow_matrix
 
 __all__ = [
     "UlamMatrix",
@@ -31,24 +31,24 @@ __all__ = [
 @dataclass(frozen=True)
 class UlamMatrix:
     """Discretized action mu -> mu R: entries[i, j] is the mass sent from
-    cell j to cell i.  Columns of a normalized operator sum to 1."""
+    cell j to cell i.  Columns of a normalized operator sum to 1.
+
+    ``entries`` is a cell flow as ``cell_flow_matrix`` returns it (a
+    ``CSCMatrix`` or a dense array), used through ``@`` only; it is kept
+    as given, never copied or changed."""
 
     grid: Grid
-    entries: np.ndarray
+    entries: CSCMatrix | np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.grid.n, self.grid.n):
+        if self.entries.shape != (self.grid.n, self.grid.n):
             raise ValueError("entries must be n x n for the grid")
-        if np.any(e < -1e-14):
+        if self.entries.min() < 0.0:
             raise ValueError("flow matrix has a negative entry")
-        e = np.clip(e, 0.0, None).copy()
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
 
     @property
     def column_sums(self) -> np.ndarray:
-        return self.entries.sum(axis=0)
+        return np.ones(self.grid.n) @ self.entries
 
     def push(self, mu: DiscreteMeasure) -> np.ndarray:
         if mu.grid != self.grid:

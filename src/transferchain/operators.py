@@ -7,10 +7,16 @@ distribution, the weighted Ruelle operator of a circle filter, and the
 Gauss (continued fraction) operator.  Each is its own kernel: ``apply``
 acts on grid functions, ``flow`` moves cell masses (the matrix behind the
 invariant measures), and ``step`` and ``chain_apply`` move its chain.
+
+Flows other than the dense random-control one are ``CSCMatrix`` objects,
+and the Gauss branch sum at the nodes of a grid is compiled once into one.
+Both are built in blocks of at most ``_BLOCK`` elements, so their build
+memory does not grow with n^2 or with the Gauss truncation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,6 +32,7 @@ __all__ = [
     "GaussOperator",
     "RadonNikodymWeight",
     "BranchEscapeError",
+    "CSCMatrix",
     "apply_branch",
     "apply_integral",
     "apply_ruelle_circle",
@@ -53,6 +60,107 @@ __all__ = [
 
 class BranchEscapeError(ValueError):
     """A branch image left the grid domain by more than round-off."""
+
+
+# elements per build block of a sparse matrix; each float temporary of a
+# block then takes 1 MB
+_BLOCK = 1 << 17
+
+
+class CSCMatrix:
+    """Sparse matrix in compressed sparse column arrays: column j holds the
+    values data[indptr[j]:indptr[j+1]] in rows indices[indptr[j]:indptr[j+1]],
+    rows ascending.  ``M @ w`` and ``v @ M`` are its products, each summing
+    in storage order, and ``np.asarray(M)`` is its dense view."""
+
+    __array_ufunc__ = None  # so that ``ndarray @ M`` defers to __rmatmul__
+
+    def __init__(self, shape, indptr, indices, data):
+        self.shape = tuple(shape)
+        self.indptr, self.indices, self.data = (_freeze(a) for a in (indptr, indices, data))
+        self._cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+    def __matmul__(self, w) -> np.ndarray:
+        """(M w)_i = sum_j M[i, j] w_j."""
+        return np.bincount(self.indices, self.data * np.asarray(w)[self._cols],
+                           minlength=self.shape[0])
+
+    def __rmatmul__(self, v) -> np.ndarray:
+        """(v M)_j = sum_i v_i M[i, j]."""
+        return np.bincount(self._cols, np.asarray(v)[self.indices] * self.data,
+                           minlength=self.shape[1])
+
+    def min(self) -> float:
+        """The smallest entry, counting the entries not stored as zeros."""
+        low = float(self.data.min(initial=np.inf))
+        return min(low, 0.0) if self.data.size < self.shape[0] * self.shape[1] else low
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=dtype or float)
+        dense[self.indices, self._cols] = self.data
+        return dense
+
+
+def _freeze(a) -> np.ndarray:
+    """The array itself, made read-only (no copy)."""
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+def _csc_from_blocks(n_rows: int, blocks):
+    """indptr, indices and a stack of data rows from dense block sums.
+
+    ``blocks`` yields, for consecutive blocks of columns, arrays of shape
+    (d, columns * n_rows) with the rows of a column contiguous; an entry
+    that is 0 in all d sums is dropped."""
+    counts, indices, data = [], [], []
+    for acc in blocks:
+        nz = np.flatnonzero(np.any(acc != 0.0, axis=0))
+        counts.append(np.bincount(nz // n_rows, minlength=acc.shape[1] // n_rows))
+        indices.append(nz % n_rows)
+        data.append(acc[:, nz])
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return indptr, np.concatenate(indices), np.concatenate(data, axis=1)
+
+
+def _flow(n: int, blocks) -> CSCMatrix:
+    """The n x n cell flow of per-block sums (a 1 x columns * n array each),
+    clipped at 0 in place so that round-off never leaves a negative mass."""
+    indptr, indices, (data,) = _csc_from_blocks(
+        n, (np.maximum(acc, 0.0, out=acc) for acc in blocks))
+    return CSCMatrix((n, n), indptr, indices, data)
+
+
+def _flow_from_entries(n: int, entries) -> CSCMatrix:
+    """The cell flow that sums (rows, cols, values) entry arrays.  Each
+    (row, col) adds its values in the order given, one block of columns at
+    a time."""
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*entries))
+    order = np.argsort(cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    width = max(1, _BLOCK // n)
+
+    def blocks():
+        for c0 in range(0, n, width):
+            c1 = min(c0 + width, n)
+            lo, hi = np.searchsorted(cols, [c0, c1])
+            key = (cols[lo:hi] - c0) * n + rows[lo:hi]
+            yield np.bincount(key, vals[lo:hi], minlength=(c1 - c0) * n)[None, :]
+
+    return _flow(n, blocks())
+
+
+def _gauss_blocks(K: int, m: int, n: int):
+    """Blocks of the m points x K branches of a Gauss sum over an n-cell
+    grid, each of at most _BLOCK (point, branch) pairs and _BLOCK // n
+    points (one point at least): yields (point slice, branch-number chunks)."""
+    points = max(1, min(_BLOCK // K, _BLOCK // n))
+    step = min(K, _BLOCK)
+    for p0 in range(0, m, points):
+        yield (slice(p0, min(p0 + points, m)),
+               (np.arange(k, min(k + step, K + 1), dtype=float)
+                for k in range(1, K + 1, step)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +243,12 @@ class BranchSystem:
 
     chain_apply = apply  # the chain's one-step operator is R itself
 
-    def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
+    def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
         """Each source cell's image under tau_i, weighted by p_i at its midpoint."""
         if self.grid != grid:
             raise GridMismatchError("operator grid differs from requested grid")
-        M = np.zeros((grid.n, grid.n))
         probs = self.weight_matrix(grid.nodes)
+        entries = []
         for i, tau in enumerate(self.branches):
             a = np.asarray(tau(grid.edges[:-1]), dtype=float)
             b = np.asarray(tau(grid.edges[1:]), dtype=float)
@@ -149,8 +257,8 @@ class BranchSystem:
                 base = grid.wrap(a)
                 b = base + (b - a)
                 a = base
-            _spread_interval(M, probs[i], a, b, grid)
-        return M
+            entries.append(_spread_interval(probs[i], a, b, grid))
+        return _flow_from_entries(grid.n, entries)
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Branch i for each state where uniforms[0] falls in p_i's CDF slot."""
@@ -211,19 +319,26 @@ class ControlledSystem:
     chain_apply = apply  # the chain's one-step operator is R itself
 
     def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
-        """Exact cell masses from ``transition_cdf`` when given, else each
-        midpoint's quadrature images as point masses."""
+        """Exact cell masses from ``transition_cdf`` when given (its table
+        built a block of source cells at a time), else each midpoint's
+        quadrature images as point masses; a dense array, clipped at 0 in
+        place."""
         if self.grid != grid:
             raise GridMismatchError("operator grid differs from requested grid")
         n, mids = grid.n, grid.nodes
         if self.transition_cdf is not None:
-            cdf = self.transition_cdf(mids[None, :], grid.edges[:, None])
-            return np.diff(np.asarray(cdf, dtype=float), axis=0)
-        M = np.zeros((n, n))
-        for i, u, c in self._controls():
-            y = np.asarray(self.F(mids, i, u), dtype=float)
-            np.add.at(M, (grid.cell_index(y), np.arange(n)), c)
-        return M
+            M = np.empty((n, n))
+            width = max(1, _BLOCK // (n + 1))
+            for c0 in range(0, n, width):
+                cols = slice(c0, c0 + width)
+                cdf = self.transition_cdf(mids[None, cols], grid.edges[:, None])
+                M[:, cols] = np.diff(np.asarray(cdf, dtype=float), axis=0)
+        else:
+            M = np.zeros((n, n))
+            for i, u, c in self._controls():
+                y = np.asarray(self.F(mids, i, u), dtype=float)
+                np.add.at(M, (grid.cell_index(y), np.arange(n)), c)
+        return np.maximum(M, 0.0, out=M)
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Branch i where uniforms[0] falls in its slot, then F(x, i, uniforms[1])."""
@@ -256,18 +371,18 @@ class CircleFilterOperator:
     def apply(self, f: GridFunction) -> GridFunction:
         return apply_ruelle_circle(self, f)
 
-    def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
+    def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
         """Each source cell's N preimage cells, weighted by |m0|^2 / N there."""
         if grid.domain_kind != "circle" or grid.n % self.N:
             raise GridMismatchError("need a circle grid with size divisible by N")
-        M = np.zeros((grid.n, grid.n))
         N = self.N
         t = (grid.nodes - grid.lower) / grid.width
+        entries = []
         for k in range(N):
             w = self.filt.m0_sq((t + k) / N) / N
             a = grid.lower + ((grid.edges[:-1] - grid.lower) / N + k * grid.width / N)
-            _spread_interval(M, w, a, a + grid.dx / N, grid)
-        return M
+            entries.append(_spread_interval(w, a, a + grid.dx / N, grid))
+        return _flow_from_entries(grid.n, entries)
 
 
 @dataclass(frozen=True)
@@ -313,38 +428,76 @@ class GaussOperator:
         """The truncated chain's operator: the density-normalized branch sum,
         renormalized by the kept kernel mass."""
         x = f.grid.nodes
-        out = _gauss_branch_sum(self, f, x, lambda ns, denom, v:
-                                gauss_kernel_probs(x[None, :], ns) * v)
+        chain = _gauss_compiled(self.truncation_K, f.grid)[1]
+        out = _compiled_gauss_sum(self, f, x, chain, _chain_weights)
         return GridFunction(f.grid, out / self._kernel_mass(x))
 
-    def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
+    def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
         """Each source cell's images 1/(n + cell), weighted by the chain
-        kernel at its midpoint, or by the raw (n+x)^-2 when ``raw``."""
+        kernel at its midpoint, or by the raw (n+x)^-2 when ``raw``.  On
+        [0, 1] an image is narrower than a cell, so it meets one or two."""
         if grid.domain_kind != "interval":
             raise GridMismatchError("Gauss operator lives on an interval grid")
-        n = grid.n
-        M = np.zeros((n, n))
-        edges_l, edges_r, x = grid.edges[:-1], grid.edges[1:], grid.nodes
-        ns = np.arange(1, self.truncation_K + 1, dtype=float)
-        for j in range(n):
-            w = (ns + x[j]) ** -2.0 if raw else gauss_kernel_probs(x[j], ns)
-            a = 1.0 / (ns + edges_r[j])
-            b = 1.0 / (ns + edges_l[j])
-            k0 = np.floor((a - grid.lower) / grid.dx).astype(int)
-            k1 = np.floor((b - grid.lower) / grid.dx - 1e-15).astype(int)
-            k1 = np.maximum(k1, k0)
-            width = b - a
-            same = k0 == k1
-            M[:, j] += np.bincount(np.clip(k0[same], 0, n - 1), weights=w[same], minlength=n)
-            split = ~same
-            if np.any(split):
-                cut = grid.lower + k1[split] * grid.dx
-                fr_hi = np.clip((b[split] - cut) / width[split], 0.0, 1.0)
-                M[:, j] += np.bincount(np.clip(k1[split], 0, n - 1),
-                                       weights=w[split] * fr_hi, minlength=n)
-                M[:, j] += np.bincount(np.clip(k0[split], 0, n - 1),
-                                       weights=w[split] * (1 - fr_hi), minlength=n)
-        return M
+        n, lo, dx, K = grid.n, grid.lower, grid.dx, self.truncation_K
+
+        def cells(ns, left, right):
+            """Image ends a < b and the cells k0 <= k1 that hold them."""
+            a = 1.0 / (ns + right)
+            b = 1.0 / (ns + left)
+            k0 = np.floor((a - lo) / dx).astype(int)
+            return a, b, k0, np.maximum(np.floor((b - lo) / dx - 1e-15).astype(int), k0)
+
+        def cell_zero_from(left, right):
+            """Per column, the first branch from which every image lies in
+            cell 0 whole (K + 1 if none), by bisection: the images, and so
+            k0 and k1, fall along the branches."""
+            first, last = np.ones(left.shape), np.full(left.shape, float(K))
+            _, _, k0, k1 = cells(last, left, right)
+            none = (k0 != 0) | (k1 != 0)
+            first[none] = last[none] = K + 1.0
+            while np.any(first < last):
+                mid = np.floor(0.5 * (first + last))
+                inside = cells(mid, left, right)[3] == 0
+                last = np.where(inside, mid, last)
+                first = np.where(inside, first, mid + 1.0)
+            return first
+
+        def weights(x, ns):
+            return (ns + x) ** -2.0 if raw else gauss_kernel_probs(x, ns)
+
+        def blocks():
+            for cols, branch_chunks in _gauss_blocks(K, n, n):
+                x = grid.nodes[cols, None]
+                left, right = grid.edges[:-1][cols, None], grid.edges[1:][cols, None]
+                tail = cell_zero_from(left, right)
+                base = n * np.arange(x.size)[:, None]
+                acc = np.zeros(x.size * n)
+                for ns in branch_chunks:
+                    # an image in cell 0 whole adds its weight there, in
+                    # branch order; the 0.0 added before a column's first one
+                    # leaves the sum as it is
+                    ns_tail = ns[ns >= tail.min()]
+                    if ns_tail.size:
+                        w = np.where(ns_tail >= tail, weights(x, ns_tail), 0.0)
+                        acc[base[:, 0]] += np.cumsum(w, axis=1)[:, -1]
+                    ns = ns[ns < tail.max()]
+                    w = weights(x, ns)
+                    a, b, k0, k1 = cells(ns, left, right)
+                    split = k0 != k1
+                    # so does an image inside one other cell; the 0.0 added
+                    # for a split image or a tail one leaves the sums as
+                    # they are
+                    acc += np.bincount((base + np.clip(k0, 0, n - 1)).ravel(),
+                                       np.where(split | (ns >= tail), 0.0, w).ravel(),
+                                       acc.size)
+                    at = np.broadcast_to(base, split.shape)[split]
+                    w, a, b, k0, k1 = w[split], a[split], b[split], k0[split], k1[split]
+                    fr_hi = np.clip((b - (lo + k1 * dx)) / (b - a), 0.0, 1.0)
+                    acc += np.bincount(at + np.clip(k1, 0, n - 1), w * fr_hi, acc.size)
+                    acc += np.bincount(at + np.clip(k0, 0, n - 1), w * (1 - fr_hi), acc.size)
+                yield acc[None, :]
+
+        return _flow(n, blocks())
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Digit n from the inverse CDF of the truncated kernel at uniforms[0]."""
@@ -476,33 +629,99 @@ def apply_ruelle_adjoint(op: CircleFilterOperator, f: GridFunction) -> GridFunct
 
 
 def apply_gauss(op: GaussOperator, f: GridFunction) -> GridFunction:
-    if f.grid.domain_kind != "interval":
-        raise GridMismatchError("Gauss operator lives on an interval grid")
-    return GridFunction(f.grid, apply_gauss_at(op, f, f.grid.nodes))
+    x = f.grid.nodes
+    raw = _gauss_compiled(op.truncation_K, f.grid)[0]
+    return GridFunction(f.grid, _gauss_with_tail(op, f, x, raw))
 
 
-def _gauss_branch_sum(op: GaussOperator, f: GridFunction, x, term,
-                      chunk: int = 4096) -> np.ndarray:
-    """sum over n <= K of term(n, n + x, f(1/(n+x))), in chunks of n."""
-    out = np.zeros(x.size)
-    K = op.truncation_K
-    for start in range(1, K + 1, chunk):
-        ns = np.arange(start, min(start + chunk, K + 1), dtype=float)[:, None]
-        denom = ns + x[None, :]
-        # f's values stay unnamed, so each chunk's block is freed before the next
-        out += np.sum(term(ns, denom, f.eval((1.0 / denom).ravel()).reshape(denom.shape)),
-                      axis=0)
-    return out
-
-
-def apply_gauss_at(op: GaussOperator, f: GridFunction, x, chunk: int = 4096) -> np.ndarray:
+def apply_gauss_at(op: GaussOperator, f: GridFunction, x) -> np.ndarray:
     """Truncated branch sum sum_{n<=K} (n+x)^-2 f(1/(n+x)) (+ tail estimate)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _gauss_branch_sum(op, f, x, lambda ns, denom, v: v / denom**2, chunk)
+    raw = _gauss_compile(op.truncation_K, f.grid, x)[0]
+    return _gauss_with_tail(op, f, x, raw)
+
+
+def _gauss_with_tail(op: GaussOperator, f: GridFunction, x, raw: CSCMatrix) -> np.ndarray:
+    out = _compiled_gauss_sum(op, f, x, raw, _raw_weights)
     if op.tail_mode == "integral":
         f_origin = float(f.values[0])  # f(0+) under the boundary-cell extension
         out += f_origin / (op.truncation_K + x + 0.5)
     return out
+
+
+def _raw_weights(x, ns, denom):
+    return 1.0 / (denom * denom)
+
+
+def _chain_weights(x, ns, denom):
+    return gauss_kernel_probs(x, ns)
+
+
+def _gauss_compile(K: int, grid: Grid, x) -> tuple:
+    """The branch sums over n <= K at the points x as two n_cells x x.size
+    matrices sharing one sparsity pattern, with the raw weights (n+x)^-2 and
+    with the chain kernel's: column j is the linear-interpolation stencil
+    (``Grid.stencil``) of the images 1/(n + x_j) -- ``GridFunction.eval``
+    without its sign clamp -- so ``f.values @ M`` is the unclamped sum."""
+    if grid.domain_kind != "interval":
+        raise GridMismatchError("Gauss operator lives on an interval grid")
+    n = grid.n
+
+    def blocks():
+        for cols, branch_chunks in _gauss_blocks(K, x.size, n):
+            xs = x[cols, None]
+            base = n * np.arange(xs.size)[:, None]
+            acc = np.zeros((2, xs.size * n))
+            for ns in branch_chunks:
+                denom = ns + xs
+                i0, frac = grid.stencil(1.0 / denom)
+                # along a point's branches the images fall, and so does i0:
+                # equal keys form runs, each key one run of the block
+                key = (base + i0).ravel()
+                starts = np.flatnonzero(np.diff(key, prepend=-1))
+                key = key[starts]
+                to_left, to_right = (1 - frac).ravel(), frac.ravel()
+                for a, weights in zip(acc, (_raw_weights, _chain_weights)):
+                    w = weights(xs, ns, denom).ravel()
+                    a[key] += np.add.reduceat(w * to_left, starts)
+                    a[key + 1] += np.add.reduceat(w * to_right, starts)
+            yield acc
+
+    indptr, indices, data = _csc_from_blocks(n, blocks())
+    return tuple(CSCMatrix((n, x.size), indptr, indices, d) for d in data)
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_compiled(K: int, grid: Grid) -> tuple:
+    """``_gauss_compile`` at the grid's nodes, built once per (K, grid): the
+    matrices depend on nothing else, so equal operators share them."""
+    return _gauss_compile(K, grid, grid.nodes)
+
+
+def _compiled_gauss_sum(op: GaussOperator, f: GridFunction, x, M: CSCMatrix,
+                      weights) -> np.ndarray:
+    """sum over n <= K of w_n(x) f(1/(n+x)), with the compiled matrix M of
+    the weights w.
+
+    M holds ``eval`` without its sign clamp.  The clamp changes a value
+    only in an end strip, where the boundary segment is extrapolated, and
+    the extrapolated lines are extreme at the outermost images 1/(K + x)
+    and 1/(1 + x).  When it can bind there, the images are regenerated and
+    the exact correction sum w (clamp(u) - u) is added.  The sum is then
+    clamped like eval's values: R is a positive operator, so that only
+    removes round-off, and R f >= 0 holds exactly for f >= 0."""
+    v = f.values
+    out = v @ M
+    extremes = np.array([1.0 / (op.truncation_K + x.max()), 1.0 / (1.0 + x.min())])
+    u = f.linear(extremes)
+    if np.any(f.sign_clamp(u) != u):
+        for cols, branch_chunks in _gauss_blocks(op.truncation_K, x.size, f.grid.n):
+            xs = x[cols, None]
+            for ns in branch_chunks:
+                denom = ns + xs
+                u = f.linear(1.0 / denom)
+                out[cols] += np.sum(weights(xs, ns, denom) * (f.sign_clamp(u) - u), axis=1)
+    return f.sign_clamp(out)
 
 
 def pullout_check(bs: BranchSystem, f: GridFunction, g: GridFunction) -> float:
@@ -520,20 +739,19 @@ def pullout_check(bs: BranchSystem, f: GridFunction, g: GridFunction) -> float:
 # cell flow (mass transport of mu -> mu R) and Radon-Nikodym weights
 # ---------------------------------------------------------------------------
 
-def _spread_interval(M, col_weights, a, b, grid: Grid):
-    """Distribute col_weights[j] from source cell j over target cells
-    covering [a_j, b_j], proportionally to overlap.  Exact for affine
-    branch images; circle targets wrap."""
+def _spread_interval(col_weights, a, b, grid: Grid):
+    """(rows, cols, values) entries that distribute col_weights[j] from
+    source cell j over the target cells covering [a_j, b_j], proportionally
+    to overlap.  Exact for affine branch images; circle targets wrap."""
     n, dx, lo = grid.n, grid.dx, grid.lower
     a, b = np.minimum(a, b), np.maximum(a, b)
     width = b - a
     tiny = width <= 1e-15 * grid.width
-    if np.any(tiny):
-        mids = grid.cell_index(0.5 * (a + b))
-        np.add.at(M, (mids[tiny], np.nonzero(tiny)[0]), col_weights[tiny])
+    j_tiny = np.nonzero(tiny)[0]
+    entries = [(grid.cell_index(0.5 * (a + b))[tiny], j_tiny, col_weights[tiny])]
     live = ~tiny
     if not np.any(live):
-        return
+        return tuple(map(np.concatenate, zip(*entries)))
     j_idx = np.nonzero(live)[0]
     a, b, w, width = a[live], b[live], col_weights[live], width[live]
     k0 = np.floor((a - lo) / dx).astype(int)
@@ -549,20 +767,22 @@ def _spread_interval(M, col_weights, a, b, grid: Grid):
         else:
             k_t = np.clip(k, 0, n - 1)
         nz = frac > 0
-        if np.any(nz):
-            np.add.at(M, (k_t[nz], j_idx[nz]), w[nz] * frac[nz])
+        entries.append((k_t[nz], j_idx[nz], w[nz] * frac[nz]))
+    return tuple(map(np.concatenate, zip(*entries)))
 
 
-def cell_flow_matrix(op, grid: Grid, raw: bool = False) -> np.ndarray:
+def cell_flow_matrix(op, grid: Grid, raw: bool = False):
     """Matrix M with M[i, j] = mass sent from cell j to cell i by one step
-    of the operator's Markov kernel (column-stochastic when normalized).
+    of the operator's Markov kernel (column-stochastic when normalized),
+    with no negative entry.  A ``CSCMatrix``, or a dense array for the
+    random-control flow; either acts through ``M @ w`` and ``v @ M``.
 
     Branch images of each source cell are spread over target cells by exact
     interval overlap.  The Gauss operator uses its density-normalized
     kernel with the truncation deficit left in place; ``raw=True`` switches
     to the plain (n+x)^-2 weights, whose dual fixes Lebesgue measure.
     """
-    return np.clip(op.flow(grid, raw), 0.0, None)
+    return op.flow(grid, raw)
 
 
 def gauss_kernel_probs(x, ns):
@@ -665,15 +885,21 @@ def _random_control_cdf(x, t):
     return 0.5 * (below + above)
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_gauss_legendre(n_control: int) -> tuple:
+    """Gauss-Legendre nodes and weights on (0, 1), read-only, computed on
+    first use for each size."""
+    nodes, wts = np.polynomial.legendre.leggauss(n_control)
+    return _freeze(0.5 * (nodes + 1.0)), _freeze(0.5 * wts)
+
+
 def random_control_system(grid: Grid, n_control: int = 512) -> ControlledSystem:
     """The two-branch system with uniformly random contraction parameter.
 
     F(x, (i, u)) is u x for i = 0 and u + (1-u) x for i = 1, with u uniform
     on (0, 1); quadrature over u uses Gauss-Legendre nodes.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(n_control)
-    u_nodes = 0.5 * (nodes + 1.0)
-    u_weights = 0.5 * wts
+    u_nodes, u_weights = _unit_gauss_legendre(n_control)
 
     def F(x, i, u):
         x = np.asarray(x, dtype=float)

@@ -93,10 +93,11 @@ def test_finite_chain_has_no_grid_operator():
         chain_apply(s, GridFunction.constant(G512, 1.0))
 
 
-def test_gauss_chain_apply_matches_chunked_branch_loop_bitwise():
+def test_gauss_chain_apply_matches_chunked_branch_loop():
     op = gauss_operator(K=10_000)
     f = GridFunction.from_callable(Grid(0.0, 1.0, 256), lambda x: np.cos(3 * x) + x**2)
-    # the loop chain_apply ran before the branch sum was shared with apply_gauss_at
+    # the loop chain_apply ran before the branch sum was compiled into a
+    # matrix; the matrix sums in another order, so the match is to round-off
     x = f.grid.nodes
     K = op.truncation_K
     out = np.zeros(f.grid.n)
@@ -106,7 +107,8 @@ def test_gauss_chain_apply_matches_chunked_branch_loop_bitwise():
         out += np.sum(w * f.eval((1.0 / (ns + x[None, :])).ravel()).reshape(w.shape), axis=0)
     expected = out / (1.0 - (1.0 + x) / (K + 1.0 + x))
     s = MarkovSampler(op, gauss_ppf)
-    assert np.array_equal(chain_apply(s, f).values, expected)
+    got = chain_apply(s, f).values
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # ---------------------------------------------------------------------------

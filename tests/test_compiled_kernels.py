@@ -1,0 +1,362 @@
+"""The compiled Gauss branch sum and the sparse cell flows against the
+constructions they replaced, which are kept here as references: the chunked
+``GridFunction.eval`` loop of the Gauss sums, the per-column overlap loop of
+the Gauss flow, and the dense ``np.add.at`` overlap spreading of the branch
+and circle-filter flows."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transferchain import operators
+from transferchain.grids import DiscreteMeasure, Grid, GridFunction, stream_rng
+from transferchain.invariant import UlamMatrix, affine_ifs, halving_ifs
+from transferchain.operators import (
+    BranchSystem,
+    CircleFilterOperator,
+    GaussOperator,
+    apply_gauss,
+    apply_gauss_at,
+    bernoulli_support,
+    bernoulli_system,
+    cell_flow_matrix,
+    circle_filter_system,
+    doubling_system,
+    gauss_kernel_probs,
+    gauss_operator,
+    logistic_system,
+    parametric_system,
+    random_control_system,
+)
+from transferchain.wavelets import haar_filter, stretched_box_filter
+
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# references: the constructions before compilation
+# ---------------------------------------------------------------------------
+
+def _chunked_branch_sum(op, f, x, term, chunk=4096):
+    out = np.zeros(x.size)
+    K = op.truncation_K
+    for start in range(1, K + 1, chunk):
+        ns = np.arange(start, min(start + chunk, K + 1), dtype=float)[:, None]
+        denom = ns + x[None, :]
+        out += np.sum(term(ns, denom, f.eval((1.0 / denom).ravel()).reshape(denom.shape)),
+                      axis=0)
+    return out
+
+
+def _reference_apply(op, f, x):
+    out = _chunked_branch_sum(op, f, x, lambda ns, denom, v: v / denom**2)
+    if op.tail_mode == "integral":
+        out += float(f.values[0]) / (op.truncation_K + x + 0.5)
+    return out
+
+
+def _reference_chain_apply(op, f):
+    x = f.grid.nodes
+    out = _chunked_branch_sum(op, f, x, lambda ns, denom, v:
+                              gauss_kernel_probs(x[None, :], ns) * v)
+    return out / (1.0 - (1.0 + x) / (op.truncation_K + 1.0 + x))
+
+
+def _reference_gauss_flow(op, grid, raw):
+    n = grid.n
+    M = np.zeros((n, n))
+    edges_l, edges_r, x = grid.edges[:-1], grid.edges[1:], grid.nodes
+    ns = np.arange(1, op.truncation_K + 1, dtype=float)
+    for j in range(n):
+        w = (ns + x[j]) ** -2.0 if raw else gauss_kernel_probs(x[j], ns)
+        a = 1.0 / (ns + edges_r[j])
+        b = 1.0 / (ns + edges_l[j])
+        k0 = np.floor((a - grid.lower) / grid.dx).astype(int)
+        k1 = np.floor((b - grid.lower) / grid.dx - 1e-15).astype(int)
+        k1 = np.maximum(k1, k0)
+        width = b - a
+        same = k0 == k1
+        M[:, j] += np.bincount(np.clip(k0[same], 0, n - 1), weights=w[same], minlength=n)
+        split = ~same
+        if np.any(split):
+            cut = grid.lower + k1[split] * grid.dx
+            fr_hi = np.clip((b[split] - cut) / width[split], 0.0, 1.0)
+            M[:, j] += np.bincount(np.clip(k1[split], 0, n - 1),
+                                   weights=w[split] * fr_hi, minlength=n)
+            M[:, j] += np.bincount(np.clip(k0[split], 0, n - 1),
+                                   weights=w[split] * (1 - fr_hi), minlength=n)
+    return np.clip(M, 0.0, None)
+
+
+def _dense_spread(M, col_weights, a, b, grid):
+    n, dx, lo = grid.n, grid.dx, grid.lower
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    width = b - a
+    tiny = width <= 1e-15 * grid.width
+    if np.any(tiny):
+        mids = grid.cell_index(0.5 * (a + b))
+        np.add.at(M, (mids[tiny], np.nonzero(tiny)[0]), col_weights[tiny])
+    live = ~tiny
+    if not np.any(live):
+        return
+    j_idx = np.nonzero(live)[0]
+    a, b, w, width = a[live], b[live], col_weights[live], width[live]
+    k0 = np.floor((a - lo) / dx).astype(int)
+    k1 = np.floor((b - lo) / dx - 1e-15).astype(int)
+    for s in range(int(np.max(k1 - k0)) + 1):
+        k = k0 + s
+        left = lo + k * dx
+        overlap = np.minimum(b, left + dx) - np.maximum(a, left)
+        frac = np.clip(overlap, 0.0, None) / width
+        k_t = np.mod(k, n) if grid.domain_kind == "circle" else np.clip(k, 0, n - 1)
+        nz = frac > 0
+        if np.any(nz):
+            np.add.at(M, (k_t[nz], j_idx[nz]), w[nz] * frac[nz])
+
+
+def _reference_branch_flow(bs, grid):
+    M = np.zeros((grid.n, grid.n))
+    probs = bs.weight_matrix(grid.nodes)
+    for i, tau in enumerate(bs.branches):
+        a = np.asarray(tau(grid.edges[:-1]), dtype=float)
+        b = np.asarray(tau(grid.edges[1:]), dtype=float)
+        if grid.domain_kind == "circle":
+            base = grid.wrap(a)
+            b = base + (b - a)
+            a = base
+        _dense_spread(M, probs[i], a, b, grid)
+    return np.clip(M, 0.0, None)
+
+
+def _reference_filter_flow(op, grid):
+    M = np.zeros((grid.n, grid.n))
+    N = op.N
+    t = (grid.nodes - grid.lower) / grid.width
+    for k in range(N):
+        w = op.filt.m0_sq((t + k) / N) / N
+        a = grid.lower + ((grid.edges[:-1] - grid.lower) / N + k * grid.width / N)
+        _dense_spread(M, w, a, a + grid.dx / N, grid)
+    return np.clip(M, 0.0, None)
+
+
+def _same_bytes(flow, dense):
+    view = np.asarray(flow)
+    return view.shape == dense.shape and view.tobytes() == dense.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# test functions, including ones whose end-strip clamp binds
+# ---------------------------------------------------------------------------
+
+KINDS = ("x^2", "nonnegative with zeros", "nonpositive", "mixed sign")
+
+
+def _test_function(kind, grid, seed):
+    rng = stream_rng(seed, 0)
+    if kind == "x^2":
+        return GridFunction.from_callable(grid, lambda x: x**2)
+    v = rng.random(grid.n)
+    if kind == "nonnegative with zeros":
+        v[rng.random(grid.n) < 0.3] = 0.0
+        v[:2] = (0.0, v[1] + 0.5)  # the left end strip extrapolates below 0
+    elif kind == "nonpositive":
+        v = -v
+        v[-2:] = (-1.0, 0.0)  # the right end strip extrapolates above 0
+    else:
+        v = v - 0.5
+    return GridFunction(grid, v)
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+sizes = st.tuples(st.integers(2, 700), st.integers(2, 3000), st.integers(0, 10_000))
+
+
+@SETTINGS
+@given(sizes, st.sampled_from(KINDS), st.sampled_from(("integral", "ignore")))
+def test_compiled_gauss_apply_matches_chunked_eval_loop(size, kind, tail_mode):
+    n, K, seed = size
+    op = GaussOperator(truncation_K=K, tail_mode=tail_mode)
+    f = _test_function(kind, Grid(0.0, 1.0, n), seed)
+    assert _close(apply_gauss(op, f).values, _reference_apply(op, f, f.grid.nodes))
+    assert _close(op.chain_apply(f).values, _reference_chain_apply(op, f))
+
+
+@SETTINGS
+@given(sizes, st.sampled_from(KINDS))
+def test_gauss_apply_at_points_matches_chunked_eval_loop(size, kind):
+    n, K, seed = size
+    op = gauss_operator(K=K)
+    f = _test_function(kind, Grid(0.0, 1.0, n), seed)
+    x = np.concatenate(([0.0, 1.0], stream_rng(seed, 1).random(5)))
+    assert _close(apply_gauss_at(op, f, x), _reference_apply(op, f, x))
+
+
+def test_end_strip_clamp_binds_in_the_examples():
+    # these functions make eval's sign clamp bind in an end strip: the
+    # unclamped branch sum misses eval's by far more than the 1e-12 the
+    # compiled sum is held to, so the clamp correction is needed
+    g = Grid(0.0, 1.0, 64)
+    op = GaussOperator(truncation_K=500, tail_mode="ignore")
+    x = g.nodes
+    for kind in KINDS[:3]:
+        f = _test_function(kind, g, 3)
+        want = _reference_apply(op, f, x)
+        unclamped = sum(f.linear(1.0 / (k + x)) / (k + x) ** 2
+                        for k in range(1, op.truncation_K + 1))
+        assert np.max(np.abs(unclamped - want)) > 1e-9 * np.max(np.abs(want))
+        assert _close(apply_gauss(op, f).values, want)
+
+
+@SETTINGS
+@given(sizes, st.sampled_from(("nonnegative with zeros", "spike")))
+def test_gauss_positivity_is_exact(size, kind):
+    n, K, seed = size
+    op = gauss_operator(K=K)
+    g = Grid(0.0, 1.0, n)
+    if kind == "spike":
+        # only node n-2: at x near 0 the one image that reaches it is in the
+        # right end strip, where the clamp correction cancels it to round-off
+        v = np.zeros(n)
+        v[n - 2] = 1.0 + stream_rng(seed, 2).random()
+        f = GridFunction(g, v)
+    else:
+        f = _test_function(kind, g, seed)
+    assert np.min(apply_gauss(op, f).values) >= 0.0
+    assert np.min(op.chain_apply(f).values) >= 0.0
+    assert np.min(apply_gauss_at(op, f, np.array([0.0, 0.5, 1.0]))) >= 0.0
+
+
+def test_equal_operators_share_one_compiled_matrix():
+    compiled = operators._gauss_compiled
+    g = Grid(0.0, 1.0, 96)
+    f = GridFunction.from_callable(g, lambda x: x)
+    apply_gauss(gauss_operator(K=777), f)
+    hits = compiled.cache_info().hits
+    apply_gauss(gauss_operator(K=777), f)
+    gauss_operator(K=777, tail_mode="ignore").chain_apply(f)
+    assert compiled.cache_info().hits == hits + 2
+
+
+def test_compiled_gauss_apply_memory_is_bounded():
+    """Memory stays bounded as ``grid_n`` grows: the first Gauss apply at
+    n = 4096 and K = 10^4 (the build of its matrix) peaks under 128 MB of
+    traced allocations; the branch-by-node loop it replaced peaked over 1 GB."""
+    operators._gauss_compiled.cache_clear()
+    g = Grid(0.0, 1.0, 4096)
+    f = GridFunction.from_callable(g, lambda x: x)
+    tracemalloc.start()
+    try:
+        apply_gauss(gauss_operator(K=10_000), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        operators._gauss_compiled.cache_clear()
+    assert peak < 128 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# sparse flows
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.integers(2, 700), st.integers(2, 3000), st.booleans(),
+       st.sampled_from(((0.0, 1.0), (0.0, 2.0), (0.3, 1.0), (-0.5, 1.5))))
+def test_gauss_flow_matches_column_loop_bytes(n, K, raw, interval):
+    # on intervals other than [0, 1] the columns of one block reach cell 0
+    # at different branches
+    g = Grid(*interval, n)
+    op = gauss_operator(K=K)
+    assert _same_bytes(cell_flow_matrix(op, g, raw=raw), _reference_gauss_flow(op, g, raw))
+
+
+BRANCH_SYSTEMS = (
+    ("doubling", lambda g: doubling_system(g)),
+    ("logistic", lambda g: logistic_system(g)),
+    ("parametric", lambda g: parametric_system(g, 0.3)),
+    ("halving", lambda g: halving_ifs(g)),
+    ("place-dependent", lambda g: BranchSystem(
+        grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
+        weights=[lambda x: x, lambda x: 1.0 - x])),
+)
+
+
+@SETTINGS
+@given(st.integers(2, 700), st.sampled_from(BRANCH_SYSTEMS), st.booleans())
+def test_branch_flow_matches_dense_spreading_bytes(n, system, circle):
+    name, make = system
+    if circle and name not in ("doubling", "halving"):
+        circle = False
+    g = Grid(0.0, 1.0, n, "circle" if circle else "interval")
+    bs = make(g)
+    assert _same_bytes(cell_flow_matrix(bs, g), _reference_branch_flow(bs, g))
+
+
+@SETTINGS
+@given(st.integers(2, 400), st.floats(0.3, 0.9))
+def test_overlapping_ifs_flow_matches_dense_spreading_bytes(n, a):
+    s = bernoulli_support(a)
+    g = Grid(-s, s, n)
+    ifs = bernoulli_system(g, a)
+    assert _same_bytes(cell_flow_matrix(ifs, g), _reference_branch_flow(ifs, g))
+    # three maps with overlapping images: three masses meet in one cell,
+    # so the order in which they are added shows in the bits
+    g1 = Grid(0.0, 1.0, n)
+    three = affine_ifs(g1, slopes=[0.5, 0.45, 0.4], shifts=[0.0, 0.02, 0.05],
+                       probs=[0.3, 0.3, 0.4])
+    assert _same_bytes(cell_flow_matrix(three, g1), _reference_branch_flow(three, g1))
+
+
+@SETTINGS
+@given(st.integers(1, 200), st.sampled_from(("haar", "box-3")))
+def test_circle_filter_flows_match_dense_spreading_bytes(m, filt_name):
+    filt = haar_filter() if filt_name == "haar" else stretched_box_filter(3)
+    g = Grid(0.0, 1.0, filt.N * m, "circle")
+    op = CircleFilterOperator(filt.N, filt)
+    assert _same_bytes(cell_flow_matrix(op, g), _reference_filter_flow(op, g))
+    system = circle_filter_system(g, filt)
+    assert _same_bytes(cell_flow_matrix(system, g), _reference_branch_flow(system, g))
+
+
+def test_sparse_flow_products_match_dense():
+    g = Grid(0.0, 1.0, 300)
+    M = cell_flow_matrix(gauss_operator(K=2000), g)
+    dense = np.asarray(M)
+    w = stream_rng(5, 0).random(g.n)
+    assert np.allclose(M @ w, dense @ w, rtol=1e-13, atol=0.0)
+    assert np.allclose(w @ M, w @ dense, rtol=1e-13, atol=0.0)
+    # column sums in row order add exactly as the dense column sums
+    assert np.array_equal(np.ones(g.n) @ M, dense.sum(axis=0))
+    assert M.min() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# dense random-control flow and quadrature
+# ---------------------------------------------------------------------------
+
+def test_ulam_matrix_keeps_the_callers_array():
+    g = Grid(0.0, 1.0, 8)
+    e = np.eye(8)
+    m = UlamMatrix(g, e)
+    assert m.entries is e and e.flags.writeable
+    assert np.array_equal(m.push(DiscreteMeasure(g, np.full(8, 0.125))),
+                          np.full(8, 0.125))
+    bad = np.eye(8)
+    bad[0, 1] = -1e-13
+    with pytest.raises(ValueError, match="negative"):
+        UlamMatrix(g, bad)
+
+
+def test_control_quadrature_is_computed_once_and_read_only():
+    g = Grid(0.0, 1.0, 16)
+    a, b = random_control_system(g, n_control=37), random_control_system(g, n_control=37)
+    assert a.u_nodes is b.u_nodes and a.u_weights is b.u_weights
+    assert not a.u_nodes.flags.writeable and not a.u_weights.flags.writeable
+    nodes, wts = np.polynomial.legendre.leggauss(37)
+    assert np.array_equal(a.u_nodes, 0.5 * (nodes + 1.0))
+    assert np.array_equal(a.u_weights, 0.5 * wts)

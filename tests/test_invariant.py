@@ -51,7 +51,7 @@ def test_ulam_doubling_two_band():
     m = build_ulam(doubling_system(g), g)
     assert np.max(np.abs(m.column_sums - 1.0)) == 0.0
     for j in range(8):
-        col = m.entries[:, j]
+        col = np.asarray(m.entries)[:, j]
         nz = np.nonzero(col)[0]
         assert list(nz) == sorted({j // 2, (j + 8) // 2})
         assert np.allclose(col[nz], 0.5)

@@ -338,7 +338,7 @@ def test_decreasing_branch_spreads_over_its_image():
     # branch (1 - sqrt(1-x))/2 and to [1/2, 1/2 + 1/16] under the other: each
     # image covers four cells, and each branch carries weight 1/2
     g = Grid(0.0, 1.0, 64)
-    col = cell_flow_matrix(logistic_system(g), g)[:, 63]
+    col = np.asarray(cell_flow_matrix(logistic_system(g), g))[:, 63]
     assert np.allclose(col[28:36], 0.125, rtol=0, atol=1e-12)
     assert np.sum(col[28:36]) == pytest.approx(1.0, abs=1e-12)
     assert np.all(col[:28] == 0.0) and np.all(col[36:] == 0.0)
