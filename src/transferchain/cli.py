@@ -38,6 +38,8 @@ from .grids import (
 from .verify import CheckResult
 
 SUITE_CHOICES = ("operators", "chains", "solenoid", "wavelet", "schur", "all")
+FAULT_CHOICES = ("mis-normalized-filter",)
+SCHUR_GRAMMAR = "constant:C, blaschke:Z1[,Z2..] or random:R[,DEPTH]"
 
 INVARIANT_SYSTEMS = ("gauss", "doubling", "random-control", "logistic", "halving")
 SIMULATE_SYSTEMS = ("doubling", "random-control", "parametric-u", "gauss",
@@ -309,20 +311,29 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def _parse_schur_spec(spec: str):
+    """(form, argument) of a --schur-spec.  A spec that does not parse, or
+    whose values leave a Schur function's domain (|C| <= 1, zeros |Z| < 1,
+    radius 0 <= R < 1, DEPTH >= 1), is an error."""
     form, _, arg = spec.partition(":")
-    if form == "constant":
-        return "constant", [complex(arg or "0")]
-    if form == "blaschke":
-        zeros = [complex(tok) for tok in arg.split(",") if tok]
-        if not zeros:
-            raise SystemExit("blaschke spec needs at least one zero")
-        return "blaschke", zeros
-    if form == "random":
-        toks = arg.split(",") if arg else []
-        radius = float(toks[0]) if toks else 0.5
-        depth = int(toks[1]) if len(toks) > 1 else 8
-        return "random", (radius, depth)
-    raise SystemExit("schur spec must be constant:C, blaschke:Z1[,Z2..] or random:R[,DEPTH]")
+    toks = arg.split(",") if arg else []
+    try:
+        if form == "constant" and abs(c := complex(arg or "0")) <= 1.0:
+            return "constant", [c]
+        if form == "blaschke":
+            zeros = [complex(tok) for tok in toks if tok]
+            if not zeros:
+                raise SystemExit("blaschke spec needs at least one zero")
+            if max(map(abs, zeros)) < 1.0:
+                return "blaschke", zeros
+        if form == "random" and len(toks) <= 2:
+            radius = float(toks[0]) if toks else 0.5
+            depth = int(toks[1]) if len(toks) > 1 else 8
+            if 0.0 <= radius < 1.0 and depth >= 1:
+                return "random", (radius, depth)
+    except ValueError:
+        pass
+    raise SystemExit(f"--schur-spec {spec!r}: schur spec must be {SCHUR_GRAMMAR}, "
+                     "with |C| <= 1, |Z| < 1, 0 <= R < 1 and DEPTH >= 1")
 
 
 def cmd_schur(config: RunConfig) -> int:
@@ -405,12 +416,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp_ver)
     sp_ver.add_argument("--suite", choices=SUITE_CHOICES, default=None)
     sp_ver.add_argument("--inject-fault", default=None,
-                        choices=["mis-normalized-filter"],
+                        choices=FAULT_CHOICES,
                         help="diagnostic fault injection for testing the harness")
     sp_sch = sub.add_parser("schur", help="Schur parameter extraction")
     common(sp_sch)
     sp_sch.add_argument("--schur-spec", default=None,
-                        help="constant:C | blaschke:Z1[,Z2..] | random:RADIUS[,DEPTH]")
+                        help=SCHUR_GRAMMAR)
     return p
 
 
@@ -425,6 +436,17 @@ def _size(flag_value, file_cfg: dict, key: str, default: int, least: int) -> int
         raise SystemExit(f"--{flag} / {key} must be an integer, got {value!r}") from None
     if value < least:
         raise SystemExit(f"--{flag} / {key} must be >= {least}, got {value}")
+    return value
+
+
+def _choice(flag_value, file_cfg: dict, key: str, default: str, choices) -> str:
+    """A named setting from its flag, else the config file, else the
+    default; a value that is neither the default nor one of ``choices`` is
+    an error, as it is for the flag."""
+    value = flag_value if flag_value is not None else file_cfg.get(key, default)
+    if value != default and value not in choices:
+        raise SystemExit(f"--{key.replace('_', '-')} / {key} must be one of "
+                         f"{list(choices)}, got {value!r}")
     return value
 
 
@@ -452,6 +474,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not value:
             raise SystemExit(f"--param needs KEY=VALUE, got {item!r}")
         params[key] = value
+    if params and args.command in ("verify", "schur"):
+        raise SystemExit(f"{args.command} takes no --param, got {sorted(params)}")
     allowed = _ALLOWED_PARAMS.get(cfg.system)
     if allowed is not None:
         unknown = set(params) - set(allowed)
@@ -468,9 +492,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                                  f"got {value!r}") from None
     cfg.params = params
     if args.command == "verify":
-        cfg.suite = getattr(args, "suite", None) or file_cfg.get("suite", "all")
-        cfg.inject_fault = getattr(args, "inject_fault", None) or \
-            file_cfg.get("inject_fault", "")
+        cfg.suite = _choice(args.suite, file_cfg, "suite", "all", SUITE_CHOICES)
+        cfg.inject_fault = _choice(args.inject_fault, file_cfg, "inject_fault", "",
+                                   FAULT_CHOICES)
     if args.command == "schur":
         cfg.schur_spec = getattr(args, "schur_spec", None) or file_cfg.get("schur_spec", "")
     return cfg

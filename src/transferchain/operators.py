@@ -151,12 +151,12 @@ def _flow_from_entries(n: int, entries) -> CSCMatrix:
     return _flow(n, blocks())
 
 
-def _gauss_blocks(K: int, m: int, n: int):
+def _gauss_blocks(K: int, m: int, n: int, size: int = _BLOCK):
     """Blocks of the m points x K branches of a Gauss sum over an n-cell
-    grid, each of at most _BLOCK (point, branch) pairs and _BLOCK // n
+    grid, each of at most ``size`` (point, branch) pairs and _BLOCK // n
     points (one point at least): yields (point slice, branch-number chunks)."""
-    points = max(1, min(_BLOCK // K, _BLOCK // n))
-    step = min(K, _BLOCK)
+    points = max(1, min(size // K, _BLOCK // n))
+    step = min(K, size)
     for p0 in range(0, m, points):
         yield (slice(p0, min(p0 + points, m)),
                (np.arange(k, min(k + step, K + 1), dtype=float)
@@ -319,25 +319,20 @@ class ControlledSystem:
     chain_apply = apply  # the chain's one-step operator is R itself
 
     def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
-        """Exact cell masses from ``transition_cdf`` when given (its table
-        built a block of source cells at a time), else each midpoint's
-        quadrature images as point masses; a dense array, clipped at 0 in
-        place."""
+        """Exact cell masses from ``transition_cdf``, its table built a block
+        of source cells at a time; a dense array, clipped at 0 in place."""
         if self.grid != grid:
             raise GridMismatchError("operator grid differs from requested grid")
+        if self.transition_cdf is None:
+            raise ValueError(f"{self.name or 'the controlled system'} has no "
+                             "transition_cdf, so no cell flow")
         n, mids = grid.n, grid.nodes
-        if self.transition_cdf is not None:
-            M = np.empty((n, n))
-            width = max(1, _BLOCK // (n + 1))
-            for c0 in range(0, n, width):
-                cols = slice(c0, c0 + width)
-                cdf = self.transition_cdf(mids[None, cols], grid.edges[:, None])
-                M[:, cols] = np.diff(np.asarray(cdf, dtype=float), axis=0)
-        else:
-            M = np.zeros((n, n))
-            for i, u, c in self._controls():
-                y = np.asarray(self.F(mids, i, u), dtype=float)
-                np.add.at(M, (grid.cell_index(y), np.arange(n)), c)
+        M = np.empty((n, n))
+        width = max(1, _BLOCK // (n + 1))
+        for c0 in range(0, n, width):
+            cols = slice(c0, c0 + width)
+            cdf = self.transition_cdf(mids[None, cols], grid.edges[:, None])
+            M[:, cols] = np.diff(np.asarray(cdf, dtype=float), axis=0)
         return np.maximum(M, 0.0, out=M)
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -434,68 +429,39 @@ class GaussOperator:
 
     def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
         """Each source cell's images 1/(n + cell), weighted by the chain
-        kernel at its midpoint, or by the raw (n+x)^-2 when ``raw``.  On
-        [0, 1] an image is narrower than a cell, so it meets one or two."""
+        kernel at its midpoint, or by the raw (n+x)^-2 when ``raw``, and
+        spread by ``_spread_interval``.  An image that lies in cell 0 whole
+        adds its weight there; past about n branches that is most of them."""
         if grid.domain_kind != "interval":
             raise GridMismatchError("Gauss operator lives on an interval grid")
-        n, lo, dx, K = grid.n, grid.lower, grid.dx, self.truncation_K
-
-        def cells(ns, left, right):
-            """Image ends a < b and the cells k0 <= k1 that hold them."""
-            a = 1.0 / (ns + right)
-            b = 1.0 / (ns + left)
-            k0 = np.floor((a - lo) / dx).astype(int)
-            return a, b, k0, np.maximum(np.floor((b - lo) / dx - 1e-15).astype(int), k0)
-
-        def cell_zero_from(left, right):
-            """Per column, the first branch from which every image lies in
-            cell 0 whole (K + 1 if none), by bisection: the images, and so
-            k0 and k1, fall along the branches."""
-            first, last = np.ones(left.shape), np.full(left.shape, float(K))
-            _, _, k0, k1 = cells(last, left, right)
-            none = (k0 != 0) | (k1 != 0)
-            first[none] = last[none] = K + 1.0
-            while np.any(first < last):
-                mid = np.floor(0.5 * (first + last))
-                inside = cells(mid, left, right)[3] == 0
-                last = np.where(inside, mid, last)
-                first = np.where(inside, first, mid + 1.0)
-            return first
+        n, K, edge = grid.n, self.truncation_K, grid.lower + grid.dx
+        nodes, edges = grid.nodes, grid.edges
 
         def weights(x, ns):
             return (ns + x) ** -2.0 if raw else gauss_kernel_probs(x, ns)
 
         def blocks():
-            for cols, branch_chunks in _gauss_blocks(K, n, n):
-                x = grid.nodes[cols, None]
-                left, right = grid.edges[:-1][cols, None], grid.edges[1:][cols, None]
-                tail = cell_zero_from(left, right)
-                base = n * np.arange(x.size)[:, None]
-                acc = np.zeros(x.size * n)
+            # spreading an image takes about twice the temporaries of a
+            # compiled sum's term, so the blocks are half as large; at full
+            # size the n = 4096 build left 6 MB more heap resident
+            for cols, branch_chunks in _gauss_blocks(K, n, n, _BLOCK // 2):
+                x = nodes[cols, None]
+                left, right = edges[:-1][cols, None], edges[1:][cols, None]
+                # from this branch on, every image 1/(branch + left) of the
+                # block is below 1/(1/edge + 1) < edge, in cell 0 whole: a
+                # margin of one branch over the round-off of the images
+                tail_from = np.floor(1.0 / edge - left[0, 0]) + 2.0 if edge > 0 else np.inf
+                entries = []
                 for ns in branch_chunks:
-                    # an image in cell 0 whole adds its weight there, in
-                    # branch order; the 0.0 added before a column's first one
-                    # leaves the sum as it is
-                    ns_tail = ns[ns >= tail.min()]
-                    if ns_tail.size:
-                        w = np.where(ns_tail >= tail, weights(x, ns_tail), 0.0)
-                        acc[base[:, 0]] += np.cumsum(w, axis=1)[:, -1]
-                    ns = ns[ns < tail.max()]
-                    w = weights(x, ns)
-                    a, b, k0, k1 = cells(ns, left, right)
-                    split = k0 != k1
-                    # so does an image inside one other cell; the 0.0 added
-                    # for a split image or a tail one leaves the sums as
-                    # they are
-                    acc += np.bincount((base + np.clip(k0, 0, n - 1)).ravel(),
-                                       np.where(split | (ns >= tail), 0.0, w).ravel(),
-                                       acc.size)
-                    at = np.broadcast_to(base, split.shape)[split]
-                    w, a, b, k0, k1 = w[split], a[split], b[split], k0[split], k1[split]
-                    fr_hi = np.clip((b - (lo + k1 * dx)) / (b - a), 0.0, 1.0)
-                    acc += np.bincount(at + np.clip(k1, 0, n - 1), w * fr_hi, acc.size)
-                    acc += np.bincount(at + np.clip(k0, 0, n - 1), w * (1 - fr_hi), acc.size)
-                yield acc[None, :]
+                    ns, tail = ns[ns < tail_from], ns[ns >= tail_from]
+                    entries.append((np.zeros(x.size, dtype=int), np.arange(x.size),
+                                    weights(x, tail).sum(axis=1)))
+                    rows, j, vals = _spread_interval(weights(x, ns).ravel(),
+                                                     (1.0 / (ns + right)).ravel(),
+                                                     (1.0 / (ns + left)).ravel(), grid)
+                    entries.append((rows, j // ns.size, vals))
+                rows, col, vals = map(np.concatenate, zip(*entries))
+                yield np.bincount(col * n + rows, vals, minlength=x.size * n)[None, :]
 
         return _flow(n, blocks())
 
@@ -746,26 +712,28 @@ def _spread_interval(col_weights, a, b, grid: Grid):
     n, dx, lo = grid.n, grid.dx, grid.lower
     a, b = np.minimum(a, b), np.maximum(a, b)
     width = b - a
+    j_idx, w = np.arange(a.size), col_weights
     tiny = width <= 1e-15 * grid.width
-    j_tiny = np.nonzero(tiny)[0]
-    entries = [(grid.cell_index(0.5 * (a + b))[tiny], j_tiny, col_weights[tiny])]
-    live = ~tiny
-    if not np.any(live):
-        return tuple(map(np.concatenate, zip(*entries)))
-    j_idx = np.nonzero(live)[0]
-    a, b, w, width = a[live], b[live], col_weights[live], width[live]
-    k0 = np.floor((a - lo) / dx).astype(int)
+    entries = [(grid.cell_index(0.5 * (a[tiny] + b[tiny])), j_idx[tiny], w[tiny])]
+    if np.any(tiny):
+        live = ~tiny
+        a, b, w, width, j_idx = a[live], b[live], w[live], width[live], j_idx[live]
+    k = np.floor((a - lo) / dx).astype(int)
     k1 = np.floor((b - lo) / dx - 1e-15).astype(int)
-    span = int(np.max(k1 - k0)) + 1
-    for s in range(span):
-        k = k0 + s
+    for s in range(int(np.max(k1 - k, initial=0)) + 1):
+        if s:
+            # an image that ends left of cell k's left edge has no part in
+            # it, nor in any cell further right
+            k = k + 1
+            reach = b > lo + k * dx
+            a, b, w, width, j_idx, k = (v[reach] for v in (a, b, w, width, j_idx, k))
         left = lo + k * dx
         overlap = np.minimum(b, left + dx) - np.maximum(a, left)
-        frac = np.clip(overlap, 0.0, None) / width
+        frac = np.maximum(overlap, 0.0) / width
         if grid.domain_kind == "circle":
             k_t = np.mod(k, n)
         else:
-            k_t = np.clip(k, 0, n - 1)
+            k_t = np.minimum(np.maximum(k, 0), n - 1)
         nz = frac > 0
         entries.append((k_t[nz], j_idx[nz], w[nz] * frac[nz]))
     return tuple(map(np.concatenate, zip(*entries)))
@@ -778,9 +746,11 @@ def cell_flow_matrix(op, grid: Grid, raw: bool = False):
     random-control flow; either acts through ``M @ w`` and ``v @ M``.
 
     Branch images of each source cell are spread over target cells by exact
-    interval overlap.  The Gauss operator uses its density-normalized
-    kernel with the truncation deficit left in place; ``raw=True`` switches
-    to the plain (n+x)^-2 weights, whose dual fixes Lebesgue measure.
+    interval overlap (``_spread_interval``); the random-control flow is an
+    exact difference of its transition CDF.  The Gauss operator uses its
+    density-normalized kernel with the truncation deficit left in place;
+    ``raw=True`` switches to the plain (n+x)^-2 weights, whose dual fixes
+    Lebesgue measure.
     """
     return op.flow(grid, raw)
 

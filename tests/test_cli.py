@@ -206,6 +206,40 @@ def test_bad_param_or_seed_rejected(tmp_path, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("inject_fault", "bogus",
+     r"inject-fault / inject_fault must be one of \['mis-normalized-filter'\], got 'bogus'"),
+    ("suite", "nope", r"suite / suite must be one of \[.*\], got 'nope'"),
+])
+def test_bad_verify_config_rejected(tmp_path, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit, match=message):
+        run(tmp_path, "verify", "--config", str(cfg))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "schur"],
+    ["schur", "--schur-spec", "constant:0.3"],
+])
+def test_param_on_command_without_parameters_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit, match=r"takes no --param, got \['K'\]"):
+        run(tmp_path, *argv, "--param", "K=5")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    "random:abc", "random:0.5,0", "random:0.5,2.5", "random:1.5", "random:0.5,8,3",
+    "constant:abc", "constant:2", "blaschke:abc", "blaschke:0.5,1", "moebius:0.5",
+])
+def test_bad_schur_spec_rejected(tmp_path, spec):
+    with pytest.raises(SystemExit, match="schur spec must be constant:C, "
+                                         r"blaschke:Z1\[,Z2..\] or random:R\[,DEPTH\]"):
+        run(tmp_path, "schur", "--schur-spec", spec)
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_params_typed_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "gauss", "param": {"K": 2.5}}))

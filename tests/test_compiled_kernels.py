@@ -1,8 +1,8 @@
 """The compiled Gauss branch sum and the sparse cell flows against the
 constructions they replaced, which are kept here as references: the chunked
-``GridFunction.eval`` loop of the Gauss sums, the per-column overlap loop of
-the Gauss flow, and the dense ``np.add.at`` overlap spreading of the branch
-and circle-filter flows."""
+``GridFunction.eval`` loop of the Gauss sums, the per-column two-cell split
+of the Gauss flow, and the dense ``np.add.at`` overlap spreading of the
+branch and circle-filter flows."""
 
 import tracemalloc
 
@@ -264,15 +264,98 @@ def test_compiled_gauss_apply_memory_is_bounded():
 # sparse flows
 # ---------------------------------------------------------------------------
 
+def _gauss_flow_tolerance(grid, K, reference):
+    """Entrywise bound on |flow - reference|, from two sources.
+
+    Cell edges: the flow's ``_spread_interval`` places a cell's edges at
+    lo + k dx and lo + k dx + dx, where the reference cuts at lo + k1 dx.
+    Both are inexact on most grids, and they differ by at most 8 roundings
+    of an edge, each at most eps E / 2, with E the largest |point| an edge
+    or an image reaches.  The difference moves an image's part by that much
+    over the image's width, times its weight; weight / width <= (1 + E) / dx
+    for both weights ((1 + x)(n + l)(n + r) / ((n + x)(n + x + 1)) and
+    (n + l)(n + r) / (n + x)^2 are at most 1 + x), and an entry holds at
+    most the two images that cross its cell's edges.
+
+    Summation: an entry sums at most K + 1 nonnegative parts, each within 2
+    roundings of the reference's, in another order than the reference,
+    which moves it by at most (K + 2) eps times itself."""
+    eps = np.finfo(float).eps
+    lo, hi = grid.lower, grid.upper
+    E = max(abs(lo), abs(hi), 1.0 / (1.0 + lo)) + grid.dx
+    return 8 * eps * E * (1.0 + E) / grid.dx + (K + 2) * eps * reference
+
+
 @SETTINGS
 @given(st.integers(2, 700), st.integers(2, 3000), st.booleans(),
        st.sampled_from(((0.0, 1.0), (0.0, 2.0), (0.3, 1.0), (-0.5, 1.5))))
-def test_gauss_flow_matches_column_loop_bytes(n, K, raw, interval):
+def test_gauss_flow_matches_column_loop(n, K, raw, interval):
     # on intervals other than [0, 1] the columns of one block reach cell 0
-    # at different branches
+    # at different branches, and some images leave the grid.  The
+    # reference splits an image between two cells, which is only right
+    # where no image is wider than a cell: images 1/(n + cell) are at most
+    # dx / ((1 + left)(1 + right)) wide, so left of 0 the first ones are not
     g = Grid(*interval, n)
     op = gauss_operator(K=K)
-    assert _same_bytes(cell_flow_matrix(op, g, raw=raw), _reference_gauss_flow(op, g, raw))
+    want = _reference_gauss_flow(op, g, raw)
+    got = np.asarray(cell_flow_matrix(op, g, raw=raw))
+    narrow = (1.0 + g.edges[:-1]) * (1.0 + g.edges[1:]) >= 1.0
+    assert np.all((np.abs(got - want) <= _gauss_flow_tolerance(g, K, want))[:, narrow])
+
+
+def test_gauss_flow_spreads_wide_images_by_overlap():
+    # left of 0 the images of the first branches cross several cells; each
+    # cell gets the weight times its share of the image, the end cells also
+    # what lies beyond the grid
+    g = Grid(-0.5, 1.5, 13)
+    K = 3
+    want = np.zeros((g.n, g.n))
+    inner = g.edges[1:-1]
+    for j, (left, right, x) in enumerate(zip(g.edges[:-1], g.edges[1:], g.nodes)):
+        for k in range(1, K + 1):
+            a, b = 1.0 / (k + right), 1.0 / (k + left)
+            cut = np.concatenate(([min(a, g.lower)], inner, [max(b, g.upper)]))
+            share = np.clip(np.minimum(b, cut[1:]) - np.maximum(a, cut[:-1]), 0.0, None)
+            want[:, j] += gauss_kernel_probs(x, k) * share / (b - a)
+    got = np.asarray(cell_flow_matrix(gauss_operator(K=K), g))
+    # entries below 1, each a sum of at most K + 1 parts within a few
+    # roundings: 1e-14 is about 45 eps
+    assert np.max(np.abs(got - want)) <= 1e-14
+    # the two-cell split put more than 0.1 of some column's mass in a wrong cell
+    assert np.max(np.abs(_reference_gauss_flow(gauss_operator(K=K), g, False) - want)) > 0.1
+
+
+@pytest.mark.parametrize("raw", [False, True])
+def test_gauss_flow_keeps_the_column_loop_pattern(raw):
+    # an entry the edge round-off creates or removes would show here; the
+    # default truncation at the verify grid size has none
+    g = Grid(0.0, 1.0, 512)
+    op = gauss_operator(K=10_000)
+    want = _reference_gauss_flow(op, g, raw)
+    got = np.asarray(cell_flow_matrix(op, g, raw=raw))
+    assert np.array_equal(got != 0, want != 0)
+    assert np.all(np.abs(got - want) <= _gauss_flow_tolerance(g, 10_000, want))
+
+
+@SETTINGS
+@given(st.integers(1, 10), st.integers(2, 3000), st.booleans(),
+       st.sampled_from(((0.0, 1.0), (-0.5, 1.5))))
+def test_gauss_flow_columns_carry_the_kernel_mass(log_n, K, raw, interval):
+    # on a power-of-two grid over these intervals the cell edges are exact,
+    # and the end cells keep what lies beyond the grid, so each column holds
+    # its truncated kernel mass: a tail of cell-0 images dropped or counted
+    # twice moves it by about 1/n.  A column sums at most 2K + 1 parts over
+    # n cells, each part within 6 roundings of its share of the weight, and
+    # the mass carries a few roundings of its own.
+    g = Grid(*interval, 2**log_n)
+    x = g.nodes
+    if raw:
+        mass = np.sum((np.arange(1, K + 1, dtype=float)[:, None] + x) ** -2.0, axis=0)
+    else:
+        mass = 1.0 - (1.0 + x) / (K + 1.0 + x)
+    sums = np.ones(g.n) @ cell_flow_matrix(gauss_operator(K=K), g, raw=raw)
+    tol = (K + g.n + 16) * np.finfo(float).eps * mass
+    assert np.all(np.abs(sums - mass) <= tol)
 
 
 BRANCH_SYSTEMS = (

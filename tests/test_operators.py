@@ -125,6 +125,14 @@ def test_integral_degenerate_control():
     assert np.allclose(out.values, f.eval(g.nodes / 2.0))
 
 
+def test_controlled_flow_needs_transition_cdf():
+    g = Grid(0.0, 1.0, 16)
+    cs = ControlledSystem(grid=g, F=lambda x, i, u: x / 2.0, branch_probs=np.array([1.0]),
+                          name="halver")
+    with pytest.raises(ValueError, match="halver has no transition_cdf, so no cell flow"):
+        cs.flow(g)
+
+
 def test_controlled_validation():
     g = Grid(0.0, 1.0, 16)
     with pytest.raises(ValueError):
