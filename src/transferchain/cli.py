@@ -3,11 +3,12 @@
 Four subcommands: ``invariant`` (stationary densities via the discretized
 operator), ``simulate`` (path ensembles with per-step marginals),
 ``verify`` (named check suites), and ``schur`` (parameter extraction and
-roundtrips).  Every run writes diff-friendly CSV artifacts plus a
-``report.json`` with stable key order; all randomness flows from
-``--master-seed`` (default 9001), so reports are byte-identical across
-runs and worker counts.  Wall-clock timings go to a separate
-``timings.csv`` so they never perturb the report bytes.
+roundtrips), each taking only the flags and ``--config`` keys it reads.
+Every run writes diff-friendly CSV artifacts plus a ``report.json`` with
+stable key order; all randomness flows from ``--master-seed`` (default
+9001), so reports are byte-identical across runs and worker counts.
+Wall-clock timings go to a separate ``timings.csv`` so they never
+perturb the report bytes.
 """
 
 from __future__ import annotations
@@ -337,8 +338,6 @@ def _parse_schur_spec(spec: str):
 
 
 def cmd_schur(config: RunConfig) -> int:
-    if not config.schur_spec:
-        raise SystemExit("schur needs --schur-spec")
     form, arg = _parse_schur_spec(config.schur_spec)
     t0 = time.perf_counter()
     depth = 8
@@ -387,48 +386,50 @@ def cmd_schur(config: RunConfig) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+# command -> (runner, help, the settings it reads); each setting is its
+# config-file key, its argparse dest and, with "_" as "-", its --flag
+COMMANDS = {
+    "invariant": (cmd_invariant, "stationary density of a built-in system",
+                  ("system", "grid_n", "param")),
+    "simulate": (cmd_simulate, "sample a path ensemble",
+                 ("system", "grid_n", "paths", "steps", "threads", "param")),
+    "verify": (cmd_verify, "run a verification suite", ("suite", "inject_fault", "threads")),
+    "schur": (cmd_schur, "Schur parameter extraction", ("schur_spec",)),
+}
+SHARED = ("master_seed", "out")  # read by every command, as is --config
+
+_FLAG_OPTIONS = {  # argparse keywords of a flag; _resolve_config checks every value
+    "threads": {"help": "worker count (>= 1); sampling runs serially for now, "
+                        "and results do not depend on this value"},
+    "param": {"action": "append", "metavar": "KEY=VALUE",
+              "help": "system parameter (u, a, m, K)"},
+    "suite": {"choices": SUITE_CHOICES},
+    "inject_fault": {"choices": FAULT_CHOICES,
+                     "help": "diagnostic fault injection for testing the harness"},
+    "schur_spec": {"help": SCHUR_GRAMMAR},
+    "out": {"help": "artifact directory"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="transferchain",
         description="Markov chains from transfer operators: invariant measures, "
                     "path sampling and identity verification.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--system", "-s", default=None)
-        sp.add_argument("--grid-n", type=int, default=None)
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--master-seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker count (>= 1); sampling runs serially for now, "
-                             "and results do not depend on this value")
-        sp.add_argument("--config", default=None, help="JSON config file; flags override")
-        sp.add_argument("--out", default=None, help="artifact directory")
-        sp.add_argument("--param", action="append", default=[],
-                        metavar="KEY=VALUE", help="system parameter (u, a, m, K)")
-
-    sp_inv = sub.add_parser("invariant", help="stationary density of a built-in system")
-    common(sp_inv)
-    sp_sim = sub.add_parser("simulate", help="sample a path ensemble")
-    common(sp_sim)
-    sp_ver = sub.add_parser("verify", help="run a verification suite")
-    common(sp_ver)
-    sp_ver.add_argument("--suite", choices=SUITE_CHOICES, default=None)
-    sp_ver.add_argument("--inject-fault", default=None,
-                        choices=FAULT_CHOICES,
-                        help="diagnostic fault injection for testing the harness")
-    sp_sch = sub.add_parser("schur", help="Schur parameter extraction")
-    common(sp_sch)
-    sp_sch.add_argument("--schur-spec", default=None,
-                        help=SCHUR_GRAMMAR)
+    for command, (_, help_, settings) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_)
+        for key in settings + SHARED:
+            flags = [f"--{key.replace('_', '-')}"] + (["-s"] if key == "system" else [])
+            sp.add_argument(*flags, **_FLAG_OPTIONS.get(key, {}))
+        sp.add_argument("--config", help="JSON config file; flags override")
     return p
 
 
-def _size(flag_value, file_cfg: dict, key: str, default: int, least: int) -> int:
-    """An integer setting from its flag, else the config file, else the
+def _size(given: dict, key: str, default: int, least: int) -> int:
+    """An integer setting as given by its flag or the config file, else the
     default; a value below ``least`` is an error, never a silent fallback."""
-    value = flag_value if flag_value is not None else file_cfg.get(key, default)
+    value = given.get(key, default)
     flag = key.replace("_", "-")
     try:  # through str, so that a config float is no silent int
         value = int(str(value))
@@ -439,50 +440,65 @@ def _size(flag_value, file_cfg: dict, key: str, default: int, least: int) -> int
     return value
 
 
-def _choice(flag_value, file_cfg: dict, key: str, default: str, choices) -> str:
-    """A named setting from its flag, else the config file, else the
-    default; a value that is neither the default nor one of ``choices`` is
-    an error, as it is for the flag."""
-    value = flag_value if flag_value is not None else file_cfg.get(key, default)
-    if value != default and value not in choices:
-        raise SystemExit(f"--{key.replace('_', '-')} / {key} must be one of "
-                         f"{list(choices)}, got {value!r}")
+def _text(given: dict, key: str, default: str, choices=None) -> str:
+    """A string setting as given, else the default; any other value must be
+    one of ``choices``, or without ``choices`` a non-empty string."""
+    value = given.get(key, default)
+    valid = value in choices if choices else isinstance(value, str) and value != ""
+    if value != default and not valid:
+        expected = f"one of {list(choices)}" if choices else "a non-empty string"
+        raise SystemExit(f"--{key.replace('_', '-')} / {key} must be {expected}, "
+                         f"got {value!r}")
     return value
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = {}
+    """The run's settings: each flag, else its key in the ``--config`` file,
+    else the ``RunConfig`` default.  A file that cannot be read, is not a
+    JSON object, or sets a key the command does not read is an error."""
+    keys = COMMANDS[args.command][2] + SHARED
+    given = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - {
-            "system", "grid_n", "paths", "steps", "master_seed", "threads",
-            "suite", "out", "param", "schur_spec", "inject_fault"}
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                given = json.load(fh)
+        except (OSError, ValueError) as err:  # unreadable, or not JSON
+            raise SystemExit(f"--config {args.config}: {err}") from None
+        if not isinstance(given, dict):
+            raise SystemExit(f"--config {args.config}: must hold a JSON object, "
+                             f"got {type(given).__name__}")
+        unknown = set(given) - set(keys)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(command=args.command)
-    cfg.system = args.system or file_cfg.get("system", "")
-    cfg.grid_n = _size(args.grid_n, file_cfg, "grid_n", 512, 2)
-    cfg.n_paths = _size(args.paths, file_cfg, "paths", 100_000, 1)
-    cfg.n_steps = _size(args.steps, file_cfg, "steps", 10, 0)
-    cfg.master_seed = _size(args.master_seed, file_cfg, "master_seed", 9001, 0)
-    cfg.threads = _size(args.threads, file_cfg, "threads", os.cpu_count() or 1, 1)
-    cfg.out_dir = args.out or file_cfg.get("out", "transferchain-out")
-    params = dict(file_cfg.get("param", {}))
-    for item in args.param:
+            raise SystemExit(f"--config {args.config}: {args.command} takes no keys "
+                             f"{sorted(unknown)}; it reads {sorted(keys)}")
+    params = given.pop("param", {})
+    if not isinstance(params, dict):
+        raise SystemExit(f"--config {args.config}: param must be an object of "
+                         f"KEY: VALUE, got {params!r}")
+    flags = {key: getattr(args, key) for key in keys}
+    for item in flags.pop("param", None) or []:
         key, _, value = item.partition("=")
         if not value:
             raise SystemExit(f"--param needs KEY=VALUE, got {item!r}")
         params[key] = value
-    if params and args.command in ("verify", "schur"):
-        raise SystemExit(f"{args.command} takes no --param, got {sorted(params)}")
+    given.update((key, value) for key, value in flags.items() if value is not None)
+    cfg = RunConfig(command=args.command)
+    cfg.system = _text(given, "system", cfg.system)
+    cfg.grid_n = _size(given, "grid_n", cfg.grid_n, 2)
+    cfg.n_paths = _size(given, "paths", cfg.n_paths, 1)
+    cfg.n_steps = _size(given, "steps", cfg.n_steps, 0)
+    cfg.master_seed = _size(given, "master_seed", cfg.master_seed, 0)
+    cfg.threads = _size(given, "threads", os.cpu_count() or 1, 1)
+    cfg.out_dir = _text(given, "out", cfg.out_dir)
+    cfg.suite = _text(given, "suite", cfg.suite, SUITE_CHOICES)
+    cfg.inject_fault = _text(given, "inject_fault", cfg.inject_fault, FAULT_CHOICES)
+    cfg.schur_spec = _text(given, "schur_spec", cfg.schur_spec)
     allowed = _ALLOWED_PARAMS.get(cfg.system)
-    if allowed is not None:
+    if allowed is not None:  # an unknown system is refused by its command
         unknown = set(params) - set(allowed)
         if unknown:
-            raise SystemExit(
-                f"system {cfg.system!r} takes parameters {sorted(allowed)}; "
-                f"got unknown {sorted(unknown)}")
+            raise SystemExit(f"system {cfg.system!r} takes parameters {sorted(allowed)}; "
+                             f"got unknown {sorted(unknown)}")
         for key, value in params.items():
             typ = allowed[key]
             try:  # through str, so that a config float is no silent int
@@ -491,25 +507,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise SystemExit(f"--param {key} must be {typ.__name__}, "
                                  f"got {value!r}") from None
     cfg.params = params
-    if args.command == "verify":
-        cfg.suite = _choice(args.suite, file_cfg, "suite", "all", SUITE_CHOICES)
-        cfg.inject_fault = _choice(args.inject_fault, file_cfg, "inject_fault", "",
-                                   FAULT_CHOICES)
-    if args.command == "schur":
-        cfg.schur_spec = getattr(args, "schur_spec", None) or file_cfg.get("schur_spec", "")
     return cfg
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = _resolve_config(args)
-    if cfg.command == "invariant":
-        return cmd_invariant(cfg)
-    if cfg.command == "simulate":
-        return cmd_simulate(cfg)
-    if cfg.command == "verify":
-        return cmd_verify(cfg)
-    return cmd_schur(cfg)
+    cfg = _resolve_config(_build_parser().parse_args(argv))
+    return COMMANDS[cfg.command][0](cfg)
 
 
 if __name__ == "__main__":

@@ -230,11 +230,6 @@ class DiscreteMeasure:
         """Density view: weight / cell width."""
         return self.weights / self.grid.dx
 
-    @property
-    def cdf_at_edges(self) -> np.ndarray:
-        """Cumulative mass at the n+1 cell edges (exact for cell measures)."""
-        return np.concatenate(([0.0], np.cumsum(self.weights)))
-
     def normalize(self) -> "DiscreteMeasure":
         s = self.weights.sum()
         if s <= 0:

@@ -217,7 +217,7 @@ class BranchSystem:
         return np.stack([np.broadcast_to(np.asarray(p(x), dtype=float), x.shape)
                          for p in self.weights])
 
-    def branch_values(self, x, check: bool = True) -> np.ndarray:
+    def branch_values(self, x) -> np.ndarray:
         """Stacked branch images tau_i(x), clamped/validated against the domain."""
         x = np.asarray(x, dtype=float)
         g = self.grid
@@ -228,7 +228,7 @@ class BranchSystem:
                 y = g.wrap(y)
             else:
                 low, high = y < g.lower, y > g.upper
-                if check and (np.any(y < g.lower - 1e-12) or np.any(y > g.upper + 1e-12)):
+                if np.any(y < g.lower - 1e-12) or np.any(y > g.upper + 1e-12):
                     j = int(np.argmax((y < g.lower - 1e-12) | (y > g.upper + 1e-12)))
                     raise BranchEscapeError(
                         f"branch {i} escapes the domain at node {j}: "

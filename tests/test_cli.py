@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from transferchain.cli import main
+from transferchain.cli import _build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -223,10 +224,88 @@ def test_bad_verify_config_rejected(tmp_path, key, value, message):
     ["verify", "--suite", "schur"],
     ["schur", "--schur-spec", "constant:0.3"],
 ])
-def test_param_on_command_without_parameters_rejected(tmp_path, argv):
-    with pytest.raises(SystemExit, match=r"takes no --param, got \['K'\]"):
+def test_param_on_command_without_parameters_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
         run(tmp_path, *argv, "--param", "K=5")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --param" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# the settings each command reads; every command also takes --master-seed,
+# --out and --config
+READS = {
+    "invariant": {"--system", "-s", "--grid-n", "--param"},
+    "simulate": {"--system", "-s", "--grid-n", "--paths", "--steps", "--threads", "--param"},
+    "verify": {"--suite", "--inject-fault", "--threads"},
+    "schur": {"--schur-spec"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(READS)
+    for name, sub in commands.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == READS[name] | {"--master-seed", "--out", "--config"}, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "schur", "-s", "gauss", "--grid-n", "64", "--paths", "5"],
+    ["schur", "--schur-spec", "constant:0.3", "-s", "gauss"],
+    ["schur", "--schur-spec", "constant:0.3", "--grid-n", "64"],
+    ["schur", "--schur-spec", "constant:0.3", "--paths", "5"],
+    ["schur", "--schur-spec", "constant:0.3", "--steps", "3"],
+    ["schur", "--schur-spec", "constant:0.3", "--threads", "2"],
+    ["invariant", "-s", "doubling", "--paths", "7"],
+    ["invariant", "-s", "doubling", "--steps", "3"],
+    ["invariant", "-s", "doubling", "--threads", "2"],
+    ["verify", "--config", {"suite": "schur", "system": "gauss"}],
+    ["verify", "--config", {"suite": "schur", "grid_n": 64}],
+    ["verify", "--config", {"suite": "schur", "paths": 5}],
+    ["schur", "--config", {"schur_spec": "constant:0.3", "system": "gauss"}],
+    ["schur", "--config", {"schur_spec": "constant:0.3", "grid_n": 64}],
+    ["schur", "--config", {"schur_spec": "constant:0.3", "paths": 5}],
+    ["schur", "--config", {"schur_spec": "constant:0.3", "steps": 3}],
+    ["schur", "--config", {"schur_spec": "constant:0.3", "threads": 2}],
+    ["invariant", "--config", {"system": "doubling", "paths": 7}],
+    ["invariant", "--config", {"system": "doubling", "steps": 3}],
+    ["invariant", "--config", {"system": "doubling", "threads": 2}],
+    ["invariant", "--config", {"system": "doubling", "suite": "all"}],
+    ["invariant", "--config", {"system": "doubling", "schur_spec": "constant:0.3"}],
+])
+def test_setting_the_command_does_not_read_rejected(tmp_path, argv):
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code not in (0, None)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("invariant", None, r"--config cfg\.json: .*No such file"),
+    ("invariant", '{"system": "doubling",', r"--config cfg\.json: Expecting"),
+    ("invariant", '["system", "doubling"]', r"--config cfg\.json: must hold a JSON object"),
+    ("simulate", '{"system": "gauss", "param": ["K=5"]}',
+     r"param must be an object of KEY: VALUE, got \['K=5'\]"),
+    ("invariant", '{"system": "doubling", "out": 5}',
+     "--out / out must be a non-empty string, got 5"),
+    ("schur", '{"schur_spec": 5}', "--schur-spec / schur_spec must be a non-empty string, got 5"),
+])
+def test_malformed_config_rejected(tmp_path, monkeypatch, command, text, message):
+    # no --out flag, so that the file's out is the one read; the default
+    # artifact directory would appear in the working directory
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "cfg.json").write_text(text)
+    with pytest.raises(SystemExit, match=message):
+        main([command, "--config", "cfg.json"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if text else [])
 
 
 @pytest.mark.parametrize("spec", [
