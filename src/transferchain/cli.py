@@ -19,12 +19,13 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__, chains, grids, invariant, operators, schur, solenoid, verify, wavelets
 from .grids import (
-    DiscreteMeasure,
     EmpiricalSample,
     Grid,
     arcsine_measure,
@@ -41,22 +42,6 @@ from .verify import CheckResult
 SUITE_CHOICES = ("operators", "chains", "solenoid", "wavelet", "schur", "all")
 FAULT_CHOICES = ("mis-normalized-filter",)
 SCHUR_GRAMMAR = "constant:C, blaschke:Z1[,Z2..] or random:R[,DEPTH]"
-
-INVARIANT_SYSTEMS = ("gauss", "doubling", "random-control", "logistic", "halving")
-SIMULATE_SYSTEMS = ("doubling", "random-control", "parametric-u", "gauss",
-                    "logistic", "haar", "fejer-m", "bernoulli-a")
-
-_ALLOWED_PARAMS = {  # system -> {parameter: type}
-    "gauss": {"K": int},
-    "parametric-u": {"u": float},
-    "fejer-m": {"m": int},
-    "bernoulli-a": {"a": float},
-    "doubling": {},
-    "random-control": {},
-    "logistic": {},
-    "halving": {},
-    "haar": {},
-}
 
 
 @dataclass
@@ -75,28 +60,22 @@ class RunConfig:
     inject_fault: str = ""
 
     def as_dict(self) -> dict:
-        # threads is an execution hint, not an input to any statistic, and
-        # is left out so reports stay byte-identical at any worker count
-        return {
-            "command": self.command,
-            "system": self.system,
-            "params": dict(sorted(self.params.items())),
-            "grid_n": self.grid_n,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "master_seed": self.master_seed,
-            "suite": self.suite,
-            "schur_spec": self.schur_spec,
-            "inject_fault": self.inject_fault,
-        }
+        """The settings the command reads, under their report names.  threads
+        is an execution hint, not an input to any statistic, and is left out
+        so reports stay byte-identical at any worker count."""
+        names = {"param": "params", "paths": "n_paths", "steps": "n_steps"}
+        keys = ["command", *COMMANDS[self.command][2], "master_seed"]
+        return {names.get(k, k): getattr(self, names.get(k, k))
+                for k in keys if k != "threads"}
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_csv(out_dir: str, name: str, header: list, rows) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
@@ -104,10 +83,8 @@ def _write_csv(path: str, header: list, rows) -> None:
 
 
 def _emit(config: RunConfig, checks: list, manifest: list) -> int:
-    os.makedirs(config.out_dir, exist_ok=True)
-    timing_rows = [(c.label, float(c.runtime_ms)) for c in checks]
-    _write_csv(os.path.join(config.out_dir, "timings.csv"),
-               ["check", "runtime_ms"], timing_rows)
+    _write_csv(config.out_dir, "timings.csv", ["check", "runtime_ms"],
+               [(c.label, float(c.runtime_ms)) for c in checks])
     report = {
         "version": __version__,
         "config": config.as_dict(),
@@ -139,53 +116,111 @@ def _emit(config: RunConfig, checks: list, manifest: list) -> int:
 
 
 # ---------------------------------------------------------------------------
+# built-in systems
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class System:
+    """A built-in system, declared once.  ``build(grid_n, **params)``
+    constructs it; ``params`` holds each parameter's default, whose type is
+    the parameter's.  ``simulate`` serves the systems with a ``t0``, where
+    ``t0(**params)`` is the quantile function of T_0's law; ``invariant``
+    those with a ``gate``, the metric ("l1" or "w1") and tolerance the
+    stationary density on ``Grid(0, 1, grid_n)`` is held to.  Both compare
+    against ``stationary(grid)``, the stationary law, where there is one."""
+
+    build: Callable
+    params: dict = field(default_factory=dict)
+    t0: Optional[Callable] = None
+    stationary: Optional[Callable] = None
+    gate: Optional[tuple] = None
+
+
+def _circle(n: int) -> Grid:
+    return Grid(0.0, 1.0, max(n, 4096), "circle")
+
+
+def _bernoulli(n: int, a: float):
+    span = operators.bernoulli_support(a)
+    return operators.bernoulli_system(Grid(-span, span, n), a)
+
+
+def _fejer(m: int):  # the stretched box filter and its harmonic function
+    return (wavelets.stretched_box_filter(m),
+            wavelets.autocorrelation(wavelets.box_scaling_function(m, 8)))
+
+
+def _fejer_t0(m: int):  # the law of the solenoid coordinate 0
+    return partial(grids._inverse_cdf, solenoid.pi_k_distribution(*_fejer(m), 0, _circle(4096)))
+
+
+SYSTEMS = {
+    "gauss": System(lambda n, K: operators.gauss_operator(K), {"K": 10_000},
+                    t0=lambda K: gauss_ppf, stationary=gauss_measure, gate=("l1", 0.02)),
+    "doubling": System(lambda n: operators.doubling_system(Grid(0.0, 1.0, n)),
+                       t0=lambda: uniform_ppf, stationary=uniform_measure, gate=("l1", 1e-6)),
+    "random-control": System(lambda n: operators.random_control_system(Grid(0.0, 1.0, n)),
+                             t0=lambda: arcsine_ppf, stationary=arcsine_measure,
+                             gate=("l1", 0.03)),
+    # the arcsine density is unbounded at both ends, so the logistic law is
+    # gated on Wasserstein-1, which weighs the endpoint cells by their mass
+    "logistic": System(lambda n: operators.logistic_system(Grid(0.0, 1.0, n)),
+                       t0=lambda: arcsine_ppf, stationary=arcsine_measure, gate=("w1", 0.01)),
+    "halving": System(lambda n: invariant.halving_ifs(Grid(0.0, 1.0, n)),
+                      stationary=uniform_measure, gate=("l1", 1e-3)),
+    "parametric-u": System(lambda n, u: operators.parametric_system(Grid(0.0, 1.0, n), u),
+                           {"u": 0.3}, t0=lambda u: uniform_ppf),
+    # starts at the fixed point 0 and mixes toward the convolution law, so
+    # no stationary-marginal check applies at finite step counts
+    "bernoulli-a": System(_bernoulli, {"a": 0.5}, t0=lambda a: np.zeros_like),
+    "haar": System(lambda n: operators.circle_filter_system(_circle(n),
+                                                            wavelets.haar_filter()),
+                   t0=lambda: uniform_ppf),
+    "fejer-m": System(lambda n, m: operators.circle_filter_system(_circle(n), *_fejer(m)),
+                      {"m": 1}, t0=_fejer_t0),
+}
+
+
+def _build(config: RunConfig, serves: str, make):
+    """``make(system, params)`` for the run's system, with the given
+    parameters over its defaults.  A command serves the systems that set the field
+    ``serves`` names.  A ValueError anywhere in the build, grids included,
+    is the one --param error."""
+    served = tuple(name for name, s in SYSTEMS.items() if getattr(s, serves) is not None)
+    if config.system not in served:
+        raise SystemExit(f"{config.command} supports systems {served}")
+    system = SYSTEMS[config.system]
+    try:
+        return make(system, {**system.params, **config.params})
+    except ValueError as err:
+        given = ", ".join(f"{k}={v}" for k, v in sorted(config.params.items()))
+        raise SystemExit(f"--param {given}: {err}") from None
+
+
+# ---------------------------------------------------------------------------
 # invariant
 # ---------------------------------------------------------------------------
 
-def _reference_measure(system: str, grid: Grid) -> DiscreteMeasure:
-    if system == "gauss":
-        return gauss_measure(grid)
-    if system in ("random-control", "logistic"):
-        return arcsine_measure(grid)
-    return uniform_measure(grid)
-
-
 def cmd_invariant(config: RunConfig) -> int:
-    if config.system not in INVARIANT_SYSTEMS:
-        raise SystemExit(f"invariant supports systems {INVARIANT_SYSTEMS}")
-    grid = Grid(0.0, 1.0, config.grid_n)
+    def make(system, params):
+        grid = Grid(0.0, 1.0, config.grid_n)
+        return grid, system.build(config.grid_n, **params), system.stationary(grid)
+
     t0 = time.perf_counter()
-    if config.system == "halving":
-        res = invariant.hutchinson_iterate(invariant.halving_ifs(grid),
-                                           uniform_measure(grid), 40)
+    grid, op, ref = _build(config, "gate", make)
+    if config.system == "halving":  # its report counts 40 Hutchinson iterations
+        res = invariant.hutchinson_iterate(op, uniform_measure(grid), 40)
     else:
-        if config.system == "gauss":
-            op = _with_params(config, operators.gauss_operator, config.params.get("K", 10_000))
-        elif config.system == "doubling":
-            op = operators.doubling_system(grid)
-        elif config.system == "random-control":
-            op = operators.random_control_system(grid)
-        else:
-            op = operators.logistic_system(grid)
         res = invariant.power_iterate(invariant.build_ulam(op, grid),
                                       tol=1e-12, max_iters=3000)
     ms = (time.perf_counter() - t0) * 1000.0
-    ref = _reference_measure(config.system, grid)
     l1 = float(np.abs(res.measure.weights - ref.weights).sum())
     w1 = wasserstein1(res.measure, ref)
     rows = zip(grid.nodes, res.measure.density, ref.density,
                np.abs(res.measure.density - ref.density))
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_csv(os.path.join(config.out_dir, "density.csv"),
-               ["x_mid", "density", "reference_density", "abs_err"],
+    _write_csv(config.out_dir, "density.csv", ["x_mid", "density", "reference_density", "abs_err"],
                ([float(a), float(b), float(c), float(d)] for a, b, c, d in rows))
-    # the logistic stationary law is arcsine, whose density is unbounded at
-    # both ends; it is gated on Wasserstein-1, which weighs the endpoint
-    # cells by their mass rather than their density
-    thresholds = {"gauss": ("l1", 0.02), "doubling": ("l1", 1e-6),
-                  "random-control": ("l1", 0.03), "halving": ("l1", 1e-3),
-                  "logistic": ("w1", 0.01)}
-    metric, tol = thresholds[config.system]
+    metric, tol = SYSTEMS[config.system].gate
     checks = [
         CheckResult(name=f"{config.system}-stationary-{metric}",
                     statistic=l1 if metric == "l1" else w1, threshold=tol,
@@ -203,70 +238,19 @@ def cmd_invariant(config: RunConfig) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _with_params(config: RunConfig, build, *args):
-    """build(*args), with a constructor's range error reported against --param."""
-    try:
-        return build(*args)
-    except ValueError as err:
-        given = ", ".join(f"{k}={v}" for k, v in sorted(config.params.items()))
-        raise SystemExit(f"--param {given}: {err}") from None
-
-
-def _build_sampler(config: RunConfig):
-    """Returns (sampler, reference measure for marginal KS or None)."""
-    seed = config.master_seed
-    n = config.grid_n
-    params = config.params
-    ref2048 = Grid(0.0, 1.0, 2048)
-    g = Grid(0.0, 1.0, n)
-    if config.system == "doubling":
-        return (chains.MarkovSampler(operators.doubling_system(g), uniform_ppf, seed),
-                uniform_measure(ref2048))
-    if config.system == "logistic":
-        return (chains.MarkovSampler(operators.logistic_system(g), arcsine_ppf, seed),
-                arcsine_measure(ref2048))
-    if config.system == "random-control":
-        return (chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf, seed),
-                arcsine_measure(ref2048))
-    if config.system == "parametric-u":
-        sys_u = _with_params(config, operators.parametric_system, g, params.get("u", 0.3))
-        return chains.MarkovSampler(sys_u, uniform_ppf, seed), None
-    if config.system == "gauss":
-        op = _with_params(config, operators.gauss_operator, params.get("K", 10_000))
-        return chains.MarkovSampler(op, gauss_ppf, seed), gauss_measure(ref2048)
-    if config.system == "bernoulli-a":
-        # starts at the fixed point 0 and mixes toward the convolution law,
-        # so no stationary-marginal check applies at finite step counts
-        a = params.get("a", 0.5)
-        span = _with_params(config, operators.bernoulli_support, a)
-        sys_b = operators.bernoulli_system(Grid(-span, span, n), a)
-        return (chains.MarkovSampler(sys_b, lambda u: np.zeros(np.shape(u)), seed),
-                None)
-    if config.system in ("haar", "fejer-m"):
-        gc = Grid(0.0, 1.0, max(n, 4096), "circle")
-        if config.system == "haar":
-            filt, h = wavelets.haar_filter(), None
-            ppf = uniform_ppf
-        else:
-            m = params.get("m", 1)
-            filt = _with_params(config, wavelets.stretched_box_filter, m)
-            h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
-            h_measure = solenoid.pi_k_distribution(filt, h, 0, Grid(0, 1, 4096, "circle"))
-            ppf = lambda u: grids._inverse_cdf(h_measure, np.asarray(u))
-        sys_f = operators.circle_filter_system(gc, filt, h)
-        return chains.MarkovSampler(sys_f, ppf, seed), None
-    raise SystemExit(f"simulate supports systems {SIMULATE_SYSTEMS}")
-
-
 def cmd_simulate(config: RunConfig) -> int:
+    def make(system, params):
+        ref = system.stationary(Grid(0.0, 1.0, 2048)) if system.stationary else None
+        return (chains.MarkovSampler(system.build(config.grid_n, **params),
+                                     system.t0(**params), config.master_seed), ref)
+
     t0 = time.perf_counter()
-    sampler, ref = _build_sampler(config)
+    sampler, ref = _build(config, "t0", make)
     pe = chains.simulate_paths(sampler, config.n_paths, config.n_steps)
     ms = (time.perf_counter() - t0) * 1000.0
-    os.makedirs(config.out_dir, exist_ok=True)
 
     head = pe.paths[: min(100, pe.n_paths)]
-    _write_csv(os.path.join(config.out_dir, "paths_head.csv"),
+    _write_csv(config.out_dir, "paths_head.csv",
                ["path"] + [f"step_{k}" for k in range(pe.n_steps + 1)],
                ([int(i)] + [float(v) for v in row] for i, row in enumerate(head)))
 
@@ -279,8 +263,7 @@ def cmd_simulate(config: RunConfig) -> int:
         mu = grids.histogram(EmpiricalSample(pe.paths[:, k]), hist_grid)
         for x, w, d in zip(hist_grid.nodes, mu.weights, mu.density):
             rows.append([int(k), float(x), float(w * pe.n_paths), float(d)])
-    _write_csv(os.path.join(config.out_dir, "marginals.csv"),
-               ["step", "x_mid", "count", "density"], rows)
+    _write_csv(config.out_dir, "marginals.csv", ["step", "x_mid", "count", "density"], rows)
 
     checks = []
     if getattr(sampler.system, "sigma", None) is not None:  # the chain undoes an endomorphism
@@ -341,7 +324,6 @@ def cmd_schur(config: RunConfig) -> int:
     form, arg = _parse_schur_spec(config.schur_spec)
     t0 = time.perf_counter()
     depth = 8
-    checks = []
     if form == "random":
         radius, depth = arg
         params = schur.sample_random_schur(schur.uniform_disk_sampler(radius),
@@ -352,9 +334,8 @@ def cmd_schur(config: RunConfig) -> int:
         rows = [[int(i), float(p.real), float(p.imag), float(r)]
                 for i, (p, r) in enumerate(zip(params.params, resid))]
         header = ["index", "rho_re", "rho_im", "roundtrip_residual"]
-        checks.append(CheckResult(name="roundtrip-residual", statistic=float(resid.max()),
-                                  threshold=1e-8, direction="<="))
-        terminated = params.terminated
+        check = CheckResult(name="roundtrip-residual", statistic=float(resid.max()),
+                            threshold=1e-8, direction="<=")
     else:
         s = (schur.SchurEval.constant(arg[0]) if form == "constant"
              else schur.blaschke_product(arg))
@@ -364,22 +345,18 @@ def cmd_schur(config: RunConfig) -> int:
         rows = [[int(i), float(p.real), float(p.imag)]
                 for i, p in enumerate(padded)]
         header = ["index", "rho_re", "rho_im"]
-        terminated = params.terminated
         if form == "blaschke":
-            checks.append(CheckResult(name="blaschke-terminated",
-                                      statistic=1.0 if terminated else 0.0,
-                                      threshold=1.0, direction=">=",
-                                      detail=f"stopped after {len(params)} parameters"))
+            check = CheckResult(name="blaschke-terminated",
+                                statistic=1.0 if params.terminated else 0.0,
+                                threshold=1.0, direction=">=",
+                                detail=f"stopped after {len(params)} parameters")
         else:
-            checks.append(CheckResult(name="constant-extraction",
-                                      statistic=float(abs(params.params[0] - arg[0])),
-                                      threshold=1e-12, direction="<="))
-    ms = (time.perf_counter() - t0) * 1000.0
-    for c in checks:
-        c.runtime_ms = ms
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_csv(os.path.join(config.out_dir, "schur_params.csv"), header, rows)
-    return _emit(config, checks, ["schur_params.csv"])
+            check = CheckResult(name="constant-extraction",
+                                statistic=float(abs(params.params[0] - arg[0])),
+                                threshold=1e-12, direction="<=")
+    check.runtime_ms = (time.perf_counter() - t0) * 1000.0
+    _write_csv(config.out_dir, "schur_params.csv", header, rows)
+    return _emit(config, [check], ["schur_params.csv"])
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +429,47 @@ def _text(given: dict, key: str, default: str, choices=None) -> str:
     return value
 
 
+def _settings(command: str, given: dict) -> RunConfig:
+    """The settings in ``given``, each checked, else their defaults."""
+    cfg = RunConfig(command=command)
+    cfg.system = _text(given, "system", cfg.system)
+    cfg.grid_n = _size(given, "grid_n", cfg.grid_n, 2)
+    cfg.n_paths = _size(given, "paths", cfg.n_paths, 1)
+    cfg.n_steps = _size(given, "steps", cfg.n_steps, 0)
+    cfg.master_seed = _size(given, "master_seed", cfg.master_seed, 0)
+    cfg.threads = _size(given, "threads", os.cpu_count() or 1, 1)
+    cfg.out_dir = _text(given, "out", cfg.out_dir)
+    cfg.suite = _text(given, "suite", cfg.suite, SUITE_CHOICES)
+    cfg.inject_fault = _text(given, "inject_fault", cfg.inject_fault, FAULT_CHOICES)
+    cfg.schur_spec = _text(given, "schur_spec", cfg.schur_spec)
+    return cfg
+
+
+def _typed_params(system: str, params: dict) -> dict:
+    """``params`` typed like the system's defaults; a key it does not take is
+    an error.  An unknown system is left to its command to refuse."""
+    if system not in SYSTEMS:
+        return params
+    allowed = SYSTEMS[system].params
+    unknown = set(params) - set(allowed)
+    if unknown:
+        raise SystemExit(f"system {system!r} takes parameters {sorted(allowed)}; "
+                         f"got unknown {sorted(unknown)}")
+    typed = {}
+    for key, value in params.items():
+        typ = type(allowed[key])
+        try:  # through str, so that a config float is no silent int
+            typed[key] = typ(str(value))
+        except ValueError:
+            raise SystemExit(f"--param {key} must be {typ.__name__}, got {value!r}") from None
+    return typed
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """The run's settings: each flag, else its key in the ``--config`` file,
     else the ``RunConfig`` default.  A file that cannot be read, is not a
-    JSON object, or sets a key the command does not read is an error."""
+    JSON object, sets a key the command does not read, or holds a bad value
+    is an error, even where a flag overrides that value."""
     keys = COMMANDS[args.command][2] + SHARED
     given = {}
     if args.config:
@@ -475,38 +489,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if not isinstance(params, dict):
         raise SystemExit(f"--config {args.config}: param must be an object of "
                          f"KEY: VALUE, got {params!r}")
-    flags = {key: getattr(args, key) for key in keys}
-    for item in flags.pop("param", None) or []:
+    flags = {key: value for key in keys if (value := getattr(args, key)) is not None}
+    flag_params = {}
+    for item in flags.pop("param", []):
         key, _, value = item.partition("=")
         if not value:
             raise SystemExit(f"--param needs KEY=VALUE, got {item!r}")
-        params[key] = value
-    given.update((key, value) for key, value in flags.items() if value is not None)
-    cfg = RunConfig(command=args.command)
-    cfg.system = _text(given, "system", cfg.system)
-    cfg.grid_n = _size(given, "grid_n", cfg.grid_n, 2)
-    cfg.n_paths = _size(given, "paths", cfg.n_paths, 1)
-    cfg.n_steps = _size(given, "steps", cfg.n_steps, 0)
-    cfg.master_seed = _size(given, "master_seed", cfg.master_seed, 0)
-    cfg.threads = _size(given, "threads", os.cpu_count() or 1, 1)
-    cfg.out_dir = _text(given, "out", cfg.out_dir)
-    cfg.suite = _text(given, "suite", cfg.suite, SUITE_CHOICES)
-    cfg.inject_fault = _text(given, "inject_fault", cfg.inject_fault, FAULT_CHOICES)
-    cfg.schur_spec = _text(given, "schur_spec", cfg.schur_spec)
-    allowed = _ALLOWED_PARAMS.get(cfg.system)
-    if allowed is not None:  # an unknown system is refused by its command
-        unknown = set(params) - set(allowed)
-        if unknown:
-            raise SystemExit(f"system {cfg.system!r} takes parameters {sorted(allowed)}; "
-                             f"got unknown {sorted(unknown)}")
-        for key, value in params.items():
-            typ = allowed[key]
-            try:  # through str, so that a config float is no silent int
-                params[key] = typ(str(value))
-            except ValueError:
-                raise SystemExit(f"--param {key} must be {typ.__name__}, "
-                                 f"got {value!r}") from None
-    cfg.params = params
+        flag_params[key] = value
+    _settings(args.command, given)  # each file value, also one a flag overrides
+    cfg = _settings(args.command, {**given, **flags})
+    cfg.params = {**_typed_params(cfg.system, params),
+                  **_typed_params(cfg.system, flag_params)}
     return cfg
 
 

@@ -51,6 +51,9 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
+_TINY = float(np.finfo(float).tiny)  # the least normal float
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``n`` cells over ``[lower, upper]``.
@@ -72,6 +75,9 @@ class Grid:
             raise ValueError("grid requires lower < upper")
         if self.n < 2:
             raise ValueError("grid requires n >= 2 cells")
+        if not _TINY <= self.dx < np.inf:  # a bound is infinite, or the cells underflow
+            raise ValueError(f"grid needs finite cells at least {_TINY:.3g} wide, "
+                             f"got {self.n} cells on [{self.lower}, {self.upper}]")
 
     @property
     def width(self) -> float:

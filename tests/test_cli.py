@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from transferchain.cli import _build_parser, main
+from transferchain.cli import SYSTEMS, _build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -200,6 +200,9 @@ def test_bad_size_config_rejected(tmp_path, key, value, message):
     (["-s", "fejer-m", "--param", "m=0"], "--param m=0: m must be >= 1"),
     (["-s", "bernoulli-a", "--param", "a=1.5"], r"--param a=1.5: a must lie in \(0, 1\)"),
     (["-s", "doubling", "--master-seed", "-3"], "master_seed must be >= 0, got -3"),
+    (["-s", "bernoulli-a", "--param", "a=1e-320"],
+     r"--param a=1e-320: grid needs finite cells at least 2\.23e-308 wide, "
+     r"got 512 cells on \[-1e-320, 1e-320\]"),
 ])
 def test_bad_param_or_seed_rejected(tmp_path, argv, message):
     with pytest.raises(SystemExit, match=message):
@@ -296,15 +299,22 @@ def test_setting_the_command_does_not_read_rejected(tmp_path, argv):
     ("invariant", '{"system": "doubling", "out": 5}',
      "--out / out must be a non-empty string, got 5"),
     ("schur", '{"schur_spec": 5}', "--schur-spec / schur_spec must be a non-empty string, got 5"),
+    # a file value is checked even where a flag overrides it
+    ("invariant -s doubling --out x", '{"out": 5}',
+     "--out / out must be a non-empty string, got 5"),
+    ("invariant --grid-n 64", '{"system": "doubling", "grid_n": "many"}',
+     "--grid-n / grid_n must be an integer, got 'many'"),
+    ("simulate -s gauss --param K=50", '{"param": {"K": "abc"}}',
+     "--param K must be int, got 'abc'"),
 ])
 def test_malformed_config_rejected(tmp_path, monkeypatch, command, text, message):
-    # no --out flag, so that the file's out is the one read; the default
-    # artifact directory would appear in the working directory
+    # run in tmp_path: an out directory from the file, a flag or the default
+    # would appear there
     monkeypatch.chdir(tmp_path)
     if text is not None:
         (tmp_path / "cfg.json").write_text(text)
     with pytest.raises(SystemExit, match=message):
-        main([command, "--config", "cfg.json"])
+        main([*command.split(), "--config", "cfg.json"])
     assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if text else [])
 
 
@@ -347,6 +357,16 @@ def test_zero_steps_accepted(tmp_path):
     assert report["config"]["n_steps"] == 0
 
 
+# the config block of each command's report: the settings it reads, under
+# their report names, without out and threads
+CONFIG_KEYS = {
+    "invariant": {"command", "system", "params", "grid_n", "master_seed"},
+    "simulate": {"command", "system", "params", "grid_n", "master_seed", "n_paths", "n_steps"},
+    "verify": {"command", "suite", "inject_fault", "master_seed"},
+    "schur": {"command", "schur_spec", "master_seed"},
+}
+
+
 def test_report_schema_and_manifest(tmp_path):
     _, out, report = run(tmp_path, "invariant", "--system", "doubling")
     assert set(report) == {"version", "config", "checks", "manifest"}
@@ -356,3 +376,31 @@ def test_report_schema_and_manifest(tmp_path):
         assert (out / name).exists()
     # timings live outside the report so that reruns stay byte-identical
     assert "runtime_ms" not in json.dumps(report)
+    for argv in (["invariant", "-s", "doubling", "--grid-n", "16"],
+                 ["simulate", "-s", "doubling", "--paths", "10", "--steps", "1", "--threads", "2"],
+                 ["verify", "--suite", "schur", "--threads", "2"],
+                 ["schur", "--schur-spec", "constant:0.3"]):
+        _, _, report = run(tmp_path / argv[0], *argv)
+        assert set(report["config"]) == CONFIG_KEYS[argv[0]], argv[0]
+
+
+# the systems each command serves, and a tiny size for it
+SERVED = {"invariant": {"gauss", "doubling", "random-control", "logistic", "halving"},
+          "simulate": {"gauss", "doubling", "random-control", "logistic", "parametric-u",
+                       "bernoulli-a", "haar", "fejer-m"}}
+SIZES = {"invariant": ["--grid-n", "64"], "simulate": ["--paths", "200", "--steps", "2"]}
+
+
+@pytest.mark.parametrize("command", sorted(SERVED))
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_every_system_under_every_command(tmp_path, command, system):
+    argv = [command, "-s", system, *SIZES[command]]
+    if system not in SERVED[command]:
+        with pytest.raises(SystemExit, match=f"{command} supports systems"):
+            run(tmp_path, *argv)
+        assert not (tmp_path / "out").exists()
+        return
+    code, out, report = run(tmp_path, *argv)
+    assert code == 0, report["checks"]
+    assert report["config"]["system"] == system
+    assert set(report["manifest"]) <= {p.name for p in out.iterdir()}

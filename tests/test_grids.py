@@ -29,6 +29,13 @@ def test_grid_validation():
         Grid(0.0, 1.0, 1)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 8, "weird")
+    # infinite bounds, a width that overflows, and cells that underflow
+    for lower, upper, n in [(0.0, np.inf, 4), (-np.inf, np.inf, 4), (-1e308, 1e308, 4),
+                            (-1e-320, 1e-320, 512)]:
+        with pytest.raises(ValueError, match="grid needs finite cells at least 2.23e-308 wide"):
+            Grid(lower, upper, n)
+    tiny = np.finfo(float).tiny
+    assert Grid(0.0, 2 * tiny, 2).dx == tiny
     g = Grid(0.0, 1.0, 4)
     assert np.allclose(g.nodes, [0.125, 0.375, 0.625, 0.875])
 
