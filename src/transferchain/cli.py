@@ -403,9 +403,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _size(given: dict, key: str, default: int, least: int) -> int:
+# the most cells whose arrays of 8 floats per cell numpy can index; more end
+# in an overflow or a numpy size error deep inside a build
+MAX_GRID_N = np.iinfo(np.intp).max // (8 * np.dtype(float).itemsize)
+
+
+def _size(given: dict, key: str, default: int, least: int, most: Optional[int] = None) -> int:
     """An integer setting as given by its flag or the config file, else the
-    default; a value below ``least`` is an error, never a silent fallback."""
+    default; a value below ``least`` or above ``most`` is an error, never a
+    silent fallback."""
     value = given.get(key, default)
     flag = key.replace("_", "-")
     try:  # through str, so that a config float is no silent int
@@ -414,6 +420,8 @@ def _size(given: dict, key: str, default: int, least: int) -> int:
         raise SystemExit(f"--{flag} / {key} must be an integer, got {value!r}") from None
     if value < least:
         raise SystemExit(f"--{flag} / {key} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise SystemExit(f"--{flag} / {key} must be <= {most}, got {value}")
     return value
 
 
@@ -433,7 +441,7 @@ def _settings(command: str, given: dict) -> RunConfig:
     """The settings in ``given``, each checked, else their defaults."""
     cfg = RunConfig(command=command)
     cfg.system = _text(given, "system", cfg.system)
-    cfg.grid_n = _size(given, "grid_n", cfg.grid_n, 2)
+    cfg.grid_n = _size(given, "grid_n", cfg.grid_n, 2, MAX_GRID_N)
     cfg.n_paths = _size(given, "paths", cfg.n_paths, 1)
     cfg.n_steps = _size(given, "steps", cfg.n_steps, 0)
     cfg.master_seed = _size(given, "master_seed", cfg.master_seed, 0)

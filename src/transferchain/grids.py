@@ -93,7 +93,11 @@ class Grid:
 
     @property
     def edges(self) -> np.ndarray:
-        return self.lower + np.arange(self.n + 1) * self.dx
+        return self.edge(np.arange(self.n + 1))
+
+    def edge(self, k):
+        """Left edge of cell k, for any integer k: cell k is [edge(k), edge(k + 1))."""
+        return self.lower + k * self.dx
 
     def wrap(self, x):
         """Reduce coordinates into the domain (mod period on circles)."""

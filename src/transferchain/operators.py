@@ -48,7 +48,6 @@ __all__ = [
     "parametric_weight",
     "random_control_system",
     "gauss_operator",
-    "gauss_kernel_probs",
     "bernoulli_support",
     "bernoulli_system",
     "circle_filter_system",
@@ -384,23 +383,21 @@ class CircleFilterOperator:
 class GaussOperator:
     """Gauss operator (Rf)(x) = sum_{n>=1} (n+x)^-2 f(1/(n+x)), truncated.
 
-    ``truncation_K`` branches are summed; with ``tail_mode='integral'`` the
-    remainder is estimated as f(0+) / (K + x + 1/2), using that the tail of
-    sum (n+x)^-2 matches the midpoint integral to O(K^-3).
+    Branches n < ``truncation_K`` keep their weights, and branch K carries
+    the mass of every n >= K on its image 1/(K+x), in the raw sum and in
+    the chain kernel (``_raw_weights``, ``_chain_weights``).  ``apply``,
+    ``chain_apply``, ``flow`` and ``step`` all move by this one kernel.
     """
 
     kind = "gauss-backward"
     channels = 1
 
     truncation_K: int = 10_000
-    tail_mode: str = "integral"  # "integral" | "ignore"
     name: str = "gauss"
 
     def __post_init__(self):
         if self.truncation_K < 2:
             raise ValueError("need at least 2 Gauss branches")
-        if self.tail_mode not in ("integral", "ignore"):
-            raise ValueError(f"unknown tail_mode {self.tail_mode!r}")
 
     @staticmethod
     def sigma(x):
@@ -412,33 +409,27 @@ class GaussOperator:
         """The invariant density 1 / (ln 2 (1+x))."""
         return 1.0 / (np.log(2.0) * (1.0 + np.asarray(x, dtype=float)))
 
-    def _kernel_mass(self, x):
-        """Total mass of the truncated kernel ``gauss_kernel_probs`` at x."""
-        return 1.0 - (1.0 + x) / (self.truncation_K + 1.0 + x)
-
     def apply(self, f: GridFunction) -> GridFunction:
         return apply_gauss(self, f)
 
     def chain_apply(self, f: GridFunction) -> GridFunction:
-        """The truncated chain's operator: the density-normalized branch sum,
-        renormalized by the kept kernel mass."""
-        x = f.grid.nodes
+        """The chain's operator: the branch sum with the chain kernel's weights."""
         chain = _gauss_compiled(self.truncation_K, f.grid)[1]
-        out = _compiled_gauss_sum(self, f, x, chain, _chain_weights)
-        return GridFunction(f.grid, out / self._kernel_mass(x))
+        return GridFunction(f.grid, _compiled_gauss_sum(self.truncation_K, f, f.grid.nodes,
+                                                        chain, _chain_weights))
 
     def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
-        """Each source cell's images 1/(n + cell), weighted by the chain
-        kernel at its midpoint, or by the raw (n+x)^-2 when ``raw``, and
-        spread by ``_spread_interval``.  An image that lies in cell 0 whole
-        adds its weight there; past about n branches that is most of them."""
+        """Each source cell's images 1/(n + cell) for n <= K, weighted by the
+        chain kernel at its midpoint, or by the raw weights when ``raw``, and
+        spread by ``_spread_interval``; branch K's image carries the mass of
+        every n >= K, so a chain column sums to 1.  An image that lies in
+        cell 0 whole adds its weight there; past about n branches that is
+        most of them."""
         if grid.domain_kind != "interval":
             raise GridMismatchError("Gauss operator lives on an interval grid")
         n, K, edge = grid.n, self.truncation_K, grid.lower + grid.dx
         nodes, edges = grid.nodes, grid.edges
-
-        def weights(x, ns):
-            return (ns + x) ** -2.0 if raw else gauss_kernel_probs(x, ns)
+        weights = _raw_weights if raw else _chain_weights
 
         def blocks():
             # spreading an image takes about twice the temporaries of a
@@ -455,8 +446,8 @@ class GaussOperator:
                 for ns in branch_chunks:
                     ns, tail = ns[ns < tail_from], ns[ns >= tail_from]
                     entries.append((np.zeros(x.size, dtype=int), np.arange(x.size),
-                                    weights(x, tail).sum(axis=1)))
-                    rows, j, vals = _spread_interval(weights(x, ns).ravel(),
+                                    weights(x, tail, tail + x, K).sum(axis=1)))
+                    rows, j, vals = _spread_interval(weights(x, ns, ns + x, K).ravel(),
                                                      (1.0 / (ns + right)).ravel(),
                                                      (1.0 / (ns + left)).ravel(), grid)
                     entries.append((rows, j // ns.size, vals))
@@ -466,11 +457,12 @@ class GaussOperator:
         return _flow(n, blocks())
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Digit n from the inverse CDF of the truncated kernel at uniforms[0]."""
-        K = self.truncation_K
-        v = uniforms[0] * self._kernel_mass(x)
-        n = np.ceil((1.0 + x) / (1.0 - v) - 1.0 - x)
-        return 1.0 / (np.clip(n, 1, K) + x)
+        """Digit n from the kernel's inverse CDF at uniforms[0]: n < K where
+        P(N <= n | x) = 1 - (1+x)/(n+1+x) first reaches it, else K."""
+        n = np.ceil((1.0 + x) / (1.0 - uniforms[0]) - 1.0 - x)
+        # the cap bounds the round-off of sigma(1/(n+x)) - x, which grows
+        # like n eps: digits past about 10^6 break the solenoid constraint
+        return 1.0 / (np.clip(n, 1, self.truncation_K) + x)
 
 
 @dataclass(frozen=True)
@@ -595,38 +587,44 @@ def apply_ruelle_adjoint(op: CircleFilterOperator, f: GridFunction) -> GridFunct
 
 
 def apply_gauss(op: GaussOperator, f: GridFunction) -> GridFunction:
-    x = f.grid.nodes
     raw = _gauss_compiled(op.truncation_K, f.grid)[0]
-    return GridFunction(f.grid, _gauss_with_tail(op, f, x, raw))
+    return GridFunction(f.grid, _compiled_gauss_sum(op.truncation_K, f, f.grid.nodes, raw,
+                                                    _raw_weights))
 
 
 def apply_gauss_at(op: GaussOperator, f: GridFunction, x) -> np.ndarray:
-    """Truncated branch sum sum_{n<=K} (n+x)^-2 f(1/(n+x)) (+ tail estimate)."""
+    """Truncated branch sum sum_{n<=K} w_n(x) f(1/(n+x)) with the raw weights."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     raw = _gauss_compile(op.truncation_K, f.grid, x)[0]
-    return _gauss_with_tail(op, f, x, raw)
+    return _compiled_gauss_sum(op.truncation_K, f, x, raw, _raw_weights)
 
 
-def _gauss_with_tail(op: GaussOperator, f: GridFunction, x, raw: CSCMatrix) -> np.ndarray:
-    out = _compiled_gauss_sum(op, f, x, raw, _raw_weights)
-    if op.tail_mode == "integral":
-        f_origin = float(f.values[0])  # f(0+) under the boundary-cell extension
-        out += f_origin / (op.truncation_K + x + 0.5)
-    return out
+# The truncated Gauss kernel's weights at points x (a column) and branches
+# ns (a row), denom = ns + x: the only code that treats branch K apart.  Its
+# lump goes into branch K's column alone, so no chunk needs a select.
+
+def _raw_weights(x, ns, denom, K):
+    """(n+x)^-2, plus sum_{n>K} (n+x)^-2 = 1/(K+x+1/2) + O(K^-3) on branch K."""
+    w = 1.0 / (denom * denom)
+    if ns.size and ns[-1] == K:
+        w[:, -1:] += 1.0 / (K + x + 0.5)
+    return w
 
 
-def _raw_weights(x, ns, denom):
-    return 1.0 / (denom * denom)
-
-
-def _chain_weights(x, ns, denom):
-    return gauss_kernel_probs(x, ns)
+def _chain_weights(x, ns, denom, K):
+    """The chain kernel P(N = n | x) = (1+x)/((n+x)(n+x+1)), the density-
+    normalized (n+x)^-2 h(1/(n+x)) / h(x), and P(N >= K | x) = (1+x)/(K+x)
+    on branch K: it sums to 1 at every x."""
+    w = (1.0 + x) / (denom * (denom + 1.0))
+    if ns.size and ns[-1] == K:
+        w[:, -1:] = (1.0 + x) / (K + x)
+    return w
 
 
 def _gauss_compile(K: int, grid: Grid, x) -> tuple:
     """The branch sums over n <= K at the points x as two n_cells x x.size
-    matrices sharing one sparsity pattern, with the raw weights (n+x)^-2 and
-    with the chain kernel's: column j is the linear-interpolation stencil
+    matrices sharing one sparsity pattern, with ``_raw_weights`` and with
+    ``_chain_weights``: column j is the linear-interpolation stencil
     (``Grid.stencil``) of the images 1/(n + x_j) -- ``GridFunction.eval``
     without its sign clamp -- so ``f.values @ M`` is the unclamped sum."""
     if grid.domain_kind != "interval":
@@ -648,7 +646,7 @@ def _gauss_compile(K: int, grid: Grid, x) -> tuple:
                 key = key[starts]
                 to_left, to_right = (1 - frac).ravel(), frac.ravel()
                 for a, weights in zip(acc, (_raw_weights, _chain_weights)):
-                    w = weights(xs, ns, denom).ravel()
+                    w = weights(xs, ns, denom, K).ravel()
                     a[key] += np.add.reduceat(w * to_left, starts)
                     a[key + 1] += np.add.reduceat(w * to_right, starts)
             yield acc
@@ -664,8 +662,7 @@ def _gauss_compiled(K: int, grid: Grid) -> tuple:
     return _gauss_compile(K, grid, grid.nodes)
 
 
-def _compiled_gauss_sum(op: GaussOperator, f: GridFunction, x, M: CSCMatrix,
-                      weights) -> np.ndarray:
+def _compiled_gauss_sum(K: int, f: GridFunction, x, M: CSCMatrix, weights) -> np.ndarray:
     """sum over n <= K of w_n(x) f(1/(n+x)), with the compiled matrix M of
     the weights w.
 
@@ -678,15 +675,15 @@ def _compiled_gauss_sum(op: GaussOperator, f: GridFunction, x, M: CSCMatrix,
     removes round-off, and R f >= 0 holds exactly for f >= 0."""
     v = f.values
     out = v @ M
-    extremes = np.array([1.0 / (op.truncation_K + x.max()), 1.0 / (1.0 + x.min())])
+    extremes = np.array([1.0 / (K + x.max()), 1.0 / (1.0 + x.min())])
     u = f.linear(extremes)
     if np.any(f.sign_clamp(u) != u):
-        for cols, branch_chunks in _gauss_blocks(op.truncation_K, x.size, f.grid.n):
+        for cols, branch_chunks in _gauss_blocks(K, x.size, f.grid.n):
             xs = x[cols, None]
             for ns in branch_chunks:
                 denom = ns + xs
                 u = f.linear(1.0 / denom)
-                out[cols] += np.sum(weights(xs, ns, denom) * (f.sign_clamp(u) - u), axis=1)
+                out[cols] += np.sum(weights(xs, ns, denom, K) * (f.sign_clamp(u) - u), axis=1)
     return f.sign_clamp(out)
 
 
@@ -719,23 +716,26 @@ def _spread_interval(col_weights, a, b, grid: Grid):
         live = ~tiny
         a, b, w, width, j_idx = a[live], b[live], w[live], width[live], j_idx[live]
     k = np.floor((a - lo) / dx).astype(int)
+    k -= a < grid.edge(k)  # the division can round up into the next cell
     k1 = np.floor((b - lo) / dx - 1e-15).astype(int)
+    # both edges of cell k as the grid places them, so that neighbours
+    # share one: a cell's right edge is the next one's left
+    right = grid.edge(k)
     for s in range(int(np.max(k1 - k, initial=0)) + 1):
         if s:
             # an image that ends left of cell k's left edge has no part in
             # it, nor in any cell further right
             k = k + 1
-            reach = b > lo + k * dx
-            a, b, w, width, j_idx, k = (v[reach] for v in (a, b, w, width, j_idx, k))
-        left = lo + k * dx
-        overlap = np.minimum(b, left + dx) - np.maximum(a, left)
+            reach = b > right
+            a, b, w, width, j_idx, k, right = (v[reach] for v in (a, b, w, width, j_idx, k, right))
+        left, right = right, grid.edge(k + 1)
+        overlap = np.minimum(b, right) - np.maximum(a, left)
         frac = np.maximum(overlap, 0.0) / width
         if grid.domain_kind == "circle":
             k_t = np.mod(k, n)
         else:
             k_t = np.minimum(np.maximum(k, 0), n - 1)
-        nz = frac > 0
-        entries.append((k_t[nz], j_idx[nz], w[nz] * frac[nz]))
+        entries.append((k_t, j_idx, w * frac))  # a zero adds nothing to a sum
     return tuple(map(np.concatenate, zip(*entries)))
 
 
@@ -748,23 +748,12 @@ def cell_flow_matrix(op, grid: Grid, raw: bool = False):
     Branch images of each source cell are spread over target cells by exact
     interval overlap (``_spread_interval``); the random-control flow is an
     exact difference of its transition CDF.  The Gauss operator uses its
-    density-normalized kernel with the truncation deficit left in place;
-    ``raw=True`` switches to the plain (n+x)^-2 weights, whose dual fixes
+    density-normalized chain kernel, truncated with branch K carrying every
+    n >= K, so its columns sum to 1; ``raw=True`` switches to the raw
+    weights (n+x)^-2, with the tail on branch K too, whose dual fixes
     Lebesgue measure.
     """
     return op.flow(grid, raw)
-
-
-def gauss_kernel_probs(x, ns):
-    """Markov kernel of the Gauss backward chain: P(branch n | x).
-
-    The density-normalized weights (n+x)^-2 h(1/(n+x)) / h(x) with h the
-    Gauss density collapse to (1+x) / ((n+x)(n+x+1)), which sums to 1 over
-    all branches.
-    """
-    x = np.asarray(x, dtype=float)
-    ns = np.asarray(ns, dtype=float)
-    return (1.0 + x) / ((ns + x) * (ns + x + 1.0))
 
 
 def radon_nikodym(op, lam: DiscreteMeasure) -> RadonNikodymWeight:
@@ -886,8 +875,8 @@ def random_control_system(grid: Grid, n_control: int = 512) -> ControlledSystem:
     )
 
 
-def gauss_operator(K: int = 10_000, tail_mode: str = "integral") -> GaussOperator:
-    return GaussOperator(truncation_K=K, tail_mode=tail_mode)
+def gauss_operator(K: int = 10_000) -> GaussOperator:
+    return GaussOperator(truncation_K=K)
 
 
 def bernoulli_support(a: float) -> float:

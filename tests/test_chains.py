@@ -42,7 +42,6 @@ from transferchain.operators import (
     bernoulli_support,
     bernoulli_system,
     doubling_system,
-    gauss_kernel_probs,
     gauss_operator,
     parametric_system,
     parametric_weight,
@@ -97,15 +96,16 @@ def test_gauss_chain_apply_matches_chunked_branch_loop():
     op = gauss_operator(K=10_000)
     f = GridFunction.from_callable(Grid(0.0, 1.0, 256), lambda x: np.cos(3 * x) + x**2)
     # the loop chain_apply ran before the branch sum was compiled into a
-    # matrix; the matrix sums in another order, so the match is to round-off
+    # matrix; the matrix sums in another order, so the match is to round-off.
+    # Branch K carries P(N >= K | x) = (1+x)/(K+x), so the kernel sums to 1
     x = f.grid.nodes
     K = op.truncation_K
-    out = np.zeros(f.grid.n)
+    expected = np.zeros(f.grid.n)
     for start in range(1, K + 1, 4096):
         ns = np.arange(start, min(start + 4096, K + 1), dtype=float)[:, None]
-        w = gauss_kernel_probs(x[None, :], ns)
-        out += np.sum(w * f.eval((1.0 / (ns + x[None, :])).ravel()).reshape(w.shape), axis=0)
-    expected = out / (1.0 - (1.0 + x) / (K + 1.0 + x))
+        w = np.where(ns == K, (1.0 + x) / (K + x), (1.0 + x) / ((ns + x) * (ns + x + 1.0)))
+        expected += np.sum(w * f.eval((1.0 / (ns + x[None, :])).ravel()).reshape(w.shape),
+                           axis=0)
     s = MarkovSampler(op, gauss_ppf)
     got = chain_apply(s, f).values
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -114,6 +114,26 @@ def test_gauss_chain_apply_matches_chunked_branch_loop():
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
+
+def test_gauss_step_digit_law():
+    # the digit is n < K where P(N <= n | x) = 1 - (1+x)/(n+1+x) first
+    # reaches the uniform, and K past the last boundary: it steps from n to
+    # n + 1 at each closed-form boundary (either digit exactly there, which
+    # round-off decides)
+    K, x = 6, 0.37
+    op = gauss_operator(K=K)
+    n = np.arange(1, K, dtype=float)
+    bounds = 1.0 - (1.0 + x) / (n + 1.0 + x)
+
+    def digits(u):
+        u = np.asarray(u, dtype=float)
+        return np.rint(1.0 / op.step(np.full(u.size, x), u[None, :]) - x)
+
+    assert np.array_equal(digits(bounds - 1e-9), n)
+    assert np.all((digits(bounds) == n) | (digits(bounds) == n + 1))
+    assert np.array_equal(digits(bounds + 1e-9), n + 1)
+    assert np.array_equal(digits([0.0, 0.999, np.nextafter(1.0, 0.0)]), [1, K, K])
+
 
 def test_degenerate_weights_always_first_branch():
     s = MarkovSampler(deterministic_doubling(), uniform_ppf, master_seed=1)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from transferchain.cli import SYSTEMS, _build_parser, main
+from transferchain.cli import MAX_GRID_N, SYSTEMS, _build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -163,6 +163,10 @@ def test_unknown_config_key_rejected(tmp_path):
     ("--paths", "-5", "paths must be >= 1, got -5"),
     ("--grid-n", "0", "grid_n must be >= 2, got 0"),
     ("--grid-n", "1", "grid_n must be >= 2, got 1"),
+    # too many cells for numpy to index, so refused before any allocation;
+    # the first overflows a float, the second does not
+    ("--grid-n", "1" + "0" * 400, rf"grid_n must be <= {MAX_GRID_N}, got 10{{400}}$"),
+    ("--grid-n", "1" + "0" * 20, rf"grid_n must be <= {MAX_GRID_N}, got 10{{20}}$"),
     ("--steps", "-1", "steps must be >= 0, got -1"),
     ("--threads", "0", "threads must be >= 1, got 0"),
 ])
@@ -176,6 +180,7 @@ def test_bad_size_flag_rejected(tmp_path, flag, value, message):
     ("paths", 0, "paths must be >= 1, got 0"),
     ("paths", -5, "paths must be >= 1, got -5"),
     ("grid_n", 0, "grid_n must be >= 2, got 0"),
+    ("grid_n", 10**20, rf"grid_n must be <= {MAX_GRID_N}, got 10{{20}}$"),
     ("steps", -1, "steps must be >= 0, got -1"),
     ("paths", "many", "paths must be an integer, got 'many'"),
     ("paths", 100.7, "paths must be an integer, got 100.7"),

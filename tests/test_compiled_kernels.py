@@ -2,7 +2,8 @@
 constructions they replaced, which are kept here as references: the chunked
 ``GridFunction.eval`` loop of the Gauss sums, the per-column two-cell split
 of the Gauss flow, and the dense ``np.add.at`` overlap spreading of the
-branch and circle-filter flows."""
+branch and circle-filter flows.  The Gauss references use the one truncated
+kernel, in which branch K carries the mass of every branch n >= K."""
 
 import tracemalloc
 
@@ -17,7 +18,6 @@ from transferchain.invariant import UlamMatrix, affine_ifs, halving_ifs
 from transferchain.operators import (
     BranchSystem,
     CircleFilterOperator,
-    GaussOperator,
     apply_gauss,
     apply_gauss_at,
     bernoulli_support,
@@ -25,7 +25,6 @@ from transferchain.operators import (
     cell_flow_matrix,
     circle_filter_system,
     doubling_system,
-    gauss_kernel_probs,
     gauss_operator,
     logistic_system,
     parametric_system,
@@ -40,29 +39,31 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 # references: the constructions before compilation
 # ---------------------------------------------------------------------------
 
-def _chunked_branch_sum(op, f, x, term, chunk=4096):
+def _reference_weights(K, x, ns, raw):
+    """Weights of branches ns at x: (n+x)^-2 raw, P(N = n | x) for the
+    chain; branch K adds the tail sum_{n>K} (n+x)^-2 = 1/(K+x+1/2) +
+    O(K^-3) raw, and takes P(N >= K | x) = (1+x)/(K+x) for the chain."""
+    if raw:
+        return (ns + x) ** -2.0 + np.where(ns == K, 1.0 / (K + x + 0.5), 0.0)
+    return np.where(ns == K, (1.0 + x) / (K + x), (1.0 + x) / ((ns + x) * (ns + x + 1.0)))
+
+
+def _chunked_branch_sum(op, f, x, raw, chunk=4096):
     out = np.zeros(x.size)
     K = op.truncation_K
     for start in range(1, K + 1, chunk):
         ns = np.arange(start, min(start + chunk, K + 1), dtype=float)[:, None]
-        denom = ns + x[None, :]
-        out += np.sum(term(ns, denom, f.eval((1.0 / denom).ravel()).reshape(denom.shape)),
-                      axis=0)
+        v = f.eval((1.0 / (ns + x[None, :])).ravel()).reshape(ns.size, x.size)
+        out += np.sum(_reference_weights(K, x[None, :], ns, raw) * v, axis=0)
     return out
 
 
 def _reference_apply(op, f, x):
-    out = _chunked_branch_sum(op, f, x, lambda ns, denom, v: v / denom**2)
-    if op.tail_mode == "integral":
-        out += float(f.values[0]) / (op.truncation_K + x + 0.5)
-    return out
+    return _chunked_branch_sum(op, f, x, raw=True)
 
 
 def _reference_chain_apply(op, f):
-    x = f.grid.nodes
-    out = _chunked_branch_sum(op, f, x, lambda ns, denom, v:
-                              gauss_kernel_probs(x[None, :], ns) * v)
-    return out / (1.0 - (1.0 + x) / (op.truncation_K + 1.0 + x))
+    return _chunked_branch_sum(op, f, f.grid.nodes, raw=False)
 
 
 def _reference_gauss_flow(op, grid, raw):
@@ -71,10 +72,11 @@ def _reference_gauss_flow(op, grid, raw):
     edges_l, edges_r, x = grid.edges[:-1], grid.edges[1:], grid.nodes
     ns = np.arange(1, op.truncation_K + 1, dtype=float)
     for j in range(n):
-        w = (ns + x[j]) ** -2.0 if raw else gauss_kernel_probs(x[j], ns)
+        w = _reference_weights(op.truncation_K, x[j], ns, raw)
         a = 1.0 / (ns + edges_r[j])
         b = 1.0 / (ns + edges_l[j])
         k0 = np.floor((a - grid.lower) / grid.dx).astype(int)
+        k0 -= a < grid.edge(k0)
         k1 = np.floor((b - grid.lower) / grid.dx - 1e-15).astype(int)
         k1 = np.maximum(k1, k0)
         width = b - a
@@ -82,7 +84,7 @@ def _reference_gauss_flow(op, grid, raw):
         M[:, j] += np.bincount(np.clip(k0[same], 0, n - 1), weights=w[same], minlength=n)
         split = ~same
         if np.any(split):
-            cut = grid.lower + k1[split] * grid.dx
+            cut = grid.edge(k1[split])
             fr_hi = np.clip((b[split] - cut) / width[split], 0.0, 1.0)
             M[:, j] += np.bincount(np.clip(k1[split], 0, n - 1),
                                    weights=w[split] * fr_hi, minlength=n)
@@ -106,10 +108,10 @@ def _dense_spread(M, col_weights, a, b, grid):
     a, b, w, width = a[live], b[live], col_weights[live], width[live]
     k0 = np.floor((a - lo) / dx).astype(int)
     k1 = np.floor((b - lo) / dx - 1e-15).astype(int)
+    k0 -= a < grid.edge(k0)
     for s in range(int(np.max(k1 - k0)) + 1):
         k = k0 + s
-        left = lo + k * dx
-        overlap = np.minimum(b, left + dx) - np.maximum(a, left)
+        overlap = np.minimum(b, grid.edge(k + 1)) - np.maximum(a, grid.edge(k))
         frac = np.clip(overlap, 0.0, None) / width
         k_t = np.mod(k, n) if grid.domain_kind == "circle" else np.clip(k, 0, n - 1)
         nz = frac > 0
@@ -178,10 +180,10 @@ sizes = st.tuples(st.integers(2, 700), st.integers(2, 3000), st.integers(0, 10_0
 
 
 @SETTINGS
-@given(sizes, st.sampled_from(KINDS), st.sampled_from(("integral", "ignore")))
-def test_compiled_gauss_apply_matches_chunked_eval_loop(size, kind, tail_mode):
+@given(sizes, st.sampled_from(KINDS))
+def test_compiled_gauss_apply_matches_chunked_eval_loop(size, kind):
     n, K, seed = size
-    op = GaussOperator(truncation_K=K, tail_mode=tail_mode)
+    op = gauss_operator(K=K)
     f = _test_function(kind, Grid(0.0, 1.0, n), seed)
     assert _close(apply_gauss(op, f).values, _reference_apply(op, f, f.grid.nodes))
     assert _close(op.chain_apply(f).values, _reference_chain_apply(op, f))
@@ -202,12 +204,12 @@ def test_end_strip_clamp_binds_in_the_examples():
     # unclamped branch sum misses eval's by far more than the 1e-12 the
     # compiled sum is held to, so the clamp correction is needed
     g = Grid(0.0, 1.0, 64)
-    op = GaussOperator(truncation_K=500, tail_mode="ignore")
+    op = gauss_operator(K=500)
     x = g.nodes
     for kind in KINDS[:3]:
         f = _test_function(kind, g, 3)
         want = _reference_apply(op, f, x)
-        unclamped = sum(f.linear(1.0 / (k + x)) / (k + x) ** 2
+        unclamped = sum(f.linear(1.0 / (k + x)) * _reference_weights(500, x, k, raw=True)
                         for k in range(1, op.truncation_K + 1))
         assert np.max(np.abs(unclamped - want)) > 1e-9 * np.max(np.abs(want))
         assert _close(apply_gauss(op, f).values, want)
@@ -239,7 +241,7 @@ def test_equal_operators_share_one_compiled_matrix():
     apply_gauss(gauss_operator(K=777), f)
     hits = compiled.cache_info().hits
     apply_gauss(gauss_operator(K=777), f)
-    gauss_operator(K=777, tail_mode="ignore").chain_apply(f)
+    gauss_operator(K=777).chain_apply(f)
     assert compiled.cache_info().hits == hits + 2
 
 
@@ -267,15 +269,15 @@ def test_compiled_gauss_apply_memory_is_bounded():
 def _gauss_flow_tolerance(grid, K, reference):
     """Entrywise bound on |flow - reference|, from two sources.
 
-    Cell edges: the flow's ``_spread_interval`` places a cell's edges at
-    lo + k dx and lo + k dx + dx, where the reference cuts at lo + k1 dx.
-    Both are inexact on most grids, and they differ by at most 8 roundings
-    of an edge, each at most eps E / 2, with E the largest |point| an edge
-    or an image reaches.  The difference moves an image's part by that much
-    over the image's width, times its weight; weight / width <= (1 + E) / dx
-    for both weights ((1 + x)(n + l)(n + r) / ((n + x)(n + x + 1)) and
-    (n + l)(n + r) / (n + x)^2 are at most 1 + x), and an entry holds at
-    most the two images that cross its cell's edges.
+    Cell edges: both cut an image at the grid's own edges (``grid.edge``),
+    the flow at both edges of each cell the image covers, the reference
+    once, at edge(k1), giving the other cell the rest.  So a part differs
+    only by the roundings of the subtractions and the division that give
+    it, a few eps times the image's weight.  A weight is at most E^2, with
+    E the largest |point| an edge or an image reaches: the raw (n+x)^-2 is
+    at most 1/(1 + lo)^2, and the chain weights and branch K's lumps are at
+    most 1.  An entry holds at most the two images that cross its cell's
+    edges, and 8 eps E (1 + E) / dx >= 8 eps E^2 covers them, as dx <= 1.
 
     Summation: an entry sums at most K + 1 nonnegative parts, each within 2
     roundings of the reference's, in another order than the reference,
@@ -316,7 +318,7 @@ def test_gauss_flow_spreads_wide_images_by_overlap():
             a, b = 1.0 / (k + right), 1.0 / (k + left)
             cut = np.concatenate(([min(a, g.lower)], inner, [max(b, g.upper)]))
             share = np.clip(np.minimum(b, cut[1:]) - np.maximum(a, cut[:-1]), 0.0, None)
-            want[:, j] += gauss_kernel_probs(x, k) * share / (b - a)
+            want[:, j] += _reference_weights(K, x, k, raw=False) * share / (b - a)
     got = np.asarray(cell_flow_matrix(gauss_operator(K=K), g))
     # entries below 1, each a sum of at most K + 1 parts within a few
     # roundings: 1e-14 is about 45 eps
@@ -343,16 +345,13 @@ def test_gauss_flow_keeps_the_column_loop_pattern(raw):
 def test_gauss_flow_columns_carry_the_kernel_mass(log_n, K, raw, interval):
     # on a power-of-two grid over these intervals the cell edges are exact,
     # and the end cells keep what lies beyond the grid, so each column holds
-    # its truncated kernel mass: a tail of cell-0 images dropped or counted
-    # twice moves it by about 1/n.  A column sums at most 2K + 1 parts over
-    # n cells, each part within 6 roundings of its share of the weight, and
-    # the mass carries a few roundings of its own.
+    # its kernel mass, 1 for the chain: a tail of cell-0 images dropped or
+    # counted twice moves it by about 1/n.  A column sums at most 2K + 1
+    # parts over n cells, each part within 6 roundings of its share of the
+    # weight, and the mass carries a few roundings of its own.
     g = Grid(*interval, 2**log_n)
-    x = g.nodes
-    if raw:
-        mass = np.sum((np.arange(1, K + 1, dtype=float)[:, None] + x) ** -2.0, axis=0)
-    else:
-        mass = 1.0 - (1.0 + x) / (K + 1.0 + x)
+    ns = np.arange(1, K + 1, dtype=float)[:, None]
+    mass = np.sum(_reference_weights(K, g.nodes, ns, raw=True), axis=0) if raw else 1.0
     sums = np.ones(g.n) @ cell_flow_matrix(gauss_operator(K=K), g, raw=raw)
     tol = (K + g.n + 16) * np.finfo(float).eps * mass
     assert np.all(np.abs(sums - mass) <= tol)

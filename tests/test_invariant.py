@@ -219,11 +219,13 @@ def _hutchinson_loop(g, slopes, shifts, probs):
         b = s_j * g.edges[1:] + t_j
         aa, bb = np.minimum(a, b), np.maximum(a, b)
         k0 = np.floor((aa - g.lower) / g.dx).astype(int)
+        k0 -= aa < g.edge(k0)
         k1 = np.floor((bb - g.lower) / g.dx - 1e-15).astype(int)
         for s in range(int(np.max(k1 - k0)) + 1):
-            left = g.lower + (k0 + s) * g.dx
-            overlap = np.clip(np.minimum(bb, left + g.dx) - np.maximum(aa, left), 0.0, None)
-            np.add.at(M, (np.clip(k0 + s, 0, g.n - 1), np.arange(g.n)),
+            k = k0 + s
+            overlap = np.clip(np.minimum(bb, g.edge(k + 1)) - np.maximum(aa, g.edge(k)),
+                              0.0, None)
+            np.add.at(M, (np.clip(k, 0, g.n - 1), np.arange(g.n)),
                       p_j * (overlap / (bb - aa)))
     return M
 
