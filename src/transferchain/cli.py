@@ -403,9 +403,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# the most cells whose arrays of 8 floats per cell numpy can index; more end
-# in an overflow or a numpy size error deep inside a build
+# numpy's size limit in grid cells (8 floats each) and in floats: a path holds steps + 1
 MAX_GRID_N = np.iinfo(np.intp).max // (8 * np.dtype(float).itemsize)
+MAX_PATH_FLOATS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 def _size(given: dict, key: str, default: int, least: int, most: Optional[int] = None) -> int:
@@ -442,8 +442,8 @@ def _settings(command: str, given: dict) -> RunConfig:
     cfg = RunConfig(command=command)
     cfg.system = _text(given, "system", cfg.system)
     cfg.grid_n = _size(given, "grid_n", cfg.grid_n, 2, MAX_GRID_N)
-    cfg.n_paths = _size(given, "paths", cfg.n_paths, 1)
-    cfg.n_steps = _size(given, "steps", cfg.n_steps, 0)
+    cfg.n_paths = _size(given, "paths", cfg.n_paths, 1, MAX_PATH_FLOATS)
+    cfg.n_steps = _size(given, "steps", cfg.n_steps, 0, MAX_PATH_FLOATS // cfg.n_paths - 1)
     cfg.master_seed = _size(given, "master_seed", cfg.master_seed, 0)
     cfg.threads = _size(given, "threads", os.cpu_count() or 1, 1)
     cfg.out_dir = _text(given, "out", cfg.out_dir)

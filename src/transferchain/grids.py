@@ -185,6 +185,13 @@ class GridFunction:
         v = self.values
         return v[i0] * (1 - frac) + v[i0 + 1] * frac
 
+    def antiderivative(self, x) -> np.ndarray:
+        """Interval grids: the exact integral of ``linear`` from the first node."""
+        i0, frac = self.grid.stencil(x)
+        v, dx = self.values, self.grid.dx
+        at_nodes = np.concatenate(([0.0], np.cumsum(0.5 * dx * (v[:-1] + v[1:]))))
+        return at_nodes[i0] + dx * frac * (v[i0] + 0.5 * frac * (v[i0 + 1] - v[i0]))
+
     def sign_clamp(self, out) -> np.ndarray:
         """Sign-preserving floor/cap: with nonnegative data, values are
         floored at 0 (and symmetrically), which operator positivity needs."""

@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction, integrate, uniform_measure, wasserstein1
-from .operators import BranchSystem, CSCMatrix, cell_flow_matrix
+from .operators import BranchSystem, ControlFlow, CSCMatrix, cell_flow_matrix
 
 __all__ = [
     "UlamMatrix",
@@ -33,12 +33,11 @@ class UlamMatrix:
     """Discretized action mu -> mu R: entries[i, j] is the mass sent from
     cell j to cell i.  Columns of a normalized operator sum to 1.
 
-    ``entries`` is a cell flow as ``cell_flow_matrix`` returns it (a
-    ``CSCMatrix`` or a dense array), used through ``@`` only; it is kept
-    as given, never copied or changed."""
+    ``entries`` is a cell flow as ``cell_flow_matrix`` returns it, used
+    through ``@`` only; it is kept as given, never copied or changed."""
 
     grid: Grid
-    entries: CSCMatrix | np.ndarray
+    entries: CSCMatrix | ControlFlow
 
     def __post_init__(self):
         if self.entries.shape != (self.grid.n, self.grid.n):

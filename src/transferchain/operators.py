@@ -2,16 +2,16 @@
 
 Four operator shapes are supported: branch-weighted sums over the maps of
 an iterated function system (the inverse branches of an endomorphism, where
-there is one), integral operators driven by a control
-distribution, the weighted Ruelle operator of a circle filter, and the
-Gauss (continued fraction) operator.  Each is its own kernel: ``apply``
-acts on grid functions, ``flow`` moves cell masses (the matrix behind the
-invariant measures), and ``step`` and ``chain_apply`` move its chain.
+there is one), an IFS with random control, the weighted Ruelle operator of
+a circle filter, and the Gauss (continued fraction) operator.  Each is its
+own kernel: ``apply`` acts on grid functions, ``flow`` moves cell masses
+(the matrix behind the invariant measures), and ``step`` and
+``chain_apply`` move its chain.
 
-Flows other than the dense random-control one are ``CSCMatrix`` objects,
-and the Gauss branch sum at the nodes of a grid is compiled once into one.
-Both are built in blocks of at most ``_BLOCK`` elements, so their build
-memory does not grow with n^2 or with the Gauss truncation.
+A random-control flow is a closed-form ``ControlFlow`` of O(n) arrays.  The
+other flows, and the Gauss branch sum compiled once at a grid's nodes, are
+``CSCMatrix`` objects built in blocks of at most ``_BLOCK`` elements, so
+their build memory does not grow with n^2 or with the Gauss truncation.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "RadonNikodymWeight",
     "BranchEscapeError",
     "CSCMatrix",
+    "ControlFlow",
     "apply_branch",
     "apply_integral",
     "apply_ruelle_circle",
@@ -76,7 +77,9 @@ class CSCMatrix:
 
     def __init__(self, shape, indptr, indices, data):
         self.shape = tuple(shape)
-        self.indptr, self.indices, self.data = (_freeze(a) for a in (indptr, indices, data))
+        self.indptr, self.indices, self.data = (np.asarray(a) for a in (indptr, indices, data))
+        for a in (self.indptr, self.indices, self.data):
+            a.flags.writeable = False  # frozen in place, not copied
         self._cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
 
     def __matmul__(self, w) -> np.ndarray:
@@ -98,13 +101,6 @@ class CSCMatrix:
         dense = np.zeros(self.shape, dtype=dtype or float)
         dense[self.indices, self._cols] = self.data
         return dense
-
-
-def _freeze(a) -> np.ndarray:
-    """The array itself, made read-only (no copy)."""
-    a = np.asarray(a)
-    a.flags.writeable = False
-    return a
 
 
 def _csc_from_blocks(n_rows: int, blocks):
@@ -269,15 +265,49 @@ class BranchSystem:
         return self.branch_values(x)[choice, np.arange(x.size)]
 
 
+class ControlFlow:
+    """The cell flow of a controlled move from each source cell's midpoint:
+    with probability p_i, uniform between lo[i, j] and hi[i, j].  ``M @ w`` sums
+    density times length per cell, and ``v @ M`` averages v over each interval."""
+
+    __array_ufunc__ = None  # so that ``ndarray @ M`` defers to __rmatmul__
+
+    def __init__(self, grid: Grid, probs, lo, hi):
+        self.shape = (grid.n, grid.n)
+        self._scale = probs[:, None] / (hi - lo)  # density per unit mass, < 0 where hi < lo
+        ends = np.concatenate((lo.ravel(), hi.ravel(), grid.edges))
+        self._order = np.argsort(ends, kind="stable")
+        self._length = np.diff(ends[self._order])
+        # a segment lies in the cell of the last edge before it; end cells take the rest
+        self._cell = np.clip(np.cumsum(self._order >= 2 * lo.size)[:-1] - 1, 0, grid.n - 1)
+        self._rank = np.argsort(self._order)
+
+    def __matmul__(self, w) -> np.ndarray:
+        """(M w)_i = sum_j M[i, j] w_j."""
+        w = np.asarray(w, dtype=float)
+        jumps = (self._scale * w).ravel()
+        density = np.cumsum(np.concatenate((jumps, -jumps, np.zeros(w.size + 1)))[self._order])
+        out = np.bincount(self._cell, density[:-1] * self._length, minlength=w.size)
+        # entries are overlap masses: for w >= 0, a negative cell is round-off
+        return np.maximum(out, 0.0) if w.min() >= 0.0 else out
+
+    def __rmatmul__(self, v) -> np.ndarray:
+        """(v M)_j = sum_i v_i M[i, j]."""
+        at_ends = np.concatenate(([0.0], np.cumsum(np.asarray(v)[self._cell] * self._length)))
+        lo, hi = at_ends[self._rank[:2 * self._scale.size]].reshape(2, *self._scale.shape)
+        return ((hi - lo) * self._scale).sum(axis=0)
+
+    def min(self) -> float:
+        """0.0, a lower bound on the entries: each is a sum of overlap masses."""
+        return 0.0
+
+
 @dataclass(frozen=True)
 class ControlledSystem:
-    """Integral operator (Rf)(x) = int_Y f(F(x,y)) dnu(y).
-
-    The control space Y is a finite branch set (probabilities ``branch_probs``)
-    optionally crossed with the unit interval, quadratured by ``u_nodes`` /
-    ``u_weights``.  ``F(x, i, u)`` must be vectorized in x and u.  Its chain
-    draws branch i and a uniform control u per move: two uniform channels.
-    """
+    """IFS with random control: from x, branch i with probability p_i
+    (``branch_probs``), then F(x, i, u) for uniform u, which must be affine
+    in u, so a uniform point of the control interval [F(x, i, 0), F(x, i, 1)].
+    F is vectorized in x and u.  The chain draws i and u: two channels."""
 
     kind = "controlled"
     channels = 2
@@ -285,9 +315,6 @@ class ControlledSystem:
     grid: Grid
     F: Callable
     branch_probs: np.ndarray
-    u_nodes: Optional[np.ndarray] = None
-    u_weights: Optional[np.ndarray] = None
-    transition_cdf: Optional[Callable] = None  # (x, t) -> P(F(x, Y) <= t)
     name: str = ""
 
     def __post_init__(self):
@@ -295,44 +322,36 @@ class ControlledSystem:
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("branch probabilities must be a distribution")
         object.__setattr__(self, "branch_probs", p)
-        if (self.u_nodes is None) != (self.u_weights is None):
-            raise ValueError("u_nodes and u_weights must come together")
-        if self.u_weights is not None:
-            w = np.asarray(self.u_weights, dtype=float)
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("control quadrature weights must sum to 1")
+        if self.grid.domain_kind != "interval":
+            raise GridMismatchError("a controlled system lives on an interval grid")
+        live, (lo, hi, mid) = self._ends(self.grid.nodes, (0.0, 1.0, 0.5))
+        err = np.max(np.abs(mid - 0.5 * (lo + hi)), axis=1)
+        if np.any(err > 1e-12 * np.max(np.abs(self.grid.nodes))):
+            raise ValueError(f"{self.name or 'the controlled system'}: F(x, i, u) is not "
+                             f"affine in u for branch i = {live[np.argmax(err)]}")
 
-    def _controls(self):
-        """(i, u, p_i * w) for each branch i with p_i != 0 and each control
-        quadrature node u of weight w; u is None at weight 1 without one."""
-        quad = ([(None, 1.0)] if self.u_nodes is None
-                else list(zip(self.u_nodes, self.u_weights)))
-        for i, p_i in enumerate(self.branch_probs):
-            if p_i != 0.0:
-                for u, w in quad:
-                    yield i, u, p_i * w
+    def _ends(self, x, us=(0.0, 1.0)):
+        """The branches i with p_i != 0, and F(x, i, u) for each u in us."""
+        live = np.flatnonzero(self.branch_probs)
+        return live, [np.array([np.broadcast_to(np.asarray(self.F(x, i, u), dtype=float), x.shape)
+                                for i in live]) for u in us]
 
     def apply(self, f: GridFunction) -> GridFunction:
         return apply_integral(self, f)
 
     chain_apply = apply  # the chain's one-step operator is R itself
 
-    def flow(self, grid: Grid, raw: bool = False) -> np.ndarray:
-        """Exact cell masses from ``transition_cdf``, its table built a block
-        of source cells at a time; a dense array, clipped at 0 in place."""
+    def flow(self, grid: Grid, raw: bool = False) -> ControlFlow:
+        """The move from each source cell's midpoint; a point interval has no density."""
         if self.grid != grid:
             raise GridMismatchError("operator grid differs from requested grid")
-        if self.transition_cdf is None:
-            raise ValueError(f"{self.name or 'the controlled system'} has no "
-                             "transition_cdf, so no cell flow")
-        n, mids = grid.n, grid.nodes
-        M = np.empty((n, n))
-        width = max(1, _BLOCK // (n + 1))
-        for c0 in range(0, n, width):
-            cols = slice(c0, c0 + width)
-            cdf = self.transition_cdf(mids[None, cols], grid.edges[:, None])
-            M[:, cols] = np.diff(np.asarray(cdf, dtype=float), axis=0)
-        return np.maximum(M, 0.0, out=M)
+        live, (lo, hi) = self._ends(grid.nodes)
+        point = np.any(np.abs(hi - lo) <= 1e-15 * grid.width, axis=0)
+        if np.any(point):
+            x = float(grid.nodes[np.argmax(point)])
+            raise ValueError(f"{self.name or 'the controlled system'} has a control interval "
+                             f"of zero width at x = {x!r}, so no cell flow")
+        return ControlFlow(grid, self.branch_probs[live], lo, hi)
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Branch i where uniforms[0] falls in its slot, then F(x, i, uniforms[1])."""
@@ -542,14 +561,14 @@ def apply_branch(bs: BranchSystem, f: GridFunction) -> GridFunction:
 
 
 def apply_integral(cs: ControlledSystem, f: GridFunction) -> GridFunction:
-    """Quadrature of f(F(x, .)) over the control space at every node."""
+    """sum_i p_i (exact mean of ``f.linear`` over the control interval, or
+    its value at a zero-width one) at every node, clamped like ``eval``."""
     if f.grid != cs.grid:
         raise GridMismatchError("function not on the system grid")
-    x = cs.grid.nodes
-    vals = np.zeros(cs.grid.n)
-    for i, u, c in cs._controls():
-        vals += c * f.eval(np.asarray(cs.F(x, i, u), dtype=float))
-    return GridFunction(cs.grid, vals)
+    live, (lo, hi) = cs._ends(cs.grid.nodes)
+    mean = np.divide(f.antiderivative(hi) - f.antiderivative(lo), hi - lo,
+                     out=f.linear(lo), where=hi != lo)
+    return GridFunction(cs.grid, f.sign_clamp((cs.branch_probs[live, None] * mean).sum(axis=0)))
 
 
 def apply_ruelle_circle(op: CircleFilterOperator, f: GridFunction) -> GridFunction:
@@ -742,16 +761,11 @@ def _spread_interval(col_weights, a, b, grid: Grid):
 def cell_flow_matrix(op, grid: Grid, raw: bool = False):
     """Matrix M with M[i, j] = mass sent from cell j to cell i by one step
     of the operator's Markov kernel (column-stochastic when normalized),
-    with no negative entry.  A ``CSCMatrix``, or a dense array for the
-    random-control flow; either acts through ``M @ w`` and ``v @ M``.
-
-    Branch images of each source cell are spread over target cells by exact
-    interval overlap (``_spread_interval``); the random-control flow is an
-    exact difference of its transition CDF.  The Gauss operator uses its
-    density-normalized chain kernel, truncated with branch K carrying every
-    n >= K, so its columns sum to 1; ``raw=True`` switches to the raw
-    weights (n+x)^-2, with the tail on branch K too, whose dual fixes
-    Lebesgue measure.
+    with no negative entry, as the operator's ``flow`` builds it.  A
+    ``CSCMatrix``, or a ``ControlFlow`` for a controlled system; either
+    acts through ``M @ w`` and ``v @ M``.  ``raw=True`` gives the Gauss
+    operator's raw weights (n+x)^-2, whose dual fixes Lebesgue measure, in
+    place of its chain kernel.
     """
     return op.flow(grid, raw)
 
@@ -836,30 +850,12 @@ def parametric_system(grid: Grid, u: float) -> BranchSystem:
     )
 
 
-def _random_control_cdf(x, t):
-    """P(F(x, Y) <= t): the controlled move is U(0,x) or U(x,1) evenly."""
-    x = np.asarray(x, dtype=float)
-    below = np.clip(t / x, 0.0, 1.0)
-    above = np.clip((t - x) / (1.0 - x), 0.0, 1.0)
-    return 0.5 * (below + above)
-
-
-@functools.lru_cache(maxsize=8)
-def _unit_gauss_legendre(n_control: int) -> tuple:
-    """Gauss-Legendre nodes and weights on (0, 1), read-only, computed on
-    first use for each size."""
-    nodes, wts = np.polynomial.legendre.leggauss(n_control)
-    return _freeze(0.5 * (nodes + 1.0)), _freeze(0.5 * wts)
-
-
-def random_control_system(grid: Grid, n_control: int = 512) -> ControlledSystem:
+def random_control_system(grid: Grid) -> ControlledSystem:
     """The two-branch system with uniformly random contraction parameter.
 
     F(x, (i, u)) is u x for i = 0 and u + (1-u) x for i = 1, with u uniform
-    on (0, 1); quadrature over u uses Gauss-Legendre nodes.
+    on (0, 1): the move is U(0, x) or U(x, 1), evenly.
     """
-    u_nodes, u_weights = _unit_gauss_legendre(n_control)
-
     def F(x, i, u):
         x = np.asarray(x, dtype=float)
         return u * x if i == 0 else u + (1.0 - u) * x
@@ -868,9 +864,6 @@ def random_control_system(grid: Grid, n_control: int = 512) -> ControlledSystem:
         grid=grid,
         F=F,
         branch_probs=np.array([0.5, 0.5]),
-        u_nodes=u_nodes,
-        u_weights=u_weights,
-        transition_cdf=_random_control_cdf,
         name="random-control",
     )
 

@@ -162,7 +162,7 @@ def test_branch_frequency_binomial_from_fixed_state():
     assert abs(freq - 0.5) <= 0.005  # ~4 sigma of a fair coin at 1e5
 
 
-def test_random_control_one_step_kernel():
+def test_random_control_one_step_kernel(random_control_cdf):
     g = G512
     rc = random_control_system(g)
     s = MarkovSampler(rc, arcsine_ppf, master_seed=4)
@@ -172,7 +172,7 @@ def test_random_control_one_step_kernel():
     # the one-step law from x is an even mixture of U(0,x) and U(x,1)
     for t in (0.1, 0.37, 0.8):
         emp = np.mean(y <= t)
-        assert abs(emp - rc.transition_cdf(np.array([x0]), t)[0]) <= 0.006
+        assert abs(emp - random_control_cdf(x0, t)) <= 0.006
 
 
 def test_step_rejects_unnormalized_weights():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from transferchain.cli import MAX_GRID_N, SYSTEMS, _build_parser, main
+from transferchain.cli import MAX_GRID_N, MAX_PATH_FLOATS, SYSTEMS, _build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -168,6 +168,10 @@ def test_unknown_config_key_rejected(tmp_path):
     ("--grid-n", "1" + "0" * 400, rf"grid_n must be <= {MAX_GRID_N}, got 10{{400}}$"),
     ("--grid-n", "1" + "0" * 20, rf"grid_n must be <= {MAX_GRID_N}, got 10{{20}}$"),
     ("--steps", "-1", "steps must be >= 0, got -1"),
+    # more path floats than numpy can index, so refused before any allocation
+    ("--paths", "1" + "0" * 20, rf"paths must be <= {MAX_PATH_FLOATS}, got 10{{20}}$"),
+    ("--steps", "1" + "0" * 20,  # with the default 10^5 paths
+     rf"steps must be <= {MAX_PATH_FLOATS // 100_000 - 1}, got 10{{20}}$"),
     ("--threads", "0", "threads must be >= 1, got 0"),
 ])
 def test_bad_size_flag_rejected(tmp_path, flag, value, message):
@@ -182,6 +186,8 @@ def test_bad_size_flag_rejected(tmp_path, flag, value, message):
     ("grid_n", 0, "grid_n must be >= 2, got 0"),
     ("grid_n", 10**20, rf"grid_n must be <= {MAX_GRID_N}, got 10{{20}}$"),
     ("steps", -1, "steps must be >= 0, got -1"),
+    ("paths", 10**20, rf"paths must be <= {MAX_PATH_FLOATS}, got 10{{20}}$"),
+    ("steps", 10**20, rf"steps must be <= {MAX_PATH_FLOATS // 100_000 - 1}, got 10{{20}}$"),
     ("paths", "many", "paths must be an integer, got 'many'"),
     ("paths", 100.7, "paths must be an integer, got 100.7"),
     ("master_seed", 2.5, "master_seed must be an integer, got 2.5"),
@@ -195,6 +201,30 @@ def test_bad_size_config_rejected(tmp_path, key, value, message):
     cfg.write_text(json.dumps({"system": "doubling", key: value}))
     with pytest.raises(SystemExit, match=message):
         run(tmp_path, "simulate", "--config", str(cfg))
+    assert not (tmp_path / "out").exists()
+
+
+# the path array holds paths x (steps + 1) floats, so the steps bound
+# follows the paths: with 2^32 paths, steps + 1 <= MAX_PATH_FLOATS // 2^32
+JOINT = rf"--steps / steps must be <= {MAX_PATH_FLOATS // 2**32 - 1}, got 4294967296$"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["--paths", "1" + "0" * 20, "--steps", "1"], {},
+     rf"paths must be <= {MAX_PATH_FLOATS}, got 10{{20}}$"),
+    (["--paths", "10", "--steps", "1" + "0" * 20], {},
+     rf"steps must be <= {MAX_PATH_FLOATS // 10 - 1}, got 10{{20}}$"),
+    # 2^32 steps alone fit, but not with 2^32 paths, whether both come from
+    # flags, from the file, or one from each
+    (["--paths", str(2**32), "--steps", str(2**32)], {}, JOINT),
+    ([], {"paths": 2**32, "steps": 2**32}, JOINT),
+    (["--steps", str(2**32)], {"paths": 2**32}, JOINT),
+])
+def test_path_floats_bounded(tmp_path, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit, match=message):
+        run(tmp_path, "simulate", "--system", "doubling", "--config", str(cfg), *argv)
     assert not (tmp_path / "out").exists()
 
 

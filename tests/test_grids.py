@@ -215,6 +215,26 @@ def test_circle_periodicity_exact():
     assert np.array_equal(f.eval(x), f.eval(x - 1.0))
 
 
+def test_antiderivative_integrates_linear_exactly():
+    # linear is affine between neighbouring nodes and extends its first and
+    # last segments into the end strips, so the trapezoid rule over the
+    # nodes between the first node and x, plus x, is exact
+    g = Grid(-1.0, 2.0, 7)
+    f = GridFunction(g, stream_rng(8, 0).normal(size=g.n))
+    x0 = g.nodes[0]
+    points = np.concatenate((g.edges, g.nodes, stream_rng(8, 1).uniform(-1.0, 2.0, 50)))
+    for x in points:
+        pts = np.append(g.nodes[(g.nodes > x0) & (g.nodes < x)], x)
+        pts = np.concatenate(([x0], pts))
+        vals = f.linear(pts)
+        expect = np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(pts))
+        assert f.antiderivative(x) == pytest.approx(expect, rel=0.0, abs=1e-14)
+    # both end strips: the mean over a strip is linear at the strip's middle
+    for a, b in ((g.lower, x0), (g.nodes[-1], g.upper)):
+        mean = (f.antiderivative(b) - f.antiderivative(a)) / (b - a)
+        assert mean == pytest.approx(f.linear(0.5 * (a + b)), rel=0.0, abs=1e-14)
+
+
 def test_stream_rng_reproducible_and_split():
     a = stream_rng(42, 7).random(5)
     b = stream_rng(42, 7).random(5)

@@ -168,7 +168,7 @@ def test_invariance_residuals_refine_with_grid():
     medians = []
     for n in (512, 1024, 2048):
         g = Grid(0.0, 1.0, n)
-        res = verify_invariance(arcsine_measure(g), random_control_system(g, 256),
+        res = verify_invariance(arcsine_measure(g), random_control_system(g),
                                 _test_functions(g))
         medians.append(np.median(res))
     assert medians[0] >= medians[1] >= medians[2]

@@ -111,7 +111,7 @@ def test_integral_constant():
 
 def test_integral_identity_closed_form():
     g = Grid(0.0, 1.0, 2048)
-    rc = random_control_system(g, n_control=512)
+    rc = random_control_system(g)
     rid = apply_integral(rc, GridFunction.from_callable(g, lambda x: x))
     assert np.max(np.abs(rid.values - (1.0 + 2.0 * g.nodes) / 4.0)) <= 1e-8
 
@@ -125,21 +125,42 @@ def test_integral_degenerate_control():
     assert np.allclose(out.values, f.eval(g.nodes / 2.0))
 
 
-def test_controlled_flow_needs_transition_cdf():
+def test_controlled_flow_refuses_zero_width_interval():
+    # a control interval of zero width is a point mass, which has no density
+    # to spread; apply still evaluates it (test_integral_degenerate_control)
     g = Grid(0.0, 1.0, 16)
     cs = ControlledSystem(grid=g, F=lambda x, i, u: x / 2.0, branch_probs=np.array([1.0]),
                           name="halver")
-    with pytest.raises(ValueError, match="halver has no transition_cdf, so no cell flow"):
+    with pytest.raises(ValueError, match="halver has a control interval of zero width "
+                                         r"at x = 0\.03125, so no cell flow"):
         cs.flow(g)
+    # one zero-width branch is enough, even where the other has width
+    mixed = ControlledSystem(grid=g, F=lambda x, i, u: u * x if i == 0 else x,
+                             branch_probs=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="the controlled system has a control interval"):
+        mixed.flow(g)
 
 
 def test_controlled_validation():
     g = Grid(0.0, 1.0, 16)
     with pytest.raises(ValueError):
         ControlledSystem(grid=g, F=lambda x, i, u: x, branch_probs=np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        ControlledSystem(grid=g, F=lambda x, i, u: x, branch_probs=np.array([1.0]),
-                         u_nodes=np.array([0.5]), u_weights=np.array([2.0]))
+    # u^2 x is not affine in u: F(x, 0, 1/2) = x/4, not the midpoint x/2
+    with pytest.raises(ValueError,
+                       match=r"squarer: F\(x, i, u\) is not affine in u for branch i = 0$"):
+        ControlledSystem(grid=g, F=lambda x, i, u: u * u * x, branch_probs=np.array([1.0]),
+                         name="squarer")
+    # each branch that can be taken is checked; one of probability 0 is not
+    def sqrt_second(x, i, u):
+        return u * x if i == 0 else np.sqrt(u) * x
+
+    with pytest.raises(ValueError, match=r"not affine in u for branch i = 1$"):
+        ControlledSystem(grid=g, F=sqrt_second, branch_probs=np.array([0.5, 0.5]))
+    ControlledSystem(grid=g, F=sqrt_second, branch_probs=np.array([1.0, 0.0]))
+    # apply and flow integrate over intervals of the line, not of a circle
+    with pytest.raises(GridMismatchError, match="interval grid"):
+        ControlledSystem(grid=Grid(0.0, 1.0, 16, "circle"), F=lambda x, i, u: u * x,
+                         branch_probs=np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +373,49 @@ def test_decreasing_branch_spreads_over_its_image():
     assert np.all(col[:28] == 0.0) and np.all(col[36:] == 0.0)
 
 
-def test_random_control_flow_matches_cdf_rows():
-    g = Grid(0.0, 1.0, 64)
-    rc = random_control_system(g)
-    rows = np.stack([rc.transition_cdf(g.nodes, t) for t in g.edges])
-    assert np.array_equal(cell_flow_matrix(rc, g), np.clip(np.diff(rows, axis=0), 0.0, None))
+def test_random_control_flow_matches_cdf_rows(random_control_cdf):
+    # entry (i, j) is the difference of the closed-form CDF from midpoint j
+    # at the edges of cell i
+    for n in (2, 3, 64, 1000):
+        g = Grid(0.0, 1.0, n)
+        M = cell_flow_matrix(random_control_system(g), g)
+        ref = np.diff(random_control_cdf(g.nodes[None, :], g.edges[:, None]), axis=0)
+        columns = np.stack([M @ e for e in np.eye(n)], axis=1)
+        assert np.allclose(columns, ref, rtol=0.0, atol=4e-16)
+        v = stream_rng(3, 0).normal(size=n)
+        assert np.allclose(v @ M, v @ ref, rtol=0.0, atol=1e-13)
+        assert np.allclose(np.ones(n) @ M, 1.0, rtol=0.0, atol=4e-16)
+        w = stream_rng(3, 1).random(n)
+        assert np.allclose(M @ w, ref @ w, rtol=1e-13, atol=0.0)
+        assert M.min() == 0.0 and M.shape == (n, n)
+
+
+def test_controlled_flow_spreads_affine_intervals_like_branch_images():
+    # with F(x, i, u) = tau_i(x) + u h, each source midpoint's mass spreads
+    # uniformly over [tau_i(x), tau_i(x) + h]: a decreasing F in u, images
+    # that leave the grid (their mass goes to the end cell) and a branch of
+    # probability 0 that adds nothing
+    g = Grid(-1.0, 1.0, 10)
+    h = 0.3
+    cs = ControlledSystem(grid=g, F=lambda x, i, u: (0.5 * x + (1.0 - u) * h if i == 0
+                                                      else 0.5 * x + 0.6 + u * h if i == 1
+                                                      else x + u),
+                          branch_probs=np.array([0.25, 0.75, 0.0]))
+    M = cell_flow_matrix(cs, g)
+    cuts = np.concatenate(([-np.inf], g.edges[1:-1], [np.inf]))  # end cells reach out
+    ref = np.zeros((g.n, g.n))
+    for j, x in enumerate(g.nodes):
+        for p, lo in ((0.25, 0.5 * x), (0.75, 0.5 * x + 0.6)):
+            ref[:, j] += p * np.diff(np.clip(cuts, lo, lo + h)) / h
+    columns = np.stack([M @ e for e in np.eye(g.n)], axis=1)
+    assert np.allclose(columns, ref, rtol=0.0, atol=1e-15)
+    assert ref[-1, -1] > 0.0  # the image past the upper end went to the end cell
+    # apply averages over the interval whichever way F runs through it
+    rising = ControlledSystem(grid=g, F=lambda x, i, u: (0.5 * x + u * h if i == 0
+                                                          else 0.5 * x + 0.6 + u * h),
+                              branch_probs=np.array([0.25, 0.75]))
+    f = GridFunction(g, stream_rng(4, 0).normal(size=g.n))
+    assert np.array_equal(apply_integral(cs, f).values, apply_integral(rising, f).values)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +427,7 @@ def test_positivity_all_forms():
     g = Grid(0.0, 1.0, 256)
     gc = Grid(0.0, 1.0, 256, "circle")
     ops = [doubling_system(g), logistic_system(g), parametric_system(g, 0.4),
-           random_control_system(g, n_control=64), gauss_operator(K=200),
+           random_control_system(g), gauss_operator(K=200),
            circle_filter_system(gc, haar_filter())]
     for op in ops:
         grid = getattr(op, "grid", None) or g
