@@ -208,11 +208,7 @@ def cmd_invariant(config: RunConfig) -> int:
 
     t0 = time.perf_counter()
     grid, op, ref = _build(config, "gate", make)
-    if config.system == "halving":  # its report counts 40 Hutchinson iterations
-        res = invariant.hutchinson_iterate(op, uniform_measure(grid), 40)
-    else:
-        res = invariant.power_iterate(invariant.build_ulam(op, grid),
-                                      tol=1e-12, max_iters=3000)
+    res = invariant.power_iterate(invariant.build_ulam(op, grid), tol=1e-12, max_iters=3000)
     ms = (time.perf_counter() - t0) * 1000.0
     l1 = float(np.abs(res.measure.weights - ref.weights).sum())
     w1 = wasserstein1(res.measure, ref)

@@ -6,7 +6,9 @@ there is one), an IFS with random control, the weighted Ruelle operator of
 a circle filter, and the Gauss (continued fraction) operator.  Each is its
 own kernel: ``apply`` acts on grid functions, ``flow`` moves cell masses
 (the matrix behind the invariant measures), and ``step`` and
-``chain_apply`` move its chain.
+``chain_apply`` move its chain.  The circle Ruelle operator has ``apply``
+alone, in ``TrigPoly`` arithmetic: its chain and flow are those of
+``circle_filter_system``.
 
 A random-control flow is a closed-form ``ControlFlow`` of O(n) arrays.  The
 other flows, and the Gauss branch sum compiled once at a grid's nodes, are
@@ -23,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction, GridMismatchError
-from .wavelets import HarmonicSequence, WaveletFilter
+from .wavelets import HarmonicSequence, TrigPoly, WaveletFilter
 
 __all__ = [
     "BranchSystem",
@@ -52,9 +54,6 @@ __all__ = [
     "bernoulli_support",
     "bernoulli_system",
     "circle_filter_system",
-    "circle_trig_coeffs",
-    "circle_trig_eval",
-    "circle_upsample",
 ]
 
 
@@ -367,35 +366,18 @@ class ControlledSystem:
 
 @dataclass(frozen=True)
 class CircleFilterOperator:
-    """Weighted Ruelle operator (Rf)(t) = (1/N) sum_k (|m0|^2 f)((t+k)/N)."""
+    """Weighted Ruelle operator (Rf)(t) = (1/N) sum_k (|m0|^2 f)((t+k)/N).
 
-    N: int
+    It acts on functions only: its chain is ``circle_filter_system``."""
+
     filt: WaveletFilter
-    name: str = ""
-
-    def __post_init__(self):
-        if self.N != self.filt.N:
-            raise ValueError("operator branching must match the filter's")
 
     @property
-    def is_normalized(self) -> bool:
-        return self.filt.is_normalized
+    def N(self) -> int:
+        return self.filt.N
 
     def apply(self, f: GridFunction) -> GridFunction:
         return apply_ruelle_circle(self, f)
-
-    def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
-        """Each source cell's N preimage cells, weighted by |m0|^2 / N there."""
-        if grid.domain_kind != "circle" or grid.n % self.N:
-            raise GridMismatchError("need a circle grid with size divisible by N")
-        N = self.N
-        t = (grid.nodes - grid.lower) / grid.width
-        entries = []
-        for k in range(N):
-            w = self.filt.m0_sq((t + k) / N) / N
-            a = grid.lower + ((grid.edges[:-1] - grid.lower) / N + k * grid.width / N)
-            entries.append(_spread_interval(w, a, a + grid.dx / N, grid))
-        return _flow_from_entries(grid.n, entries)
 
 
 @dataclass(frozen=True)
@@ -498,52 +480,6 @@ class RadonNikodymWeight:
 
 
 # ---------------------------------------------------------------------------
-# trigonometric helpers for circle grids (midpoint sampling)
-# ---------------------------------------------------------------------------
-
-def circle_trig_coeffs(values: np.ndarray) -> np.ndarray:
-    """Complex Fourier coefficients c_0..c_{n//2} of midpoint samples.
-
-    Exact for trigonometric polynomials of degree < n/2; the half-step
-    phase accounts for the midpoint node convention.
-    """
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    V = np.fft.rfft(v)
-    m = np.arange(V.size)
-    return V * np.exp(-1j * np.pi * m / n) / n
-
-
-def circle_trig_eval(coeffs: np.ndarray, t) -> np.ndarray:
-    """Evaluate sum_m c_m e^{2 pi i m t} + c.c. at arbitrary angles."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    m = np.arange(1, coeffs.size)
-    phases = np.exp(2j * np.pi * np.outer(t, m))
-    out = coeffs[0].real + 2.0 * (phases @ coeffs[1:]).real
-    return out
-
-
-def circle_upsample(values: np.ndarray, factor: int) -> np.ndarray:
-    """Resample midpoint values onto the factor-times-finer midpoint grid.
-
-    Uses zero-padded FFT synthesis; exact for band-limited data.
-    """
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    c = circle_trig_coeffs(v)
-    if n % 2 == 0:  # split the Nyquist bin symmetrically
-        c = c.copy()
-        c[-1] *= 0.5
-    nf = n * factor
-    spec = np.zeros(nf, dtype=complex)
-    m = np.arange(c.size)
-    phase = np.exp(1j * np.pi * m / nf)
-    spec[: c.size] = c * phase
-    spec[-(c.size - 1):] = np.conj((c * phase)[1:])[::-1]
-    return np.fft.ifft(spec).real * nf
-
-
-# ---------------------------------------------------------------------------
 # operator application
 # ---------------------------------------------------------------------------
 
@@ -572,37 +508,25 @@ def apply_integral(cs: ControlledSystem, f: GridFunction) -> GridFunction:
 
 
 def apply_ruelle_circle(op: CircleFilterOperator, f: GridFunction) -> GridFunction:
-    """(Rf)(t) = (1/N) sum_k |m0((t+k)/N)|^2 f((t+k)/N) on the same grid.
-
-    The preimages of the n midpoints are exactly the midpoints of the
-    N*n-fine grid, so f is lifted there by trigonometric resampling and
-    |m0|^2 is evaluated exactly from the filter autocorrelation.
-    """
+    """(Rf)(t) = (1/N) sum_k |m0((t+k)/N)|^2 f((t+k)/N) on the same grid,
+    exact on the trigonometric interpolant of f's node values."""
     g = f.grid
     if g.domain_kind != "circle":
         raise GridMismatchError("Ruelle circle operator needs a circle grid")
     if g.n % op.N:
         raise GridMismatchError(f"grid size {g.n} not divisible by N = {op.N}")
-    n, N = g.n, op.N
-    fine = Grid(g.lower, g.upper, n * N, "circle")
-    f_fine = circle_upsample(f.values, N)
-    w_fine = op.filt.m0_sq((fine.nodes - g.lower) / g.width)
-    prod = w_fine * f_fine
-    vals = np.zeros(n)
-    for k in range(N):
-        vals += prod[k * n : (k + 1) * n]
-    return GridFunction(g, vals / N)
+    rf = op.filt.ruelle(TrigPoly.from_samples(f.values))
+    return GridFunction(g, rf((g.nodes - g.lower) / g.width).real)
 
 
 def apply_ruelle_adjoint(op: CircleFilterOperator, f: GridFunction) -> GridFunction:
-    """(R* f)(t) = |m0(t)|^2 f(N t mod 1), f composed by exact trig synthesis."""
+    """(R* f)(t) = |m0(t)|^2 f(N t mod 1), exact on the trigonometric
+    interpolant of f's node values."""
     g = f.grid
     if g.domain_kind != "circle":
         raise GridMismatchError("adjoint Ruelle operator needs a circle grid")
-    t = (g.nodes - g.lower) / g.width
-    c = circle_trig_coeffs(f.values)
-    f_comp = circle_trig_eval(c, np.mod(op.N * t, 1.0))
-    return GridFunction(g, op.filt.m0_sq(t) * f_comp)
+    adj = op.filt.autocorr * TrigPoly.from_samples(f.values).dilate(op.N)
+    return GridFunction(g, adj((g.nodes - g.lower) / g.width).real)
 
 
 def apply_gauss(op: GaussOperator, f: GridFunction) -> GridFunction:
@@ -906,10 +830,16 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
     """The solenoid Markov move of a circle filter as a branch system.
 
     Branches (t+k)/N with weights (1/N) |m0|^2((t+k)/N) h((t+k)/N) / h(t);
-    h defaults to the constant 1 (orthonormal filters).
+    h defaults to the constant 1 (orthonormal filters).  An h with
+    coefficient residual |Rh - h| above 1e-8 is refused: its weights would
+    not be a chain's.
     """
     if grid.domain_kind != "circle":
         raise ValueError("filter chains live on circle grids")
+    resid = filt.ruelle_residual(h.poly if h is not None else TrigPoly(0, [1.0]))
+    if resid > 1e-8:
+        raise ValueError(f"filter {filt.name or 'circle'}: |Rh - h| = {resid:.3g} > 1e-8 "
+                         f"for h = {'the given h' if h is not None else '1 (not normalized)'}")
     N = filt.N
     h_eval = h.eval if h is not None else (lambda t: np.ones(np.shape(t)))
 

@@ -114,10 +114,9 @@ def pd_value(filt: WaveletFilter, h: HarmonicSequence, n: int, k: int,
     """L(n / N^k) = (R^k (e_n h))(z) with everything in coefficient space."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    c = filt.autocorr
     g = h.poly.shift(n)
     for _ in range(k):
-        g = (c * g).decimate(filt.N)
+        g = filt.ruelle(g)
     return complex(g(z_angle))
 
 

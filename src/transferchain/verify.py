@@ -224,7 +224,7 @@ def _normalization(seed, fault):
            operators.circle_filter_system(gc, wavelets.haar_filter())]
     if fault == "mis-normalized-filter":
         bad = wavelets.WaveletFilter(N=2, coeffs=np.array([0.8, 0.7]), name="bad")
-        ops.append(operators.CircleFilterOperator(2, bad))
+        ops.append(operators.CircleFilterOperator(bad))
     worst = 0.0
     for op in ops:
         f1 = GridFunction.constant(getattr(op, "grid", gc), 1.0)
@@ -250,7 +250,7 @@ def _pullout(seed, fault):
 def _duality(seed, fault):
     g = Grid(0.0, 1.0, 1024, "circle")
     rng = stream_rng(seed, 103)
-    op = operators.CircleFilterOperator(2, wavelets.haar_filter())
+    op = operators.CircleFilterOperator(wavelets.haar_filter())
     worst = 0.0
     for _ in range(3):
         f, h = _trig_pair(g, rng)

@@ -51,6 +51,18 @@ class TrigPoly:
         object.__setattr__(self, "c", c)
 
     @classmethod
+    def from_samples(cls, values) -> "TrigPoly":
+        """The real interpolant of samples at the midpoints (j + 1/2)/n of the
+        unit circle, of degree at most n/2.  For even n the Nyquist term is
+        the sine through the alternating part, split evenly over lags +-n/2."""
+        v = np.asarray(values, dtype=float)
+        n = v.size
+        c = np.fft.rfft(v) * np.exp(-1j * np.pi * np.arange(n // 2 + 1) / n) / n
+        if n % 2 == 0:
+            c[-1] *= 0.5
+        return cls(-(n // 2), np.concatenate((np.conj(c[:0:-1]), c)))
+
+    @classmethod
     def even(cls, r) -> "TrigPoly":
         """Real even polynomial r_0 + sum_{m>0} r_m (e_m + e_{-m})."""
         r = np.asarray(r, dtype=float)
@@ -134,11 +146,20 @@ class WaveletFilter:
         """|m0(t)|^2 evaluated exactly from the autocorrelation."""
         return self.autocorr(t)
 
+    def ruelle(self, p: TrigPoly) -> TrigPoly:
+        """(R p)(t) = (1/N) sum_k (|m0|^2 p)((t+k)/N): multiply by |m0|^2,
+        then decimate by N."""
+        return (self.autocorr * p).decimate(self.N)
+
+    def ruelle_residual(self, p: TrigPoly) -> float:
+        """Largest coefficient of R p - p in absolute value."""
+        rp = self.ruelle(p)
+        return float(max(abs(rp.coef(m) - p.coef(m)) for m in {*rp.lags, *p.lags}))
+
     @property
     def is_normalized(self) -> bool:
-        """QMF condition (1/N) sum_k |m0((t+k)/N)|^2 = 1, i.e. c_{jN} = delta_j."""
-        avg = self.autocorr.decimate(self.N)
-        return bool(np.all(np.abs(avg.c - (avg.lags == 0)) <= 1e-12))
+        """QMF condition R1 = 1, i.e. c_{jN} = delta_j."""
+        return self.ruelle_residual(TrigPoly(0, [1.0])) <= 1e-12
 
 
 def haar_filter() -> WaveletFilter:
@@ -288,8 +309,8 @@ def autocorrelation(phi: ScalingFunction) -> HarmonicSequence:
 
 def verify_ruelle_fixed(filt: WaveletFilter, h: HarmonicSequence, grid_n: int = 1024) -> float:
     """Max node residual of R h - h, where (Rf)(t) = (1/N) sum_k (|m0|^2 f)((t+k)/N)
-    is taken in coefficient space: multiply by |m0|^2, then decimate by N."""
-    rh = (filt.autocorr * h.poly).decimate(filt.N)
+    is taken in coefficient space by ``WaveletFilter.ruelle``."""
+    rh = filt.ruelle(h.poly)
     t = Grid(0.0, 1.0, grid_n, "circle").nodes
     return float(np.max(np.abs(rh(t) - h.eval(t))))
 

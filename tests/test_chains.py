@@ -83,7 +83,7 @@ def test_sampler_kind_and_channels_come_from_the_system(system, kind, channels):
 
 def test_operator_without_a_chain_is_no_sampler():
     with pytest.raises(TypeError, match="CircleFilterOperator"):
-        MarkovSampler(CircleFilterOperator(2, haar_filter()), uniform_ppf)
+        MarkovSampler(CircleFilterOperator(haar_filter()), uniform_ppf)
 
 
 def test_finite_chain_has_no_grid_operator():

@@ -2,8 +2,9 @@
 constructions they replaced, which are kept here as references: the chunked
 ``GridFunction.eval`` loop of the Gauss sums, the per-column two-cell split
 of the Gauss flow, and the dense ``np.add.at`` overlap spreading of the
-branch and circle-filter flows.  The Gauss references use the one truncated
-kernel, in which branch K carries the mass of every branch n >= K."""
+branch flows, the circle-filter chain's among them.  The Gauss references
+use the one truncated kernel, in which branch K carries the mass of every
+branch n >= K."""
 
 import tracemalloc
 
@@ -17,7 +18,6 @@ from transferchain.grids import DiscreteMeasure, Grid, GridFunction, stream_rng
 from transferchain.invariant import UlamMatrix, affine_ifs, halving_ifs
 from transferchain.operators import (
     BranchSystem,
-    CircleFilterOperator,
     apply_gauss,
     apply_gauss_at,
     bernoulli_support,
@@ -130,17 +130,6 @@ def _reference_branch_flow(bs, grid):
             b = base + (b - a)
             a = base
         _dense_spread(M, probs[i], a, b, grid)
-    return np.clip(M, 0.0, None)
-
-
-def _reference_filter_flow(op, grid):
-    M = np.zeros((grid.n, grid.n))
-    N = op.N
-    t = (grid.nodes - grid.lower) / grid.width
-    for k in range(N):
-        w = op.filt.m0_sq((t + k) / N) / N
-        a = grid.lower + ((grid.edges[:-1] - grid.lower) / N + k * grid.width / N)
-        _dense_spread(M, w, a, a + grid.dx / N, grid)
     return np.clip(M, 0.0, None)
 
 
@@ -399,8 +388,6 @@ def test_overlapping_ifs_flow_matches_dense_spreading_bytes(n, a):
 def test_circle_filter_flows_match_dense_spreading_bytes(m, filt_name):
     filt = haar_filter() if filt_name == "haar" else stretched_box_filter(3)
     g = Grid(0.0, 1.0, filt.N * m, "circle")
-    op = CircleFilterOperator(filt.N, filt)
-    assert _same_bytes(cell_flow_matrix(op, g), _reference_filter_flow(op, g))
     system = circle_filter_system(g, filt)
     assert _same_bytes(cell_flow_matrix(system, g), _reference_branch_flow(system, g))
 

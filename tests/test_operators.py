@@ -24,9 +24,6 @@ from transferchain.operators import (
     apply_ruelle_circle,
     cell_flow_matrix,
     circle_filter_system,
-    circle_trig_coeffs,
-    circle_trig_eval,
-    circle_upsample,
     bernoulli_support,
     bernoulli_system,
     doubling_system,
@@ -38,7 +35,15 @@ from transferchain.operators import (
     radon_nikodym,
     random_control_system,
 )
-from transferchain.wavelets import WaveletFilter, haar_filter
+from transferchain.wavelets import (
+    HarmonicSequence,
+    TrigPoly,
+    WaveletFilter,
+    autocorrelation,
+    box_scaling_function,
+    haar_filter,
+    stretched_box_filter,
+)
 
 
 def rand_trig(grid, rng, deg=3):
@@ -167,22 +172,25 @@ def test_controlled_validation():
 # circle Ruelle form
 # ---------------------------------------------------------------------------
 
-def test_trig_resampling_exact_for_band_limited():
-    g = Grid(0.0, 1.0, 64, "circle")
-    f = np.cos(2 * np.pi * 3 * g.nodes) + 0.5 * np.sin(2 * np.pi * 7 * g.nodes)
-    fine = circle_upsample(f, 4)
-    gf = Grid(0.0, 1.0, 256, "circle")
-    expect = np.cos(2 * np.pi * 3 * gf.nodes) + 0.5 * np.sin(2 * np.pi * 7 * gf.nodes)
-    assert np.max(np.abs(fine - expect)) <= 1e-12
-    coeffs = circle_trig_coeffs(f)
-    pts = np.array([0.1234, 0.777])
-    vals = circle_trig_eval(coeffs, pts)
-    assert np.max(np.abs(vals - (np.cos(6 * np.pi * pts) + 0.5 * np.sin(14 * np.pi * pts)))) <= 1e-12
+def test_from_samples_interpolates_midpoint_samples():
+    pts = np.array([0.0, 0.1234, 0.5, 0.777])
+    for n in (7, 8, 9, 12, 64):
+        g = Grid(0.0, 1.0, n, "circle")
+        v = stream_rng(n, 0).normal(size=n)
+        p = TrigPoly.from_samples(v)
+        assert p.lo == -(n // 2) and len(p.c) == 2 * (n // 2) + 1
+        assert np.max(np.abs(p(g.nodes) - v)) <= 1e-13
+        # band-limited data comes back as its own polynomial, between the nodes too
+        fn = lambda t: 0.3 + np.cos(2 * np.pi * t) - 0.7 * np.sin(2 * np.pi * ((n - 1) // 2) * t)
+        assert np.max(np.abs(TrigPoly.from_samples(fn(g.nodes))(pts) - fn(pts))) <= 1e-13
+        if n % 2 == 0:  # the alternating samples are the Nyquist sine
+            alt = TrigPoly.from_samples((-1.0) ** np.arange(n))
+            assert np.max(np.abs(alt(pts) - np.sin(np.pi * n * pts))) <= 1e-13
 
 
 def test_ruelle_haar_constant():
     g = Grid(0.0, 1.0, 1024, "circle")
-    op = CircleFilterOperator(2, haar_filter())
+    op = CircleFilterOperator(haar_filter())
     r1 = apply_ruelle_circle(op, GridFunction.constant(g, 1.0))
     assert np.max(np.abs(r1.values - 1.0)) <= 1e-12
 
@@ -190,13 +198,13 @@ def test_ruelle_haar_constant():
 def test_ruelle_zero_filter():
     g = Grid(0.0, 1.0, 64, "circle")
     zero = WaveletFilter(N=2, coeffs=np.zeros(2))
-    out = apply_ruelle_circle(CircleFilterOperator(2, zero), GridFunction.constant(g, 1.0))
+    out = apply_ruelle_circle(CircleFilterOperator(zero), GridFunction.constant(g, 1.0))
     assert np.all(out.values == 0.0)
 
 
 def test_ruelle_haar_cosine_closed_form():
     g = Grid(0.0, 1.0, 1024, "circle")
-    op = CircleFilterOperator(2, haar_filter())
+    op = CircleFilterOperator(haar_filter())
     f = GridFunction.from_callable(g, lambda t: np.cos(2 * np.pi * t))
     rf = apply_ruelle_circle(op, f)
     t = g.nodes
@@ -208,31 +216,54 @@ def test_ruelle_haar_cosine_closed_form():
 
 def test_ruelle_grid_divisibility():
     g = Grid(0.0, 1.0, 63, "circle")
-    op = CircleFilterOperator(2, haar_filter())
+    op = CircleFilterOperator(haar_filter())
     with pytest.raises(GridMismatchError):
         apply_ruelle_circle(op, GridFunction.constant(g, 1.0))
 
 
 def test_adjoint_closed_form_and_zero():
     g = Grid(0.0, 1.0, 512, "circle")
-    op = CircleFilterOperator(2, haar_filter())
+    op = CircleFilterOperator(haar_filter())
     a1 = apply_ruelle_adjoint(op, GridFunction.constant(g, 1.0))
     assert np.max(np.abs(a1.values - 2 * np.cos(np.pi * g.nodes) ** 2)) <= 1e-10
     z = apply_ruelle_adjoint(op, GridFunction.constant(g, 0.0))
     assert np.all(z.values == 0.0)
 
 
+def test_adjoint_n3_alternating_closed_form():
+    # the alternating samples on n = 12 midpoints interpolate to sin(12 pi t),
+    # so R* f = |m0(t)|^2 sin(36 pi t); a doubled Nyquist term would double it
+    g = Grid(0.0, 1.0, 12, "circle")
+    box = WaveletFilter(N=3, coeffs=np.ones(3) / np.sqrt(3), name="box-3taps")
+    t = g.nodes
+    out = apply_ruelle_adjoint(CircleFilterOperator(box), GridFunction(g, (-1.0) ** np.arange(12)))
+    m0_sq = (3 + 4 * np.cos(2 * np.pi * t) + 2 * np.cos(4 * np.pi * t)) / 3
+    assert np.max(np.abs(out.values - m0_sq * np.sin(36 * np.pi * t))) <= 1e-12
+
+
 def test_adjoint_duality():
     g = Grid(0.0, 1.0, 1024, "circle")
-    op = CircleFilterOperator(2, haar_filter())
     rng = stream_rng(7, 0)
-    for _ in range(3):
-        f = rand_trig(g, rng)
-        h = rand_trig(g, rng)
-        lhs = np.mean(apply_ruelle_circle(op, f).values * h.values)
-        rhs = np.mean(f.values * apply_ruelle_adjoint(op, h).values)
-        scale = np.max(np.abs(f.values)) * np.max(np.abs(h.values))
-        assert abs(lhs - rhs) <= 1e-9 * max(scale, 1e-30)
+    for op in (CircleFilterOperator(haar_filter()), CircleFilterOperator(stretched_box_filter(3))):
+        for _ in range(3):
+            f = rand_trig(g, rng)
+            h = rand_trig(g, rng)
+            lhs = np.mean(apply_ruelle_circle(op, f).values * h.values)
+            rhs = np.mean(f.values * apply_ruelle_adjoint(op, h).values)
+            scale = np.max(np.abs(f.values)) * np.max(np.abs(h.values))
+            assert abs(lhs - rhs) <= 1e-9 * max(scale, 1e-30)
+
+
+def test_circle_filter_system_refuses_non_harmonic_h():
+    g = Grid(0.0, 1.0, 16, "circle")
+    with pytest.raises(ValueError, match=r"filter box-1: \|Rh - h\| = 0.15 > 1e-8"):
+        circle_filter_system(g, stretched_box_filter(1), HarmonicSequence(np.array([1.0, 0.3])))
+    bad = WaveletFilter(N=2, coeffs=np.array([0.8, 0.7]), name="bad")
+    with pytest.raises(ValueError, match=r"filter bad: .* for h = 1 \(not normalized\)"):
+        circle_filter_system(g, bad)
+    for m in (1, 20):
+        circle_filter_system(g, stretched_box_filter(m),
+                             autocorrelation(box_scaling_function(m, 8)))
 
 
 # ---------------------------------------------------------------------------
