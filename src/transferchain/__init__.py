@@ -71,7 +71,6 @@ from .chains import (  # noqa: F401
 from .solenoid import (  # noqa: F401
     SolenoidPrefix,
     embed_line,
-    extend_prefix,
     pd_gram,
     pi_k_distribution,
     shift_hat,

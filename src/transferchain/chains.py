@@ -125,7 +125,7 @@ class MarkovSampler:
         if back is None:
             raise ValueError(f"{self.kind} sampler has no endomorphism")
         g = self.grid
-        return g.wrap(back(x)) if g is not None and g.domain_kind == "circle" else back(x)
+        return back(x) if g is None else g.wrap(back(x))
 
 
 def finite_chain_sampler(chain: FiniteChain, initial_probs,
@@ -192,12 +192,9 @@ class PathEnsemble:
         """Max |sigma(T_{k+1}) - T_k| over all stored transitions."""
         if self.n_steps == 0:
             return 0.0
-        back = self.sampler.sigma(self.paths[:, 1:])
-        diff = np.abs(back - self.paths[:, :-1])
+        prev, back = self.paths[:, :-1], self.sampler.sigma(self.paths[:, 1:])
         g = self.sampler.grid
-        if g is not None and g.domain_kind == "circle":
-            diff = np.minimum(diff, g.width - diff)
-        return float(np.max(diff))
+        return float(np.max(np.abs(back - prev) if g is None else g.distance(back, prev)))
 
 
 def simulate_paths(s: MarkovSampler, n_paths: int, n_steps: int) -> PathEnsemble:

@@ -106,6 +106,11 @@ class Grid:
             return self.lower + np.mod(x - self.lower, self.width)
         return x
 
+    def distance(self, a, b) -> np.ndarray:
+        """|a - b|, taken the short way round on circles."""
+        d = np.abs(np.asarray(a) - np.asarray(b))
+        return np.minimum(d, self.width - d) if self.domain_kind == "circle" else d
+
     def stencil(self, x):
         """Linear-interpolation stencil of interval points: the left node
         index i0 (kept in 0..n-2, so the half-cell end strips extrapolate

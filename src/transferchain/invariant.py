@@ -124,7 +124,7 @@ def affine_ifs(grid: Grid, slopes, shifts, probs, name: str = "") -> BranchSyste
     return BranchSystem(
         grid=grid,
         branches=[lambda x, s_j=s_j, t_j=t_j: s_j * x + t_j for s_j, t_j in zip(s, t)],
-        weights=[lambda x, p_j=p_j: np.full(np.shape(x), p_j) for p_j in p],
+        weights=lambda x: p[:, None],
         name=name,
     )
 

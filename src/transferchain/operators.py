@@ -2,7 +2,8 @@
 
 Four operator shapes are supported: branch-weighted sums over the maps of
 an iterated function system (the inverse branches of an endomorphism, where
-there is one), an IFS with random control, the weighted Ruelle operator of
+there is one; the branch weights are one function of x with a row per
+branch), an IFS with random control, the weighted Ruelle operator of
 a circle filter, and the Gauss (continued fraction) operator.  Each is its
 own kernel: ``apply`` acts on grid functions, ``flow`` moves cell masses
 (the matrix behind the invariant measures), and ``step`` and
@@ -165,10 +166,12 @@ def _gauss_blocks(K: int, m: int, n: int, size: int = _BLOCK):
 class BranchSystem:
     """Branch maps tau_i with weights p_i(x): an iterated function system.
 
-    Defines (Rf)(x) = sum_i p_i(x) f(tau_i(x)).  Branch maps and weights are
-    vectorized callables.  ``normalized`` asserts sum_i p_i(x) = 1 at nodes.
-    ``sigma`` is the endomorphism the branches invert, when there is one;
-    an IFS whose branch images overlap has none.
+    Defines (Rf)(x) = sum_i p_i(x) f(tau_i(x)).  Branch maps are vectorized
+    callables, and ``weights`` is one vectorized callable p(x) whose value
+    broadcasts to (n_branches, len(x)): row i holds p_i.  ``normalized``
+    asserts sum_i p_i(x) = 1 at nodes.  ``sigma`` is the endomorphism the
+    branches invert, when there is one; an IFS whose branch images overlap
+    has none.
     """
 
     kind = "branch"
@@ -176,40 +179,36 @@ class BranchSystem:
 
     grid: Grid
     branches: Sequence[Callable]
-    weights: Sequence[Callable]
+    weights: Callable
     sigma: Optional[Callable] = None
     normalized: bool = True
     name: str = ""
 
     def __post_init__(self):
-        if len(self.branches) != len(self.weights):
-            raise ValueError("need one weight function per branch")
         x = self.grid.nodes
+        probs = np.asarray(self.weights(x), dtype=float)
+        rows = (len(self.branches), x.size)
+        if probs.ndim > 2 or any(s not in (1, r) for s, r in zip(probs.shape[::-1], rows[::-1])):
+            raise ValueError(f"{self.name or 'the branch system'}: weights of shape "
+                             f"{probs.shape} do not give one row per branch, {rows}")
         if self.sigma is not None:
             for i, tau in enumerate(self.branches):
-                image = self.sigma(np.asarray(tau(x), dtype=float))
-                err = self._circle_dist(image, x)
+                err = self.grid.distance(self.sigma(np.asarray(tau(x), dtype=float)), x)
                 if np.max(err) > 1e-10:
                     raise ValueError(
                         f"branch {i} is not a right inverse of sigma "
                         f"(max |sigma(tau(x)) - x| = {np.max(err):.2e})"
                     )
         if self.normalized:
-            total = self.weight_matrix(x).sum(axis=0)
+            total = np.broadcast_to(probs, rows).sum(axis=0)
             if np.max(np.abs(total - 1.0)) > 1e-12:
                 raise ValueError("branch weights do not sum to 1 at the nodes")
 
-    def _circle_dist(self, a, b):
-        d = np.abs(np.asarray(a) - np.asarray(b))
-        if self.grid.domain_kind == "circle":
-            d = np.minimum(d, self.grid.width - d)
-        return d
-
     def weight_matrix(self, x) -> np.ndarray:
-        """Stacked branch weights, shape (n_branches, len(x))."""
+        """The branch weights p(x) broadcast to shape (n_branches, len(x))."""
         x = np.asarray(x, dtype=float)
-        return np.stack([np.broadcast_to(np.asarray(p(x), dtype=float), x.shape)
-                         for p in self.weights])
+        return np.broadcast_to(np.asarray(self.weights(x), dtype=float),
+                               (len(self.branches),) + x.shape)
 
     def branch_values(self, x) -> np.ndarray:
         """Stacked branch images tau_i(x), clamped/validated against the domain."""
@@ -513,8 +512,6 @@ def apply_ruelle_circle(op: CircleFilterOperator, f: GridFunction) -> GridFuncti
     g = f.grid
     if g.domain_kind != "circle":
         raise GridMismatchError("Ruelle circle operator needs a circle grid")
-    if g.n % op.N:
-        raise GridMismatchError(f"grid size {g.n} not divisible by N = {op.N}")
     rf = op.filt.ruelle(TrigPoly.from_samples(f.values))
     return GridFunction(g, rf((g.nodes - g.lower) / g.width).real)
 
@@ -727,7 +724,7 @@ def logistic_system(grid: Grid) -> BranchSystem:
         grid=grid,
         sigma=lambda x: 4.0 * x * (1.0 - x),
         branches=[tau_minus, tau_plus],
-        weights=[lambda x: np.full(np.shape(x), 0.5)] * 2,
+        weights=lambda x: 0.5,
         name="logistic",
     )
 
@@ -742,7 +739,7 @@ def doubling_system(grid: Grid) -> BranchSystem:
         grid=grid,
         sigma=sigma,
         branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
-        weights=[lambda x: np.full(np.shape(x), 0.5)] * 2,
+        weights=lambda x: 0.5,
         name="doubling",
     )
 
@@ -769,7 +766,7 @@ def parametric_system(grid: Grid, u: float) -> BranchSystem:
         grid=grid,
         sigma=sigma,
         branches=[lambda x: u * x, lambda x: u + (1.0 - u) * x],
-        weights=[lambda x: np.full(np.shape(x), 0.5)] * 2,
+        weights=lambda x: 0.5,
         name=f"parametric-{u}",
     )
 
@@ -820,7 +817,7 @@ def bernoulli_system(grid: Grid, a: float) -> BranchSystem:
         grid=grid,
         sigma=sigma if a <= 0.5 else None,
         branches=[lambda x: a * (x - 1.0), lambda x: a * (x + 1.0)],
-        weights=[lambda x: np.full(np.shape(x), 0.5)] * 2,
+        weights=lambda x: 0.5,
         name=f"bernoulli-{a}",
     )
 
@@ -846,24 +843,19 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
     def make_tau(k):
         return lambda t: (t + k) / N
 
-    def raw_weights(t):
+    def weights(t):
+        # the raw weights sum to (R h)(t) = h(t); dividing by their own sum
+        # instead of h(t) is the same ratio but stays conditioned near the
+        # zeros of h
         t = np.asarray(t, dtype=float)
-        return np.stack([filt.m0_sq((t + k) / N) * h_eval((t + k) / N)
-                         for k in range(N)])
-
-    def make_weight(k):
-        def p(t):
-            # the raw weights sum to (R h)(t) = h(t); dividing by their own
-            # sum instead of h(t) is the same ratio but stays conditioned
-            # near the zeros of h
-            raw = raw_weights(t)
-            return raw[k] / raw.sum(axis=0)
-        return p
+        raw = np.stack([filt.m0_sq((t + k) / N) * h_eval((t + k) / N) for k in range(N)])
+        raw /= raw.sum(axis=0)
+        return raw
 
     return BranchSystem(
         grid=grid,
         sigma=lambda t: np.mod(N * np.asarray(t, dtype=float), grid.width),
         branches=[make_tau(k) for k in range(N)],
-        weights=[make_weight(k) for k in range(N)],
+        weights=weights,
         name=f"filter-{filt.name or 'circle'}",
     )

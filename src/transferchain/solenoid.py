@@ -3,8 +3,8 @@ the shift and its inverse, the line embedding, the positive-definite
 function on the N-adic rationals, and coordinate distributions.
 
 A prefix (t_0, .., t_K) satisfies N t_{k+1} = t_k (mod 1); extending it is
-one move of the filter's Markov chain, so ensembles of solenoid paths are
-ordinary path ensembles of a circle branch system.
+one move of the filter's Markov chain, so a sampled prefix is a row of a
+``chains.simulate_paths`` ensemble of ``operators.circle_filter_system``.
 """
 
 from __future__ import annotations
@@ -14,14 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import DiscreteMeasure, Grid, GridFunction
+from .grids import DiscreteMeasure, Grid
 from .wavelets import HarmonicSequence, TrigPoly, WaveletFilter
 
 __all__ = [
     "SolenoidPrefix",
-    "FilterProduct",
-    "extend_prefix",
-    "extension_probabilities",
     "shift_hat",
     "shift_inverse",
     "embed_line",
@@ -57,31 +54,6 @@ class SolenoidPrefix:
 
     def __len__(self) -> int:
         return self.angles.size
-
-
-def extension_probabilities(p: SolenoidPrefix, filt: WaveletFilter, h) -> np.ndarray:
-    """Branch law of the next angle: (1/N) |m0(w)|^2 h(w) / h(t_K) over the
-    N preimages w = (t_K + j)/N.  Sums to 1 when h is harmonic."""
-    t = p.angles[-1]
-    pre = (t + np.arange(p.N)) / p.N
-    h_t = float(np.asarray(h.eval(np.array([t])))[0])
-    probs = filt.m0_sq(pre) * np.asarray(h.eval(pre)) / (p.N * h_t)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(
-            f"extension probabilities sum to {total!r}; h is not harmonic"
-        )
-    return probs / total
-
-
-def extend_prefix(p: SolenoidPrefix, filt: WaveletFilter, h,
-                  rng: np.random.Generator) -> SolenoidPrefix:
-    """Append the next angle drawn from the filter's Markov move."""
-    probs = extension_probabilities(p, filt, h)
-    j = int(np.searchsorted(np.cumsum(probs), rng.random(), side="left"))
-    j = min(j, p.N - 1)
-    nxt = (p.angles[-1] + j) / p.N
-    return SolenoidPrefix(p.N, np.concatenate((p.angles, [nxt])))
 
 
 def shift_hat(p: SolenoidPrefix) -> SolenoidPrefix:
@@ -145,24 +117,12 @@ def pd_gram(filt: WaveletFilter, h: HarmonicSequence,
     return G
 
 
-@dataclass(frozen=True)
-class FilterProduct:
+def filter_product(filt: WaveletFilter, k: int) -> TrigPoly:
     """|m^(k)(t)|^2 = prod_{j<k} |m0(N^j t)|^2 as an exact trig polynomial."""
-
-    filt: WaveletFilter
-    k: int
-    poly: TrigPoly
-
-    def values(self, grid: Grid) -> GridFunction:
-        t = (grid.nodes - grid.lower) / grid.width
-        return GridFunction(grid, np.real(self.poly(t)))
-
-
-def filter_product(filt: WaveletFilter, k: int) -> FilterProduct:
     poly = TrigPoly(0, [1.0])
     for j in range(k):
         poly = poly * filt.autocorr.dilate(filt.N**j)
-    return FilterProduct(filt=filt, k=k, poly=poly)
+    return poly
 
 
 def pi_k_distribution(filt: WaveletFilter, h: HarmonicSequence, k: int,
@@ -175,7 +135,7 @@ def pi_k_distribution(filt: WaveletFilter, h: HarmonicSequence, k: int,
     """
     if grid.domain_kind != "circle":
         raise ValueError("coordinate laws live on circle grids")
-    dens = filter_product(filt, k).poly * h.poly
+    dens = filter_product(filt, k) * h.poly
     edges = (grid.edges - grid.lower) / grid.width
     masses = np.full(grid.n, float(np.real(dens.coef(0))) * grid.dx / grid.width)
     for m, coef in zip(dens.lags, dens.c):

@@ -562,11 +562,10 @@ def _prefix_invariant(seed, fault):
 
 @_check("solenoid", "shift-roundtrip")
 def _shift_roundtrip(seed, fault):
-    rng = stream_rng(seed, 51)
-    p = solenoid.SolenoidPrefix(2, np.array([rng.random()]))
-    h1 = wavelets.HarmonicSequence(coeffs=np.array([1.0]))
-    for _ in range(6):
-        p = solenoid.extend_prefix(p, wavelets.haar_filter(), h1, rng)
+    gc = Grid(0.0, 1.0, 64, "circle")
+    s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
+                             uniform_ppf, master_seed=seed + 51)
+    p = solenoid.SolenoidPrefix(2, chains.simulate_paths(s, 1, 6).paths[0])
     q = solenoid.shift_inverse(solenoid.shift_hat(p))
     back = float(np.max(np.abs(q.angles - p.angles)))
     k = 3

@@ -55,8 +55,7 @@ G512 = Grid(0.0, 1.0, 512)
 def deterministic_doubling(grid=G512):
     base = doubling_system(grid)
     return BranchSystem(grid=grid, sigma=base.sigma, branches=list(base.branches),
-                        weights=[lambda x: np.ones(np.shape(x)),
-                                 lambda x: np.zeros(np.shape(x))],
+                        weights=lambda x: np.array([[1.0], [0.0]]),
                         name="doubling-left-only")
 
 
@@ -179,7 +178,7 @@ def test_step_rejects_unnormalized_weights():
     g = Grid(0.0, 1.0, 32)
     bad = BranchSystem(grid=g, sigma=lambda x: 2 * np.mod(x, 0.5),
                        branches=[lambda x: x / 2.0, lambda x: x / 2.0 + 0.5],
-                       weights=[lambda x: np.full(np.shape(x), 0.3)] * 2,
+                       weights=lambda x: 0.3,
                        normalized=False)
     s = MarkovSampler(bad, uniform_ppf, master_seed=5)
     with pytest.raises(ValueError, match="sum to 1"):

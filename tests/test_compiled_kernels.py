@@ -353,7 +353,7 @@ BRANCH_SYSTEMS = (
     ("halving", lambda g: halving_ifs(g)),
     ("place-dependent", lambda g: BranchSystem(
         grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
-        weights=[lambda x: x, lambda x: 1.0 - x])),
+        weights=lambda x: np.stack((x, 1.0 - x)))),
 )
 
 

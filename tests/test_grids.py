@@ -215,6 +215,13 @@ def test_circle_periodicity_exact():
     assert np.array_equal(f.eval(x), f.eval(x - 1.0))
 
 
+def test_grid_distance_short_way_round():
+    a, b = np.array([0.1, 0.9, 0.4]), np.array([0.9, 0.1, 0.6])
+    assert np.allclose(Grid(0.0, 1.0, 8, "circle").distance(a, b), [0.2, 0.2, 0.2])
+    assert np.allclose(Grid(0.0, 1.0, 8).distance(a, b), [0.8, 0.8, 0.2])
+    assert Grid(-1.0, 1.0, 8, "circle").distance(-0.9, 0.9) == pytest.approx(0.2)
+
+
 def test_antiderivative_integrates_linear_exactly():
     # linear is affine between neighbouring nodes and extends its first and
     # last segments into the end strips, so the trapezoid rule over the

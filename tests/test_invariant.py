@@ -60,7 +60,7 @@ def test_ulam_doubling_two_band():
 def test_ulam_identity_branch():
     g = Grid(0.0, 1.0, 16)
     sys = BranchSystem(grid=g, sigma=lambda x: x, branches=[lambda x: x],
-                       weights=[lambda x: np.ones(np.shape(x))])
+                       weights=lambda x: 1.0)
     m = build_ulam(sys, g)
     assert np.array_equal(m.entries, np.eye(16))
 
@@ -295,7 +295,7 @@ def test_affine_ifs_rejects_bad_maps():
 def test_alpha_bound_needs_constant_probabilities():
     g = Grid(0.0, 1.0, 64)
     placed = BranchSystem(grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
-                          weights=[lambda x: x, lambda x: 1.0 - x])
+                          weights=lambda x: np.stack((x, 1.0 - x)))
     with pytest.raises(ValueError, match="constant"):
         alpha_bound(placed)
 

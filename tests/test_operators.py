@@ -90,14 +90,14 @@ def test_branch_left_inverse_validation():
     with pytest.raises(ValueError, match="right inverse"):
         BranchSystem(grid=g, sigma=lambda x: x,
                      branches=[lambda x: x / 2.0],
-                     weights=[lambda x: np.ones(np.shape(x))])
+                     weights=lambda x: 1.0)
 
 
 def test_branch_escape_error_names_branch():
     g = Grid(0.0, 1.0, 64)
     sys = BranchSystem(grid=g, sigma=lambda x: x - 0.5,
                        branches=[lambda x: x + 0.5],
-                       weights=[lambda x: np.ones(np.shape(x))],
+                       weights=lambda x: 1.0,
                        normalized=False)
     with pytest.raises(BranchEscapeError, match="branch 0"):
         apply_branch(sys, GridFunction.constant(g, 1.0))
@@ -215,10 +215,13 @@ def test_ruelle_haar_cosine_closed_form():
 
 
 def test_ruelle_grid_divisibility():
+    # R acts on the trigonometric interpolant, so n need not be a multiple of N
     g = Grid(0.0, 1.0, 63, "circle")
     op = CircleFilterOperator(haar_filter())
-    with pytest.raises(GridMismatchError):
-        apply_ruelle_circle(op, GridFunction.constant(g, 1.0))
+    r1 = apply_ruelle_circle(op, GridFunction.constant(g, 1.0))
+    assert np.max(np.abs(r1.values - 1.0)) <= 1e-12
+    rc = apply_ruelle_circle(op, GridFunction.from_callable(g, lambda t: np.cos(2 * np.pi * t)))
+    assert np.max(np.abs(rc.values - 0.5 * (1 + np.cos(2 * np.pi * g.nodes)))) <= 1e-12
 
 
 def test_adjoint_closed_form_and_zero():
@@ -256,6 +259,8 @@ def test_adjoint_duality():
 
 def test_circle_filter_system_refuses_non_harmonic_h():
     g = Grid(0.0, 1.0, 16, "circle")
+    with pytest.raises(ValueError, match=r"filter haar: \|Rh - h\| = 0.4 > 1e-8"):
+        circle_filter_system(g, haar_filter(), HarmonicSequence(np.array([1.0, 0.4])))
     with pytest.raises(ValueError, match=r"filter box-1: \|Rh - h\| = 0.15 > 1e-8"):
         circle_filter_system(g, stretched_box_filter(1), HarmonicSequence(np.array([1.0, 0.3])))
     bad = WaveletFilter(N=2, coeffs=np.array([0.8, 0.7]), name="bad")
@@ -264,6 +269,46 @@ def test_circle_filter_system_refuses_non_harmonic_h():
     for m in (1, 20):
         circle_filter_system(g, stretched_box_filter(m),
                              autocorrelation(box_scaling_function(m, 8)))
+
+
+@pytest.mark.parametrize("base, h", [
+    pytest.param(haar_filter(), None, id="haar"),
+    pytest.param(stretched_box_filter(1), autocorrelation(box_scaling_function(1, 8)), id="box-1"),
+    pytest.param(WaveletFilter(N=3, coeffs=np.ones(3) / np.sqrt(3)), None, id="box-3taps"),
+])
+def test_filter_weights_evaluate_m0_sq_once_per_branch(base, h):
+    points = []
+
+    class RecordingFilter(WaveletFilter):
+        def m0_sq(self, t):
+            points.append(np.size(t))
+            return super().m0_sq(t)
+
+    filt = RecordingFilter(N=base.N, coeffs=base.coeffs, offset=base.offset, name=base.name)
+    system = circle_filter_system(Grid(0.0, 1.0, 64, "circle"), filt, h)
+    points.clear()
+    t = stream_rng(11, 0).random(37)
+    w = system.weight_matrix(t)
+    assert points == [t.size] * filt.N
+    # (1/N) |m0|^2 h at the preimages over h(t), row k for preimage (t + k)/N;
+    # the weights divide by the raw sum, which equals h(t) to round-off
+    h_eval = h.eval if h is not None else (lambda s: np.ones(np.shape(s)))
+    pre = (t + np.arange(filt.N)[:, None]) / filt.N
+    expect = base.m0_sq(pre) * h_eval(pre) / (filt.N * h_eval(t))
+    assert w.shape == (filt.N, t.size)
+    assert np.max(np.abs(w - expect)) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(3, 64), (3, 1), (2, 5)])
+def test_branch_weights_need_one_row_per_branch(shape):
+    g = Grid(0.0, 1.0, 64)
+    with pytest.raises(ValueError, match=r"halves: weights of shape \(\d, \d+\) do not give "
+                                         r"one row per branch, \(2, 64\)"):
+        BranchSystem(grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
+                     weights=lambda x: np.full(shape, 0.5), name="halves")
+    ok = BranchSystem(grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
+                      weights=lambda x: np.full((2, 1), 0.5), name="halves")
+    assert np.array_equal(ok.weight_matrix(g.nodes), np.full((2, 64), 0.5))
 
 
 # ---------------------------------------------------------------------------

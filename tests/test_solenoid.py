@@ -28,8 +28,6 @@ from transferchain.operators import (
 from transferchain.solenoid import (
     SolenoidPrefix,
     embed_line,
-    extend_prefix,
-    extension_probabilities,
     filter_product,
     pd_gram,
     pd_value,
@@ -54,41 +52,37 @@ def test_prefix_invariant_enforced():
         SolenoidPrefix(2, np.array([0.3, 0.6]))
 
 
+def sampled_prefixes(filt, h, n_paths, n_steps, seed):
+    """Rows of a filter-chain ensemble, each a solenoid prefix."""
+    system = circle_filter_system(Grid(0.0, 1.0, 64, "circle"), filt, h)
+    pe = simulate_paths(MarkovSampler(system, uniform_ppf, master_seed=seed), n_paths, n_steps)
+    return [SolenoidPrefix(filt.N, row) for row in pe.paths]
+
+
 def test_extension_preserves_invariant():
-    rng = stream_rng(1, 0)
-    p = SolenoidPrefix(2, np.array([0.37]))
-    for _ in range(10):
-        p = extend_prefix(p, haar_filter(), H1, rng)
-    assert p.invariant_violation() <= 1e-12
-    assert len(p) == 11
+    h_box = autocorrelation(box_scaling_function(1, 8))
+    for filt, h in ((haar_filter(), None), (stretched_box_filter(1), h_box)):
+        for p in sampled_prefixes(filt, h, 20, 10, seed=1):
+            assert p.invariant_violation() <= 1e-12
+            assert len(p) == 11
 
 
 def test_extension_probabilities_haar():
-    p = SolenoidPrefix(2, np.array([0.3]))
-    probs = extension_probabilities(p, haar_filter(), H1)
+    system = circle_filter_system(Grid(0.0, 1.0, 64, "circle"), haar_filter())
+    probs = system.weight_matrix(np.array([0.3]))[:, 0]
     # (1/2)|m0|^2 at the two preimages; sums to 1 because h = 1 is harmonic
     pre = (0.3 + np.arange(2)) / 2.0
     assert np.allclose(probs, 0.5 * (1 + np.cos(2 * np.pi * pre)))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_extension_rejects_non_harmonic_weight():
-    p = SolenoidPrefix(2, np.array([0.3]))
-    bad_h = HarmonicSequence(coeffs=np.array([1.0, 0.4]))  # not Ruelle-fixed
-    with pytest.raises(ValueError, match="not harmonic"):
-        extension_probabilities(p, haar_filter(), bad_h)
-
-
 def test_vanishing_branch_never_chosen():
-    # |m0|^2 of the Haar filter vanishes at angle 1/2: start the prefix at
-    # the point whose first preimage hits it
-    p = SolenoidPrefix(2, np.array([0.0]))
-    probs = extension_probabilities(p, haar_filter(), H1)
-    assert probs[1] == 0.0  # preimage (0 + 1)/2 = 1/2 is never selected
-    rng = stream_rng(2, 0)
-    for _ in range(50):
-        q = extend_prefix(p, haar_filter(), H1, rng)
-        assert q.angles[-1] == 0.0
+    # |m0|^2 of the Haar filter vanishes at angle 1/2: from t = 0 the second
+    # preimage (0 + 1)/2 = 1/2 has weight 0, and step never takes it
+    system = circle_filter_system(Grid(0.0, 1.0, 64, "circle"), haar_filter())
+    assert system.weight_matrix(np.array([0.0]))[1, 0] == 0.0
+    u = np.append(stream_rng(2, 0).random(50), np.nextafter(1.0, 0.0))
+    assert np.all(system.step(np.zeros(u.size), u[None, :]) == 0.0)
 
 
 def test_haar_branch_frequency():
@@ -106,10 +100,7 @@ def test_haar_branch_frequency():
 
 
 def test_shift_roundtrip_and_fixed_point():
-    rng = stream_rng(4, 0)
-    p = SolenoidPrefix(2, np.array([0.37]))
-    for _ in range(5):
-        p = extend_prefix(p, haar_filter(), H1, rng)
+    (p,) = sampled_prefixes(haar_filter(), None, 1, 5, seed=4)
     assert np.array_equal(shift_inverse(shift_hat(p)).angles, p.angles)
     zeros = SolenoidPrefix(2, np.zeros(4))
     assert np.array_equal(shift_hat(zeros).angles, np.zeros(5))
@@ -218,7 +209,7 @@ def test_filter_product_norm():
     g = Grid(0.0, 1.0, 2048, "circle")
     h_box = autocorrelation(box_scaling_function(1, 8))
     fp = filter_product(stretched_box_filter(1), 3)
-    vals = fp.values(g).values * h_box.eval(g.nodes)
+    vals = np.real(fp(g.nodes)) * h_box.eval(g.nodes)
     assert np.mean(vals) == pytest.approx(1.0, abs=1e-8)
 
 
