@@ -259,8 +259,6 @@ def test_adjoint_duality():
 
 def test_circle_filter_system_refuses_non_harmonic_h():
     g = Grid(0.0, 1.0, 16, "circle")
-    with pytest.raises(ValueError, match=r"filter haar: \|Rh - h\| = 0.4 > 1e-8"):
-        circle_filter_system(g, haar_filter(), HarmonicSequence(np.array([1.0, 0.4])))
     with pytest.raises(ValueError, match=r"filter box-1: \|Rh - h\| = 0.15 > 1e-8"):
         circle_filter_system(g, stretched_box_filter(1), HarmonicSequence(np.array([1.0, 0.3])))
     bad = WaveletFilter(N=2, coeffs=np.array([0.8, 0.7]), name="bad")

@@ -76,6 +76,12 @@ def test_extension_probabilities_haar():
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_extension_rejects_non_harmonic_weight():
+    bad_h = HarmonicSequence(coeffs=np.array([1.0, 0.4]))  # not Ruelle-fixed
+    with pytest.raises(ValueError, match=r"filter haar: \|Rh - h\| = 0.4 > 1e-8"):
+        circle_filter_system(Grid(0.0, 1.0, 64, "circle"), haar_filter(), bad_h)
+
+
 def test_vanishing_branch_never_chosen():
     # |m0|^2 of the Haar filter vanishes at angle 1/2: from t = 0 the second
     # preimage (0 + 1)/2 = 1/2 has weight 0, and step never takes it
