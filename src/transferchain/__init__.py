@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .grids import (  # noqa: F401
     DiscreteMeasure,
-    EmpiricalSample,
     Grid,
     GridFunction,
     arcsine_measure,
@@ -29,7 +28,6 @@ from .operators import (  # noqa: F401
     CircleFilterOperator,
     ControlledSystem,
     GaussOperator,
-    RadonNikodymWeight,
     apply_branch,
     apply_gauss,
     apply_integral,
@@ -77,7 +75,6 @@ from .solenoid import (  # noqa: F401
     shift_inverse,
 )
 from .wavelets import (  # noqa: F401
-    HarmonicSequence,
     ScalingFunction,
     WaveletFilter,
     autocorrelation,

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction, stream_rng
-from .operators import RadonNikodymWeight
 
 __all__ = [
     "MarkovSampler",
@@ -250,12 +249,6 @@ class ConditionalEstimate:
         return self.counts >= self.min_count
 
 
-def _eval_fn(f, x):
-    if isinstance(f, GridFunction):
-        return f.eval(x)
-    return np.asarray(f(x), dtype=float)
-
-
 def _binned_stats(grid: Grid, x: np.ndarray, y: np.ndarray, min_count: int) -> ConditionalEstimate:
     idx = grid.cell_index(x)
     counts = np.bincount(idx, minlength=grid.n).astype(int)
@@ -279,7 +272,7 @@ def estimate_conditional(pe: PathEnsemble, f, from_step: int, bins: Grid,
     if from_step >= pe.n_steps:
         raise ValueError("from_step must leave at least one transition")
     x = pe.paths[:, from_step]
-    y = _eval_fn(f, pe.paths[:, from_step + 1])
+    y = f(pe.paths[:, from_step + 1])
     return _binned_stats(bins, x, y, min_count)
 
 
@@ -309,7 +302,7 @@ def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid,
     if n < 1 or n + 1 > pe.n_steps:
         raise ValueError("need 1 <= n and n+1 <= n_steps")
     x = pe.paths[:, n]
-    y = _eval_fn(f, pe.paths[:, n + 1])
+    y = f(pe.paths[:, n + 1])
 
     fine = Grid(bins.lower, bins.upper, min(bins.n * baseline_refine, 8192),
                 bins.domain_kind)
@@ -356,7 +349,7 @@ def path_moment_mc(pe: PathEnsemble, fs: Sequence) -> MomentEstimate:
         raise ValueError("more factors than stored coordinates")
     prod = np.ones(pe.n_paths)
     for k, f in enumerate(fs):
-        prod = prod * _eval_fn(f, pe.paths[:, k])
+        prod = prod * f(pe.paths[:, k])
     mean = float(prod.mean())
     se = float(prod.std(ddof=1) / np.sqrt(pe.n_paths))
     return MomentEstimate(mean=mean, std_error=se)
@@ -376,7 +369,7 @@ class PathFunctional:
 
 def coordinate_functional(f, k: int) -> PathFunctional:
     """psi = f o pi_k."""
-    return PathFunctional(depends_on=k, fn=lambda block: _eval_fn(f, block[:, k]))
+    return PathFunctional(depends_on=k, fn=lambda block: f(block[:, k]))
 
 
 class QuasiInvarianceResult(NamedTuple):
@@ -391,14 +384,16 @@ def _shifted_block(pe: PathEnsemble, m: int) -> np.ndarray:
     return np.column_stack([first, pe.paths[:, :m]])
 
 
-def quasi_invariance_check(pe: PathEnsemble, W: RadonNikodymWeight,
+def quasi_invariance_check(pe: PathEnsemble, W: Callable,
                            psi: PathFunctional) -> QuasiInvarianceResult:
-    """Paired Monte Carlo check of E[psi] = E[(psi o sigma-hat) (W o pi_0)]."""
+    """Paired Monte Carlo check of E[psi] = E[(psi o sigma-hat) (W o pi_0)],
+    for any vectorized W, such as the ``GridFunction`` ``radon_nikodym``
+    returns or an exact weight function."""
     m = psi.depends_on
     if m > pe.n_steps:
         raise ValueError("functional needs more coordinates than stored")
     lhs_vals = psi.fn(pe.paths[:, : m + 1])
-    rhs_vals = psi.fn(_shifted_block(pe, m)) * W.eval(pe.paths[:, 0])
+    rhs_vals = psi.fn(_shifted_block(pe, m)) * W(pe.paths[:, 0])
     d = lhs_vals - rhs_vals
     se = d.std(ddof=1) / np.sqrt(pe.n_paths)
     z = abs(d.mean()) / se if se > 0 else 0.0
@@ -413,11 +408,11 @@ class ScalingCheckResult(NamedTuple):
 
 
 def apply_scaling_check(pe: PathEnsemble, psi: PathFunctional,
-                        W: RadonNikodymWeight) -> ScalingCheckResult:
+                        W: Callable) -> ScalingCheckResult:
     """Monte Carlo isometry check E[|sqrt(W o pi_0) (psi o sigma-hat)|^2] = E[|psi|^2]."""
     m = psi.depends_on
     before = psi.fn(pe.paths[:, : m + 1]) ** 2
-    after = W.eval(pe.paths[:, 0]) * psi.fn(_shifted_block(pe, m)) ** 2
+    after = W(pe.paths[:, 0]) * psi.fn(_shifted_block(pe, m)) ** 2
     d = after - before
     se = d.std(ddof=1) / np.sqrt(pe.n_paths)
     z = abs(d.mean()) / se if se > 0 else 0.0
@@ -463,7 +458,7 @@ def martingale_check(pe: PathEnsemble, h: GridFunction, k: int, bins: Grid,
             f"h is not harmonic for the chain operator (residual {harm_resid:.2e})"
         )
     x, y_state = pooled_transitions(pe, lag=k)
-    d = _eval_fn(h, y_state) - eigenvalue**k * _eval_fn(h, x)
+    d = h(y_state) - eigenvalue**k * h(x)
     return _paired_bin_z(bins, x, d, min_count,
                          scale=float(np.max(np.abs(h.values))))
 
@@ -479,7 +474,7 @@ def conditional_expectation_check(pe: PathEnsemble, f: GridFunction, k: int,
     for _ in range(k):
         g = chain_apply(pe.sampler, g)
     x, y_state = pooled_transitions(pe, lag=k)
-    d = _eval_fn(f, y_state) - g.eval(x)
+    d = f(y_state) - g.eval(x)
     return _paired_bin_z(bins, x, d, min_count,
                          scale=float(np.max(np.abs(f.values))))
 

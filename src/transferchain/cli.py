@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__, chains, grids, invariant, operators, schur, solenoid, verify, wavelets
 from .grids import (
-    EmpiricalSample,
     Grid,
     arcsine_measure,
     arcsine_ppf,
@@ -256,7 +255,7 @@ def cmd_simulate(config: RunConfig) -> int:
     hist_grid = Grid(lo - 1e-9 * span, hi + 1e-9 * span, 128)
     rows = []
     for k in range(pe.n_steps + 1):
-        mu = grids.histogram(EmpiricalSample(pe.paths[:, k]), hist_grid)
+        mu = grids.histogram(pe.paths[:, k], hist_grid)
         for x, w, d in zip(hist_grid.nodes, mu.weights, mu.density):
             rows.append([int(k), float(x), float(w * pe.n_paths), float(d)])
     _write_csv(config.out_dir, "marginals.csv", ["step", "x_mid", "count", "density"], rows)
@@ -270,7 +269,7 @@ def cmd_simulate(config: RunConfig) -> int:
         ks_thresh = max(0.02, 3.0 / np.sqrt(config.n_paths))
         worst = 0.0
         for k in sorted({1, config.n_steps} & set(range(1, config.n_steps + 1))):
-            worst = max(worst, ks_distance(EmpiricalSample(pe.paths[:, k]), ref))
+            worst = max(worst, ks_distance(pe.paths[:, k], ref))
         checks.append(CheckResult(name="marginal-ks-vs-stationary", statistic=worst,
                                   threshold=ks_thresh, direction="<=", runtime_ms=ms,
                                   detail="KS of step marginals against the stationary law"))

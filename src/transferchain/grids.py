@@ -8,7 +8,7 @@ metrics (Wasserstein-1, Kolmogorov-Smirnov) used to compare them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -17,7 +17,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "DiscreteMeasure",
-    "EmpiricalSample",
     "GridMismatchError",
     "integrate",
     "wasserstein1",
@@ -259,22 +258,6 @@ class DiscreteMeasure:
         return DiscreteMeasure(self.grid, self.weights / s, normalized=True)
 
 
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """Points in the grid domain plus the seeding metadata that produced them."""
-
-    points: np.ndarray
-    seed_info: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        pts = _readonly(self.points)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self) -> int:
-        return self.points.size
-
-
 # ---------------------------------------------------------------------------
 # seeding
 # ---------------------------------------------------------------------------
@@ -315,27 +298,30 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return float(mu.grid.dx * np.abs(diff).sum())
 
 
-def histogram(s: EmpiricalSample, grid: Grid) -> DiscreteMeasure:
-    """Normalized bin counts of a sample on a grid."""
-    if s.size == 0:
+def histogram(points, grid: Grid) -> DiscreteMeasure:
+    """Normalized bin counts of sample points on a grid."""
+    # gathering a strided column such as paths[:, k] once costs less than
+    # the strided passes below would (here and in ks_distance)
+    points = np.ascontiguousarray(points, dtype=float)
+    if points.size == 0:
         raise ValueError("cannot histogram an empty sample")
-    if not grid.contains(s.points):
+    if not grid.contains(points):
         raise ValueError("sample points outside the grid domain")
-    idx = grid.cell_index(s.points)
+    idx = grid.cell_index(points)
     counts = np.bincount(idx, minlength=grid.n).astype(float)
     return DiscreteMeasure(grid, counts / counts.sum(), normalized=True)
 
 
-def ks_distance(s: EmpiricalSample, mu: DiscreteMeasure) -> float:
-    """Kolmogorov-Smirnov distance between a sample and a grid measure.
+def ks_distance(points, mu: DiscreteMeasure) -> float:
+    """Kolmogorov-Smirnov distance between sample points and a grid measure.
 
     Sup over grid nodes of |empirical CDF - model CDF|, the model CDF at a
     midpoint counting half of that cell's weight (mass uniform within cells).
     """
-    grid = mu.grid
-    if not grid.contains(s.points):
+    grid, points = mu.grid, np.ascontiguousarray(points, dtype=float)
+    if not grid.contains(points):
         raise GridMismatchError("sample outside the measure's domain")
-    pts = np.sort(grid.wrap(s.points))
+    pts = np.sort(grid.wrap(points))
     nodes = grid.nodes
     emp = np.searchsorted(pts, nodes, side="right") / pts.size
     model = np.cumsum(mu.weights) - 0.5 * mu.weights
@@ -405,14 +391,9 @@ def gauss_measure(grid: Grid) -> DiscreteMeasure:
 
 def sample_measure(
     mu: DiscreteMeasure, n: int, master_seed: int, stream_id: int = 0
-) -> EmpiricalSample:
+) -> np.ndarray:
     """Inverse-CDF sample from a grid measure (uniform within each cell)."""
-    rng = stream_rng(master_seed, stream_id)
-    u = rng.random(n)
-    pts = _inverse_cdf(mu, u)
-    return EmpiricalSample(
-        pts, seed_info={"master_seed": master_seed, "stream_id": stream_id}
-    )
+    return _inverse_cdf(mu, stream_rng(master_seed, stream_id).random(n))
 
 
 def quantiles(mu: DiscreteMeasure, m: int) -> np.ndarray:

@@ -26,14 +26,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid, GridFunction, GridMismatchError
-from .wavelets import HarmonicSequence, TrigPoly, WaveletFilter
+from .wavelets import TrigPoly, WaveletFilter
 
 __all__ = [
     "BranchSystem",
     "ControlledSystem",
     "CircleFilterOperator",
     "GaussOperator",
-    "RadonNikodymWeight",
     "BranchEscapeError",
     "CSCMatrix",
     "ControlFlow",
@@ -42,7 +41,6 @@ __all__ = [
     "apply_ruelle_circle",
     "apply_ruelle_adjoint",
     "apply_gauss",
-    "apply_gauss_at",
     "pullout_check",
     "radon_nikodym",
     "cell_flow_matrix",
@@ -415,8 +413,8 @@ class GaussOperator:
     def chain_apply(self, f: GridFunction) -> GridFunction:
         """The chain's operator: the branch sum with the chain kernel's weights."""
         chain = _gauss_compiled(self.truncation_K, f.grid)[1]
-        return GridFunction(f.grid, _compiled_gauss_sum(self.truncation_K, f, f.grid.nodes,
-                                                        chain, _chain_weights))
+        return GridFunction(f.grid, _compiled_gauss_sum(self.truncation_K, f, chain,
+                                                        _chain_weights))
 
     def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
         """Each source cell's images 1/(n + cell) for n <= K, weighted by the
@@ -463,19 +461,6 @@ class GaussOperator:
         # the cap bounds the round-off of sigma(1/(n+x)) - x, which grows
         # like n eps: digits past about 10^6 break the solenoid constraint
         return 1.0 / (np.clip(n, 1, self.truncation_K) + x)
-
-
-@dataclass(frozen=True)
-class RadonNikodymWeight:
-    """W = d(lambda R)/d lambda on the grid, optionally with an exact callable."""
-
-    W: GridFunction
-    exact_fn: Optional[Callable] = None
-
-    def eval(self, x):
-        if self.exact_fn is not None:
-            return np.asarray(self.exact_fn(np.asarray(x, dtype=float)), dtype=float)
-        return self.W.eval(x)
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +513,7 @@ def apply_ruelle_adjoint(op: CircleFilterOperator, f: GridFunction) -> GridFunct
 
 def apply_gauss(op: GaussOperator, f: GridFunction) -> GridFunction:
     raw = _gauss_compiled(op.truncation_K, f.grid)[0]
-    return GridFunction(f.grid, _compiled_gauss_sum(op.truncation_K, f, f.grid.nodes, raw,
-                                                    _raw_weights))
-
-
-def apply_gauss_at(op: GaussOperator, f: GridFunction, x) -> np.ndarray:
-    """Truncated branch sum sum_{n<=K} w_n(x) f(1/(n+x)) with the raw weights."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    raw = _gauss_compile(op.truncation_K, f.grid, x)[0]
-    return _compiled_gauss_sum(op.truncation_K, f, x, raw, _raw_weights)
+    return GridFunction(f.grid, _compiled_gauss_sum(op.truncation_K, f, raw, _raw_weights))
 
 
 # The truncated Gauss kernel's weights at points x (a column) and branches
@@ -561,15 +538,18 @@ def _chain_weights(x, ns, denom, K):
     return w
 
 
-def _gauss_compile(K: int, grid: Grid, x) -> tuple:
-    """The branch sums over n <= K at the points x as two n_cells x x.size
+@functools.lru_cache(maxsize=4)
+def _gauss_compiled(K: int, grid: Grid) -> tuple:
+    """The branch sums over n <= K at the grid's nodes x as two n x n
     matrices sharing one sparsity pattern, with ``_raw_weights`` and with
     ``_chain_weights``: column j is the linear-interpolation stencil
     (``Grid.stencil``) of the images 1/(n + x_j) -- ``GridFunction.eval``
-    without its sign clamp -- so ``f.values @ M`` is the unclamped sum."""
+    without its sign clamp -- so ``f.values @ M`` is the unclamped sum.
+    Built once per (K, grid): the matrices depend on nothing else, so
+    equal operators share them."""
     if grid.domain_kind != "interval":
         raise GridMismatchError("Gauss operator lives on an interval grid")
-    n = grid.n
+    n, x = grid.n, grid.nodes
 
     def blocks():
         for cols, branch_chunks in _gauss_blocks(K, x.size, n):
@@ -592,19 +572,12 @@ def _gauss_compile(K: int, grid: Grid, x) -> tuple:
             yield acc
 
     indptr, indices, data = _csc_from_blocks(n, blocks())
-    return tuple(CSCMatrix((n, x.size), indptr, indices, d) for d in data)
+    return tuple(CSCMatrix((n, n), indptr, indices, d) for d in data)
 
 
-@functools.lru_cache(maxsize=4)
-def _gauss_compiled(K: int, grid: Grid) -> tuple:
-    """``_gauss_compile`` at the grid's nodes, built once per (K, grid): the
-    matrices depend on nothing else, so equal operators share them."""
-    return _gauss_compile(K, grid, grid.nodes)
-
-
-def _compiled_gauss_sum(K: int, f: GridFunction, x, M: CSCMatrix, weights) -> np.ndarray:
-    """sum over n <= K of w_n(x) f(1/(n+x)), with the compiled matrix M of
-    the weights w.
+def _compiled_gauss_sum(K: int, f: GridFunction, M: CSCMatrix, weights) -> np.ndarray:
+    """sum over n <= K of w_n(x) f(1/(n+x)) at the nodes x of f's grid, with
+    the compiled matrix M of the weights w.
 
     M holds ``eval`` without its sign clamp.  The clamp changes a value
     only in an end strip, where the boundary segment is extrapolated, and
@@ -613,7 +586,7 @@ def _compiled_gauss_sum(K: int, f: GridFunction, x, M: CSCMatrix, weights) -> np
     the exact correction sum w (clamp(u) - u) is added.  The sum is then
     clamped like eval's values: R is a positive operator, so that only
     removes round-off, and R f >= 0 holds exactly for f >= 0."""
-    v = f.values
+    v, x = f.values, f.grid.nodes
     out = v @ M
     extremes = np.array([1.0 / (K + x.max()), 1.0 / (1.0 + x.min())])
     u = f.linear(extremes)
@@ -691,7 +664,7 @@ def cell_flow_matrix(op, grid: Grid, raw: bool = False):
     return op.flow(grid, raw)
 
 
-def radon_nikodym(op, lam: DiscreteMeasure) -> RadonNikodymWeight:
+def radon_nikodym(op, lam: DiscreteMeasure) -> GridFunction:
     """W = d(lambda R)/d lambda from the operator's action on cell indicators.
 
     (lambda R)(cell_i) = sum_j M[i, j] lambda_j; W_i is that mass divided by
@@ -705,7 +678,7 @@ def radon_nikodym(op, lam: DiscreteMeasure) -> RadonNikodymWeight:
         raise ValueError("reference measure must charge every cell")
     M = cell_flow_matrix(op, lam.grid, raw=True)
     pushed = M @ lam.weights
-    return RadonNikodymWeight(GridFunction(lam.grid, pushed / lam.weights))
+    return GridFunction(lam.grid, pushed / lam.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +796,7 @@ def bernoulli_system(grid: Grid, a: float) -> BranchSystem:
 
 
 def circle_filter_system(grid: Grid, filt: WaveletFilter,
-                         h: Optional[HarmonicSequence] = None) -> BranchSystem:
+                         h: Optional[TrigPoly] = None) -> BranchSystem:
     """The solenoid Markov move of a circle filter as a branch system.
 
     Branches (t+k)/N with weights (1/N) |m0|^2((t+k)/N) h((t+k)/N) / h(t);
@@ -833,12 +806,13 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
     """
     if grid.domain_kind != "circle":
         raise ValueError("filter chains live on circle grids")
-    resid = filt.ruelle_residual(h.poly if h is not None else TrigPoly(0, [1.0]))
+    given = h is not None
+    h = h if given else TrigPoly(0, [1.0])
+    resid = filt.ruelle_residual(h)
     if resid > 1e-8:
         raise ValueError(f"filter {filt.name or 'circle'}: |Rh - h| = {resid:.3g} > 1e-8 "
-                         f"for h = {'the given h' if h is not None else '1 (not normalized)'}")
+                         f"for h = {'the given h' if given else '1 (not normalized)'}")
     N = filt.N
-    h_eval = h.eval if h is not None else (lambda t: np.ones(np.shape(t)))
 
     def make_tau(k):
         return lambda t: (t + k) / N
@@ -848,7 +822,7 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
         # instead of h(t) is the same ratio but stays conditioned near the
         # zeros of h
         t = np.asarray(t, dtype=float)
-        raw = np.stack([filt.m0_sq((t + k) / N) * h_eval((t + k) / N) for k in range(N)])
+        raw = np.stack([filt.m0_sq((t + k) / N) * h((t + k) / N) for k in range(N)])
         raw /= raw.sum(axis=0)
         return raw
 

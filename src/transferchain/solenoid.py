@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .grids import DiscreteMeasure, Grid
-from .wavelets import HarmonicSequence, TrigPoly, WaveletFilter
+from .wavelets import TrigPoly, WaveletFilter
 
 __all__ = [
     "SolenoidPrefix",
@@ -27,6 +27,8 @@ __all__ = [
     "pd_gram",
     "pi_k_distribution",
 ]
+
+_UNIT_CIRCLE = Grid(0.0, 1.0, 2, "circle")  # for its periodic distance
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,7 @@ class SolenoidPrefix:
         a = self.angles
         if a.size < 2:
             return 0.0
-        d = np.abs(np.mod(self.N * a[1:], 1.0) - a[:-1])
-        return float(np.max(np.minimum(d, 1.0 - d)))
+        return float(np.max(_UNIT_CIRCLE.distance(np.mod(self.N * a[1:], 1.0), a[:-1])))
 
     def __len__(self) -> int:
         return self.angles.size
@@ -81,18 +82,18 @@ def embed_line(N: int, t: float, K: int) -> SolenoidPrefix:
 # coefficient-space machinery for |m^(k)|^2 and the positive-definite function
 # ---------------------------------------------------------------------------
 
-def pd_value(filt: WaveletFilter, h: HarmonicSequence, n: int, k: int,
+def pd_value(filt: WaveletFilter, h: TrigPoly, n: int, k: int,
              z_angle: float) -> complex:
     """L(n / N^k) = (R^k (e_n h))(z) with everything in coefficient space."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    g = h.poly.shift(n)
+    g = h.shift(n)
     for _ in range(k):
         g = filt.ruelle(g)
     return complex(g(z_angle))
 
 
-def pd_gram(filt: WaveletFilter, h: HarmonicSequence,
+def pd_gram(filt: WaveletFilter, h: TrigPoly,
             points: Sequence[tuple], z_angle: float) -> np.ndarray:
     """Gram matrix G[u, v] = L(n_u/N^{k_u} - n_v/N^{k_v}) on the N-adic
     rationals, assembled after common-denominator reduction."""
@@ -125,7 +126,7 @@ def filter_product(filt: WaveletFilter, k: int) -> TrigPoly:
     return poly
 
 
-def pi_k_distribution(filt: WaveletFilter, h: HarmonicSequence, k: int,
+def pi_k_distribution(filt: WaveletFilter, h: TrigPoly, k: int,
                       grid: Grid) -> DiscreteMeasure:
     """Law of the k-th solenoid coordinate: density |m^(k)|^2 h on the circle.
 
@@ -135,7 +136,7 @@ def pi_k_distribution(filt: WaveletFilter, h: HarmonicSequence, k: int,
     """
     if grid.domain_kind != "circle":
         raise ValueError("coordinate laws live on circle grids")
-    dens = filter_product(filt, k) * h.poly
+    dens = filter_product(filt, k) * h
     edges = (grid.edges - grid.lower) / grid.width
     masses = np.full(grid.n, float(np.real(dens.coef(0))) * grid.dx / grid.width)
     for m, coef in zip(dens.lags, dens.c):

@@ -17,7 +17,6 @@ import numpy as np
 from . import chains, invariant, operators, schur, solenoid, wavelets
 from .grids import (
     DiscreteMeasure,
-    EmpiricalSample,
     Grid,
     GridFunction,
     arcsine_measure,
@@ -30,7 +29,6 @@ from .grids import (
     uniform_measure,
     uniform_ppf,
 )
-from .operators import RadonNikodymWeight
 
 __all__ = ["CheckResult", "run_suite", "logistic_separation_search"]
 
@@ -169,7 +167,7 @@ def _logistic_pushforward(seed, fault):
     x = arcsine_ppf(rng.random(100_000))
     for _ in range(20):
         x = 4.0 * x * (1.0 - x)
-    ks = ks_distance(EmpiricalSample(x), arcsine_measure(Grid(0.0, 1.0, 2048)))
+    ks = ks_distance(x, arcsine_measure(Grid(0.0, 1.0, 2048)))
     return ks, 0.02, "<=", "20 forward iterations of 10^5 arcsine points"
 
 
@@ -266,7 +264,7 @@ def _rn_parametric(seed, fault):
     g = Grid(0.0, 1.0, 1000)
     W = operators.radon_nikodym(operators.parametric_system(g, 0.3), uniform_measure(g))
     exact = operators.parametric_weight(0.3)(g.nodes)
-    return float(np.max(np.abs(W.W.values - exact))), 1e-10, "<=", \
+    return float(np.max(np.abs(W.values - exact))), 1e-10, "<=", \
         "u = 0.3, breakpoint on a cell edge"
 
 
@@ -362,10 +360,9 @@ def _quasi(seed, fault):
         s = chains.MarkovSampler(operators.parametric_system(g, u), uniform_ppf,
                                  master_seed=seed + 10 + i)
         pe = chains.simulate_paths(s, 1_000_000, 2)
-        W = RadonNikodymWeight(GridFunction.from_callable(g, operators.parametric_weight(u)),
-                               exact_fn=operators.parametric_weight(u))
+        W = operators.parametric_weight(u)
         if u == 0.5:
-            flat = float(np.max(np.abs(W.W.values - 1.0)))
+            flat = float(np.max(np.abs(W(g.nodes) - 1.0)))
             details.append(f"W(0.5) deviates from 1 by {flat:.1e}")
         res = chains.quasi_invariance_check(pe, W, chains.coordinate_functional(lambda x: x, 1))
         worst = max(worst, res.z)
@@ -379,9 +376,8 @@ def _quasi_wrong(seed, fault):
     s = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
                              master_seed=seed + 13)
     pe = chains.simulate_paths(s, 1_000_000, 2)
-    W = RadonNikodymWeight(GridFunction.from_callable(g, operators.parametric_weight(0.7)),
-                           exact_fn=operators.parametric_weight(0.7))
-    res = chains.quasi_invariance_check(pe, W, chains.coordinate_functional(lambda x: x, 1))
+    res = chains.quasi_invariance_check(pe, operators.parametric_weight(0.7),
+                                        chains.coordinate_functional(lambda x: x, 1))
     return res.z, 8.0, ">=", "swapped weight constants must be detected"
 
 
@@ -485,12 +481,12 @@ def _stationarity(seed, fault):
     s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
                              master_seed=seed + 37)
     pe = chains.simulate_paths(s, 100_000, 25)
-    worst = max(ks_distance(EmpiricalSample(pe.paths[:, k]), ref) for k in (1, 5, 25))
+    worst = max(ks_distance(pe.paths[:, k], ref) for k in (1, 5, 25))
     refg = gauss_measure(Grid(0.0, 1.0, 2048))
     sg = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
                               master_seed=seed + 38)
     peg = chains.simulate_paths(sg, 100_000, 10)
-    worst = max(worst, ks_distance(EmpiricalSample(peg.paths[:, 10]), refg))
+    worst = max(worst, ks_distance(peg.paths[:, 10], refg))
     return worst, 0.02, "<=", "arcsine at steps {1,5,25}; gauss law at step 10"
 
 
@@ -579,7 +575,7 @@ def _shift_roundtrip(seed, fault):
 @_check("solenoid", "pd-gram-minimum-eigenvalue")
 def _pd_gram(seed, fault):
     rng = stream_rng(seed, 52)
-    h_haar = wavelets.HarmonicSequence(coeffs=np.array([1.0]))
+    h_haar = wavelets.TrigPoly(0, [1.0])
     h_box = wavelets.autocorrelation(wavelets.box_scaling_function(1, 8))
     worst = np.inf
     for filt, h in ((wavelets.haar_filter(), h_haar),
@@ -594,7 +590,7 @@ def _pd_gram(seed, fault):
 @_check("solenoid", "pd-well-defined")
 def _pd_well(seed, fault):
     rng = stream_rng(seed, 53)
-    h1 = wavelets.HarmonicSequence(coeffs=np.array([1.0]))
+    h1 = wavelets.TrigPoly(0, [1.0])
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(-6, 7))
@@ -609,7 +605,7 @@ def _pd_well(seed, fault):
 @_check("solenoid", "coordinate-distribution-mass")
 def _pi_k_mass(seed, fault):
     g = Grid(0.0, 1.0, 1024, "circle")
-    h1 = wavelets.HarmonicSequence(coeffs=np.array([1.0]))
+    h1 = wavelets.TrigPoly(0, [1.0])
     h_box = wavelets.autocorrelation(wavelets.box_scaling_function(1, 8))
     worst = 0.0
     for filt, h in ((wavelets.haar_filter(), h1),
@@ -626,9 +622,9 @@ def _pi_k_sampled(seed, fault):
     s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
                              uniform_ppf, master_seed=seed + 54)
     pe = chains.simulate_paths(s, 100_000, 3)
-    h1 = wavelets.HarmonicSequence(coeffs=np.array([1.0]))
+    h1 = wavelets.TrigPoly(0, [1.0])
     mu3 = solenoid.pi_k_distribution(wavelets.haar_filter(), h1, 3, Grid(0, 1, 2048, "circle"))
-    ks = ks_distance(EmpiricalSample(pe.paths[:, 3]), mu3)
+    ks = ks_distance(pe.paths[:, 3], mu3)
     return ks, 0.02, "<=", "sampled third coordinate vs its exact density"
 
 
@@ -638,16 +634,13 @@ def _scaling_unitary(seed, fault):
     s = chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
                              master_seed=seed + 55)
     pe = chains.simulate_paths(s, 1_000_000, 2)
-    Wone = RadonNikodymWeight(GridFunction.constant(g, 1.0),
-                              exact_fn=lambda x: np.ones(np.shape(x)))
     res1 = chains.apply_scaling_check(
-        pe, chains.coordinate_functional(lambda x: np.sin(2 * np.pi * x), 0), Wone)
+        pe, chains.coordinate_functional(lambda x: np.sin(2 * np.pi * x), 0), lambda x: 1.0)
     sp = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
                               master_seed=seed + 56)
     pep = chains.simulate_paths(sp, 1_000_000, 2)
-    W3 = RadonNikodymWeight(GridFunction.from_callable(g, operators.parametric_weight(0.3)),
-                            exact_fn=operators.parametric_weight(0.3))
-    res2 = chains.apply_scaling_check(pep, chains.coordinate_functional(lambda x: x, 1), W3)
+    res2 = chains.apply_scaling_check(pep, chains.coordinate_functional(lambda x: x, 1),
+                                      operators.parametric_weight(0.3))
     return max(res1.z, res2.z), 4.0, "<=", \
         f"doubling z={res1.z:.2f}, parametric z={res2.z:.2f}"
 
@@ -674,7 +667,7 @@ def _haar_h(seed, fault):
     phi = wavelets.cascade(wavelets.haar_filter(), J=10, iters=2)
     h = wavelets.autocorrelation(phi)
     g = Grid(0.0, 1.0, 1024, "circle")
-    return float(np.max(np.abs(h.eval(g.nodes) - 1.0))), 1e-10, "<=", \
+    return float(np.max(np.abs(h(g.nodes) - 1.0))), 1e-10, "<=", \
         "h of the Haar scaling function is the constant 1"
 
 
@@ -683,18 +676,19 @@ def _fejer(seed, fault):
     worst = 0.0
     for m in (1, 2, 3):
         h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
+        r = h.c[-h.lo :]  # r_0 .. r_M
         L = 2 * m + 1
-        expect = np.maximum(L - np.arange(len(h.coeffs)), 0) / L
-        want = np.zeros(len(h.coeffs))
+        expect = np.maximum(L - np.arange(len(r)), 0) / L
+        want = np.zeros(len(r))
         want[: L] = expect[: L]
-        worst = max(worst, float(np.max(np.abs(h.coeffs - want))))
+        worst = max(worst, float(np.max(np.abs(r - want))))
     return worst, 1e-10, "<=", "r_n = (2m+1-|n|)/(2m+1) for m in {1,2,3}"
 
 
 @_check("wavelet", "ruelle-fixed-point")
 def _ruelle_fixed(seed, fault):
     worst = wavelets.verify_ruelle_fixed(wavelets.haar_filter(),
-                                         wavelets.HarmonicSequence(np.array([1.0])))
+                                         wavelets.TrigPoly(0, [1.0]))
     for m in (1, 2, 3):
         h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
         worst = max(worst, wavelets.verify_ruelle_fixed(wavelets.stretched_box_filter(m), h))
@@ -722,7 +716,7 @@ def _compact_support(seed, fault):
     worst = 0.0
     for m in (1, 2):
         h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
-        beyond = h.coeffs[2 * m + 1 :]
+        beyond = h.c[-h.lo + 2 * m + 1 :]  # r_{2m+1} .. r_M
         if beyond.size:
             worst = max(worst, float(np.max(np.abs(beyond))))
     return worst, 1e-12, "<=", "no autocorrelation beyond the support width"

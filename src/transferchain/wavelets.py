@@ -15,13 +15,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import Grid, GridFunction
+from .grids import Grid
 
 __all__ = [
     "TrigPoly",
     "WaveletFilter",
     "ScalingFunction",
-    "HarmonicSequence",
     "haar_filter",
     "stretched_box_filter",
     "box_scaling_function",
@@ -265,38 +264,11 @@ def box_scaling_function(m: int, J: int) -> ScalingFunction:
     return ScalingFunction(N=2, J=J, samples=samples, sup_delta=0.0)
 
 
-@dataclass(frozen=True)
-class HarmonicSequence:
-    """Autocorrelation r_n of phi0 and the harmonic function h(t) it spans.
-
-    h(t) = sum_n r_n e^{2 pi i n t} = r_0 + 2 sum_{n>0} r_n cos(2 pi n t).
-    """
-
-    coeffs: np.ndarray  # r_0 .. r_M, with r_{-n} = r_n
-
-    def __post_init__(self):
-        r = np.asarray(self.coeffs, dtype=float).copy()
-        r.flags.writeable = False
-        object.__setattr__(self, "coeffs", r)
-
-    @cached_property
-    def poly(self) -> TrigPoly:
-        return TrigPoly.even(self.coeffs)
-
-    def eval(self, t):
-        return self.poly(t)
-
-    def __call__(self, t):
-        return self.eval(t)
-
-    def as_grid_function(self, grid: Grid) -> GridFunction:
-        if grid.domain_kind != "circle":
-            raise ValueError("harmonic functions live on circle grids")
-        return GridFunction(grid, self.eval(grid.nodes))
-
-
-def autocorrelation(phi: ScalingFunction) -> HarmonicSequence:
-    """r_n = int phi0(x+n) phi0(x) dx on the sample grid (exact for boxes)."""
+def autocorrelation(phi: ScalingFunction) -> TrigPoly:
+    """The harmonic function h(t) = sum_n r_n e^{2 pi i n t} spanned by the
+    autocorrelation r_n = int phi0(x+n) phi0(x) dx of phi0 on the sample
+    grid (exact for boxes), as the real even ``TrigPoly.even(r)``: r_0 .. r_M
+    are its coefficients at lags 0 .. M."""
     s, cpu, step = phi.samples, phi.cells_per_unit, phi.step
     max_shift = (s.size - 1) // cpu
     r = np.empty(max_shift + 1)
@@ -304,15 +276,15 @@ def autocorrelation(phi: ScalingFunction) -> HarmonicSequence:
         r[n] = step * float(np.dot(s[n * cpu :], s[: s.size - n * cpu]))
     while len(r) > 1 and abs(r[-1]) < 1e-15:
         r = r[:-1]
-    return HarmonicSequence(coeffs=r)
+    return TrigPoly.even(r)
 
 
-def verify_ruelle_fixed(filt: WaveletFilter, h: HarmonicSequence, grid_n: int = 1024) -> float:
+def verify_ruelle_fixed(filt: WaveletFilter, h: TrigPoly, grid_n: int = 1024) -> float:
     """Max node residual of R h - h, where (Rf)(t) = (1/N) sum_k (|m0|^2 f)((t+k)/N)
     is taken in coefficient space by ``WaveletFilter.ruelle``."""
-    rh = filt.ruelle(h.poly)
+    rh = filt.ruelle(h)
     t = Grid(0.0, 1.0, grid_n, "circle").nodes
-    return float(np.max(np.abs(rh(t) - h.eval(t))))
+    return float(np.max(np.abs(rh(t) - h(t))))
 
 
 def slanted_toeplitz(filt: WaveletFilter, size: int) -> np.ndarray:

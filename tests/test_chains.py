@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from transferchain.grids import (
-    EmpiricalSample,
     Grid,
     GridFunction,
     arcsine_measure,
     arcsine_ppf,
     gauss_measure,
     gauss_ppf,
+    histogram,
     ks_distance,
     ks_two_sample,
     stream_rng,
@@ -38,13 +38,13 @@ from transferchain.operators import (
     BranchSystem,
     CircleFilterOperator,
     GaussOperator,
-    RadonNikodymWeight,
     bernoulli_support,
     bernoulli_system,
     doubling_system,
     gauss_operator,
     parametric_system,
     parametric_weight,
+    radon_nikodym,
     random_control_system,
 )
 from transferchain.wavelets import haar_filter
@@ -202,7 +202,7 @@ def test_simulation_reproducible_and_prefix_consistent():
 def test_zero_steps_samples_initial_law():
     s = MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=7)
     pe = simulate_paths(s, 100_000, 0)
-    ks = ks_distance(EmpiricalSample(pe.paths[:, 0]), arcsine_measure(Grid(0, 1, 2048)))
+    ks = ks_distance(pe.paths[:, 0], arcsine_measure(Grid(0, 1, 2048)))
     assert ks <= 0.01
 
 
@@ -218,14 +218,26 @@ def test_stationary_marginals():
     pe = simulate_paths(s, 100_000, 25)
     ref = arcsine_measure(Grid(0, 1, 2048))
     for k in (1, 5, 25):
-        assert ks_distance(EmpiricalSample(pe.paths[:, k]), ref) <= 0.02
+        assert ks_distance(pe.paths[:, k], ref) <= 0.02
 
 
 def test_gauss_backward_stationary():
     s = MarkovSampler(gauss_operator(K=10_000), gauss_ppf, master_seed=11)
     pe = simulate_paths(s, 100_000, 10)
-    ks = ks_distance(EmpiricalSample(pe.paths[:, 10]), gauss_measure(Grid(0, 1, 2048)))
+    ks = ks_distance(pe.paths[:, 10], gauss_measure(Grid(0, 1, 2048)))
     assert ks <= 0.02
+
+
+def test_estimators_read_strided_path_columns():
+    s = MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=10)
+    pe = simulate_paths(s, 10_000, 3)
+    ref = arcsine_measure(Grid(0, 1, 2048))
+    for k in range(4):
+        col = pe.paths[:, k]
+        assert not col.flags.c_contiguous
+        dense = np.ascontiguousarray(col)
+        assert np.array_equal(histogram(col, G512).weights, histogram(dense, G512).weights)
+        assert ks_distance(col, ref) == ks_distance(dense, ref)
 
 
 def test_overlapping_bernoulli_chain_variance():
@@ -369,17 +381,10 @@ def test_path_moment_trivial_cases():
 # quasi-invariance and martingales
 # ---------------------------------------------------------------------------
 
-def _weight(u):
-    return RadonNikodymWeight(GridFunction.from_callable(G512, parametric_weight(u)),
-                              exact_fn=parametric_weight(u))
-
-
 def test_quasi_invariance_measure_preserving():
     s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=26)
     pe = simulate_paths(s, 1_000_000, 2)
-    W1 = RadonNikodymWeight(GridFunction.constant(G512, 1.0),
-                            exact_fn=lambda x: np.ones(np.shape(x)))
-    res = quasi_invariance_check(pe, W1, coordinate_functional(
+    res = quasi_invariance_check(pe, lambda x: 1.0, coordinate_functional(
         lambda x: np.cos(2 * np.pi * x), 1))
     assert res.z <= 4.0
 
@@ -388,16 +393,25 @@ def test_quasi_invariance_measure_preserving():
 def test_quasi_invariance_parametric(u):
     s = MarkovSampler(parametric_system(G512, u), uniform_ppf, master_seed=27)
     pe = simulate_paths(s, 1_000_000, 2)
-    res = quasi_invariance_check(pe, _weight(u), coordinate_functional(lambda x: x, 1))
+    res = quasi_invariance_check(pe, parametric_weight(u), coordinate_functional(lambda x: x, 1))
     assert res.z <= 4.0
     if u == 0.5:
-        assert np.max(np.abs(_weight(u).W.values - 1.0)) == 0.0
+        assert np.max(np.abs(parametric_weight(u)(G512.nodes) - 1.0)) == 0.0
+
+
+def test_quasi_invariance_takes_the_grid_weight():
+    g = Grid(0.0, 1.0, 512)
+    W = radon_nikodym(parametric_system(g, 0.3), uniform_measure(g))
+    assert isinstance(W, GridFunction)
+    s = MarkovSampler(parametric_system(g, 0.3), uniform_ppf, master_seed=27)
+    pe = simulate_paths(s, 1_000_000, 2)
+    assert quasi_invariance_check(pe, W, coordinate_functional(lambda x: x, 1)).z <= 4.0
 
 
 def test_quasi_invariance_wrong_weight_detected():
     s = MarkovSampler(parametric_system(G512, 0.3), uniform_ppf, master_seed=28)
     pe = simulate_paths(s, 1_000_000, 2)
-    res = quasi_invariance_check(pe, _weight(0.7), coordinate_functional(lambda x: x, 1))
+    res = quasi_invariance_check(pe, parametric_weight(0.7), coordinate_functional(lambda x: x, 1))
     assert res.z >= 8.0
 
 

@@ -19,7 +19,6 @@ from transferchain.invariant import UlamMatrix, affine_ifs, halving_ifs
 from transferchain.operators import (
     BranchSystem,
     apply_gauss,
-    apply_gauss_at,
     bernoulli_support,
     bernoulli_system,
     cell_flow_matrix,
@@ -178,16 +177,6 @@ def test_compiled_gauss_apply_matches_chunked_eval_loop(size, kind):
     assert _close(op.chain_apply(f).values, _reference_chain_apply(op, f))
 
 
-@SETTINGS
-@given(sizes, st.sampled_from(KINDS))
-def test_gauss_apply_at_points_matches_chunked_eval_loop(size, kind):
-    n, K, seed = size
-    op = gauss_operator(K=K)
-    f = _test_function(kind, Grid(0.0, 1.0, n), seed)
-    x = np.concatenate(([0.0, 1.0], stream_rng(seed, 1).random(5)))
-    assert _close(apply_gauss_at(op, f, x), _reference_apply(op, f, x))
-
-
 def test_end_strip_clamp_binds_in_the_examples():
     # these functions make eval's sign clamp bind in an end strip: the
     # unclamped branch sum misses eval's by far more than the 1e-12 the
@@ -220,7 +209,6 @@ def test_gauss_positivity_is_exact(size, kind):
         f = _test_function(kind, g, seed)
     assert np.min(apply_gauss(op, f).values) >= 0.0
     assert np.min(op.chain_apply(f).values) >= 0.0
-    assert np.min(apply_gauss_at(op, f, np.array([0.0, 0.5, 1.0]))) >= 0.0
 
 
 def test_equal_operators_share_one_compiled_matrix():

@@ -3,7 +3,6 @@ import pytest
 
 from transferchain.grids import (
     DiscreteMeasure,
-    EmpiricalSample,
     Grid,
     GridFunction,
     GridMismatchError,
@@ -123,14 +122,14 @@ def test_wasserstein_requires_normalized():
 
 def test_histogram_single_point():
     g = Grid(0.0, 1.0, 10)
-    mu = histogram(EmpiricalSample(np.array([0.5])), g)
+    mu = histogram(np.array([0.5]), g)
     assert mu.weights[g.cell_index(0.5)] == 1.0
 
 
 def test_histogram_uniform_draws():
     g = Grid(0.0, 1.0, 512)
     rng = stream_rng(2, 0)
-    mu = histogram(EmpiricalSample(rng.random(1_000_000)), g)
+    mu = histogram(rng.random(1_000_000), g)
     assert wasserstein1(mu, uniform_measure(g)) <= 3e-3
 
 
@@ -142,21 +141,20 @@ def test_histogram_bernoulli_half_is_uniform():
     for k in range(1, 54):
         x += np.where(rng.random(n) < 0.5, -1.0, 1.0) * 0.5**k
     g = Grid(0.0, 1.0, 512)
-    mu = histogram(EmpiricalSample((x + 1.0) / 2.0), g)
+    mu = histogram((x + 1.0) / 2.0, g)
     assert wasserstein1(mu, uniform_measure(g)) <= 3e-3
 
 
 def test_histogram_empty_error():
     with pytest.raises(ValueError):
-        histogram(EmpiricalSample(np.array([])), Grid(0.0, 1.0, 8))
+        histogram(np.array([]), Grid(0.0, 1.0, 8))
 
 
 def test_ks_quantile_sample():
     g = Grid(0.0, 1.0, 512)
     mu = arcsine_measure(g)
     m = 10_000
-    s = EmpiricalSample(quantiles(mu, m))
-    assert ks_distance(s, mu) <= 1.0 / m + 2.0 / g.n
+    assert ks_distance(quantiles(mu, m), mu) <= 1.0 / m + 2.0 / g.n
 
 
 def test_ks_matching_and_separating_laws():
@@ -164,10 +162,10 @@ def test_ks_matching_and_separating_laws():
     mu = arcsine_measure(g)
     rng = stream_rng(4, 0)
     draws = arcsine_ppf(rng.random(100_000))
-    assert ks_distance(EmpiricalSample(draws), mu) <= 0.01
+    assert ks_distance(draws, mu) <= 0.01
     uniform_draws = rng.random(100_000)
     # CDF gap between uniform and arcsine peaks near 0.18
-    assert ks_distance(EmpiricalSample(uniform_draws), mu) >= 0.1
+    assert ks_distance(uniform_draws, mu) >= 0.1
 
 
 def test_ks_decreases_with_sample_size():
@@ -253,8 +251,7 @@ def test_stream_rng_reproducible_and_split():
 def test_sample_measure_points_in_domain():
     g = Grid(0.0, 1.0, 64)
     s = sample_measure(arcsine_measure(g), 1000, master_seed=9, stream_id=3)
-    assert s.seed_info == {"master_seed": 9, "stream_id": 3}
-    assert np.all((s.points >= 0.0) & (s.points <= 1.0))
+    assert np.all((s >= 0.0) & (s <= 1.0))
 
 
 def test_normalized_measure_validation():

@@ -18,7 +18,6 @@ from transferchain.operators import (
     GaussOperator,
     apply_branch,
     apply_gauss,
-    apply_gauss_at,
     apply_integral,
     apply_ruelle_adjoint,
     apply_ruelle_circle,
@@ -36,7 +35,6 @@ from transferchain.operators import (
     random_control_system,
 )
 from transferchain.wavelets import (
-    HarmonicSequence,
     TrigPoly,
     WaveletFilter,
     autocorrelation,
@@ -260,7 +258,7 @@ def test_adjoint_duality():
 def test_circle_filter_system_refuses_non_harmonic_h():
     g = Grid(0.0, 1.0, 16, "circle")
     with pytest.raises(ValueError, match=r"filter box-1: \|Rh - h\| = 0.15 > 1e-8"):
-        circle_filter_system(g, stretched_box_filter(1), HarmonicSequence(np.array([1.0, 0.3])))
+        circle_filter_system(g, stretched_box_filter(1), TrigPoly.even([1.0, 0.3]))
     bad = WaveletFilter(N=2, coeffs=np.array([0.8, 0.7]), name="bad")
     with pytest.raises(ValueError, match=r"filter bad: .* for h = 1 \(not normalized\)"):
         circle_filter_system(g, bad)
@@ -290,7 +288,7 @@ def test_filter_weights_evaluate_m0_sq_once_per_branch(base, h):
     assert points == [t.size] * filt.N
     # (1/N) |m0|^2 h at the preimages over h(t), row k for preimage (t + k)/N;
     # the weights divide by the raw sum, which equals h(t) to round-off
-    h_eval = h.eval if h is not None else (lambda s: np.ones(np.shape(s)))
+    h_eval = h if h is not None else (lambda s: np.ones(np.shape(s)))
     pre = (t + np.arange(filt.N)[:, None]) / filt.N
     expect = base.m0_sq(pre) * h_eval(pre) / (filt.N * h_eval(t))
     assert w.shape == (filt.N, t.size)
@@ -314,12 +312,15 @@ def test_branch_weights_need_one_row_per_branch(shape):
 # ---------------------------------------------------------------------------
 
 def test_gauss_basel_sum():
-    # R1(0) = sum n^-2: branch K's tail estimate 1/(K + 1/2) leaves an
-    # O(K^-3) error, where dropping the tail would leave 1/K
+    # R1(x) = sum_{n>=1} (n+x)^-2 = psi'(1+x): branch K's tail estimate
+    # 1/(K + x + 1/2) leaves an O(K^-3) error, where dropping the tail
+    # would leave 1/K.  The reference is 10^6 terms plus the same tail
+    # estimate, whose O(10^-18) error is below round-off.
     g = Grid(0.0, 1.0, 64)
-    val = apply_gauss_at(gauss_operator(K=1000), GridFunction.constant(g, 1.0),
-                         np.array([0.0]))[0]
-    assert abs(val - np.pi**2 / 6.0) <= 1e-9
+    val = apply_gauss(gauss_operator(K=1000), GridFunction.constant(g, 1.0)).values
+    n = np.arange(1, 10**6 + 1)
+    trigamma = np.array([np.sum((n + x) ** -2.0) + 1.0 / (10**6 + x + 0.5) for x in g.nodes])
+    assert np.max(np.abs(val - trigamma)) <= 1e-9
 
 
 def test_gauss_zero_and_validation():
@@ -338,7 +339,7 @@ def test_gauss_weight_consistency():
     f = GridFunction.from_callable(g, lambda x: x)
     lhs = integrate(apply_gauss(op, f), lam)
     W = radon_nikodym(op, lam)
-    rhs = integrate(GridFunction(g, f.values * W.W.values), lam)
+    rhs = integrate(GridFunction(g, f.values * W.values), lam)
     assert abs(lhs - rhs) <= 2e-4
 
 
@@ -411,7 +412,7 @@ def test_pullout_needs_sigma():
 def test_rn_doubling_is_one():
     g = Grid(0.0, 1.0, 512)
     W = radon_nikodym(doubling_system(g), uniform_measure(g))
-    assert np.max(np.abs(W.W.values - 1.0)) <= 1e-10
+    assert np.max(np.abs(W.values - 1.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1000, 512])
@@ -421,7 +422,7 @@ def test_rn_parametric_step_function(n):
     W = radon_nikodym(parametric_system(g, u), uniform_measure(g))
     exact = parametric_weight(u)(g.nodes)
     off_break = np.abs(g.nodes - u) > g.dx
-    assert np.max(np.abs(W.W.values - exact)[off_break]) <= 1e-10
+    assert np.max(np.abs(W.values - exact)[off_break]) <= 1e-10
 
 
 def test_rn_requires_fully_charged_reference():

@@ -11,15 +11,12 @@ from transferchain.chains import (
     simulate_paths,
 )
 from transferchain.grids import (
-    EmpiricalSample,
     Grid,
-    GridFunction,
     ks_distance,
     stream_rng,
     uniform_ppf,
 )
 from transferchain.operators import (
-    RadonNikodymWeight,
     circle_filter_system,
     doubling_system,
     parametric_system,
@@ -36,14 +33,14 @@ from transferchain.solenoid import (
     shift_inverse,
 )
 from transferchain.wavelets import (
-    HarmonicSequence,
+    TrigPoly,
     autocorrelation,
     box_scaling_function,
     haar_filter,
     stretched_box_filter,
 )
 
-H1 = HarmonicSequence(coeffs=np.array([1.0]))
+H1 = TrigPoly(0, [1.0])
 
 
 def test_prefix_invariant_enforced():
@@ -77,7 +74,7 @@ def test_extension_probabilities_haar():
 
 
 def test_extension_rejects_non_harmonic_weight():
-    bad_h = HarmonicSequence(coeffs=np.array([1.0, 0.4]))  # not Ruelle-fixed
+    bad_h = TrigPoly.even([1.0, 0.4])  # not Ruelle-fixed
     with pytest.raises(ValueError, match=r"filter haar: \|Rh - h\| = 0.4 > 1e-8"):
         circle_filter_system(Grid(0.0, 1.0, 64, "circle"), haar_filter(), bad_h)
 
@@ -154,7 +151,7 @@ def test_pd_value_at_zero_is_h():
     h_box = autocorrelation(box_scaling_function(1, 8))
     for z in (0.1, 0.37, 0.9):
         assert pd_value(haar_filter(), H1, 0, 3, z) == pytest.approx(1.0, abs=1e-12)
-        expect = float(h_box.eval(np.array([z]))[0])
+        expect = float(h_box(np.array([z]))[0])
         assert pd_value(stretched_box_filter(1), h_box, 0, 2, z) == \
             pytest.approx(expect, abs=1e-10)
 
@@ -190,7 +187,7 @@ def test_pi_zero_is_h():
     h_box = autocorrelation(box_scaling_function(1, 8))
     mu = pi_k_distribution(stretched_box_filter(1), h_box, 0, g)
     dens = mu.density
-    target = h_box.eval(g.nodes)
+    target = h_box(g.nodes)
     assert np.max(np.abs(dens - target)) <= 1e-4  # cell averaging only
 
 
@@ -215,7 +212,7 @@ def test_filter_product_norm():
     g = Grid(0.0, 1.0, 2048, "circle")
     h_box = autocorrelation(box_scaling_function(1, 8))
     fp = filter_product(stretched_box_filter(1), 3)
-    vals = np.real(fp(g.nodes)) * h_box.eval(g.nodes)
+    vals = np.real(fp(g.nodes)) * h_box(g.nodes)
     assert np.mean(vals) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -225,7 +222,7 @@ def test_pi_k_matches_sampled_paths():
                       master_seed=7)
     pe = simulate_paths(s, 100_000, 3)
     mu3 = pi_k_distribution(haar_filter(), H1, 3, Grid(0, 1, 2048, "circle"))
-    assert ks_distance(EmpiricalSample(pe.paths[:, 3]), mu3) <= 0.02
+    assert ks_distance(pe.paths[:, 3], mu3) <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +233,8 @@ def test_scaling_unitary_constant_psi():
     g = Grid(0.0, 1.0, 512)
     s = MarkovSampler(doubling_system(g), uniform_ppf, master_seed=8)
     pe = simulate_paths(s, 100_000, 2)
-    Wone = RadonNikodymWeight(GridFunction.constant(g, 1.0),
-                              exact_fn=lambda x: np.ones(np.shape(x)))
-    res = apply_scaling_check(pe, PathFunctional(0, lambda b: np.ones(b.shape[0])), Wone)
+    res = apply_scaling_check(pe, PathFunctional(0, lambda b: np.ones(b.shape[0])),
+                              lambda x: 1.0)
     assert res.norm_before == 1.0
     assert res.norm_after == 1.0
     assert res.z == 0.0
@@ -248,16 +244,13 @@ def test_scaling_unitary_measure_preserving():
     g = Grid(0.0, 1.0, 512)
     s = MarkovSampler(doubling_system(g), uniform_ppf, master_seed=9)
     pe = simulate_paths(s, 1_000_000, 2)
-    Wone = RadonNikodymWeight(GridFunction.constant(g, 1.0),
-                              exact_fn=lambda x: np.ones(np.shape(x)))
     psi = coordinate_functional(lambda x: np.sin(2 * np.pi * x), 0)
-    assert apply_scaling_check(pe, psi, Wone).z <= 4.0
+    assert apply_scaling_check(pe, psi, lambda x: 1.0).z <= 4.0
 
 
 def test_scaling_unitary_parametric():
     g = Grid(0.0, 1.0, 512)
     s = MarkovSampler(parametric_system(g, 0.3), uniform_ppf, master_seed=10)
     pe = simulate_paths(s, 1_000_000, 2)
-    W = RadonNikodymWeight(GridFunction.from_callable(g, parametric_weight(0.3)),
-                           exact_fn=parametric_weight(0.3))
+    W = parametric_weight(0.3)
     assert apply_scaling_check(pe, coordinate_functional(lambda x: x, 1), W).z <= 4.0

@@ -3,7 +3,6 @@ import pytest
 
 from transferchain.grids import Grid, stream_rng
 from transferchain.wavelets import (
-    HarmonicSequence,
     TrigPoly,
     WaveletFilter,
     apply_slanted,
@@ -40,8 +39,8 @@ def test_even_polynomials_match_cosine_series_bitwise():
         assert filt.m0_sq(t).dtype == np.float64
         assert np.array_equal(filt.m0_sq(t), _cosine_series(c, t))
     for h in (autocorrelation(box_scaling_function(2, 8)),
-              HarmonicSequence(np.array([1.0, 0.3, 0.0, -0.2]))):
-        assert np.array_equal(h.eval(t), _cosine_series(h.coeffs, t))
+              TrigPoly.even([1.0, 0.3, 0.0, -0.2])):
+        assert np.array_equal(h(t), _cosine_series(h.c[-h.lo :], t))
 
 
 def test_trig_poly_algebra_matches_direct_sums():
@@ -104,10 +103,10 @@ def test_cascade_contraction_and_divergence():
 
 def test_autocorrelation_haar():
     h = autocorrelation(cascade(haar_filter(), J=10, iters=2))
-    assert h.coeffs.size == 1
-    assert h.coeffs[0] == pytest.approx(1.0, abs=1e-12)
+    assert h.lo == 0 and h.c.size == 1
+    assert h.c[0] == pytest.approx(1.0, abs=1e-12)
     g = Grid(0.0, 1.0, 512, "circle")
-    assert np.max(np.abs(h.as_grid_function(g).values - 1.0)) <= 1e-10
+    assert np.max(np.abs(h(g.nodes) - 1.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -115,11 +114,12 @@ def test_autocorrelation_fejer(m):
     h = autocorrelation(box_scaling_function(m, 8))
     L = 2 * m + 1
     expect = (L - np.arange(L)) / L
-    assert h.coeffs.size == L
-    assert np.max(np.abs(h.coeffs - expect)) <= 1e-10
+    r = h.c[-h.lo :]  # r_0 .. r_M
+    assert r.size == L
+    assert np.max(np.abs(r - expect)) <= 1e-10
     # h is the Fejer kernel F_{2m}: nonnegative trigonometric polynomial
     g = Grid(0.0, 1.0, 1024, "circle")
-    vals = h.eval(g.nodes)
+    vals = h(g.nodes)
     assert np.min(vals) >= -1e-10
     if m == 1:
         t = g.nodes
@@ -130,11 +130,11 @@ def test_autocorrelation_fejer(m):
 def test_autocorrelation_compact_support():
     for m in (1, 2):
         h = autocorrelation(box_scaling_function(m, 8))
-        assert h.coeffs.size <= 2 * m + 1  # nothing beyond the support width
+        assert 1 - h.lo <= 2 * m + 1  # nothing beyond the support width
 
 
 def test_ruelle_fixed_point():
-    assert verify_ruelle_fixed(haar_filter(), HarmonicSequence(np.array([1.0]))) <= 1e-12
+    assert verify_ruelle_fixed(haar_filter(), TrigPoly(0, [1.0])) <= 1e-12
     for m in (1, 2, 3):
         h = autocorrelation(box_scaling_function(m, 8))
         assert verify_ruelle_fixed(stretched_box_filter(m), h) <= 1e-8
@@ -142,9 +142,9 @@ def test_ruelle_fixed_point():
 
 def test_ruelle_fixed_point_detects_perturbation():
     h = autocorrelation(box_scaling_function(1, 8))
-    bad = np.array(h.coeffs)
+    bad = np.array(h.c[-h.lo :])
     bad[1] += 0.1
-    assert verify_ruelle_fixed(stretched_box_filter(1), HarmonicSequence(bad)) >= 0.01
+    assert verify_ruelle_fixed(stretched_box_filter(1), TrigPoly.even(bad)) >= 0.01
 
 
 def test_slanted_toeplitz_haar_delta():
