@@ -41,6 +41,9 @@ from .verify import CheckResult
 SUITE_CHOICES = ("operators", "chains", "solenoid", "wavelet", "schur", "all")
 FAULT_CHOICES = ("mis-normalized-filter",)
 SCHUR_GRAMMAR = "constant:C, blaschke:Z1[,Z2..] or random:R[,DEPTH]"
+# random:R,DEPTH draws all DEPTH parameters up front; at 64, R = 0.5 still
+# round-trips within the 1e-8 check (README, "Schur round-trip accuracy")
+MAX_SCHUR_DEPTH = 64
 
 
 @dataclass
@@ -292,7 +295,7 @@ def cmd_verify(config: RunConfig) -> int:
 def _parse_schur_spec(spec: str):
     """(form, argument) of a --schur-spec.  A spec that does not parse, or
     whose values leave a Schur function's domain (|C| <= 1, zeros |Z| < 1,
-    radius 0 <= R < 1, DEPTH >= 1), is an error."""
+    radius 0 <= R < 1, 1 <= DEPTH <= MAX_SCHUR_DEPTH), is an error."""
     form, _, arg = spec.partition(":")
     toks = arg.split(",") if arg else []
     try:
@@ -307,31 +310,35 @@ def _parse_schur_spec(spec: str):
         if form == "random" and len(toks) <= 2:
             radius = float(toks[0]) if toks else 0.5
             depth = int(toks[1]) if len(toks) > 1 else 8
-            if 0.0 <= radius < 1.0 and depth >= 1:
+            if 0.0 <= radius < 1.0 and 1 <= depth <= MAX_SCHUR_DEPTH:
                 return "random", (radius, depth)
     except ValueError:
         pass
     raise SystemExit(f"--schur-spec {spec!r}: schur spec must be {SCHUR_GRAMMAR}, "
-                     "with |C| <= 1, |Z| < 1, 0 <= R < 1 and DEPTH >= 1")
+                     f"with |C| <= 1, |Z| < 1, 0 <= R < 1 and 1 <= DEPTH <= {MAX_SCHUR_DEPTH}")
 
 
 def cmd_schur(config: RunConfig) -> int:
     form, arg = _parse_schur_spec(config.schur_spec)
     t0 = time.perf_counter()
-    depth = 8
     if form == "random":
         radius, depth = arg
         params = schur.sample_random_schur(schur.uniform_disk_sampler(radius),
                                            depth, config.master_seed)
-        rec = schur.extract_params(schur.SchurEval.from_params(params, depth=3 * depth),
-                                   depth)
-        resid = np.abs(rec.params - params.params)
+        rec = schur.extract_params(schur.SchurEval.from_params(params), depth)
+        # a parameter the recursion stopped before has no finite residual
+        resid = np.full(depth, np.inf)
+        resid[: len(rec)] = np.abs(rec.params - params.params[: len(rec)])
         rows = [[int(i), float(p.real), float(p.imag), float(r)]
                 for i, (p, r) in enumerate(zip(params.params, resid))]
         header = ["index", "rho_re", "rho_im", "roundtrip_residual"]
         check = CheckResult(name="roundtrip-residual", statistic=float(resid.max()),
-                            threshold=1e-8, direction="<=")
+                            threshold=1e-8, direction="<=",
+                            detail="" if len(rec) == depth else
+                            f"recursion stopped after {len(rec)} of {depth} parameters")
     else:
+        # a degree-d Blaschke product terminates at step d + 1
+        depth = 8 if form == "constant" else max(8, len(arg) + 1)
         s = (schur.SchurEval.constant(arg[0]) if form == "constant"
              else schur.blaschke_product(arg))
         params = schur.extract_params(s, depth)

@@ -1,10 +1,10 @@
 """The Schur algorithm: parameter extraction, continued-fraction
 reconstruction, the controlled move F(s, rho), and random Schur functions.
 
-Schur functions are carried either as rational functions (complex
-coefficient arrays, so the recursion is exact polynomial algebra and
-Blaschke termination is detected algebraically) or as parameter sequences
-evaluated through the truncated continued fraction.
+A Schur function is carried as a rational function (complex num/den
+coefficient arrays), so the recursion is exact polynomial algebra and
+Blaschke termination is detected algebraically.  A parameter sequence
+becomes one through its truncated continued fraction (``from_params``).
 """
 
 from __future__ import annotations
@@ -71,55 +71,46 @@ class SchurParams:
 
 @dataclass(frozen=True)
 class SchurEval:
-    """A Schur-class function: rational (num/den coefficient arrays,
-    low-to-high) or a bare callable on the open disk."""
+    """A Schur-class function num/den (coefficient arrays, low-to-high)."""
 
-    num: Optional[np.ndarray] = None
-    den: Optional[np.ndarray] = None
-    fn: Optional[Callable] = None
+    num: np.ndarray
+    den: np.ndarray
 
     def __post_init__(self):
-        if self.fn is None:
-            if self.num is None or self.den is None:
-                raise ValueError("need num/den arrays or a callable")
-            object.__setattr__(self, "num", _trim(np.asarray(self.num, dtype=complex)))
-            object.__setattr__(self, "den", _trim(np.asarray(self.den, dtype=complex)))
-            if np.all(self.den == 0):
-                raise ValueError("zero denominator polynomial")
+        object.__setattr__(self, "num", _trim(np.asarray(self.num, dtype=complex)))
+        object.__setattr__(self, "den", _trim(np.asarray(self.den, dtype=complex)))
+        if np.all(self.den == 0):
+            raise ValueError("zero denominator polynomial")
 
     @classmethod
     def constant(cls, c: complex) -> "SchurEval":
         return cls(num=np.array([c]), den=np.array([1.0 + 0j]))
 
     @classmethod
-    def from_params(cls, params: SchurParams, depth: Optional[int] = None) -> "SchurEval":
-        d = len(params) if depth is None else depth
-        return cls(fn=lambda z: eval_from_params(params, z, d))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.fn is None
+    def from_params(cls, params: SchurParams) -> "SchurEval":
+        """The continued fraction of ``params`` with a zero tail, built from
+        the last level out: s_n = (rho_n + z s_{n+1}) / (1 + conj(rho_n) z s_{n+1})."""
+        num, den = np.zeros(1, dtype=complex), np.ones(1, dtype=complex)
+        for rho in params.params[::-1]:
+            zn = np.concatenate(([0.0 + 0j], num))
+            num, den = (np.polynomial.polynomial.polyadd(rho * den, zn),
+                        np.polynomial.polynomial.polyadd(den, np.conj(rho) * zn))
+        return cls(num=num, den=den)
 
     def eval(self, z):
         z = np.asarray(z, dtype=complex)
-        if self.is_rational:
-            return _polyval(self.num, z) / _polyval(self.den, z)
-        return np.asarray(self.fn(z), dtype=complex)
+        return _polyval(self.num, z) / _polyval(self.den, z)
 
     def __call__(self, z):
         return self.eval(z)
 
     def at0(self) -> complex:
-        if self.is_rational:
-            return complex(self.num[0] / self.den[0])
-        return complex(self.eval(np.array([0.0 + 0j]))[0])
+        return complex(self.num[0] / self.den[0])
 
     @property
     def is_unitary_constant(self) -> bool:
-        if self.is_rational:
-            return self.num.size == 1 and self.den.size == 1 and \
-                abs(abs(self.at0()) - 1.0) <= 1e-12
-        return False
+        return self.num.size == 1 and self.den.size == 1 and \
+            abs(abs(self.at0()) - 1.0) <= 1e-12
 
 
 def contractivity_defect(s: SchurEval, master_seed: int = 0, n_points: int = 64,
@@ -147,36 +138,11 @@ def schur_step(s: SchurEval) -> SchurStep:
     rho = s.at0()
     if abs(rho) >= 1.0 - TERMINATION_TOL:
         return SchurStep(rho=rho, next=None, terminated=True)
-    if s.is_rational:
-        n1 = np.polynomial.polynomial.polysub(s.num, rho * s.den)
-        d1 = np.polynomial.polynomial.polysub(s.den, np.conj(rho) * s.num)
-        n1[0] = 0.0  # exact zero at the origin by construction
-        nxt = SchurEval(num=n1[1:] if n1.size > 1 else np.zeros(1, dtype=complex),
-                        den=d1)
-        return SchurStep(rho=rho, next=nxt, terminated=False)
-
-    base = s
-
-    def advanced(z, _rho=rho, _base=base):
-        z = np.asarray(z, dtype=complex)
-        small = np.abs(z) < 1e-6
-        zs = np.where(small, 0.5, z)  # placeholder inside the disk; replaced below
-        sv = _base.eval(zs)
-        out = (sv - _rho) / (zs * (1.0 - np.conj(_rho) * sv))
-        if np.any(small):
-            # removable singularity at 0: a Cauchy circle mean at macroscopic
-            # radius recovers the limit to round-off (Schur-class Taylor
-            # coefficients are bounded by 1, so the aliasing error is
-            # ~0.3^32), and unlike a small-radius difference quotient it
-            # does not amplify float noise through nested recursion levels
-            r, m = 0.3, 32
-            probes = r * np.exp(2j * np.pi * np.arange(m) / m)
-            pv = _base.eval(probes)
-            fill = np.mean((pv - _rho) / (probes * (1.0 - np.conj(_rho) * pv)))
-            out = np.where(small, fill, out)
-        return out
-
-    return SchurStep(rho=rho, next=SchurEval(fn=advanced), terminated=False)
+    n1 = np.polynomial.polynomial.polysub(s.num, rho * s.den)
+    d1 = np.polynomial.polynomial.polysub(s.den, np.conj(rho) * s.num)
+    n1[0] = 0.0  # exact zero at the origin by construction
+    nxt = SchurEval(num=n1[1:] if n1.size > 1 else np.zeros(1, dtype=complex), den=d1)
+    return SchurStep(rho=rho, next=nxt, terminated=False)
 
 
 def extract_params(s: SchurEval, max_depth: int) -> SchurParams:
@@ -198,15 +164,15 @@ def extract_params(s: SchurEval, max_depth: int) -> SchurParams:
     return SchurParams(np.array(rhos), terminated=False)
 
 
-def eval_from_params(p: SchurParams, z, depth: Optional[int] = None):
-    """Evaluate the continued fraction with the tail beyond ``depth``
-    replaced by zero: s_n = (rho_n + z s_{n+1}) / (1 + conj(rho_n) z s_{n+1})."""
+def eval_from_params(p: SchurParams, z):
+    """Evaluate the continued fraction pointwise, with a zero tail:
+    s_n = (rho_n + z s_{n+1}) / (1 + conj(rho_n) z s_{n+1}).  The reference
+    that ``SchurEval.from_params`` is tested against."""
     z = np.asarray(z, dtype=complex)
     if np.any(np.abs(z) >= 1.0):
         raise ValueError("evaluation points must lie in the open disk")
-    d = len(p) if depth is None else min(depth, len(p))
     t = np.zeros(z.shape, dtype=complex)
-    for level in range(d - 1, -1, -1):
+    for level in range(len(p) - 1, -1, -1):
         rho = p.params[level]
         denom = 1.0 + np.conj(rho) * z * t
         if np.any(np.abs(denom) < 1e-14):
@@ -226,21 +192,13 @@ def schur_move(s: SchurEval, rho: complex) -> SchurEval:
         raise ValueError("control parameter must lie in the open disk")
     if s.is_unitary_constant:
         raise ValueError("unitary constants are outside the state space")
-    if s.is_rational:
-        n1 = np.polynomial.polynomial.polysub(s.num, rho * s.den)
-        d1 = np.polynomial.polynomial.polysub(s.den, np.conj(rho) * s.num)
-        scale = float(np.max(np.abs(n1))) or 1.0
-        if abs(n1[0]) <= 1e-12 * scale:
-            num = n1[1:] if n1.size > 1 else np.zeros(1, dtype=complex)
-            return SchurEval(num=num, den=d1)
-        return SchurEval(num=n1, den=np.concatenate(([0.0 + 0j], d1)))
-
-    def moved(z, _rho=rho, _base=s):
-        z = np.asarray(z, dtype=complex)
-        sv = _base.eval(z)
-        return (sv - _rho) / (z * (1.0 - sv * np.conj(_rho)))
-
-    return SchurEval(fn=moved)
+    n1 = np.polynomial.polynomial.polysub(s.num, rho * s.den)
+    d1 = np.polynomial.polynomial.polysub(s.den, np.conj(rho) * s.num)
+    scale = float(np.max(np.abs(n1))) or 1.0
+    if abs(n1[0]) <= 1e-12 * scale:
+        num = n1[1:] if n1.size > 1 else np.zeros(1, dtype=complex)
+        return SchurEval(num=num, den=d1)
+    return SchurEval(num=n1, den=np.concatenate(([0.0 + 0j], d1)))
 
 
 def uniform_disk_sampler(radius: float) -> Callable:

@@ -733,7 +733,7 @@ def _schur_roundtrip(seed, fault):
     for _ in range(100):
         r = 0.9 * np.sqrt(rng.random(8))
         params = schur.SchurParams(r * np.exp(2j * np.pi * rng.random(8)))
-        rec = schur.extract_params(schur.SchurEval.from_params(params, depth=24), 8)
+        rec = schur.extract_params(schur.SchurEval.from_params(params), 8)
         worst = max(worst, float(np.max(np.abs(rec.params - params.params))))
     return worst, 1e-8, "<=", "100 random length-8 sequences, radius <= 0.9"
 
@@ -758,7 +758,7 @@ def _contractivity(seed, fault):
     for i in range(10):
         r = 0.8 * np.sqrt(rng.random(5))
         params = schur.SchurParams(r * np.exp(2j * np.pi * rng.random(5)))
-        s = schur.SchurEval.from_params(params, depth=16)
+        s = schur.SchurEval.from_params(params)
         nxt = schur.schur_step(s).next
         worst = max(worst, schur.contractivity_defect(nxt, master_seed=seed + i,
                                                       radius=0.99))

@@ -239,7 +239,7 @@ def test_criterion_09_schur_roundtrip_and_termination():
     for _ in range(100):
         r = 0.9 * np.sqrt(rng.random(8))
         params = schur_mod.SchurParams(r * np.exp(2j * np.pi * rng.random(8)))
-        rec = schur_mod.extract_params(schur_mod.SchurEval.from_params(params, depth=24), 8)
+        rec = schur_mod.extract_params(schur_mod.SchurEval.from_params(params), 8)
         worst = max(worst, float(np.max(np.abs(rec.params - params.params))))
     term_ok = True
     for d in (1, 2, 3):

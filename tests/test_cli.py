@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from transferchain.cli import MAX_GRID_N, MAX_PATH_FLOATS, SYSTEMS, _build_parser, main
+from transferchain.cli import (
+    MAX_GRID_N,
+    MAX_PATH_FLOATS,
+    MAX_SCHUR_DEPTH,
+    SYSTEMS,
+    _build_parser,
+    main,
+)
 
 
 def run(tmp_path, *argv):
@@ -122,6 +129,29 @@ def test_schur_blaschke_terminates(tmp_path):
     assert code == 0
     c = next(c for c in report["checks"] if c["name"] == "blaschke-terminated")
     assert c["status"] == "pass"
+
+
+def test_schur_blaschke_eight_zeros_terminates(tmp_path):
+    # degree 8 terminates at step 9, past the 8 parameters of the default
+    code, out, report = run(tmp_path, "schur", "--schur-spec",
+                            "blaschke:0.1,0.2,0.1j,-0.2,0.3,-0.1j,0.05,0.15")
+    assert code == 0
+    c = next(c for c in report["checks"] if c["name"] == "blaschke-terminated")
+    assert c["status"] == "pass" and c["detail"] == "stopped after 9 parameters"
+    assert len((out / "schur_params.csv").read_text().splitlines()) == 10
+
+
+def test_schur_random_stopped_recursion_is_red(tmp_path):
+    # at radius 0.99 the 32-step recursion loses |rho| < 1 to round-off and
+    # stops early; the unrecovered parameters read as an infinite residual
+    code, out, report = run(tmp_path, "schur", "--schur-spec", "random:0.99,32")
+    assert code == 1
+    c = next(c for c in report["checks"] if c["name"] == "roundtrip-residual")
+    assert c["status"] == "fail" and c["statistic"] == "inf"
+    assert c["detail"].startswith("recursion stopped after ")
+    assert c["detail"].endswith(" of 32 parameters")
+    lines = (out / "schur_params.csv").read_text().splitlines()
+    assert len(lines) == 33 and lines[-1].endswith(",inf")
 
 
 def test_schur_random_roundtrip(tmp_path):
@@ -355,6 +385,7 @@ def test_malformed_config_rejected(tmp_path, monkeypatch, command, text, message
 
 @pytest.mark.parametrize("spec", [
     "random:abc", "random:0.5,0", "random:0.5,2.5", "random:1.5", "random:0.5,8,3",
+    f"random:0.5,{MAX_SCHUR_DEPTH + 1}",
     "constant:abc", "constant:2", "blaschke:abc", "blaschke:0.5,1", "moebius:0.5",
 ])
 def test_bad_schur_spec_rejected(tmp_path, spec):

@@ -51,9 +51,9 @@ def test_extract_z_over_two():
 
 
 def test_eval_from_params_examples():
-    const = eval_from_params(SchurParams([0.4 + 0j]), DISK_POINTS, 1)
+    const = eval_from_params(SchurParams([0.4 + 0j]), DISK_POINTS)
     assert np.allclose(const, 0.4)
-    half_z = eval_from_params(SchurParams([0, 0.5]), DISK_POINTS, 2)
+    half_z = eval_from_params(SchurParams([0, 0.5]), DISK_POINTS)
     assert np.max(np.abs(half_z - DISK_POINTS / 2)) <= 1e-12
     with pytest.raises(ValueError):
         eval_from_params(SchurParams([0.1]), np.array([1.0 + 0j]))
@@ -82,7 +82,28 @@ def test_roundtrip_hundred_sequences():
     for _ in range(100):
         r = 0.9 * np.sqrt(rng.random(8))
         params = SchurParams(r * np.exp(2j * np.pi * rng.random(8)))
-        rec = extract_params(SchurEval.from_params(params, depth=24), 8)
+        rec = extract_params(SchurEval.from_params(params), 8)
+        worst = max(worst, float(np.max(np.abs(rec.params - params.params))))
+    assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("length", range(1, 25))
+def test_from_params_matches_continued_fraction(length):
+    rng = stream_rng(100 + length, 0)
+    params = SchurParams(0.9 * np.sqrt(rng.random(length))
+                         * np.exp(2j * np.pi * rng.random(length)))
+    z = 0.99 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
+    s = SchurEval.from_params(params)
+    assert np.max(np.abs(s.eval(z) - eval_from_params(params, z))) <= 1e-13
+
+
+def test_roundtrip_radius_09_depth_12_over_seeds():
+    nu = uniform_disk_sampler(0.9)
+    worst = 0.0
+    for seed in range(50):
+        params = sample_random_schur(nu, 12, master_seed=seed)
+        rec = extract_params(SchurEval.from_params(params), 12)
+        assert len(rec) == 12 and not rec.terminated
         worst = max(worst, float(np.max(np.abs(rec.params - params.params))))
     assert worst <= 1e-8
 
@@ -92,7 +113,7 @@ def test_contractivity_of_step_outputs():
     for i in range(10):
         r = 0.8 * np.sqrt(rng.random(5))
         params = SchurParams(r * np.exp(2j * np.pi * rng.random(5)))
-        nxt = schur_step(SchurEval.from_params(params, depth=16)).next
+        nxt = schur_step(SchurEval.from_params(params)).next
         assert contractivity_defect(nxt, master_seed=i, radius=0.99) <= 1e-9
 
 
@@ -156,5 +177,5 @@ def test_sampler_radius_enforced():
 
 def test_parametric_representation_stepping():
     params = SchurParams([0.2, -0.3j, 0.1, 0.4])
-    rec = extract_params(SchurEval.from_params(params, depth=24), 4)
+    rec = extract_params(SchurEval.from_params(params), 4)
     assert np.max(np.abs(rec.params - params.params)) <= 1e-12
