@@ -19,6 +19,7 @@ their build memory does not grow with n^2 or with the Gauss truncation.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -79,6 +80,14 @@ class CSCMatrix:
         for a in (self.indptr, self.indices, self.data):
             a.flags.writeable = False  # frozen in place, not copied
         self._cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
+
+    def with_data(self, data) -> "CSCMatrix":
+        """The matrix of this one's sparsity pattern, whose index arrays it
+        shares, holding ``data`` in the same storage order."""
+        twin = copy.copy(self)
+        twin.data = np.asarray(data)
+        twin.data.flags.writeable = False
+        return twin
 
     def __matmul__(self, w) -> np.ndarray:
         """(M w)_i = sum_j M[i, j] w_j."""
@@ -571,8 +580,9 @@ def _gauss_compiled(K: int, grid: Grid) -> tuple:
                     a[key + 1] += np.add.reduceat(w * to_right, starts)
             yield acc
 
-    indptr, indices, data = _csc_from_blocks(n, blocks())
-    return tuple(CSCMatrix((n, n), indptr, indices, d) for d in data)
+    indptr, indices, (raw, chain) = _csc_from_blocks(n, blocks())
+    compiled = CSCMatrix((n, n), indptr, indices, raw)
+    return compiled, compiled.with_data(chain)
 
 
 def _compiled_gauss_sum(K: int, f: GridFunction, M: CSCMatrix, weights) -> np.ndarray:

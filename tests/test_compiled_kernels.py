@@ -222,6 +222,14 @@ def test_equal_operators_share_one_compiled_matrix():
     assert compiled.cache_info().hits == hits + 2
 
 
+def test_compiled_gauss_matrices_share_one_pattern():
+    raw, chain = operators._gauss_compiled(777, Grid(0.0, 1.0, 96))
+    for name in ("indptr", "indices", "_cols"):
+        assert getattr(raw, name) is getattr(chain, name)
+    assert not np.shares_memory(raw.data, chain.data)
+    assert not chain.data.flags.writeable
+
+
 def test_compiled_gauss_apply_memory_is_bounded():
     """Memory stays bounded as ``grid_n`` grows: the first Gauss apply at
     n = 4096 and K = 10^4 (the build of its matrix) peaks under 128 MB of
