@@ -128,6 +128,19 @@ class SchurStep(NamedTuple):
     terminated: bool
 
 
+def _shifted_image(s: SchurEval, rho: complex, zero_at_origin: bool) -> SchurEval:
+    """(s - rho) / (z (1 - conj(rho) s)) as num/den.  The z cancels, and the
+    numerator's constant term is dropped, when ``zero_at_origin`` or when
+    that term is round-off (1e-12 of the numerator's largest); otherwise z
+    stays in the denominator, a pole at 0."""
+    n1 = np.polynomial.polynomial.polysub(s.num, rho * s.den)
+    d1 = np.polynomial.polynomial.polysub(s.den, np.conj(rho) * s.num)
+    scale = float(np.max(np.abs(n1))) or 1.0
+    if zero_at_origin or abs(n1[0]) <= 1e-12 * scale:
+        return SchurEval(num=n1[1:] if n1.size > 1 else np.zeros(1, dtype=complex), den=d1)
+    return SchurEval(num=n1, den=np.concatenate(([0.0 + 0j], d1)))
+
+
 def schur_step(s: SchurEval) -> SchurStep:
     """One Schur recursion step: rho = s(0) and the shifted Moebius image
     (s - rho) / (z (1 - conj(rho) s)).
@@ -138,11 +151,9 @@ def schur_step(s: SchurEval) -> SchurStep:
     rho = s.at0()
     if abs(rho) >= 1.0 - TERMINATION_TOL:
         return SchurStep(rho=rho, next=None, terminated=True)
-    n1 = np.polynomial.polynomial.polysub(s.num, rho * s.den)
-    d1 = np.polynomial.polynomial.polysub(s.den, np.conj(rho) * s.num)
-    n1[0] = 0.0  # exact zero at the origin by construction
-    nxt = SchurEval(num=n1[1:] if n1.size > 1 else np.zeros(1, dtype=complex), den=d1)
-    return SchurStep(rho=rho, next=nxt, terminated=False)
+    # the numerator vanishes at the origin by construction
+    return SchurStep(rho=rho, next=_shifted_image(s, rho, zero_at_origin=True),
+                     terminated=False)
 
 
 def extract_params(s: SchurEval, max_depth: int) -> SchurParams:
@@ -150,10 +161,8 @@ def extract_params(s: SchurEval, max_depth: int) -> SchurParams:
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     rhos = []
-    cur: Optional[SchurEval] = s
+    cur = s
     for _ in range(max_depth):
-        if cur is None:
-            break
         step_result = schur_step(cur)
         rhos.append(step_result.rho)
         if step_result.terminated:
@@ -192,13 +201,7 @@ def schur_move(s: SchurEval, rho: complex) -> SchurEval:
         raise ValueError("control parameter must lie in the open disk")
     if s.is_unitary_constant:
         raise ValueError("unitary constants are outside the state space")
-    n1 = np.polynomial.polynomial.polysub(s.num, rho * s.den)
-    d1 = np.polynomial.polynomial.polysub(s.den, np.conj(rho) * s.num)
-    scale = float(np.max(np.abs(n1))) or 1.0
-    if abs(n1[0]) <= 1e-12 * scale:
-        num = n1[1:] if n1.size > 1 else np.zeros(1, dtype=complex)
-        return SchurEval(num=num, den=d1)
-    return SchurEval(num=n1, den=np.concatenate(([0.0 + 0j], d1)))
+    return _shifted_image(s, rho, zero_at_origin=False)
 
 
 def uniform_disk_sampler(radius: float) -> Callable:
