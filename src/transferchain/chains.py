@@ -7,11 +7,16 @@ Samplers are vectorized over a batch of paths.  All randomness for an
 ensemble comes from one generator seeded by the sampler's seed: the initial
 uniforms first, then one block of uniforms per step, so a truncated
 simulation with the same number of paths is a bit-exact prefix of a longer
-one.  Sampling runs serially.
+one.  An ensemble is stored step-major, and each move is applied to fixed
+blocks of ``_BLOCK`` paths, on as many threads as the caller asks for (at
+most the CPU count).  Every kernel acts path by path, so the bits depend on
+neither the block nor the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -166,56 +171,95 @@ def _state_indices(x, states, atol: float = 1e-9) -> np.ndarray:
 # ensembles
 # ---------------------------------------------------------------------------
 
+# paths per block: each move of an ensemble, and each reduction over one,
+# works on blocks of this size, whose temporaries stay in cache
+_BLOCK = 1 << 16
+
+
+def _blocks(n_paths: int) -> list:
+    """Slices of ``_BLOCK`` consecutive paths (the last may be shorter)."""
+    return [slice(a, min(a + _BLOCK, n_paths)) for a in range(0, n_paths, _BLOCK)]
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
-    """A batch of sampled trajectories: paths[p, k] = T_k on path p."""
+    """A batch of sampled trajectories, stored step-major: paths[k, p] = T_k
+    on path p, so T_k over the ensemble is the contiguous row paths[k]."""
 
     paths: np.ndarray
     sampler: MarkovSampler
     seed_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        p = np.asarray(self.paths, dtype=float)
+        p = np.ascontiguousarray(self.paths, dtype=float)
         p.flags.writeable = False
         object.__setattr__(self, "paths", p)
 
     @property
     def n_paths(self) -> int:
-        return self.paths.shape[0]
+        return self.paths.shape[1]
 
     @property
     def n_steps(self) -> int:
-        return self.paths.shape[1] - 1
+        return self.paths.shape[0] - 1
 
     def solenoid_violation(self) -> float:
-        """Max |sigma(T_{k+1}) - T_k| over all stored transitions."""
-        if self.n_steps == 0:
-            return 0.0
-        prev, back = self.paths[:, :-1], self.sampler.sigma(self.paths[:, 1:])
-        g = self.sampler.grid
-        return float(np.max(np.abs(back - prev) if g is None else g.distance(back, prev)))
+        """Max |sigma(T_{k+1}) - T_k| over all stored transitions, taken row
+        pair by row pair in blocks of paths."""
+        g, sigma = self.sampler.grid, self.sampler.sigma
+
+        def gap(prev, nxt):
+            back = sigma(nxt)
+            return np.max(np.abs(back - prev) if g is None else g.distance(back, prev))
+
+        return float(np.max([gap(self.paths[k, b], self.paths[k + 1, b])
+                             for k in range(self.n_steps) for b in _blocks(self.n_paths)],
+                            initial=0.0))
 
 
-def simulate_paths(s: MarkovSampler, n_paths: int, n_steps: int) -> PathEnsemble:
+def simulate_paths(s: MarkovSampler, n_paths: int, n_steps: int,
+                   threads: int = 1) -> PathEnsemble:
     """Independent paths with initial states drawn i.i.d. from the initial law.
 
-    The initial uniforms and then each step's uniforms are drawn in turn from
-    one generator seeded by the sampler seed, so a shorter simulation of the
-    same seed and path count is a bit-exact prefix of a longer one.
+    The initial uniforms and then each step's ``(channels, n_paths)``
+    uniforms are drawn in turn from one generator seeded by the sampler
+    seed, so a shorter simulation of the same seed and path count is a
+    bit-exact prefix of a longer one.  The initial law and each move are
+    applied to blocks of ``_BLOCK`` paths, on ``min(threads, cpu count)``
+    threads, each block writing its slice of row k + 1 of the step-major
+    ``paths``.  The result does not depend on ``threads``, and neither does
+    an error: a failing move raises the error of its first failing block.
     """
     if n_paths < 1 or n_steps < 0:
         raise ValueError("need n_paths >= 1 and n_steps >= 0")
+    if threads < 1:
+        raise ValueError("need threads >= 1")
+    # imported here, so that commands which sample nothing do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    blocks = _blocks(n_paths)
+    workers = min(threads, os.cpu_count() or 1, len(blocks))
     rng = stream_rng(s.master_seed, 0)
-    u0 = rng.random(n_paths)
-    paths = np.empty((n_paths, n_steps + 1))
-    paths[:, 0] = s.initial_ppf(u0)
-    prev_u = None
-    for k in range(n_steps):
-        u = rng.random((s.channels, n_paths))
-        if s.reuse_driver_noise and prev_u is not None:
-            u = prev_u
-        paths[:, k + 1] = step_batch(s, paths[:, k], u)
-        prev_u = u
+    paths = np.empty((n_steps + 1, n_paths))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+
+        def fill(row, kernel):
+            def one(b):
+                row[b] = kernel(b)
+
+            for _ in run(one, blocks):  # results in block order, so errors too
+                pass
+
+        u0 = rng.random(n_paths)
+        fill(paths[0], lambda b: s.initial_ppf(u0[b]))
+        prev_u = None
+        for k in range(n_steps):
+            u = rng.random((s.channels, n_paths))
+            if s.reuse_driver_noise and prev_u is not None:
+                u = prev_u
+            fill(paths[k + 1], lambda b: step_batch(s, paths[k, b], u[:, b]))
+            prev_u = u
     return PathEnsemble(
         paths=paths,
         sampler=s,
@@ -271,20 +315,17 @@ def estimate_conditional(pe: PathEnsemble, f, from_step: int, bins: Grid,
     """Binned mean of f(T_{from_step+1}) given T_{from_step}."""
     if from_step >= pe.n_steps:
         raise ValueError("from_step must leave at least one transition")
-    x = pe.paths[:, from_step]
-    y = f(pe.paths[:, from_step + 1])
+    x = pe.paths[from_step]
+    y = f(pe.paths[from_step + 1])
     return _binned_stats(bins, x, y, min_count)
 
 
 def pooled_transitions(pe: PathEnsemble, lag: int = 1):
-    """All (T_n, T_{n+lag}) pairs of the ensemble, flattened."""
+    """All (T_n, T_{n+lag}) pairs of the ensemble, flattened step by step:
+    views of the step-major ``paths``, no copies."""
     if lag < 1 or lag > pe.n_steps:
         raise ValueError("lag must lie in [1, n_steps]")
-    xs, ys = [], []
-    for n in range(pe.n_steps - lag + 1):
-        xs.append(pe.paths[:, n])
-        ys.append(pe.paths[:, n + lag])
-    return np.concatenate(xs), np.concatenate(ys)
+    return pe.paths[:-lag].ravel(), pe.paths[lag:].ravel()
 
 
 def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid,
@@ -301,8 +342,8 @@ def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid,
     """
     if n < 1 or n + 1 > pe.n_steps:
         raise ValueError("need 1 <= n and n+1 <= n_steps")
-    x = pe.paths[:, n]
-    y = f(pe.paths[:, n + 1])
+    x = pe.paths[n]
+    y = f(pe.paths[n + 1])
 
     fine = Grid(bins.lower, bins.upper, min(bins.n * baseline_refine, 8192),
                 bins.domain_kind)
@@ -312,7 +353,7 @@ def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid,
     baseline = np.where(fine_counts > 0, fine_sums / np.maximum(fine_counts, 1), 0.0)
     r = y - baseline[fine_idx]
 
-    pair_idx = bins.cell_index(pe.paths[:, n - 1]) * bins.n + bins.cell_index(x)
+    pair_idx = bins.cell_index(pe.paths[n - 1]) * bins.n + bins.cell_index(x)
     counts = np.bincount(pair_idx, minlength=bins.n * bins.n)
     sums = np.bincount(pair_idx, weights=r, minlength=bins.n * bins.n)
     sq = np.bincount(pair_idx, weights=r * r, minlength=bins.n * bins.n)
@@ -349,7 +390,7 @@ def path_moment_mc(pe: PathEnsemble, fs: Sequence) -> MomentEstimate:
         raise ValueError("more factors than stored coordinates")
     prod = np.ones(pe.n_paths)
     for k, f in enumerate(fs):
-        prod = prod * f(pe.paths[:, k])
+        prod = prod * f(pe.paths[k])
     mean = float(prod.mean())
     se = float(prod.std(ddof=1) / np.sqrt(pe.n_paths))
     return MomentEstimate(mean=mean, std_error=se)
@@ -364,12 +405,12 @@ class PathFunctional:
     """psi depending on coordinates 0..depends_on of a path."""
 
     depends_on: int
-    fn: Callable  # (n_paths, depends_on+1) array -> (n_paths,) values
+    fn: Callable  # (depends_on+1, n_paths) array, a row per step -> (n_paths,) values
 
 
 def coordinate_functional(f, k: int) -> PathFunctional:
     """psi = f o pi_k."""
-    return PathFunctional(depends_on=k, fn=lambda block: f(block[:, k]))
+    return PathFunctional(depends_on=k, fn=lambda block: f(block[k]))
 
 
 class QuasiInvarianceResult(NamedTuple):
@@ -379,9 +420,8 @@ class QuasiInvarianceResult(NamedTuple):
 
 
 def _shifted_block(pe: PathEnsemble, m: int) -> np.ndarray:
-    """Coordinates 0..m of sigma-hat applied pathwise: (sigma(x0), x0, ..)."""
-    first = pe.sampler.sigma(pe.paths[:, 0])
-    return np.column_stack([first, pe.paths[:, :m]])
+    """Coordinates 0..m of sigma-hat applied pathwise, as rows: (sigma(x0), x0, ..)."""
+    return np.vstack([pe.sampler.sigma(pe.paths[0]), pe.paths[:m]])
 
 
 def quasi_invariance_check(pe: PathEnsemble, W: Callable,
@@ -392,8 +432,8 @@ def quasi_invariance_check(pe: PathEnsemble, W: Callable,
     m = psi.depends_on
     if m > pe.n_steps:
         raise ValueError("functional needs more coordinates than stored")
-    lhs_vals = psi.fn(pe.paths[:, : m + 1])
-    rhs_vals = psi.fn(_shifted_block(pe, m)) * W(pe.paths[:, 0])
+    lhs_vals = psi.fn(pe.paths[: m + 1])
+    rhs_vals = psi.fn(_shifted_block(pe, m)) * W(pe.paths[0])
     d = lhs_vals - rhs_vals
     se = d.std(ddof=1) / np.sqrt(pe.n_paths)
     z = abs(d.mean()) / se if se > 0 else 0.0
@@ -411,8 +451,8 @@ def apply_scaling_check(pe: PathEnsemble, psi: PathFunctional,
                         W: Callable) -> ScalingCheckResult:
     """Monte Carlo isometry check E[|sqrt(W o pi_0) (psi o sigma-hat)|^2] = E[|psi|^2]."""
     m = psi.depends_on
-    before = psi.fn(pe.paths[:, : m + 1]) ** 2
-    after = W(pe.paths[:, 0]) * psi.fn(_shifted_block(pe, m)) ** 2
+    before = psi.fn(pe.paths[: m + 1]) ** 2
+    after = W(pe.paths[0]) * psi.fn(_shifted_block(pe, m)) ** 2
     d = after - before
     se = d.std(ddof=1) / np.sqrt(pe.n_paths)
     z = abs(d.mean()) / se if se > 0 else 0.0

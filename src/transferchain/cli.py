@@ -55,7 +55,7 @@ class RunConfig:
     n_paths: int = 100_000
     n_steps: int = 10
     master_seed: int = 9001
-    threads: int = 0
+    threads: int = 1
     suite: str = "all"
     schur_spec: str = ""
     out_dir: str = "transferchain-out"
@@ -244,10 +244,10 @@ def cmd_simulate(config: RunConfig) -> int:
 
     t0 = time.perf_counter()
     sampler, ref = _build(config, "t0", make)
-    pe = chains.simulate_paths(sampler, config.n_paths, config.n_steps)
+    pe = chains.simulate_paths(sampler, config.n_paths, config.n_steps, config.threads)
     ms = (time.perf_counter() - t0) * 1000.0
 
-    head = pe.paths[: min(100, pe.n_paths)]
+    head = pe.paths[:, : min(100, pe.n_paths)].T
     _write_csv(config.out_dir, "paths_head.csv",
                ["path"] + [f"step_{k}" for k in range(pe.n_steps + 1)],
                ([int(i)] + [float(v) for v in row] for i, row in enumerate(head)))
@@ -258,7 +258,7 @@ def cmd_simulate(config: RunConfig) -> int:
     hist_grid = Grid(lo - 1e-9 * span, hi + 1e-9 * span, 128)
     rows = []
     for k in range(pe.n_steps + 1):
-        mu = grids.histogram(pe.paths[:, k], hist_grid)
+        mu = grids.histogram(pe.paths[k], hist_grid)
         for x, w, d in zip(hist_grid.nodes, mu.weights, mu.density):
             rows.append([int(k), float(x), float(w * pe.n_paths), float(d)])
     _write_csv(config.out_dir, "marginals.csv", ["step", "x_mid", "count", "density"], rows)
@@ -272,7 +272,7 @@ def cmd_simulate(config: RunConfig) -> int:
         ks_thresh = max(0.02, 3.0 / np.sqrt(config.n_paths))
         worst = 0.0
         for k in sorted({1, config.n_steps} & set(range(1, config.n_steps + 1))):
-            worst = max(worst, ks_distance(pe.paths[:, k], ref))
+            worst = max(worst, ks_distance(pe.paths[k], ref))
         checks.append(CheckResult(name="marginal-ks-vs-stationary", statistic=worst,
                                   threshold=ks_thresh, direction="<=", runtime_ms=ms,
                                   detail="KS of step marginals against the stationary law"))
@@ -288,7 +288,8 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     results = verify.run_suite(config.suite, master_seed=config.master_seed,
-                               inject_fault=config.inject_fault or None)
+                               inject_fault=config.inject_fault or None,
+                               threads=config.threads)
     return _emit(config, results, [])
 
 
@@ -378,8 +379,8 @@ COMMANDS = {
 SHARED = ("master_seed", "out")  # read by every command, as is --config
 
 _FLAG_OPTIONS = {  # argparse keywords of a flag; _resolve_config checks every value
-    "threads": {"help": "worker count (>= 1); sampling runs serially for now, "
-                        "and results do not depend on this value"},
+    "threads": {"help": "worker count (>= 1, at most the CPU count is used) for "
+                        "sampling path ensembles; results do not depend on this value"},
     "param": {"action": "append", "metavar": "KEY=VALUE",
               "help": "system parameter (u, a, m, K)"},
     "suite": {"choices": SUITE_CHOICES},

@@ -300,9 +300,7 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 def histogram(points, grid: Grid) -> DiscreteMeasure:
     """Normalized bin counts of sample points on a grid."""
-    # gathering a strided column such as paths[:, k] once costs less than
-    # the strided passes below would (here and in ks_distance)
-    points = np.ascontiguousarray(points, dtype=float)
+    points = np.asarray(points, dtype=float)
     if points.size == 0:
         raise ValueError("cannot histogram an empty sample")
     if not grid.contains(points):
@@ -318,7 +316,7 @@ def ks_distance(points, mu: DiscreteMeasure) -> float:
     Sup over grid nodes of |empirical CDF - model CDF|, the model CDF at a
     midpoint counting half of that cell's weight (mass uniform within cells).
     """
-    grid, points = mu.grid, np.ascontiguousarray(points, dtype=float)
+    grid, points = mu.grid, np.asarray(points, dtype=float)
     if not grid.contains(points):
         raise GridMismatchError("sample outside the measure's domain")
     pts = np.sort(grid.wrap(points))

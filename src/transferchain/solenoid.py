@@ -3,8 +3,9 @@ the shift and its inverse, the line embedding, the positive-definite
 function on the N-adic rationals, and coordinate distributions.
 
 A prefix (t_0, .., t_K) satisfies N t_{k+1} = t_k (mod 1); extending it is
-one move of the filter's Markov chain, so a sampled prefix is a row of a
-``chains.simulate_paths`` ensemble of ``operators.circle_filter_system``.
+one move of the filter's Markov chain, so a sampled prefix is a path, a
+column of a ``chains.simulate_paths`` ensemble of
+``operators.circle_filter_system``.
 """
 
 from __future__ import annotations

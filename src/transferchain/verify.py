@@ -67,8 +67,10 @@ def _check(suite: str, name: str):
 
 
 def run_suite(suite: str, master_seed: int = 9001,
-              inject_fault: Optional[str] = None) -> list:
-    """Run every check of a suite ("all" runs the union, suite order)."""
+              inject_fault: Optional[str] = None, threads: int = 1) -> list:
+    """Run every check of a suite ("all" runs the union, suite order).
+    ``threads`` is the worker count of the checks' path sampling; the
+    statistics do not depend on it."""
     known = {s for s, _, _ in _REGISTRY}
     if suite != "all" and suite not in known:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(known)} or 'all'")
@@ -77,7 +79,7 @@ def run_suite(suite: str, master_seed: int = 9001,
         if suite != "all" and s != suite:
             continue
         t0 = time.perf_counter()
-        stat, thresh, direction, detail = fn(master_seed, inject_fault)
+        stat, thresh, direction, detail = fn(master_seed, inject_fault, threads)
         ms = (time.perf_counter() - t0) * 1000.0
         results.append(CheckResult(name=name, suite=s, statistic=float(stat),
                                    threshold=float(thresh), direction=direction,
@@ -107,7 +109,7 @@ def _trig_pair(grid: Grid, rng: np.random.Generator, deg: int = 3):
 # ---------------------------------------------------------------------------
 
 @_check("operators", "gauss-invariant-density-l1")
-def _gauss_density(seed, fault):
+def _gauss_density(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     m = invariant.build_ulam(operators.gauss_operator(K=10_000), g)
     res = invariant.power_iterate(m, tol=1e-12, max_iters=2000)
@@ -116,7 +118,7 @@ def _gauss_density(seed, fault):
 
 
 @_check("operators", "gauss-ulam-column-sums")
-def _gauss_colsums(seed, fault):
+def _gauss_colsums(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     cs = invariant.build_ulam(operators.gauss_operator(K=10_000), g).column_sums
     worst = float(np.max(np.abs(cs - 1.0)))
@@ -124,7 +126,7 @@ def _gauss_colsums(seed, fault):
 
 
 @_check("operators", "doubling-invariant-uniform-l1")
-def _doubling_density(seed, fault):
+def _doubling_density(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     res = invariant.power_iterate(invariant.build_ulam(operators.doubling_system(g), g))
     l1 = float(np.abs(res.measure.weights - uniform_measure(g).weights).sum())
@@ -132,7 +134,7 @@ def _doubling_density(seed, fault):
 
 
 @_check("operators", "random-control-invariant-arcsine-l1")
-def _rc_density(seed, fault):
+def _rc_density(seed, fault, threads):
     g = Grid(0.0, 1.0, 1024)
     res = invariant.power_iterate(
         invariant.build_ulam(operators.random_control_system(g), g), max_iters=3000)
@@ -141,7 +143,7 @@ def _rc_density(seed, fault):
 
 
 @_check("operators", "arcsine-invariance-residuals")
-def _arcsine_residuals(seed, fault):
+def _arcsine_residuals(seed, fault, threads):
     g = Grid(0.0, 1.0, 2048)
     rc = operators.random_control_system(g)
     fs = [GridFunction.constant(g, 1.0),
@@ -153,7 +155,7 @@ def _arcsine_residuals(seed, fault):
 
 
 @_check("operators", "gauss-lebesgue-invariance")
-def _gauss_lebesgue(seed, fault):
+def _gauss_lebesgue(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     res = invariant.verify_invariance(
         uniform_measure(g), operators.gauss_operator(K=10_000),
@@ -162,7 +164,7 @@ def _gauss_lebesgue(seed, fault):
 
 
 @_check("operators", "logistic-pushforward-arcsine-ks")
-def _logistic_pushforward(seed, fault):
+def _logistic_pushforward(seed, fault, threads):
     rng = stream_rng(seed, 101)
     x = arcsine_ppf(rng.random(100_000))
     for _ in range(20):
@@ -172,7 +174,7 @@ def _logistic_pushforward(seed, fault):
 
 
 @_check("operators", "logistic-uniform-weight-separation")
-def _logistic_separation(seed, fault):
+def _logistic_separation(seed, fault, threads):
     best_name, best = logistic_separation_search()
     detail = ("no separating test function exists: the uniform-weight "
               "backward move provably preserves the arcsine law "
@@ -213,7 +215,7 @@ def logistic_separation_search(grid_n: int = 4096):
 
 
 @_check("operators", "normalization-R1")
-def _normalization(seed, fault):
+def _normalization(seed, fault, threads):
     g = Grid(0.0, 1.0, 1024)
     gc = Grid(0.0, 1.0, 1024, "circle")
     ops = [operators.doubling_system(g),
@@ -232,7 +234,7 @@ def _normalization(seed, fault):
 
 
 @_check("operators", "pullout-residual")
-def _pullout(seed, fault):
+def _pullout(seed, fault, threads):
     g = Grid(0.0, 1.0, 4096)
     rng = stream_rng(seed, 102)
     f = GridFunction.from_callable(g, lambda x: np.sin(2 * np.pi * x))
@@ -245,7 +247,7 @@ def _pullout(seed, fault):
 
 
 @_check("operators", "ruelle-adjoint-duality")
-def _duality(seed, fault):
+def _duality(seed, fault, threads):
     g = Grid(0.0, 1.0, 1024, "circle")
     rng = stream_rng(seed, 103)
     op = operators.CircleFilterOperator(wavelets.haar_filter())
@@ -260,7 +262,7 @@ def _duality(seed, fault):
 
 
 @_check("operators", "radon-nikodym-parametric")
-def _rn_parametric(seed, fault):
+def _rn_parametric(seed, fault, threads):
     g = Grid(0.0, 1.0, 1000)
     W = operators.radon_nikodym(operators.parametric_system(g, 0.3), uniform_measure(g))
     exact = operators.parametric_weight(0.3)(g.nodes)
@@ -269,7 +271,7 @@ def _rn_parametric(seed, fault):
 
 
 @_check("operators", "positivity")
-def _positivity(seed, fault):
+def _positivity(seed, fault, threads):
     rng = stream_rng(seed, 104)
     g = Grid(0.0, 1.0, 512)
     gc = Grid(0.0, 1.0, 512, "circle")
@@ -285,7 +287,7 @@ def _positivity(seed, fault):
 
 
 @_check("operators", "hutchinson-cantor-moments")
-def _cantor(seed, fault):
+def _cantor(seed, fault, threads):
     g = Grid(0.0, 1.0, 2187)
     res = invariant.hutchinson_iterate(invariant.cantor_ifs(g), uniform_measure(g), 40)
     mean, var = invariant.measure_moments(res.measure)
@@ -294,7 +296,7 @@ def _cantor(seed, fault):
 
 
 @_check("operators", "hutchinson-contraction-ratio")
-def _cantor_ratio(seed, fault):
+def _cantor_ratio(seed, fault, threads):
     g = Grid(0.0, 1.0, 2187)
     spike = np.zeros(g.n)
     spike[100] = 1.0
@@ -316,13 +318,13 @@ def _doubling_sampler(seed, offset=0):
 
 
 @_check("chains", "kolmogorov-moment-doubling")
-def _moment_doubling(seed, fault):
+def _moment_doubling(seed, fault, threads):
     gq = Grid(0.0, 1.0, 32768)
     op = operators.doubling_system(gq)
     one = GridFunction.constant(gq, 1.0)
     ident = GridFunction.from_callable(gq, lambda x: x)
     sq = GridFunction.from_callable(gq, lambda x: x**2)
-    pe = chains.simulate_paths(_doubling_sampler(seed), 1_000_000, 2)
+    pe = chains.simulate_paths(_doubling_sampler(seed), 1_000_000, 2, threads)
     worst = 0.0
     for fs_grid, fs_mc in (([ident, ident], [lambda x: x] * 2),
                            ([ident, sq, ident], [lambda x: x, lambda x: x**2, lambda x: x])):
@@ -333,14 +335,14 @@ def _moment_doubling(seed, fault):
 
 
 @_check("chains", "kolmogorov-moment-random-control")
-def _moment_rc(seed, fault):
+def _moment_rc(seed, fault, threads):
     gq = Grid(0.0, 1.0, 8192)
     op = operators.random_control_system(gq)
     one = GridFunction.constant(gq, 1.0)
     ident = GridFunction.from_callable(gq, lambda x: x)
     cosf = GridFunction.from_callable(gq, lambda x: np.cos(2 * np.pi * x))
     s = chains.MarkovSampler(op, arcsine_ppf, master_seed=seed + 1)
-    pe = chains.simulate_paths(s, 1_000_000, 2)
+    pe = chains.simulate_paths(s, 1_000_000, 2, threads)
     worst = 0.0
     for fs_grid, fs_mc in (([ident, ident], [lambda x: x] * 2),
                            ([ident, cosf, ident],
@@ -352,14 +354,14 @@ def _moment_rc(seed, fault):
 
 
 @_check("chains", "quasi-invariance-parametric")
-def _quasi(seed, fault):
+def _quasi(seed, fault, threads):
     worst = 0.0
     details = []
     for i, u in enumerate((0.3, 0.5, 0.7)):
         g = Grid(0.0, 1.0, 512)
         s = chains.MarkovSampler(operators.parametric_system(g, u), uniform_ppf,
                                  master_seed=seed + 10 + i)
-        pe = chains.simulate_paths(s, 1_000_000, 2)
+        pe = chains.simulate_paths(s, 1_000_000, 2, threads)
         W = operators.parametric_weight(u)
         if u == 0.5:
             flat = float(np.max(np.abs(W(g.nodes) - 1.0)))
@@ -371,18 +373,18 @@ def _quasi(seed, fault):
 
 
 @_check("chains", "quasi-invariance-wrong-weight")
-def _quasi_wrong(seed, fault):
+def _quasi_wrong(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     s = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
                              master_seed=seed + 13)
-    pe = chains.simulate_paths(s, 1_000_000, 2)
+    pe = chains.simulate_paths(s, 1_000_000, 2, threads)
     res = chains.quasi_invariance_check(pe, operators.parametric_weight(0.7),
                                         chains.coordinate_functional(lambda x: x, 1))
     return res.z, 8.0, ">=", "swapped weight constants must be detected"
 
 
 @_check("chains", "martingale-harmonic")
-def _martingale(seed, fault):
+def _martingale(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     gc = Grid(0.0, 1.0, 4096, "circle")
     bins = Grid(0.0, 1.0, 32)
@@ -402,7 +404,7 @@ def _martingale(seed, fault):
     ]
     worst = 0.0
     for name, s, h, grid in systems:
-        pe = chains.simulate_paths(s, 500_000, 2)
+        pe = chains.simulate_paths(s, 500_000, 2, threads)
         for k in (1, 2):
             bins_here = bins if grid.domain_kind == "interval" else Grid(0, 1, 32, "circle")
             worst = max(worst, chains.martingale_check(pe, h, k, bins_here))
@@ -410,12 +412,12 @@ def _martingale(seed, fault):
 
 
 @_check("chains", "martingale-gauss-density")
-def _martingale_gauss(seed, fault):
+def _martingale_gauss(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     h = GridFunction.from_callable(g, operators.GaussOperator.density)
     s = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
                              master_seed=seed + 25)
-    pe = chains.simulate_paths(s, 1_000_000, 2)
+    pe = chains.simulate_paths(s, 1_000_000, 2, threads)
     worst = max(chains.conditional_expectation_check(pe, h, k, Grid(0.0, 1.0, 32))
                 for k in (1, 2))
     return worst, 5.0, "<=", \
@@ -423,17 +425,17 @@ def _martingale_gauss(seed, fault):
 
 
 @_check("chains", "martingale-eigenfunction-doubling")
-def _martingale_eigen(seed, fault):
+def _martingale_eigen(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     b1 = GridFunction.from_callable(g, lambda x: x - 0.5)
-    pe = chains.simulate_paths(_doubling_sampler(seed, 26), 1_000_000, 2)
+    pe = chains.simulate_paths(_doubling_sampler(seed, 26), 1_000_000, 2, threads)
     worst = max(chains.martingale_check(pe, b1, k, Grid(0.0, 1.0, 16), eigenvalue=0.5)
                 for k in (1, 2))
     return worst, 4.0, "<=", "eigenpair (x - 1/2, 1/2) of the doubling operator"
 
 
 @_check("chains", "markov-property-honest")
-def _markov_honest(seed, fault):
+def _markov_honest(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     bins = Grid(0.0, 1.0, 8)
     samplers = [
@@ -445,23 +447,23 @@ def _markov_honest(seed, fault):
     ]
     worst = 0.0
     for s in samplers:
-        pe = chains.simulate_paths(s, 1_000_000, 3)
+        pe = chains.simulate_paths(s, 1_000_000, 3, threads)
         worst = max(worst, chains.markov_property_check(pe, lambda x: x, 2, bins))
     return worst, 5.0, "<=", "10^6 paths per system"
 
 
 @_check("chains", "markov-property-violation")
-def _markov_violation(seed, fault):
+def _markov_violation(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
                              seed + 33, "rc-reused-noise", reuse_driver_noise=True)
-    pe = chains.simulate_paths(s, 1_000_000, 3)
+    pe = chains.simulate_paths(s, 1_000_000, 3, threads)
     z = chains.markov_property_check(pe, lambda x: x, 2, Grid(0.0, 1.0, 8))
     return z, 8.0, ">=", "driver noise reused from the previous step"
 
 
 @_check("chains", "solenoid-constraint")
-def _solenoid_constraint(seed, fault):
+def _solenoid_constraint(seed, fault, threads):
     worst = 0.0
     g = Grid(0.0, 1.0, 512)
     for s in (_doubling_sampler(seed, 34),
@@ -469,24 +471,24 @@ def _solenoid_constraint(seed, fault):
                                    master_seed=seed + 35),
               chains.MarkovSampler(operators.parametric_system(g, 0.7), uniform_ppf,
                                    master_seed=seed + 36)):
-        pe = chains.simulate_paths(s, 50_000, 10)
+        pe = chains.simulate_paths(s, 50_000, 10, threads)
         worst = max(worst, pe.solenoid_violation())
     return worst, 1e-10, "<=", "sigma(T_{k+1}) = T_k along every stored path"
 
 
 @_check("chains", "stationarity-marginals")
-def _stationarity(seed, fault):
+def _stationarity(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     ref = arcsine_measure(Grid(0.0, 1.0, 2048))
     s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
                              master_seed=seed + 37)
-    pe = chains.simulate_paths(s, 100_000, 25)
-    worst = max(ks_distance(pe.paths[:, k], ref) for k in (1, 5, 25))
+    pe = chains.simulate_paths(s, 100_000, 25, threads)
+    worst = max(ks_distance(pe.paths[k], ref) for k in (1, 5, 25))
     refg = gauss_measure(Grid(0.0, 1.0, 2048))
     sg = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
                               master_seed=seed + 38)
-    peg = chains.simulate_paths(sg, 100_000, 10)
-    worst = max(worst, ks_distance(peg.paths[:, 10], refg))
+    peg = chains.simulate_paths(sg, 100_000, 10, threads)
+    worst = max(worst, ks_distance(peg.paths[10], refg))
     return worst, 0.02, "<=", "arcsine at steps {1,5,25}; gauss law at step 10"
 
 
@@ -494,28 +496,28 @@ def _closed_form_z(pe: chains.PathEnsemble, closed_form: Callable) -> float:
     """Max binned z-score of T_1 - closed_form(T_0), the closed form taken at
     each sample rather than at the bin centre, so the binned mean carries no
     bias from where the samples sit inside a bin."""
-    x, y = pe.paths[:, 0], pe.paths[:, 1]
+    x, y = pe.paths[0], pe.paths[1]
     return chains._paired_bin_z(Grid(0.0, 1.0, 32), x, y - closed_form(x), 100)
 
 
 @_check("chains", "conditional-expectation-closed-form")
-def _conditional_closed(seed, fault):
-    pe = chains.simulate_paths(_doubling_sampler(seed, 39), 1_000_000, 1)
+def _conditional_closed(seed, fault, threads):
+    pe = chains.simulate_paths(_doubling_sampler(seed, 39), 1_000_000, 1, threads)
     z1 = _closed_form_z(pe, lambda x: x / 2 + 0.25)
     g = Grid(0.0, 1.0, 512)
     s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
                              master_seed=seed + 40)
-    pe2 = chains.simulate_paths(s, 1_000_000, 1)
+    pe2 = chains.simulate_paths(s, 1_000_000, 1, threads)
     z2 = _closed_form_z(pe2, lambda x: (1 + 2 * x) / 4)
     return max(z1, z2), 5.0, "<=", \
         "R(id) closed forms for doubling and random control"
 
 
 @_check("chains", "kolmogorov-consistency")
-def _consistency(seed, fault):
-    long_pe = chains.simulate_paths(_doubling_sampler(seed, 41), 100_000, 6)
-    short_pe = chains.simulate_paths(_doubling_sampler(seed, 42), 100_000, 3)
-    worst = max(ks_two_sample(long_pe.paths[:, k], short_pe.paths[:, k]) for k in range(4))
+def _consistency(seed, fault, threads):
+    long_pe = chains.simulate_paths(_doubling_sampler(seed, 41), 100_000, 6, threads)
+    short_pe = chains.simulate_paths(_doubling_sampler(seed, 42), 100_000, 3, threads)
+    worst = max(ks_two_sample(long_pe.paths[k], short_pe.paths[k]) for k in range(4))
     # 4-sigma-level Kolmogorov quantile with a Bonferroni factor for the
     # max over 4 coordinates
     return worst, 2.4 * np.sqrt(2.0 / 100_000), "<=", \
@@ -523,19 +525,19 @@ def _consistency(seed, fault):
 
 
 @_check("chains", "reproducibility")
-def _reproducibility(seed, fault):
-    a = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8)
-    b = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8)
+def _reproducibility(seed, fault, threads):
+    a = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8, threads)
+    b = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8, threads)
     same = np.array_equal(a.paths, b.paths)
     return 0.0 if same else 1.0, 0.0, "<=", "bit-identical ensembles from one seed"
 
 
 @_check("chains", "transition-matrix-2state")
-def _transition(seed, fault):
+def _transition(seed, fault, threads):
     P = np.array([[0.9, 0.1], [0.5, 0.5]])
     fc = chains.FiniteChain(states=np.array([0.0, 1.0]), probabilities=P)
     s = chains.finite_chain_sampler(fc, [0.5, 0.5], master_seed=seed + 44)
-    pe = chains.simulate_paths(s, 10_000, 100)
+    pe = chains.simulate_paths(s, 10_000, 100, threads)
     est = chains.estimate_transition_matrix(pe, [0.0, 1.0])
     dev = float(np.max(np.abs(est.probabilities - P)))
     harm = chains.perron_harmonic_residual(est)
@@ -548,20 +550,20 @@ def _transition(seed, fault):
 # ---------------------------------------------------------------------------
 
 @_check("solenoid", "prefix-invariant")
-def _prefix_invariant(seed, fault):
+def _prefix_invariant(seed, fault, threads):
     gc = Grid(0.0, 1.0, 8192, "circle")
     s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
                              uniform_ppf, master_seed=seed + 50)
-    pe = chains.simulate_paths(s, 20_000, 8)
+    pe = chains.simulate_paths(s, 20_000, 8, threads)
     return pe.solenoid_violation(), 1e-12, "<=", "N t_{k+1} = t_k mod 1 along sampled paths"
 
 
 @_check("solenoid", "shift-roundtrip")
-def _shift_roundtrip(seed, fault):
+def _shift_roundtrip(seed, fault, threads):
     gc = Grid(0.0, 1.0, 64, "circle")
     s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
                              uniform_ppf, master_seed=seed + 51)
-    p = solenoid.SolenoidPrefix(2, chains.simulate_paths(s, 1, 6).paths[0])
+    p = solenoid.SolenoidPrefix(2, chains.simulate_paths(s, 1, 6, threads).paths[:, 0])
     q = solenoid.shift_inverse(solenoid.shift_hat(p))
     back = float(np.max(np.abs(q.angles - p.angles)))
     k = 3
@@ -573,7 +575,7 @@ def _shift_roundtrip(seed, fault):
 
 
 @_check("solenoid", "pd-gram-minimum-eigenvalue")
-def _pd_gram(seed, fault):
+def _pd_gram(seed, fault, threads):
     rng = stream_rng(seed, 52)
     h_haar = wavelets.TrigPoly(0, [1.0])
     h_box = wavelets.autocorrelation(wavelets.box_scaling_function(1, 8))
@@ -588,7 +590,7 @@ def _pd_gram(seed, fault):
 
 
 @_check("solenoid", "pd-well-defined")
-def _pd_well(seed, fault):
+def _pd_well(seed, fault, threads):
     rng = stream_rng(seed, 53)
     h1 = wavelets.TrigPoly(0, [1.0])
     worst = 0.0
@@ -603,7 +605,7 @@ def _pd_well(seed, fault):
 
 
 @_check("solenoid", "coordinate-distribution-mass")
-def _pi_k_mass(seed, fault):
+def _pi_k_mass(seed, fault, threads):
     g = Grid(0.0, 1.0, 1024, "circle")
     h1 = wavelets.TrigPoly(0, [1.0])
     h_box = wavelets.autocorrelation(wavelets.box_scaling_function(1, 8))
@@ -617,28 +619,28 @@ def _pi_k_mass(seed, fault):
 
 
 @_check("solenoid", "coordinate-distribution-sampled")
-def _pi_k_sampled(seed, fault):
+def _pi_k_sampled(seed, fault, threads):
     gc = Grid(0.0, 1.0, 8192, "circle")
     s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
                              uniform_ppf, master_seed=seed + 54)
-    pe = chains.simulate_paths(s, 100_000, 3)
+    pe = chains.simulate_paths(s, 100_000, 3, threads)
     h1 = wavelets.TrigPoly(0, [1.0])
     mu3 = solenoid.pi_k_distribution(wavelets.haar_filter(), h1, 3, Grid(0, 1, 2048, "circle"))
-    ks = ks_distance(pe.paths[:, 3], mu3)
+    ks = ks_distance(pe.paths[3], mu3)
     return ks, 0.02, "<=", "sampled third coordinate vs its exact density"
 
 
 @_check("solenoid", "scaling-unitary")
-def _scaling_unitary(seed, fault):
+def _scaling_unitary(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     s = chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
                              master_seed=seed + 55)
-    pe = chains.simulate_paths(s, 1_000_000, 2)
+    pe = chains.simulate_paths(s, 1_000_000, 2, threads)
     res1 = chains.apply_scaling_check(
         pe, chains.coordinate_functional(lambda x: np.sin(2 * np.pi * x), 0), lambda x: 1.0)
     sp = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
                               master_seed=seed + 56)
-    pep = chains.simulate_paths(sp, 1_000_000, 2)
+    pep = chains.simulate_paths(sp, 1_000_000, 2, threads)
     res2 = chains.apply_scaling_check(pep, chains.coordinate_functional(lambda x: x, 1),
                                       operators.parametric_weight(0.3))
     return max(res1.z, res2.z), 4.0, "<=", \
@@ -646,7 +648,7 @@ def _scaling_unitary(seed, fault):
 
 
 @_check("solenoid", "line-embedding")
-def _line_embed(seed, fault):
+def _line_embed(seed, fault, threads):
     rng = stream_rng(seed, 57)
     worst = 0.0
     for _ in range(5):
@@ -663,7 +665,7 @@ def _line_embed(seed, fault):
 # ---------------------------------------------------------------------------
 
 @_check("wavelet", "haar-orthonormality")
-def _haar_h(seed, fault):
+def _haar_h(seed, fault, threads):
     phi = wavelets.cascade(wavelets.haar_filter(), J=10, iters=2)
     h = wavelets.autocorrelation(phi)
     g = Grid(0.0, 1.0, 1024, "circle")
@@ -672,7 +674,7 @@ def _haar_h(seed, fault):
 
 
 @_check("wavelet", "fejer-autocorrelation")
-def _fejer(seed, fault):
+def _fejer(seed, fault, threads):
     worst = 0.0
     for m in (1, 2, 3):
         h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
@@ -686,7 +688,7 @@ def _fejer(seed, fault):
 
 
 @_check("wavelet", "ruelle-fixed-point")
-def _ruelle_fixed(seed, fault):
+def _ruelle_fixed(seed, fault, threads):
     worst = wavelets.verify_ruelle_fixed(wavelets.haar_filter(),
                                          wavelets.TrigPoly(0, [1.0]))
     for m in (1, 2, 3):
@@ -696,7 +698,7 @@ def _ruelle_fixed(seed, fault):
 
 
 @_check("wavelet", "intertwining")
-def _intertwine(seed, fault):
+def _intertwine(seed, fault, threads):
     rng = stream_rng(seed, 60)
     phi = wavelets.cascade(wavelets.haar_filter(), J=10, iters=3)
     worst = wavelets.intertwine_check(wavelets.haar_filter(), phi, {0: 1.0})
@@ -706,13 +708,13 @@ def _intertwine(seed, fault):
 
 
 @_check("wavelet", "cascade-contraction")
-def _cascade_contract(seed, fault):
+def _cascade_contract(seed, fault, threads):
     phi = wavelets.cascade(wavelets.haar_filter(), J=10, iters=9)
     return phi.sup_delta, 1e-6, "<=", "sup distance of cascade iterates 8 and 9"
 
 
 @_check("wavelet", "compact-support-autocorrelation")
-def _compact_support(seed, fault):
+def _compact_support(seed, fault, threads):
     worst = 0.0
     for m in (1, 2):
         h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
@@ -727,7 +729,7 @@ def _compact_support(seed, fault):
 # ---------------------------------------------------------------------------
 
 @_check("schur", "roundtrip")
-def _schur_roundtrip(seed, fault):
+def _schur_roundtrip(seed, fault, threads):
     rng = stream_rng(seed, 70)
     worst = 0.0
     for _ in range(100):
@@ -739,7 +741,7 @@ def _schur_roundtrip(seed, fault):
 
 
 @_check("schur", "blaschke-termination")
-def _blaschke(seed, fault):
+def _blaschke(seed, fault, threads):
     rng = stream_rng(seed, 71)
     worst = 0.0
     for d in (1, 2, 3):
@@ -752,7 +754,7 @@ def _blaschke(seed, fault):
 
 
 @_check("schur", "contractivity-preservation")
-def _contractivity(seed, fault):
+def _contractivity(seed, fault, threads):
     rng = stream_rng(seed, 72)
     worst = -np.inf
     for i in range(10):
@@ -766,7 +768,7 @@ def _contractivity(seed, fault):
 
 
 @_check("schur", "move-matches-step")
-def _move_step(seed, fault):
+def _move_step(seed, fault, threads):
     rng = stream_rng(seed, 73)
     z = 0.7 * np.sqrt(rng.random(16)) * np.exp(2j * np.pi * rng.random(16))
     s = schur.SchurEval(num=[0.5, 0.1j], den=[1.0, -0.2])
@@ -776,7 +778,7 @@ def _move_step(seed, fault):
 
 
 @_check("schur", "shift-invariance")
-def _shift_invariance(seed, fault):
+def _shift_invariance(seed, fault, threads):
     nu = schur.uniform_disk_sampler(0.5)
     rng = stream_rng(seed, 74)
     draws = nu(rng, 3 * 100_000).reshape(100_000, 3)

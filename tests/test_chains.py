@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,7 @@ from transferchain.grids import (
     uniform_ppf,
 )
 from transferchain.chains import (
+    _BLOCK,
     FiniteChain,
     MarkovSampler,
     chain_apply,
@@ -29,17 +35,20 @@ from transferchain.chains import (
     nested_operator_expectation,
     path_moment_mc,
     perron_harmonic_residual,
+    pooled_transitions,
     quasi_invariance_check,
     simulate_paths,
     step,
     step_batch,
 )
 from transferchain.operators import (
+    BranchEscapeError,
     BranchSystem,
     CircleFilterOperator,
     GaussOperator,
     bernoulli_support,
     bernoulli_system,
+    circle_filter_system,
     doubling_system,
     gauss_operator,
     parametric_system,
@@ -146,10 +155,10 @@ def test_doubling_states_stay_dyadic_and_branch_frequency():
                       master_seed=2)
     pe = simulate_paths(s, 100_000, 4)
     for k in range(5):
-        scaled = pe.paths[:, k] * 2.0**k
+        scaled = pe.paths[k] * 2.0**k
         assert np.array_equal(scaled, np.round(scaled))
     # each move is (x + b)/2 with a fair bit
-    bits = (pe.paths[:, 1:] >= 0.5).mean()
+    bits = (pe.paths[1:] >= 0.5).mean()
     assert abs(bits - 0.5) <= 0.005
 
 
@@ -195,14 +204,14 @@ def test_simulation_reproducible_and_prefix_consistent():
     b = simulate_paths(s, 50_000, 6)
     c = simulate_paths(s, 50_000, 3)
     assert np.array_equal(a.paths, b.paths)
-    assert np.array_equal(a.paths[:, :4], c.paths)
+    assert np.array_equal(a.paths[:4], c.paths)
     assert a.seed_info["master_seed"] == 6
 
 
 def test_zero_steps_samples_initial_law():
     s = MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=7)
     pe = simulate_paths(s, 100_000, 0)
-    ks = ks_distance(pe.paths[:, 0], arcsine_measure(Grid(0, 1, 2048)))
+    ks = ks_distance(pe.paths[0], arcsine_measure(Grid(0, 1, 2048)))
     assert ks <= 0.01
 
 
@@ -218,13 +227,13 @@ def test_stationary_marginals():
     pe = simulate_paths(s, 100_000, 25)
     ref = arcsine_measure(Grid(0, 1, 2048))
     for k in (1, 5, 25):
-        assert ks_distance(pe.paths[:, k], ref) <= 0.02
+        assert ks_distance(pe.paths[k], ref) <= 0.02
 
 
 def test_gauss_backward_stationary():
     s = MarkovSampler(gauss_operator(K=10_000), gauss_ppf, master_seed=11)
     pe = simulate_paths(s, 100_000, 10)
-    ks = ks_distance(pe.paths[:, 10], gauss_measure(Grid(0, 1, 2048)))
+    ks = ks_distance(pe.paths[10], gauss_measure(Grid(0, 1, 2048)))
     assert ks <= 0.02
 
 
@@ -232,8 +241,9 @@ def test_estimators_read_strided_path_columns():
     s = MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=10)
     pe = simulate_paths(s, 10_000, 3)
     ref = arcsine_measure(Grid(0, 1, 2048))
+    path_major = pe.paths.T.copy()
     for k in range(4):
-        col = pe.paths[:, k]
+        col = path_major[:, k]
         assert not col.flags.c_contiguous
         dense = np.ascontiguousarray(col)
         assert np.array_equal(histogram(col, G512).weights, histogram(dense, G512).weights)
@@ -247,13 +257,149 @@ def test_overlapping_bernoulli_chain_variance():
     s = bernoulli_support(a)
     sampler = MarkovSampler(bernoulli_system(Grid(-s, s, 1024), a),
                             lambda u: np.zeros(np.shape(u)), master_seed=3)
-    x = simulate_paths(sampler, n, k).paths[:, k]
+    x = simulate_paths(sampler, n, k).paths[k]
     var = np.sum(a ** (2.0 * np.arange(1, k + 1)))
     se_var = np.sqrt((np.mean((x - x.mean()) ** 4) - x.var() ** 2) / n)
     assert abs(x.var() - var) / se_var <= 4.0
     assert abs(x.mean()) / np.sqrt(var / n) <= 4.0
     with pytest.raises(ValueError, match="no endomorphism"):
         sampler.sigma(x)
+
+
+# ---------------------------------------------------------------------------
+# blocked, threaded sampling against the one-pass loop
+# ---------------------------------------------------------------------------
+
+def one_pass_paths(s, n_paths, n_steps):
+    """The one-pass sampler: every move drawn and applied over the whole
+    ensemble, stored path-major; returned step-major for comparison."""
+    rng = stream_rng(s.master_seed, 0)
+    u0 = rng.random(n_paths)
+    paths = np.empty((n_paths, n_steps + 1))
+    paths[:, 0] = s.initial_ppf(u0)
+    prev_u = None
+    for k in range(n_steps):
+        u = rng.random((s.channels, n_paths))
+        if s.reuse_driver_noise and prev_u is not None:
+            u = prev_u
+        paths[:, k + 1] = step_batch(s, paths[:, k], u)
+        prev_u = u
+    return np.ascontiguousarray(paths.T)
+
+
+GC64 = Grid(0.0, 1.0, 64, "circle")
+SAMPLER_CASES = {
+    "branch": lambda: MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=60),
+    "controlled": lambda: MarkovSampler(random_control_system(G512), arcsine_ppf,
+                                        master_seed=61),
+    "gauss-backward": lambda: MarkovSampler(gauss_operator(K=10_000), gauss_ppf,
+                                            master_seed=62),
+    "finite": lambda: finite_chain_sampler(TWO_STATE, [0.5, 0.5], master_seed=63),
+    "circle-filter": lambda: MarkovSampler(circle_filter_system(GC64, haar_filter()),
+                                           uniform_ppf, master_seed=64),
+    "reused-noise": lambda: MarkovSampler(random_control_system(G512), arcsine_ppf, 65,
+                                          "rc-reused-noise", reuse_driver_noise=True),
+}
+PATH_COUNTS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+@pytest.mark.parametrize("n_paths", PATH_COUNTS)
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_blocked_sampler_matches_one_pass_loop_bitwise(case, n_paths):
+    s = SAMPLER_CASES[case]()
+    want = one_pass_paths(s, n_paths, 3)
+    for threads in (1, 2, 3):
+        before = threading.active_count()
+        pe = simulate_paths(s, n_paths, 3, threads)
+        assert threading.active_count() == before
+        assert pe.paths.shape == (4, n_paths)
+        assert pe.paths.tobytes() == want.tobytes(), (case, n_paths, threads)
+    if getattr(s.system, "sigma", None) is not None:
+        back, prev, g = s.sigma(want[1:]), want[:-1], s.grid
+        one_pass = np.max(np.abs(back - prev) if g is None else g.distance(back, prev))
+        assert pe.solenoid_violation() == one_pass
+
+
+def recording(system, threads_seen):
+    """``system`` with a step that records the thread it runs on."""
+    class Recording:
+        kind, channels, name = system.kind, system.channels, system.name
+
+        def step(self, x, uniforms):
+            threads_seen.add(threading.get_ident())
+            return system.step(x, uniforms)
+
+    return Recording()
+
+
+@pytest.mark.parametrize("n_paths", [1, _BLOCK])
+def test_no_worker_thread_for_a_single_block(n_paths):
+    seen = set()
+    s = MarkovSampler(recording(doubling_system(G512), seen), uniform_ppf, master_seed=66)
+    simulate_paths(s, n_paths, 2, threads=3)
+    assert seen == {threading.get_ident()}
+
+
+def test_workers_run_blocks_and_end_with_the_call():
+    seen = set()
+    s = MarkovSampler(recording(doubling_system(G512), seen), uniform_ppf, master_seed=67)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        pe = simulate_paths(s, 8 * _BLOCK + 1, 2, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    if (os.cpu_count() or 1) == 1:
+        assert seen == {threading.get_ident()}
+    else:
+        assert threading.get_ident() not in seen and 1 <= len(seen) <= 3
+    assert pe.paths.tobytes() == one_pass_paths(s, 8 * _BLOCK + 1, 2).tobytes()
+
+
+ESCAPING = BranchSystem(grid=G512, sigma=lambda x: x - 0.5, branches=[lambda x: x + 0.5],
+                        weights=lambda x: 1.0, normalized=False, name="escaping")
+UNDER_WEIGHTED = BranchSystem(grid=G512, branches=list(doubling_system(G512).branches),
+                              weights=lambda x: 0.45, normalized=False, name="under")
+
+
+@pytest.mark.parametrize("system, error", [
+    (ESCAPING, BranchEscapeError),
+    (UNDER_WEIGHTED, ValueError),  # "branch weights ... do not sum to 1"
+])
+def test_step_errors_are_the_same_at_any_thread_count(system, error):
+    s = MarkovSampler(system, uniform_ppf, master_seed=68)
+    n_paths = 3 * _BLOCK + 5
+    with pytest.raises(error) as ref:
+        one_pass_paths(s, n_paths, 3)
+    # every block fails; the escaping one names a different node in each,
+    # and the first block's error is the one-pass loop's
+    for threads in (1, 2, 3):
+        before = threading.active_count()
+        with pytest.raises(error) as got:
+            simulate_paths(s, n_paths, 3, threads)
+        assert threading.active_count() == before
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("system, ppf", [
+    (doubling_system(G512), uniform_ppf),
+    (circle_filter_system(GC64, haar_filter()), uniform_ppf),
+])
+def test_reductions_allocate_less_than_two_rows(system, ppf):
+    pe = simulate_paths(MarkovSampler(system, ppf, master_seed=69), 1 << 18, 8)
+    row_bytes = pe.paths[0].nbytes
+    for reduce in (lambda: pe.solenoid_violation(),
+                   lambda: pooled_transitions(pe, 1),
+                   lambda: pooled_transitions(pe, 8)):
+        tracemalloc.start()
+        try:
+            reduce()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * row_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +613,7 @@ def test_kolmogorov_consistency_across_lengths():
                                      master_seed=35), 100_000, 3)
     thresh = 2.4 * np.sqrt(2.0 / 100_000)
     for k in range(4):
-        assert ks_two_sample(a.paths[:, k], b.paths[:, k]) <= thresh
+        assert ks_two_sample(a.paths[k], b.paths[k]) <= thresh
 
 
 # ---------------------------------------------------------------------------

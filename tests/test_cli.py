@@ -86,11 +86,27 @@ def test_verify_wavelet_all_pass(tmp_path):
 
 
 def test_verify_deterministic_reports(tmp_path):
-    _, out1, _ = run(tmp_path / "v1", "verify", "--suite", "schur",
-                     "--master-seed", "7")
-    _, out2, _ = run(tmp_path / "v2", "verify", "--suite", "schur",
-                     "--master-seed", "7", "--threads", "3")
-    assert read_bytes(out1 / "report.json") == read_bytes(out2 / "report.json")
+    # the chains suite samples ensembles of up to 10^6 paths, many blocks each
+    reports = set()
+    for threads in ("1", "2", "3"):
+        _, out, _ = run(tmp_path / f"t{threads}", "verify", "--suite", "chains",
+                        "--master-seed", "7", "--threads", threads)
+        reports.add(read_bytes(out / "report.json"))
+    assert len(reports) == 1
+
+
+@pytest.mark.parametrize("system", ["doubling", "random-control", "gauss", "haar", "fejer-m"])
+def test_simulate_artifacts_identical_at_any_thread_count(tmp_path, system):
+    # three full blocks of paths and five more
+    artifacts = []
+    for threads in ("1", "3"):
+        _, out, report = run(tmp_path / f"t{threads}", "simulate", "-s", system,
+                             "--paths", str(3 * 2**16 + 5), "--steps", "4",
+                             "--master-seed", "7", "--threads", threads)
+        names = sorted(set(report["manifest"]) - {"timings.csv"})
+        assert "paths_head.csv" in names and "marginals.csv" in names
+        artifacts.append({name: read_bytes(out / name) for name in names + ["report.json"]})
+    assert artifacts[0] == artifacts[1]
 
 
 def test_verify_operators_known_defect_only(tmp_path):

@@ -50,10 +50,10 @@ def test_prefix_invariant_enforced():
 
 
 def sampled_prefixes(filt, h, n_paths, n_steps, seed):
-    """Rows of a filter-chain ensemble, each a solenoid prefix."""
+    """Paths of a filter-chain ensemble, each a solenoid prefix."""
     system = circle_filter_system(Grid(0.0, 1.0, 64, "circle"), filt, h)
     pe = simulate_paths(MarkovSampler(system, uniform_ppf, master_seed=seed), n_paths, n_steps)
-    return [SolenoidPrefix(filt.N, row) for row in pe.paths]
+    return [SolenoidPrefix(filt.N, path) for path in pe.paths.T]
 
 
 def test_extension_preserves_invariant():
@@ -95,7 +95,7 @@ def test_haar_branch_frequency():
     sys = circle_filter_system(gc, haar_filter())
     s = MarkovSampler(sys, uniform_ppf, master_seed=3)
     pe = simulate_paths(s, 100_000, 1)
-    freq = np.mean(pe.paths[:, 1] < 0.5)
+    freq = np.mean(pe.paths[1] < 0.5)
     assert abs(freq - 0.5) <= 0.005
     # and at the balance angle t = 1/2 the two branch weights are equal
     w = sys.weight_matrix(np.array([0.5]))
@@ -222,7 +222,7 @@ def test_pi_k_matches_sampled_paths():
                       master_seed=7)
     pe = simulate_paths(s, 100_000, 3)
     mu3 = pi_k_distribution(haar_filter(), H1, 3, Grid(0, 1, 2048, "circle"))
-    assert ks_distance(pe.paths[:, 3], mu3) <= 0.02
+    assert ks_distance(pe.paths[3], mu3) <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_scaling_unitary_constant_psi():
     g = Grid(0.0, 1.0, 512)
     s = MarkovSampler(doubling_system(g), uniform_ppf, master_seed=8)
     pe = simulate_paths(s, 100_000, 2)
-    res = apply_scaling_check(pe, PathFunctional(0, lambda b: np.ones(b.shape[0])),
+    res = apply_scaling_check(pe, PathFunctional(0, lambda b: np.ones(b.shape[1])),
                               lambda x: 1.0)
     assert res.norm_before == 1.0
     assert res.norm_after == 1.0

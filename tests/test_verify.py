@@ -11,7 +11,7 @@ from transferchain.grids import Grid, arcsine_ppf
 @pytest.mark.parametrize("seed", [41, 161, 205, 222, 240, 280])
 def test_closed_form_check_passes_at_formerly_red_seeds(seed):
     # these seeds pushed the bin-centre comparison past 5 under the arcsine law
-    stat, thresh, direction, _ = verify._conditional_closed(seed, None)
+    stat, thresh, direction, _ = verify._conditional_closed(seed, None, 2)
     assert direction == "<=" and thresh == 5.0
     assert stat <= thresh
 
