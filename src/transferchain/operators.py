@@ -15,6 +15,15 @@ A random-control flow is a closed-form ``ControlFlow`` of O(n) arrays.  The
 other flows, and the Gauss branch sum compiled once at a grid's nodes, are
 ``CSCMatrix`` objects built in blocks of at most ``_BLOCK`` elements, so
 their build memory does not grow with n^2 or with the Gauss truncation.
+
+Neither does the Gauss builds' time grow with the truncation K.  Past
+A = ``_RUNS_FROM`` branches, many consecutive images 1/(k+x) share one
+stencil segment or one cell, and each such run enters by its two sums
+S0 = sum w_k and S1 = sum w_k/(k+x) in closed form (``_gauss_run_sums``):
+the chain weights telescope, and the other sums are differences of
+Euler-Maclaurin tails of zeta(2, .) and zeta(3, .), within 1e-18 for
+z >= A - 1.  So the compiled matrices and the flow take O(n (A + cells
+hit)) (point, branch) terms, not O(n K).
 """
 
 from __future__ import annotations
@@ -153,12 +162,12 @@ def _flow_from_entries(n: int, entries) -> CSCMatrix:
     return _flow(n, blocks())
 
 
-def _gauss_blocks(K: int, m: int, n: int, size: int = _BLOCK):
+def _gauss_blocks(K: int, m: int, n: int):
     """Blocks of the m points x K branches of a Gauss sum over an n-cell
-    grid, each of at most ``size`` (point, branch) pairs and _BLOCK // n
+    grid, each of at most _BLOCK (point, branch) pairs and _BLOCK // n
     points (one point at least): yields (point slice, branch-number chunks)."""
-    points = max(1, min(size // K, _BLOCK // n))
-    step = min(K, size)
+    points = max(1, min(_BLOCK // K, _BLOCK // n))
+    step = min(K, _BLOCK)
     for p0 in range(0, m, points):
         yield (slice(p0, min(p0 + points, m)),
                (np.arange(k, min(k + step, K + 1), dtype=float)
@@ -229,10 +238,11 @@ class BranchSystem:
             else:
                 low, high = y < g.lower, y > g.upper
                 if np.any(y < g.lower - 1e-12) or np.any(y > g.upper + 1e-12):
+                    # the state, not its index: a caller may pass any slice
+                    # of its states, and the message must not depend on which
                     j = int(np.argmax((y < g.lower - 1e-12) | (y > g.upper + 1e-12)))
                     raise BranchEscapeError(
-                        f"branch {i} escapes the domain at node {j}: "
-                        f"tau({x.flat[j]!r}) = {y.flat[j]!r}"
+                        f"branch {i} escapes the domain: tau({x.flat[j]!r}) = {y.flat[j]!r}"
                     )
                 y = np.where(low, g.lower, np.where(high, g.upper, y))
             out[i] = y
@@ -427,37 +437,52 @@ class GaussOperator:
 
     def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
         """Each source cell's images 1/(n + cell) for n <= K, weighted by the
-        chain kernel at its midpoint, or by the raw weights when ``raw``, and
-        spread by ``_spread_interval``; branch K's image carries the mass of
-        every n >= K, so a chain column sums to 1.  An image that lies in
-        cell 0 whole adds its weight there; past about n branches that is
-        most of them."""
+        chain kernel at its midpoint, or by the raw weights when ``raw``;
+        branch K's image carries the mass of every n >= K, so a chain column
+        sums to 1.  The images of branches below _RUNS_FROM, and each image
+        that straddles a cell edge, are spread by ``_spread_interval``.  From
+        _RUNS_FROM on, a run of images that lie whole in one cell adds its
+        S0 there (``_gauss_run_sums``), so a column costs O(_RUNS_FROM +
+        cells hit), not O(K): past about n branches the images are in
+        cell 0, one run."""
         if grid.domain_kind != "interval":
             raise GridMismatchError("Gauss operator lives on an interval grid")
-        n, K, edge = grid.n, self.truncation_K, grid.lower + grid.dx
+        n, K = grid.n, self.truncation_K
         nodes, edges = grid.nodes, grid.edges
+        kernel = 0 if raw else 1
         weights = _raw_weights if raw else _chain_weights
 
+        def spread(x, ns, left, right):
+            return _spread_interval(weights(x, ns, ns + x, K).ravel(), (1.0 / (ns + right)).ravel(),
+                                    (1.0 / (ns + left)).ravel(), grid)
+
         def blocks():
-            # spreading an image takes about twice the temporaries of a
-            # compiled sum's term, so the blocks are half as large; at full
-            # size the n = 4096 build left 6 MB more heap resident
-            for cols, branch_chunks in _gauss_blocks(K, n, n, _BLOCK // 2):
-                x = nodes[cols, None]
-                left, right = edges[:-1][cols, None], edges[1:][cols, None]
-                # from this branch on, every image 1/(branch + left) of the
-                # block is below 1/(1/edge + 1) < edge, in cell 0 whole: a
-                # margin of one branch over the round-off of the images
-                tail_from = np.floor(1.0 / edge - left[0, 0]) + 2.0 if edge > 0 else np.inf
+            for cols, branch_chunks in _gauss_blocks(min(K, _RUNS_FROM - 1), n, n):
+                x = nodes[cols]
+                left, right = edges[:-1][cols], edges[1:][cols]
                 entries = []
                 for ns in branch_chunks:
-                    ns, tail = ns[ns < tail_from], ns[ns >= tail_from]
-                    entries.append((np.zeros(x.size, dtype=int), np.arange(x.size),
-                                    weights(x, tail, tail + x, K).sum(axis=1)))
-                    rows, j, vals = _spread_interval(weights(x, ns, ns + x, K).ravel(),
-                                                     (1.0 / (ns + right)).ravel(),
-                                                     (1.0 / (ns + left)).ravel(), grid)
+                    rows, j, vals = spread(x[:, None], ns, left[:, None], right[:, None])
                     entries.append((rows, j // ns.size, vals))
+                if K >= _RUNS_FROM:
+                    # a branch's image lies in one cell whole where its two
+                    # ends do, as _spread_interval places them
+                    ends = [(lambda q, k: _first_cell(1.0 / (k + right[q]), grid),
+                             lambda q, c: np.floor(1.0 / grid.edge(c) - right[q]) + 1.0),
+                            (lambda q, k: _last_cell(1.0 / (k + left[q]), grid),
+                             lambda q, c: np.floor(1.0 / grid.edge(c) - left[q]) + 1.0)]
+                    q, first, last = _branch_runs(x.size, ends, K)
+                    cell = _first_cell(1.0 / (first + right[q]), grid)
+                    whole = cell == _last_cell(1.0 / (first + left[q]), grid)
+                    entries.append((np.clip(cell[whole], 0, n - 1), q[whole],
+                                    _gauss_run_sums(x[q[whole]], first[whole], last[whole],
+                                                    K)[kernel, 0]))
+                    # the rest straddle a cell edge, one branch each where
+                    # an image is narrower than a cell, as past _RUNS_FROM
+                    count = (last - first + 1)[~whole].astype(int)
+                    q, ns = np.repeat(q[~whole], count), _ranges(first[~whole], count)
+                    rows, j, vals = spread(x[q], ns, left[q], right[q])
+                    entries.append((rows, q[j], vals))
                 rows, col, vals = map(np.concatenate, zip(*entries))
                 yield np.bincount(col * n + rows, vals, minlength=x.size * n)[None, :]
 
@@ -507,7 +532,7 @@ def apply_ruelle_circle(op: CircleFilterOperator, f: GridFunction) -> GridFuncti
     if g.domain_kind != "circle":
         raise GridMismatchError("Ruelle circle operator needs a circle grid")
     rf = op.filt.ruelle(TrigPoly.from_samples(f.values))
-    return GridFunction(g, rf((g.nodes - g.lower) / g.width).real)
+    return GridFunction(g, rf.on_grid(g.n).real)
 
 
 def apply_ruelle_adjoint(op: CircleFilterOperator, f: GridFunction) -> GridFunction:
@@ -517,7 +542,7 @@ def apply_ruelle_adjoint(op: CircleFilterOperator, f: GridFunction) -> GridFunct
     if g.domain_kind != "circle":
         raise GridMismatchError("adjoint Ruelle operator needs a circle grid")
     adj = op.filt.autocorr * TrigPoly.from_samples(f.values).dilate(op.N)
-    return GridFunction(g, adj((g.nodes - g.lower) / g.width).real)
+    return GridFunction(g, adj.on_grid(g.n).real)
 
 
 def apply_gauss(op: GaussOperator, f: GridFunction) -> GridFunction:
@@ -525,26 +550,116 @@ def apply_gauss(op: GaussOperator, f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, _compiled_gauss_sum(op.truncation_K, f, raw, _raw_weights))
 
 
-# The truncated Gauss kernel's weights at points x (a column) and branches
-# ns (a row), denom = ns + x: the only code that treats branch K apart.  Its
-# lump goes into branch K's column alone, so no chunk needs a select.
+# The truncated Gauss kernel's weights at points x and branches ns, which
+# broadcast together, denom = ns + x; with ``_gauss_run_sums``, the only
+# code that treats branch K apart.
 
 def _raw_weights(x, ns, denom, K):
     """(n+x)^-2, plus sum_{n>K} (n+x)^-2 = 1/(K+x+1/2) + O(K^-3) on branch K."""
-    w = 1.0 / (denom * denom)
-    if ns.size and ns[-1] == K:
-        w[:, -1:] += 1.0 / (K + x + 0.5)
-    return w
+    return 1.0 / (denom * denom) + np.where(ns == K, 1.0 / (K + x + 0.5), 0.0)
 
 
 def _chain_weights(x, ns, denom, K):
     """The chain kernel P(N = n | x) = (1+x)/((n+x)(n+x+1)), the density-
     normalized (n+x)^-2 h(1/(n+x)) / h(x), and P(N >= K | x) = (1+x)/(K+x)
     on branch K: it sums to 1 at every x."""
-    w = (1.0 + x) / (denom * (denom + 1.0))
-    if ns.size and ns[-1] == K:
-        w[:, -1:] = (1.0 + x) / (K + x)
-    return w
+    return np.where(ns == K, (1.0 + x) / (K + x), (1.0 + x) / (denom * (denom + 1.0)))
+
+
+# Branches from A = _RUNS_FROM on are summed by runs in closed form.  At
+# z >= A - 1 the Euler-Maclaurin tails below leave out less than 1e-18 of
+# their value, and a run near A holds about A^2 dx branches.
+_RUNS_FROM = 256
+
+
+def _zeta_tails(z):
+    """zeta(2, z) - 1/z and zeta(3, z), where zeta(s, z) = sum_{k>=0}
+    (k+z)^-s, by Euler-Maclaurin through B_6.  The omitted remainders are
+    below their first terms, 1/(30 z^9) and 3/(20 z^10), as the summands'
+    derivatives alternate in sign: relative to the values (at least
+    1/(2 z^2)), below z^-7/15 and 0.3 z^-8, under 1e-18 for z >= 255."""
+    v = 1.0 / z
+    v2 = v * v
+    return (v2 * (0.5 + v * (1 / 6 + v2 * (-1 / 30 + v2 / 42))),
+            v2 * (0.5 + v * (0.5 + v * (0.25 + v2 * (-1 / 12 + v2 / 12)))))
+
+
+def _gauss_run_sums(x, a, b, K):
+    """S0 = sum w_k and S1 = sum w_k u_k over the branches k = a..b, with
+    u_k = 1/(k+x) and branch K's lump included when b = K, for the raw
+    weights and for the chain kernel: an array indexed [kernel, sum, ...],
+    kernel 0 raw and 1 chain, sum 0 for S0 and 1 for S1.
+
+    The chain weights (1+x)(u_k - u_{k+1}) telescope: S0 = (1+x)(u_a -
+    u_{b+1}), and the tail to K is exactly (1+x) u_a.  The raw S0 and S1
+    and the chain S1 = (1+x) sum (u_k^2 - u_k u_{k+1}) are differences of
+    zeta(2, .) and zeta(3, .) tails at a + x and b + 1 + x (``_zeta_tails``).
+    For a + x >= 255 (a >= _RUNS_FROM, x >= -1) the omitted terms are below
+    1e-18 (2 + x) u_a, and round-off, of the few tails of size at most
+    (2 + x) u_a that are added, below 8 eps (2 + x) u_a."""
+    u_a, u_b = 1.0 / (a + x), 1.0 / (b + 1.0 + x)
+    (g_a, z_a), (g_b, z_b) = _zeta_tails(a + x), _zeta_tails(b + 1.0 + x)
+    lump = b == K
+    tail, u_K = 1.0 / (K + x + 0.5), 1.0 / (K + x)
+    dg = g_a - g_b
+    return np.array([
+        [u_a - u_b + dg + np.where(lump, tail, 0.0), z_a - z_b + np.where(lump, u_K * tail, 0.0)],
+        [(1.0 + x) * (u_a - np.where(lump, 0.0, u_b)),
+         (1.0 + x) * (dg + np.where(lump, u_K * u_b, 0.0))],
+    ])
+
+
+def _ranges(first, count):
+    """first[i], first[i] + 1, .., first[i] + count[i] - 1 for each i, in turn."""
+    return np.repeat(first, count) + np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                                          count)
+
+
+def _branch_runs(m, cells, K):
+    """The branches _RUNS_FROM..K at each of m points, split into runs
+    along which every function in ``cells`` is constant.
+
+    Each entry is a pair (cell, guess): cell(q, k) is an integer at points
+    q and branches k, non-increasing in k, and guess(q, c) the first branch
+    at which it falls below c, in closed form and right to within one
+    branch: it is corrected here by cell itself.  Returns the point index
+    and the first and last branch of every run, as float arrays."""
+    A, every = float(_RUNS_FROM), np.arange(m)
+    points, breaks = [every], [np.full(m, A)]
+    for cell, guess in cells:
+        # the values cell drops below along k: bottom + 1 .. top at each point
+        top, bottom = cell(every, A), cell(every, float(K))
+        q, c = np.repeat(every, top - bottom), _ranges(bottom + 1, top - bottom)
+        k = guess(q, c)
+        k = k + (cell(q, k) >= c)
+        k = k - (cell(q, k - 1.0) < c)
+        points.append(q)
+        breaks.append(np.clip(k, A, K + 1.0))
+    key = np.unique(np.concatenate(points) * (K + 2) + np.concatenate(breaks).astype(np.int64))
+    q, first = np.divmod(key, K + 2)
+    last = np.append(first[1:], K + 1) - 1
+    last[np.append(q[1:] != q[:-1], True)] = K
+    keep = first <= last
+    return q[keep], first[keep].astype(float), last[keep].astype(float)
+
+
+def _add_stencil_runs(acc, xs, grid: Grid, K: int) -> None:
+    """Add the branches _RUNS_FROM..K of the points xs to the stencil sums
+    ``acc`` (raw and chain rows, point-major), one run per stencil segment
+    s: row s gets S0 - T and row s + 1 gets T = sum w frac = (S1 - x_s S0)/dx."""
+    def segment(q, k):
+        return grid.stencil(1.0 / (k + xs[q]))[0]
+
+    def below(q, s):  # the first branch whose image is left of node s
+        return np.floor(1.0 / (grid.lower + (s + 0.5) * grid.dx) - xs[q]) + 1.0
+
+    q, first, last = _branch_runs(xs.size, [(segment, below)], K)
+    s = segment(q, first)
+    sums = _gauss_run_sums(xs[q], first, last, K)
+    to_right = (sums[:, 1] - (grid.lower + (s + 0.5) * grid.dx) * sums[:, 0]) / grid.dx
+    key = q * grid.n + s
+    acc[:, key] += sums[:, 0] - to_right
+    acc[:, key + 1] += to_right
 
 
 @functools.lru_cache(maxsize=4)
@@ -554,14 +669,17 @@ def _gauss_compiled(K: int, grid: Grid) -> tuple:
     ``_chain_weights``: column j is the linear-interpolation stencil
     (``Grid.stencil``) of the images 1/(n + x_j) -- ``GridFunction.eval``
     without its sign clamp -- so ``f.values @ M`` is the unclamped sum.
-    Built once per (K, grid): the matrices depend on nothing else, so
-    equal operators share them."""
+    Branches below _RUNS_FROM enter one by one; from it on, the branches
+    whose images share a stencil segment enter as one run
+    (``_add_stencil_runs``), so a column costs O(_RUNS_FROM + segments
+    hit), not O(K).  Built once per (K, grid): the matrices depend on
+    nothing else, so equal operators share them."""
     if grid.domain_kind != "interval":
         raise GridMismatchError("Gauss operator lives on an interval grid")
     n, x = grid.n, grid.nodes
 
     def blocks():
-        for cols, branch_chunks in _gauss_blocks(K, x.size, n):
+        for cols, branch_chunks in _gauss_blocks(min(K, _RUNS_FROM - 1), x.size, n):
             xs = x[cols, None]
             base = n * np.arange(xs.size)[:, None]
             acc = np.zeros((2, xs.size * n))
@@ -578,6 +696,8 @@ def _gauss_compiled(K: int, grid: Grid) -> tuple:
                     w = weights(xs, ns, denom, K).ravel()
                     a[key] += np.add.reduceat(w * to_left, starts)
                     a[key + 1] += np.add.reduceat(w * to_right, starts)
+            if K >= _RUNS_FROM:
+                _add_stencil_runs(acc, xs[:, 0], grid, K)
             yield acc
 
     indptr, indices, (raw, chain) = _csc_from_blocks(n, blocks())
@@ -625,11 +745,23 @@ def pullout_check(bs: BranchSystem, f: GridFunction, g: GridFunction) -> float:
 # cell flow (mass transport of mu -> mu R) and Radon-Nikodym weights
 # ---------------------------------------------------------------------------
 
+def _first_cell(a, grid: Grid):
+    """The cell, of any integer index, whose span [edge(k), edge(k + 1)) holds a."""
+    k = np.floor((a - grid.lower) / grid.dx).astype(int)
+    return k - (a < grid.edge(k))  # the division can round up into the next cell
+
+
+def _last_cell(b, grid: Grid):
+    """The cell, of any integer index, in which an interval ending at b ends:
+    one left of b's where b is an edge to within 1e-15 cells."""
+    return np.floor((b - grid.lower) / grid.dx - 1e-15).astype(int)
+
+
 def _spread_interval(col_weights, a, b, grid: Grid):
     """(rows, cols, values) entries that distribute col_weights[j] from
     source cell j over the target cells covering [a_j, b_j], proportionally
     to overlap.  Exact for affine branch images; circle targets wrap."""
-    n, dx, lo = grid.n, grid.dx, grid.lower
+    n = grid.n
     a, b = np.minimum(a, b), np.maximum(a, b)
     width = b - a
     j_idx, w = np.arange(a.size), col_weights
@@ -638,9 +770,7 @@ def _spread_interval(col_weights, a, b, grid: Grid):
     if np.any(tiny):
         live = ~tiny
         a, b, w, width, j_idx = a[live], b[live], w[live], width[live], j_idx[live]
-    k = np.floor((a - lo) / dx).astype(int)
-    k -= a < grid.edge(k)  # the division can round up into the next cell
-    k1 = np.floor((b - lo) / dx - 1e-15).astype(int)
+    k, k1 = _first_cell(a, grid), _last_cell(b, grid)
     # both edges of cell k as the grid places them, so that neighbours
     # share one: a cell's right edge is the next one's left
     right = grid.edge(k)

@@ -94,6 +94,15 @@ class TrigPoly:
         first = -self.lo % N
         return TrigPoly((self.lo + first) // N, self.c[first::N])
 
+    def on_grid(self, n: int) -> np.ndarray:
+        """p at the n midpoints t_j = (j + 1/2)/n of the unit circle, by one
+        inverse FFT: p(t_j) = sum_r d_r e^{2 pi i r j/n}, where d_r sums
+        c[m] e^{i pi m/n} over the lags m = r mod n.  Complex, like ``__call__``
+        of a polynomial that is not real even."""
+        d = np.zeros(n, dtype=complex)
+        np.add.at(d, self.lags % n, self.c * np.exp(1j * np.pi * self.lags / n))
+        return n * np.fft.ifft(d)
+
     def __call__(self, t):
         """p(t), vectorized in t.  Lags +-m are paired into a cosine and a
         sine term, and a zero term is skipped, so a real even polynomial

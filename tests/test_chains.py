@@ -361,19 +361,30 @@ ESCAPING = BranchSystem(grid=G512, sigma=lambda x: x - 0.5, branches=[lambda x: 
                         weights=lambda x: 1.0, normalized=False, name="escaping")
 UNDER_WEIGHTED = BranchSystem(grid=G512, branches=list(doubling_system(G512).branches),
                               weights=lambda x: 0.45, normalized=False, name="under")
+ERROR_SEED, ERROR_PATHS = 68, 3 * _BLOCK + 5
+# the initial states of the first block of paths, all below FIRST_BLOCK_TOP;
+# from those above it, the one branch escapes
+FIRST_BLOCK_TOP = uniform_ppf(stream_rng(ERROR_SEED, 0).random(_BLOCK)).max()
+LATE_ESCAPING = BranchSystem(
+    grid=G512, branches=[lambda x: np.where(x > FIRST_BLOCK_TOP, x + 1.0, 0.5 * x)],
+    weights=lambda x: 1.0, name="late-escaping")
 
 
 @pytest.mark.parametrize("system, error", [
     (ESCAPING, BranchEscapeError),
     (UNDER_WEIGHTED, ValueError),  # "branch weights ... do not sum to 1"
+    (LATE_ESCAPING, BranchEscapeError),
 ])
 def test_step_errors_are_the_same_at_any_thread_count(system, error):
-    s = MarkovSampler(system, uniform_ppf, master_seed=68)
-    n_paths = 3 * _BLOCK + 5
+    s = MarkovSampler(system, uniform_ppf, master_seed=ERROR_SEED)
+    n_paths = ERROR_PATHS
     with pytest.raises(error) as ref:
         one_pass_paths(s, n_paths, 3)
-    # every block fails; the escaping one names a different node in each,
-    # and the first block's error is the one-pass loop's
+    if system is LATE_ESCAPING:  # some path past the first block escapes
+        later = uniform_ppf(stream_rng(ERROR_SEED, 0).random(n_paths)[_BLOCK:])
+        assert later.max() > FIRST_BLOCK_TOP
+    # ESCAPING fails in every block and LATE_ESCAPING first in block 1; the
+    # first failing block's error names the one-pass loop's state
     for threads in (1, 2, 3):
         before = threading.active_count()
         with pytest.raises(error) as got:

@@ -291,6 +291,15 @@ def test_bad_param_or_seed_rejected(tmp_path, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["invariant", "simulate"])
+def test_gauss_truncation_above_the_cap_rejected(tmp_path, command):
+    # refused before any Gauss build, whose digits past 10^6 break the solenoid constraint
+    with pytest.raises(SystemExit, match=r"--param K=100000000: need at most 1000000 Gauss "
+                                         r"branches"):
+        run(tmp_path, command, "-s", "gauss", "--grid-n", "64", "--param", "K=100000000")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("inject_fault", "bogus",
      r"inject-fault / inject_fault must be one of \['mis-normalized-filter'\], got 'bogus'"),

@@ -1,11 +1,14 @@
 """The compiled Gauss branch sum and the sparse cell flows against the
 constructions they replaced, which are kept here as references: the chunked
-``GridFunction.eval`` loop of the Gauss sums, the per-column two-cell split
-of the Gauss flow, and the dense ``np.add.at`` overlap spreading of the
-branch flows, the circle-filter chain's among them.  The Gauss references
-use the one truncated kernel, in which branch K carries the mass of every
-branch n >= K."""
+``GridFunction.eval`` loop of the Gauss sums, the branch-by-branch stencil
+of its compiled matrices, the per-column two-cell split of the Gauss flow,
+and the dense ``np.add.at`` overlap spreading of the branch flows, the
+circle-filter chain's among them.  The Gauss references use the one
+truncated kernel, in which branch K carries the mass of every branch
+n >= K, and sum every branch, where the library sums runs of them in
+closed form."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -63,6 +66,21 @@ def _reference_apply(op, f, x):
 
 def _reference_chain_apply(op, f):
     return _chunked_branch_sum(op, f, f.grid.nodes, raw=False)
+
+
+def _reference_compiled(K, grid, raw):
+    """The stencil matrix of the branch sum, one branch at a time: column j
+    gives each image 1/(k + x_j) its weight split between the two nodes
+    around it, as ``GridFunction.linear`` interpolates."""
+    n = grid.n
+    M = np.zeros((n, n))
+    ns = np.arange(1, K + 1, dtype=float)
+    for j, x in enumerate(grid.nodes):
+        i0, frac = grid.stencil(1.0 / (ns + x))
+        w = _reference_weights(K, x, ns, raw)
+        M[:, j] = (np.bincount(i0, w * (1 - frac), minlength=n)
+                   + np.bincount(i0 + 1, w * frac, minlength=n))
+    return M
 
 
 def _reference_gauss_flow(op, grid, raw):
@@ -228,6 +246,50 @@ def test_compiled_gauss_matrices_share_one_pattern():
         assert getattr(raw, name) is getattr(chain, name)
     assert not np.shares_memory(raw.data, chain.data)
     assert not chain.data.flags.writeable
+
+
+@pytest.mark.parametrize("raw", [False, True])
+def test_compiled_gauss_keeps_the_reference_pattern(raw):
+    # branches from operators._RUNS_FROM on enter by runs, summed in closed
+    # form: an entry the run sums create, lose or cancel would show here
+    g = Grid(0.0, 1.0, 512)
+    want = _reference_compiled(10_000, g, raw)
+    got = np.asarray(operators._gauss_compiled(10_000, g)[0 if raw else 1])
+    assert np.array_equal(got != 0, want != 0)
+    assert _close(got, want)
+
+
+@SETTINGS
+@given(st.data(), st.floats(-0.5, 2.0), st.integers(operators._RUNS_FROM, 10**6))
+def test_run_sums_match_the_branch_sums(data, x, K):
+    A = operators._RUNS_FROM
+    a = data.draw(st.integers(A, K))
+    b = data.draw(st.one_of(st.just(K), st.just(a), st.integers(a, K)))
+    ns = np.arange(a, b + 1, dtype=float)
+    got = operators._gauss_run_sums(x, float(a), float(b), K)
+    # the docstring's bound: 1e-18 of truncation and 8 eps of round-off,
+    # relative to (2 + x) / (a + x); the reference's terms are rounded too,
+    # each by at most 4 eps of itself, and they sum to at most that scale
+    tol = (1e-18 + 12 * np.finfo(float).eps) * (2.0 + x) / (a + x)
+    for kernel, raw in enumerate((True, False)):
+        w = _reference_weights(K, x, ns, raw)
+        want = (math.fsum(w), math.fsum(w / (ns + x)))
+        assert np.all(np.abs(got[kernel] - want) <= tol)
+
+
+def test_gauss_builds_do_not_grow_with_the_truncation():
+    # a branch-by-branch build would take n K = 2.6e8 (point, branch)
+    # pairs; by runs it takes about n (_RUNS_FROM + cells hit).  A
+    # chain column sums at most 2 _RUNS_FROM parts below the runs and at
+    # most 4 per cell above, each within a few roundings, so its sum is 1
+    # to within that many eps
+    g = Grid(0.0, 1.0, 256)
+    K = 10**6
+    tol = (2 * operators._RUNS_FROM + 4 * g.n + 16) * np.finfo(float).eps
+    chain = operators._gauss_compiled(K, g)[1]
+    flow = cell_flow_matrix(gauss_operator(K=K), g)
+    for M in (chain, flow):
+        assert np.all(np.abs(np.ones(g.n) @ M - 1.0) <= tol)
 
 
 def test_compiled_gauss_apply_memory_is_bounded():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,24 @@ def test_trig_poly_algebra_matches_direct_sums():
         assert np.allclose(p.decimate(N)(t), avg, atol=1e-12)
     assert np.all(TrigPoly(0, [1.0]).decimate(2)(t) == 1.0)
     assert np.all(TrigPoly(1, [1.0]).decimate(2)(t) == 0.0)
+
+
+@pytest.mark.parametrize("n, lo, size", [(1, -3, 7), (2, -2, 5), (7, -9, 19), (8, 5, 3),
+                                          (1024, -1024, 2049)])
+def test_trig_poly_on_grid_matches_exact_phase_sums(n, lo, size):
+    # lags past +-n fold onto the FFT's n bins; the reference reduces each
+    # phase m (2j + 1) / (2n) mod 1 in integers before its cosine and sine,
+    # so its error does not grow with the lag
+    rng = stream_rng(23, n)
+    p = TrigPoly(lo, rng.normal(size=size) + 1j * rng.normal(size=size))
+    j = np.arange(n)
+    phase = np.pi * np.mod(np.outer(p.lags, 2 * j + 1), 2 * n) / n
+    terms = p.c[:, None] * (np.cos(phase) + 1j * np.sin(phase))
+    want = np.array([math.fsum(terms.real[:, k]) + 1j * math.fsum(terms.imag[:, k])
+                     for k in range(n)])
+    # an FFT of size n is within a few eps log2(n) of the coefficient mass
+    tol = 8 * np.finfo(float).eps * np.log2(2 * n) * np.abs(p.c).sum()
+    assert np.max(np.abs(p.on_grid(n) - want)) <= tol
 
 
 def test_haar_filter_normalized():
