@@ -14,7 +14,6 @@ from .grids import (  # noqa: F401
     Grid,
     GridFunction,
     arcsine_measure,
-    char_function_bernoulli,
     gauss_measure,
     histogram,
     integrate,
@@ -81,7 +80,6 @@ from .wavelets import (  # noqa: F401
     cascade,
     haar_filter,
     intertwine_check,
-    slanted_toeplitz,
     stretched_box_filter,
     verify_ruelle_fixed,
 )

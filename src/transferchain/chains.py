@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "PathFunctional",
     "coordinate_functional",
     "QuasiInvarianceResult",
-    "ScalingCheckResult",
     "step",
     "step_batch",
     "simulate_paths",
@@ -44,7 +43,6 @@ __all__ = [
     "nested_operator_expectation",
     "path_moment_mc",
     "quasi_invariance_check",
-    "apply_scaling_check",
     "martingale_check",
     "estimate_transition_matrix",
     "perron_harmonic_residual",
@@ -133,7 +131,7 @@ class MarkovSampler:
 
 
 def finite_chain_sampler(chain: FiniteChain, initial_probs,
-                         master_seed: int = 9001, name: str = "finite") -> MarkovSampler:
+                         master_seed: int = 9001) -> MarkovSampler:
     p0 = np.asarray(initial_probs, dtype=float)
     cdf0 = np.cumsum(p0)
 
@@ -141,7 +139,7 @@ def finite_chain_sampler(chain: FiniteChain, initial_probs,
         idx = np.searchsorted(cdf0, np.asarray(u, dtype=float), side="left")
         return chain.states[np.clip(idx, 0, chain.states.size - 1)]
 
-    return MarkovSampler(chain, ppf, master_seed, name)
+    return MarkovSampler(chain, ppf, master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +157,10 @@ def step(s: MarkovSampler, x: float, rng: np.random.Generator) -> float:
     return float(step_batch(s, np.array([float(x)]), u)[0])
 
 
-def _state_indices(x, states, atol: float = 1e-9) -> np.ndarray:
+def _state_indices(x, states) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     idx = np.argmin(np.abs(x[:, None] - states[None, :]), axis=1)
-    if np.max(np.abs(x - states[idx])) > atol:
+    if np.max(np.abs(x - states[idx])) > 1e-9:
         raise ValueError("path value outside the declared finite state set")
     return idx
 
@@ -188,7 +186,6 @@ class PathEnsemble:
 
     paths: np.ndarray
     sampler: MarkovSampler
-    seed_info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.paths, dtype=float)
@@ -260,12 +257,7 @@ def simulate_paths(s: MarkovSampler, n_paths: int, n_steps: int,
                 u = prev_u
             fill(paths[k + 1], lambda b: step_batch(s, paths[k, b], u[:, b]))
             prev_u = u
-    return PathEnsemble(
-        paths=paths,
-        sampler=s,
-        seed_info={"master_seed": s.master_seed, "n_paths": n_paths,
-                   "n_steps": n_steps, "system": s.name},
-    )
+    return PathEnsemble(paths=paths, sampler=s)
 
 
 def chain_apply(s: MarkovSampler, f: GridFunction) -> GridFunction:
@@ -277,6 +269,11 @@ def chain_apply(s: MarkovSampler, f: GridFunction) -> GridFunction:
 # estimators
 # ---------------------------------------------------------------------------
 
+# observations a bin (or a pair of bins) needs before the binned estimators
+# score it
+_MIN_COUNT = 100
+
+
 @dataclass(frozen=True)
 class ConditionalEstimate:
     """Binned estimate of E[f(T_{m+1}) | T_m in bin]; empty bins are absent
@@ -286,14 +283,13 @@ class ConditionalEstimate:
     values: np.ndarray
     counts: np.ndarray
     std_errors: np.ndarray
-    min_count: int = 100
 
     @property
     def occupied(self) -> np.ndarray:
-        return self.counts >= self.min_count
+        return self.counts >= _MIN_COUNT
 
 
-def _binned_stats(grid: Grid, x: np.ndarray, y: np.ndarray, min_count: int) -> ConditionalEstimate:
+def _binned_stats(grid: Grid, x: np.ndarray, y: np.ndarray) -> ConditionalEstimate:
     idx = grid.cell_index(x)
     counts = np.bincount(idx, minlength=grid.n).astype(int)
     sums = np.bincount(idx, weights=y, minlength=grid.n)
@@ -306,18 +302,16 @@ def _binned_stats(grid: Grid, x: np.ndarray, y: np.ndarray, min_count: int) -> C
     var[nz] = np.maximum(sq[nz] / counts[nz] - values[nz] ** 2, 0.0)
     pos = counts > 1
     ses[pos] = np.sqrt(var[pos] / counts[pos])
-    return ConditionalEstimate(grid=grid, values=values, counts=counts,
-                               std_errors=ses, min_count=min_count)
+    return ConditionalEstimate(grid=grid, values=values, counts=counts, std_errors=ses)
 
 
-def estimate_conditional(pe: PathEnsemble, f, from_step: int, bins: Grid,
-                         min_count: int = 100) -> ConditionalEstimate:
+def estimate_conditional(pe: PathEnsemble, f, from_step: int, bins: Grid) -> ConditionalEstimate:
     """Binned mean of f(T_{from_step+1}) given T_{from_step}."""
     if from_step >= pe.n_steps:
         raise ValueError("from_step must leave at least one transition")
     x = pe.paths[from_step]
     y = f(pe.paths[from_step + 1])
-    return _binned_stats(bins, x, y, min_count)
+    return _binned_stats(bins, x, y)
 
 
 def pooled_transitions(pe: PathEnsemble, lag: int = 1):
@@ -328,13 +322,13 @@ def pooled_transitions(pe: PathEnsemble, lag: int = 1):
     return pe.paths[:-lag].ravel(), pe.paths[lag:].ravel()
 
 
-def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid,
-                          min_count: int = 100, baseline_refine: int = 128) -> float:
+def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid) -> float:
     """Max standardized dependence of f(T_{n+1}) on the previous coordinate
     once the current one is accounted for.
 
-    A fine-binned estimate of E[f(T_{n+1}) | T_n] is subtracted from each
-    observation; for a Markov chain the residual has mean zero in every
+    A fine-binned estimate of E[f(T_{n+1}) | T_n], on 128 times as many bins
+    (at most 8192), is subtracted from each observation; for a Markov chain
+    the residual has mean zero in every
     (T_{n-1} bin, T_n bin) cell up to fine-bin discretization, while any
     carried-over driving noise leaves a mean shift with a large z-score.
     Comparing raw binned means instead would confound the check: the pair
@@ -345,8 +339,7 @@ def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid,
     x = pe.paths[n]
     y = f(pe.paths[n + 1])
 
-    fine = Grid(bins.lower, bins.upper, min(bins.n * baseline_refine, 8192),
-                bins.domain_kind)
+    fine = Grid(bins.lower, bins.upper, min(bins.n * 128, 8192), bins.domain_kind)
     fine_idx = fine.cell_index(x)
     fine_counts = np.bincount(fine_idx, minlength=fine.n)
     fine_sums = np.bincount(fine_idx, weights=y, minlength=fine.n)
@@ -357,7 +350,7 @@ def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid,
     counts = np.bincount(pair_idx, minlength=bins.n * bins.n)
     sums = np.bincount(pair_idx, weights=r, minlength=bins.n * bins.n)
     sq = np.bincount(pair_idx, weights=r * r, minlength=bins.n * bins.n)
-    live = counts >= min_count
+    live = counts >= _MIN_COUNT
     if not np.any(live):
         return 0.0
     mean = sums[live] / counts[live]
@@ -397,7 +390,7 @@ def path_moment_mc(pe: PathEnsemble, fs: Sequence) -> MomentEstimate:
 
 
 # ---------------------------------------------------------------------------
-# path functionals, quasi-invariance, scaling unitary
+# path functionals and quasi-invariance
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -441,37 +434,17 @@ def quasi_invariance_check(pe: PathEnsemble, W: Callable,
                                  rhs=float(rhs_vals.mean()), z=float(z))
 
 
-class ScalingCheckResult(NamedTuple):
-    norm_before: float
-    norm_after: float
-    z: float
-
-
-def apply_scaling_check(pe: PathEnsemble, psi: PathFunctional,
-                        W: Callable) -> ScalingCheckResult:
-    """Monte Carlo isometry check E[|sqrt(W o pi_0) (psi o sigma-hat)|^2] = E[|psi|^2]."""
-    m = psi.depends_on
-    before = psi.fn(pe.paths[: m + 1]) ** 2
-    after = W(pe.paths[0]) * psi.fn(_shifted_block(pe, m)) ** 2
-    d = after - before
-    se = d.std(ddof=1) / np.sqrt(pe.n_paths)
-    z = abs(d.mean()) / se if se > 0 else 0.0
-    return ScalingCheckResult(norm_before=float(before.mean()),
-                              norm_after=float(after.mean()), z=float(z))
-
-
 # ---------------------------------------------------------------------------
 # martingales
 # ---------------------------------------------------------------------------
 
-def _paired_bin_z(bins: Grid, x: np.ndarray, resid: np.ndarray, min_count: int,
-                  scale: float = 1.0) -> float:
+def _paired_bin_z(bins: Grid, x: np.ndarray, resid: np.ndarray, scale: float = 1.0) -> float:
     """Max over occupied bins of |mean residual| / its standard error.
 
     The denominator is floored at round-off relative to ``scale`` so that a
     residual which is identically zero up to float dust scores zero instead
     of dust-over-dust."""
-    est = _binned_stats(bins, x, resid, min_count)
+    est = _binned_stats(bins, x, resid)
     live = est.occupied
     if not np.any(live):
         return 0.0
@@ -481,7 +454,7 @@ def _paired_bin_z(bins: Grid, x: np.ndarray, resid: np.ndarray, min_count: int,
 
 
 def martingale_check(pe: PathEnsemble, h: GridFunction, k: int, bins: Grid,
-                     min_count: int = 100, eigenvalue: float = 1.0) -> float:
+                     eigenvalue: float = 1.0) -> float:
     """Max z-score of the binned martingale residual h(T_{n+k}) - lambda^k h(T_n).
 
     Requires h to satisfy R h = lambda h for the chain's realized operator to
@@ -499,12 +472,11 @@ def martingale_check(pe: PathEnsemble, h: GridFunction, k: int, bins: Grid,
         )
     x, y_state = pooled_transitions(pe, lag=k)
     d = h(y_state) - eigenvalue**k * h(x)
-    return _paired_bin_z(bins, x, d, min_count,
-                         scale=float(np.max(np.abs(h.values))))
+    return _paired_bin_z(bins, x, d, scale=float(np.max(np.abs(h.values))))
 
 
 def conditional_expectation_check(pe: PathEnsemble, f: GridFunction, k: int,
-                                  bins: Grid, min_count: int = 100) -> float:
+                                  bins: Grid) -> float:
     """Max z-score of the binned residual f(T_{n+k}) - (R^k f)(T_n), with R
     the chain's realized operator.  This is the k-step conditional
     expectation identity for arbitrary f, not only harmonic ones."""
@@ -515,8 +487,7 @@ def conditional_expectation_check(pe: PathEnsemble, f: GridFunction, k: int,
         g = chain_apply(pe.sampler, g)
     x, y_state = pooled_transitions(pe, lag=k)
     d = f(y_state) - g.eval(x)
-    return _paired_bin_z(bins, x, d, min_count,
-                         scale=float(np.max(np.abs(f.values))))
+    return _paired_bin_z(bins, x, d, scale=float(np.max(np.abs(f.values))))
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,6 @@ SCHUR_GRAMMAR = "constant:C, blaschke:Z1[,Z2..] or random:R[,DEPTH]"
 # random:R,DEPTH draws all DEPTH parameters up front; at 64, R = 0.5 still
 # round-trips within the 1e-8 check (README, "Schur round-trip accuracy")
 MAX_SCHUR_DEPTH = 64
-# the round-off of sigma(1/(n+x)) - x grows like n eps, so Gauss digits past
-# about 10^6 break the 1e-10 solenoid constraint (GaussOperator.step)
-MAX_GAUSS_K = 10**6
 
 
 @dataclass
@@ -141,12 +138,6 @@ class System:
     gate: Optional[tuple] = None
 
 
-def _gauss(n: int, K: int):
-    if K > MAX_GAUSS_K:
-        raise ValueError(f"need at most {MAX_GAUSS_K} Gauss branches")
-    return operators.gauss_operator(K)
-
-
 def _circle(n: int) -> Grid:
     return Grid(0.0, 1.0, max(n, 4096), "circle")
 
@@ -162,11 +153,11 @@ def _fejer(m: int):  # the stretched box filter and its harmonic function
 
 
 def _fejer_t0(m: int):  # the law of the solenoid coordinate 0
-    return partial(grids._inverse_cdf, solenoid.pi_k_distribution(*_fejer(m), 0, _circle(4096)))
+    return partial(grids.measure_ppf, solenoid.pi_k_distribution(*_fejer(m), 0, _circle(4096)))
 
 
 SYSTEMS = {
-    "gauss": System(_gauss, {"K": 10_000},
+    "gauss": System(lambda n, K: operators.gauss_operator(K), {"K": 10_000},
                     t0=lambda K: gauss_ppf, stationary=gauss_measure, gate=("l1", 0.02)),
     "doubling": System(lambda n: operators.doubling_system(Grid(0.0, 1.0, n)),
                        t0=lambda: uniform_ppf, stationary=uniform_measure, gate=("l1", 1e-6)),

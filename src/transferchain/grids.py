@@ -9,7 +9,7 @@ metrics (Wasserstein-1, Kolmogorov-Smirnov) used to compare them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +22,6 @@ __all__ = [
     "wasserstein1",
     "histogram",
     "ks_distance",
-    "char_function_bernoulli",
-    "CharFunctionResult",
     "stream_rng",
     "uniform_measure",
     "arcsine_measure",
@@ -31,8 +29,7 @@ __all__ = [
     "measure_from_cdf",
     "arcsine_cdf",
     "gauss_cdf",
-    "sample_measure",
-    "quantiles",
+    "measure_ppf",
     "ks_two_sample",
     "arcsine_ppf",
     "gauss_ppf",
@@ -326,27 +323,6 @@ def ks_distance(points, mu: DiscreteMeasure) -> float:
     return float(np.max(np.abs(emp - model)))
 
 
-class CharFunctionResult(NamedTuple):
-    value: float
-    tail_bound: float
-
-
-def char_function_bernoulli(a: float, t: float, K: int) -> CharFunctionResult:
-    """Truncated characteristic function of the random series sum_k w_k a^k.
-
-    Returns ``prod_{k=1..K} cos(a^k t)`` together with the bound
-    ``sum_{k>K} (a^k t)^2 / 2`` on the log of the truncation error.
-    """
-    if not 0 < a < 1:
-        raise ValueError("a must lie in (0, 1)")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    powers = a ** np.arange(1, K + 1)
-    value = float(np.prod(np.cos(powers * t)))
-    tail = (t * a ** (K + 1)) ** 2 / (2 * (1 - a * a))
-    return CharFunctionResult(value, float(tail))
-
-
 # ---------------------------------------------------------------------------
 # built-in reference measures (cell-averaged from exact CDFs)
 # ---------------------------------------------------------------------------
@@ -387,20 +363,9 @@ def gauss_measure(grid: Grid) -> DiscreteMeasure:
     return measure_from_cdf(grid, gauss_cdf)
 
 
-def sample_measure(
-    mu: DiscreteMeasure, n: int, master_seed: int, stream_id: int = 0
-) -> np.ndarray:
-    """Inverse-CDF sample from a grid measure (uniform within each cell)."""
-    return _inverse_cdf(mu, stream_rng(master_seed, stream_id).random(n))
-
-
-def quantiles(mu: DiscreteMeasure, m: int) -> np.ndarray:
-    """The m mid-quantiles of a grid measure (levels (i+1/2)/m)."""
-    u = (np.arange(m) + 0.5) / m
-    return _inverse_cdf(mu, u)
-
-
-def _inverse_cdf(mu: DiscreteMeasure, u: np.ndarray) -> np.ndarray:
+def measure_ppf(mu: DiscreteMeasure, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of a grid measure, its mass uniform within each cell: at
+    uniform levels u it returns a sample of mu."""
     cdf = np.cumsum(mu.weights)
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, u, side="left")

@@ -69,15 +69,13 @@ def build_ulam(op, grid: Grid) -> UlamMatrix:
     return UlamMatrix(grid=grid, entries=cell_flow_matrix(op, grid))
 
 
-def power_iterate(m: UlamMatrix, tol: float = 1e-12, max_iters: int = 5000,
-                  start: DiscreteMeasure | None = None) -> StationaryResult:
+def power_iterate(m: UlamMatrix, tol: float = 1e-12, max_iters: int = 5000) -> StationaryResult:
     """Iterate mu <- normalize(mu M) from the uniform start until the
     Wasserstein-1 step size drops below tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = m.grid
-    mu = start if start is not None else uniform_measure(grid)
-    prev = mu
+    prev = uniform_measure(grid)
     iterations = 0
     converged = False
     for iterations in range(1, max_iters + 1):

@@ -66,6 +66,11 @@ __all__ = [
 ]
 
 
+# the round-off of sigma(1/(n+x)) - x grows like n eps, so Gauss digits past
+# about 10^6 break the 1e-10 solenoid constraint (GaussOperator.step)
+MAX_GAUSS_K = 10**6
+
+
 class BranchEscapeError(ValueError):
     """A branch image left the grid domain by more than round-off."""
 
@@ -408,13 +413,15 @@ class GaussOperator:
 
     kind = "gauss-backward"
     channels = 1
+    name = "gauss"
 
     truncation_K: int = 10_000
-    name: str = "gauss"
 
     def __post_init__(self):
         if self.truncation_K < 2:
             raise ValueError("need at least 2 Gauss branches")
+        if self.truncation_K > MAX_GAUSS_K:
+            raise ValueError(f"need at most {MAX_GAUSS_K} Gauss branches")
 
     @staticmethod
     def sigma(x):

@@ -87,7 +87,9 @@ def run_suite(suite: str, master_seed: int = 9001,
     return results
 
 
-def _trig_pair(grid: Grid, rng: np.random.Generator, deg: int = 3):
+def _trig_pair(grid: Grid, rng: np.random.Generator):
+    deg = 3  # harmonics in each random trigonometric polynomial
+
     def draw():
         a = rng.normal(size=deg) / np.arange(1, deg + 1) ** 2
         b = rng.normal(size=deg) / np.arange(1, deg + 1) ** 2
@@ -182,16 +184,17 @@ def _logistic_separation(seed, fault, threads):
     return best, 0.01, ">=", detail
 
 
-def logistic_separation_search(grid_n: int = 4096):
+def logistic_separation_search():
     """Search the candidate family for a function separating the arcsine
-    measure from its image under the uniform-weight logistic operator.
+    measure from its image under the uniform-weight logistic operator on a
+    4096-cell grid.
 
     The search comes up empty: with x = sin^2(theta) the two inverse
     branches are sin^2(theta/2) and sin^2(pi/2 - theta/2), and an even
     mixture of theta/2 and pi/2 - theta/2 for theta uniform on (0, pi/2)
     is again uniform, so the move maps arcsine to arcsine exactly.
     """
-    g = Grid(0.0, 1.0, grid_n)
+    g = Grid(0.0, 1.0, 4096)
     ls = operators.logistic_system(g)
     mu = arcsine_measure(g)
     cands = {
@@ -497,7 +500,7 @@ def _closed_form_z(pe: chains.PathEnsemble, closed_form: Callable) -> float:
     each sample rather than at the bin centre, so the binned mean carries no
     bias from where the samples sit inside a bin."""
     x, y = pe.paths[0], pe.paths[1]
-    return chains._paired_bin_z(Grid(0.0, 1.0, 32), x, y - closed_form(x), 100)
+    return chains._paired_bin_z(Grid(0.0, 1.0, 32), x, y - closed_form(x))
 
 
 @_check("chains", "conditional-expectation-closed-form")
@@ -636,13 +639,15 @@ def _scaling_unitary(seed, fault, threads):
     s = chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
                              master_seed=seed + 55)
     pe = chains.simulate_paths(s, 1_000_000, 2, threads)
-    res1 = chains.apply_scaling_check(
-        pe, chains.coordinate_functional(lambda x: np.sin(2 * np.pi * x), 0), lambda x: 1.0)
+    # the isometry E[W o pi_0 |psi o sigma-hat|^2] = E[|psi|^2] is the
+    # quasi-invariance of the path measure applied to psi^2
+    res1 = chains.quasi_invariance_check(
+        pe, lambda x: 1.0, chains.coordinate_functional(lambda x: np.sin(2 * np.pi * x) ** 2, 0))
     sp = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
                               master_seed=seed + 56)
     pep = chains.simulate_paths(sp, 1_000_000, 2, threads)
-    res2 = chains.apply_scaling_check(pep, chains.coordinate_functional(lambda x: x, 1),
-                                      operators.parametric_weight(0.3))
+    res2 = chains.quasi_invariance_check(pep, operators.parametric_weight(0.3),
+                                         chains.coordinate_functional(lambda x: x ** 2, 1))
     return max(res1.z, res2.z), 4.0, "<=", \
         f"doubling z={res1.z:.2f}, parametric z={res2.z:.2f}"
 

@@ -27,7 +27,6 @@ __all__ = [
     "cascade",
     "autocorrelation",
     "verify_ruelle_fixed",
-    "slanted_toeplitz",
     "intertwine_check",
 ]
 
@@ -125,15 +124,13 @@ class TrigPoly:
 class WaveletFilter:
     """Low-pass filter m0(t) = sum_k a_k e^{2 pi i k t} with real taps.
 
-    ``coeffs[k]`` is the tap at integer offset ``offset + k``.  |m0|^2 is
-    carried as the real even polynomial with the autocorrelation
-    c_j = sum_k a_k a_{k+j} of the taps as coefficients, independent of the
-    offset.
+    ``coeffs[k]`` is the tap at integer offset k.  |m0|^2 is carried as the
+    real even polynomial with the autocorrelation c_j = sum_k a_k a_{k+j} of
+    the taps as coefficients.
     """
 
     N: int
     coeffs: np.ndarray
-    offset: int = 0
     name: str = ""
 
     def __post_init__(self):
@@ -163,11 +160,6 @@ class WaveletFilter:
         """Largest coefficient of R p - p in absolute value."""
         rp = self.ruelle(p)
         return float(max(abs(rp.coef(m) - p.coef(m)) for m in {*rp.lags, *p.lags}))
-
-    @property
-    def is_normalized(self) -> bool:
-        """QMF condition R1 = 1, i.e. c_{jN} = delta_j."""
-        return self.ruelle_residual(TrigPoly(0, [1.0])) <= 1e-12
 
 
 def haar_filter() -> WaveletFilter:
@@ -235,9 +227,7 @@ def cascade(filt: WaveletFilter, J: int, iters: int,
     if iters < 1:
         raise ValueError("need at least one cascade iteration")
     N, cpu = filt.N, filt.N**J
-    k_max = filt.offset + len(filt.coeffs) - 1
-    if filt.offset < 0:
-        raise ValueError("cascade assumes nonnegative tap offsets")
+    k_max = len(filt.coeffs) - 1
     extent = max(1, int(np.ceil(k_max / (N - 1))) if N > 1 else 1)
     size = extent * cpu
     phi = np.zeros(size)
@@ -256,7 +246,7 @@ def cascade(filt: WaveletFilter, J: int, iters: int,
         for k, a_k in enumerate(filt.coeffs):
             if a_k == 0.0:
                 continue
-            src = idx - (filt.offset + k) * cpu
+            src = idx - k * cpu
             ok = (src >= 0) & (src < size)
             new[ok] += root_n * a_k * phi[src[ok]]
         delta = float(np.max(np.abs(new - phi)))
@@ -288,27 +278,13 @@ def autocorrelation(phi: ScalingFunction) -> TrigPoly:
     return TrigPoly.even(r)
 
 
-def verify_ruelle_fixed(filt: WaveletFilter, h: TrigPoly, grid_n: int = 1024) -> float:
-    """Max node residual of R h - h, where (Rf)(t) = (1/N) sum_k (|m0|^2 f)((t+k)/N)
-    is taken in coefficient space by ``WaveletFilter.ruelle``."""
+def verify_ruelle_fixed(filt: WaveletFilter, h: TrigPoly) -> float:
+    """Max residual of R h - h at the 1024 circle nodes, where
+    (Rf)(t) = (1/N) sum_k (|m0|^2 f)((t+k)/N) is taken in coefficient space
+    by ``WaveletFilter.ruelle``."""
     rh = filt.ruelle(h)
-    t = Grid(0.0, 1.0, grid_n, "circle").nodes
+    t = Grid(0.0, 1.0, 1024, "circle").nodes
     return float(np.max(np.abs(rh(t) - h(t))))
-
-
-def slanted_toeplitz(filt: WaveletFilter, size: int) -> np.ndarray:
-    """Finite section of (S xi)_n = sum_j a_{n - jN} xi_j on [-size, size]^2."""
-    k_max = filt.offset + len(filt.coeffs) - 1
-    if size < k_max:
-        raise ValueError("size must cover the filter support")
-    rng = np.arange(-size, size + 1)
-    S = np.zeros((rng.size, rng.size))
-    for col, j in enumerate(rng):
-        for row, n in enumerate(rng):
-            k = n - j * filt.N - filt.offset
-            if 0 <= k < len(filt.coeffs):
-                S[row, col] = filt.coeffs[k]
-    return S
 
 
 def apply_slanted(filt: WaveletFilter, xi: dict) -> dict:
@@ -316,7 +292,7 @@ def apply_slanted(filt: WaveletFilter, xi: dict) -> dict:
     out: dict = {}
     for j, xj in xi.items():
         for k, a_k in enumerate(filt.coeffs):
-            n = filt.offset + k + j * filt.N
+            n = k + j * filt.N
             out[n] = out.get(n, 0.0) + a_k * xj
     return out
 

@@ -205,7 +205,7 @@ def test_simulation_reproducible_and_prefix_consistent():
     c = simulate_paths(s, 50_000, 3)
     assert np.array_equal(a.paths, b.paths)
     assert np.array_equal(a.paths[:4], c.paths)
-    assert a.seed_info["master_seed"] == 6
+    assert a.sampler.master_seed == 6
 
 
 def test_zero_steps_samples_initial_law():

@@ -8,13 +8,11 @@ from transferchain.grids import (
     GridMismatchError,
     arcsine_measure,
     arcsine_ppf,
-    char_function_bernoulli,
     gauss_measure,
     histogram,
     integrate,
     ks_distance,
-    quantiles,
-    sample_measure,
+    measure_ppf,
     stream_rng,
     uniform_measure,
     wasserstein1,
@@ -154,7 +152,8 @@ def test_ks_quantile_sample():
     g = Grid(0.0, 1.0, 512)
     mu = arcsine_measure(g)
     m = 10_000
-    assert ks_distance(quantiles(mu, m), mu) <= 1.0 / m + 2.0 / g.n
+    mid_levels = (np.arange(m) + 0.5) / m
+    assert ks_distance(measure_ppf(mu, mid_levels), mu) <= 1.0 / m + 2.0 / g.n
 
 
 def test_ks_matching_and_separating_laws():
@@ -175,33 +174,10 @@ def test_ks_decreases_with_sample_size():
     for size in (10_000, 100_000, 1_000_000):
         vals = []
         for seed in (10, 11, 12):
-            s = sample_measure(mu, size, master_seed=seed)
+            s = measure_ppf(mu, stream_rng(seed, 0).random(size))
             vals.append(ks_distance(s, mu))
         medians.append(np.median(vals))
     assert medians[0] > medians[1] > medians[2]
-
-
-def test_char_function_examples():
-    assert char_function_bernoulli(0.3, 0.0, 5).value == 1.0
-    res = char_function_bernoulli(0.5, 2 * np.pi, 40)
-    # telescoping: prod cos(t/2^k) = sin(t)/(2^K sin(t/2^K)), zero at t = 2 pi
-    assert abs(res.value) <= 1e-6
-    assert res.tail_bound >= 0.0
-    with pytest.raises(ValueError):
-        char_function_bernoulli(1.5, 1.0, 3)
-
-
-def test_char_function_vs_empirical():
-    a, t, n = 0.4, 1.0, 1_000_000
-    rng = stream_rng(5, 0)
-    x = np.zeros(n)
-    for k in range(1, 64):
-        if a**k < 1e-18:
-            break
-        x += np.where(rng.random(n) < 0.5, -1.0, 1.0) * a**k
-    emp = np.cos(t * x).mean()
-    se = np.cos(t * x).std(ddof=1) / np.sqrt(n)
-    assert abs(emp - char_function_bernoulli(a, t, 60).value) <= 4 * se
 
 
 def test_circle_periodicity_exact():
@@ -250,7 +226,7 @@ def test_stream_rng_reproducible_and_split():
 
 def test_sample_measure_points_in_domain():
     g = Grid(0.0, 1.0, 64)
-    s = sample_measure(arcsine_measure(g), 1000, master_seed=9, stream_id=3)
+    s = measure_ppf(arcsine_measure(g), stream_rng(9, 3).random(1000))
     assert np.all((s >= 0.0) & (s <= 1.0))
 
 

@@ -157,7 +157,7 @@ def test_logistic_oracle_finds_no_separating_function():
     # The uniform-weight logistic move preserves the arcsine law exactly
     # (substitute x = sin^2 theta: the branch mixture re-uniformizes the
     # angle), so the residual oracle comes up empty at every candidate.
-    name, best = logistic_separation_search(grid_n=2048)
+    name, best = logistic_separation_search()
     assert best <= 1e-3, f"unexpected separation via {name}: {best}"
     g = Grid(0.0, 1.0, 2048)
     res = verify_invariance(arcsine_measure(g), logistic_system(g), _test_functions(g))

@@ -280,7 +280,7 @@ def test_filter_weights_evaluate_m0_sq_once_per_branch(base, h):
             points.append(np.size(t))
             return super().m0_sq(t)
 
-    filt = RecordingFilter(N=base.N, coeffs=base.coeffs, offset=base.offset, name=base.name)
+    filt = RecordingFilter(N=base.N, coeffs=base.coeffs, name=base.name)
     system = circle_filter_system(Grid(0.0, 1.0, 64, "circle"), filt, h)
     points.clear()
     t = stream_rng(11, 0).random(37)
@@ -329,6 +329,13 @@ def test_gauss_zero_and_validation():
     assert np.all(out.values == 0.0)
     with pytest.raises(ValueError):
         GaussOperator(truncation_K=1)
+
+
+def test_gauss_truncation_capped_at_a_million_branches():
+    # digits past 10^6 break the 1e-10 solenoid constraint (GaussOperator.step)
+    with pytest.raises(ValueError, match="need at most 1000000 Gauss branches"):
+        gauss_operator(10**6 + 1)
+    assert gauss_operator(10**6).truncation_K == 10**6
 
 
 def test_gauss_weight_consistency():

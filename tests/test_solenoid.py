@@ -6,8 +6,8 @@ import pytest
 from transferchain.chains import (
     MarkovSampler,
     PathFunctional,
-    apply_scaling_check,
     coordinate_functional,
+    quasi_invariance_check,
     simulate_paths,
 )
 from transferchain.grids import (
@@ -233,10 +233,10 @@ def test_scaling_unitary_constant_psi():
     g = Grid(0.0, 1.0, 512)
     s = MarkovSampler(doubling_system(g), uniform_ppf, master_seed=8)
     pe = simulate_paths(s, 100_000, 2)
-    res = apply_scaling_check(pe, PathFunctional(0, lambda b: np.ones(b.shape[1])),
-                              lambda x: 1.0)
-    assert res.norm_before == 1.0
-    assert res.norm_after == 1.0
+    res = quasi_invariance_check(pe, lambda x: 1.0,
+                                 PathFunctional(0, lambda b: np.ones(b.shape[1]) ** 2))
+    assert res.lhs == 1.0
+    assert res.rhs == 1.0
     assert res.z == 0.0
 
 
@@ -244,8 +244,8 @@ def test_scaling_unitary_measure_preserving():
     g = Grid(0.0, 1.0, 512)
     s = MarkovSampler(doubling_system(g), uniform_ppf, master_seed=9)
     pe = simulate_paths(s, 1_000_000, 2)
-    psi = coordinate_functional(lambda x: np.sin(2 * np.pi * x), 0)
-    assert apply_scaling_check(pe, psi, lambda x: 1.0).z <= 4.0
+    psi_sq = coordinate_functional(lambda x: np.sin(2 * np.pi * x) ** 2, 0)
+    assert quasi_invariance_check(pe, lambda x: 1.0, psi_sq).z <= 4.0
 
 
 def test_scaling_unitary_parametric():
@@ -253,4 +253,4 @@ def test_scaling_unitary_parametric():
     s = MarkovSampler(parametric_system(g, 0.3), uniform_ppf, master_seed=10)
     pe = simulate_paths(s, 1_000_000, 2)
     W = parametric_weight(0.3)
-    assert apply_scaling_check(pe, coordinate_functional(lambda x: x, 1), W).z <= 4.0
+    assert quasi_invariance_check(pe, W, coordinate_functional(lambda x: x ** 2, 1)).z <= 4.0

@@ -13,7 +13,6 @@ from transferchain.wavelets import (
     cascade,
     haar_filter,
     intertwine_check,
-    slanted_toeplitz,
     stretched_box_filter,
     verify_ruelle_fixed,
 )
@@ -81,7 +80,7 @@ def test_trig_poly_on_grid_matches_exact_phase_sums(n, lo, size):
 
 def test_haar_filter_normalized():
     f = haar_filter()
-    assert f.is_normalized
+    assert f.ruelle_residual(TrigPoly(0, [1.0])) <= 1e-12
     t = Grid(0.0, 1.0, 256, "circle").nodes
     assert np.max(np.abs((f.m0_sq(t / 2) + f.m0_sq((t + 1) / 2)) / 2 - 1.0)) <= 1e-12
     # |m0|^2 = 1 + cos(2 pi t)
@@ -91,7 +90,7 @@ def test_haar_filter_normalized():
 
 def test_stretched_box_filters_normalized():
     for m in (1, 2, 3):
-        assert stretched_box_filter(m).is_normalized
+        assert stretched_box_filter(m).ruelle_residual(TrigPoly(0, [1.0])) <= 1e-12
 
 
 def test_cascade_haar_is_unit_box():
@@ -168,27 +167,8 @@ def test_ruelle_fixed_point_detects_perturbation():
 
 
 def test_slanted_toeplitz_haar_delta():
-    S = slanted_toeplitz(haar_filter(), size=4)
-    mid = 4  # column of j = 0
-    col = S[:, mid]
-    nz = np.nonzero(col)[0] - 4
-    assert list(nz) == [0, 1]
-    assert np.allclose(col[col != 0], 1.0 / np.sqrt(2.0))
     out = apply_slanted(haar_filter(), {0: 1.0})
     assert out == {0: pytest.approx(2**-0.5), 1: pytest.approx(2**-0.5)}
-
-
-def test_slanted_toeplitz_zero_filter_and_column_sums():
-    zero = WaveletFilter(N=2, coeffs=np.zeros(2))
-    assert np.all(slanted_toeplitz(zero, 3) == 0.0)
-    size = 6
-    S = slanted_toeplitz(haar_filter(), size=size)
-    sums = S.sum(axis=0)
-    # columns whose taps land fully inside the window: rows 2j and 2j+1
-    # within [-size, size]
-    js = np.arange(-size, size + 1)
-    complete = (2 * js >= -size) & (2 * js + 1 <= size)
-    assert np.allclose(sums[complete], np.sum(haar_filter().coeffs))
 
 
 def test_intertwine_haar_delta_and_zero():
