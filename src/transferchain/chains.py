@@ -57,7 +57,6 @@ class FiniteChain:
 
     kind = "finite"
     channels = 1
-    name = "finite"
 
     states: np.ndarray
     probabilities: np.ndarray
@@ -90,13 +89,12 @@ class MarkovSampler:
     ("branch", "controlled", "gauss-backward" or "finite"), the number of
     uniform ``channels`` one move consumes, and the ``step`` and
     ``chain_apply`` kernels.  ``initial_ppf`` maps uniforms to initial
-    states (exact inverse CDF); ``name`` defaults to the system's name.
+    states (exact inverse CDF).
     """
 
     system: object
     initial_ppf: Callable
     master_seed: int = 9001
-    name: str = ""
     # diagnostic fixture: drive step n with step n-1's noise.  Note this
     # only breaks the Markov property visibly for controlled moves; branch
     # moves are backward-deterministic (the previous state is sigma of the
@@ -106,8 +104,6 @@ class MarkovSampler:
     def __post_init__(self):
         if not hasattr(type(self.system), "kind"):
             raise TypeError(f"{type(self.system).__name__} does not generate a Markov chain")
-        if not self.name:
-            object.__setattr__(self, "name", self.system.name)
 
     @property
     def kind(self) -> str:

@@ -50,6 +50,25 @@ def _readonly(a) -> np.ndarray:
 _TINY = float(np.finfo(float).tiny)  # the least normal float
 
 
+def _mod_width(y, width: float):
+    """np.mod(y, width) for a period width > 0, bit for bit, overwriting
+    the float array y, which the caller hands over.
+
+    Where all of y lies in [0, 2 width), the remainder is y or y - width,
+    and y - width is exact there (Sterbenz's lemma), as np.mod's is; np.mod
+    turns a zero of either sign into +0.0.  The rest (negatives, NaN,
+    infinities, far values, scalars) goes to np.mod itself."""
+    if np.ndim(y) == 0 or y.size == 0:
+        return np.mod(y, width)
+    low = y.min()
+    if not (0.0 <= low and y.max() < 2.0 * width):
+        return np.mod(y, width)
+    y -= (y >= width) * width  # y - 0.0 is y, bit for bit
+    if low == 0.0:
+        y += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
+    return y
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid of ``n`` cells over ``[lower, upper]``.
@@ -96,10 +115,13 @@ class Grid:
         return self.lower + k * self.dx
 
     def wrap(self, x):
-        """Reduce coordinates into the domain (mod period on circles)."""
+        """Reduce coordinates into the domain (mod period on circles): on
+        circles lower + np.mod(x - lower, width), bit for bit."""
         x = np.asarray(x, dtype=float)
         if self.domain_kind == "circle":
-            return self.lower + np.mod(x - self.lower, self.width)
+            y = _mod_width(x - self.lower, self.width)
+            y += self.lower  # a float sum is commutative, bit for bit
+            return y
         return x
 
     def distance(self, a, b) -> np.ndarray:
@@ -171,7 +193,7 @@ class GridFunction:
             # reduce into the period before the half-cell shift so that
             # exactly representable translates by the period evaluate
             # bit-identically
-            t = np.mod(x - g.lower, g.width) / g.dx - 0.5
+            t = _mod_width(x - g.lower, g.width) / g.dx - 0.5
             i0 = np.floor(t).astype(int)
             frac = t - i0
             out = v[i0 % g.n] * (1 - frac) + v[(i0 + 1) % g.n] * frac

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grids import DiscreteMeasure, Grid, GridFunction, GridMismatchError
+from .grids import DiscreteMeasure, Grid, GridFunction, GridMismatchError, _mod_width
 from .wavelets import TrigPoly, WaveletFilter
 
 __all__ = [
@@ -232,7 +233,9 @@ class BranchSystem:
                                (len(self.branches),) + x.shape)
 
     def branch_values(self, x) -> np.ndarray:
-        """Stacked branch images tau_i(x), clamped/validated against the domain."""
+        """Stacked branch images tau_i(x), clamped/validated against the domain.
+        An interval branch is tested once, by its min and max, and only one
+        that leaves the domain (or holds a NaN) is examined and clamped."""
         x = np.asarray(x, dtype=float)
         g = self.grid
         out = np.empty((len(self.branches), x.size))
@@ -240,7 +243,7 @@ class BranchSystem:
             y = np.asarray(tau(x), dtype=float)
             if g.domain_kind == "circle":
                 y = g.wrap(y)
-            else:
+            elif not (g.lower <= y.min(initial=np.inf) and y.max(initial=-np.inf) <= g.upper):
                 low, high = y < g.lower, y > g.upper
                 if np.any(y < g.lower - 1e-12) or np.any(y > g.upper + 1e-12):
                     # the state, not its index: a caller may pass any slice
@@ -278,11 +281,14 @@ class BranchSystem:
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Branch i for each state where uniforms[0] falls in p_i's CDF slot."""
         probs = self.weight_matrix(x)
-        if np.max(np.abs(probs.sum(axis=0) - 1.0)) > 1e-9:
+        if probs.strides[-1] == 0:
+            probs = probs[:, :1]  # weights constant in x: one column does
+        # the running sum in branch order is np.cumsum's, bit for bit; its
+        # last row is the sum over branches
+        cdf = list(itertools.accumulate(probs))
+        if np.max(np.abs(cdf[-1] - 1.0)) > 1e-9:
             raise ValueError("branch weights at the current states do not sum to 1")
-        cdf = np.cumsum(probs, axis=0)
-        choice = np.minimum((uniforms[0][None, :] >= cdf).sum(axis=0), len(self.branches) - 1)
-        return self.branch_values(x)[choice, np.arange(x.size)]
+        return _pick(self.branch_values(x), _branch_choice(uniforms[0], cdf))
 
 
 class ControlFlow:
@@ -374,15 +380,16 @@ class ControlledSystem:
         return ControlFlow(grid, self.branch_probs[live], lo, hi)
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Branch i where uniforms[0] falls in its slot, then F(x, i, uniforms[1])."""
-        p = np.cumsum(self.branch_probs)
-        branch = np.minimum((uniforms[0][None, :] >= p[:, None]).sum(axis=0), p.size - 1)
-        out = np.empty_like(x)
-        for i in range(p.size):
-            sel = branch == i
-            if np.any(sel):
-                out[sel] = self.F(x[sel], i, uniforms[1][sel])
-        return out
+        """Branch i where uniforms[0] falls in its slot, then F(x, i, uniforms[1]).
+
+        F is evaluated on the whole block for each branch that some state
+        takes, and each state keeps its own branch's value."""
+        choice = _branch_choice(uniforms[0], np.cumsum(self.branch_probs))
+        moves = np.empty((self.branch_probs.size, x.size))
+        for i, move in enumerate(moves):
+            if np.any(choice == i):
+                move[...] = self.F(x, i, uniforms[1])
+        return _pick(moves, choice)
 
 
 @dataclass(frozen=True)
@@ -413,7 +420,6 @@ class GaussOperator:
 
     kind = "gauss-backward"
     channels = 1
-    name = "gauss"
 
     truncation_K: int = 10_000
 
@@ -502,6 +508,26 @@ class GaussOperator:
         # the cap bounds the round-off of sigma(1/(n+x)) - x, which grows
         # like n eps: digits past about 10^6 break the solenoid constraint
         return 1.0 / (np.clip(n, 1, self.truncation_K) + x)
+
+
+def _branch_choice(u, cdf) -> np.ndarray:
+    """The branch of each state: how many rows of the CDF ``cdf`` (a
+    sequence, each row a scalar or broadcasting to u) lie at or below u,
+    capped at the last branch."""
+    choice = np.zeros(np.shape(u), dtype=np.intp)
+    for row in cdf:
+        choice += u >= row
+    return np.minimum(choice, len(cdf) - 1, out=choice)
+
+
+def _pick(rows, choice) -> np.ndarray:
+    """rows[choice[j], j] for every column j, by one take from the flat
+    rows (an index array into the 2-D rows gathers several times slower);
+    choice is overwritten with the flat index."""
+    n = rows.shape[1]
+    choice *= n
+    choice += np.arange(n)
+    return np.take(rows.ravel(), choice)
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +879,8 @@ def doubling_system(grid: Grid) -> BranchSystem:
     """sigma(x) = 2x mod 1 with branches x/2 and (x+1)/2, weights 1/2."""
     def sigma(x):
         y = 2.0 * np.asarray(x, dtype=float)
-        return np.where(y < 1.0, y, y - 1.0) if grid.domain_kind == "interval" else y
+        # y - 1 where y >= 1, as y - True; y - False is y, bit for bit
+        return y - (y >= 1.0) if grid.domain_kind == "interval" else y
 
     return BranchSystem(
         grid=grid,
@@ -964,18 +991,22 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
     def make_tau(k):
         return lambda t: (t + k) / N
 
+    def raw_weight(s):
+        # the default h = 1 is not multiplied in: v * 1.0 == v, bit for bit
+        return filt.m0_sq(s) * h(s) if given else filt.m0_sq(s)
+
     def weights(t):
         # the raw weights sum to (R h)(t) = h(t); dividing by their own sum
         # instead of h(t) is the same ratio but stays conditioned near the
         # zeros of h
         t = np.asarray(t, dtype=float)
-        raw = np.stack([filt.m0_sq((t + k) / N) * h((t + k) / N) for k in range(N)])
+        raw = np.stack([raw_weight((t + k) / N) for k in range(N)])
         raw /= raw.sum(axis=0)
         return raw
 
     return BranchSystem(
         grid=grid,
-        sigma=lambda t: np.mod(N * np.asarray(t, dtype=float), grid.width),
+        sigma=lambda t: _mod_width(N * np.asarray(t, dtype=float), grid.width),
         branches=[make_tau(k) for k in range(N)],
         weights=weights,
         name=f"filter-{filt.name or 'circle'}",

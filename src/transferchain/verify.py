@@ -459,7 +459,7 @@ def _markov_honest(seed, fault, threads):
 def _markov_violation(seed, fault, threads):
     g = Grid(0.0, 1.0, 512)
     s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
-                             seed + 33, "rc-reused-noise", reuse_driver_noise=True)
+                             seed + 33, reuse_driver_noise=True)
     pe = chains.simulate_paths(s, 1_000_000, 3, threads)
     z = chains.markov_property_check(pe, lambda x: x, 2, Grid(0.0, 1.0, 8))
     return z, 8.0, ">=", "driver noise reused from the previous step"

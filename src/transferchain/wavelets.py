@@ -202,10 +202,6 @@ class ScalingFunction:
     def cells_per_unit(self) -> int:
         return self.N**self.J
 
-    @property
-    def integral(self) -> float:
-        return float(self.samples.sum() * self.step)
-
     def value_at_cells(self, idx: np.ndarray) -> np.ndarray:
         """phi0 at sample cells idx (0 outside the stored support)."""
         idx = np.asarray(idx)
@@ -228,7 +224,7 @@ def cascade(filt: WaveletFilter, J: int, iters: int,
         raise ValueError("need at least one cascade iteration")
     N, cpu = filt.N, filt.N**J
     k_max = len(filt.coeffs) - 1
-    extent = max(1, int(np.ceil(k_max / (N - 1))) if N > 1 else 1)
+    extent = max(1, int(np.ceil(k_max / (N - 1))))
     size = extent * cpu
     phi = np.zeros(size)
     if start is not None:

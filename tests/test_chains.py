@@ -84,7 +84,7 @@ TWO_STATE = FiniteChain(states=np.array([0.0, 1.0]),
 ])
 def test_sampler_kind_and_channels_come_from_the_system(system, kind, channels):
     s = MarkovSampler(system, uniform_ppf)
-    assert (s.kind, s.channels, s.name) == (kind, channels, system.name)
+    assert (s.kind, s.channels) == (kind, channels)
     with pytest.raises(AttributeError):
         s.kind = "branch"
 
@@ -298,7 +298,7 @@ SAMPLER_CASES = {
     "circle-filter": lambda: MarkovSampler(circle_filter_system(GC64, haar_filter()),
                                            uniform_ppf, master_seed=64),
     "reused-noise": lambda: MarkovSampler(random_control_system(G512), arcsine_ppf, 65,
-                                          "rc-reused-noise", reuse_driver_noise=True),
+                                          reuse_driver_noise=True),
 }
 PATH_COUNTS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 
@@ -323,7 +323,7 @@ def test_blocked_sampler_matches_one_pass_loop_bitwise(case, n_paths):
 def recording(system, threads_seen):
     """``system`` with a step that records the thread it runs on."""
     class Recording:
-        kind, channels, name = system.kind, system.channels, system.name
+        kind, channels = system.kind, system.channels
 
         def step(self, x, uniforms):
             threads_seen.add(threading.get_ident())
@@ -475,8 +475,7 @@ def test_markov_property_honest_chains():
 
 
 def test_markov_property_violated_by_noise_reuse():
-    s = MarkovSampler(random_control_system(G512), arcsine_ppf, 21, "rc-reuse",
-                      reuse_driver_noise=True)
+    s = MarkovSampler(random_control_system(G512), arcsine_ppf, 21, reuse_driver_noise=True)
     pe = simulate_paths(s, 1_000_000, 3)
     assert markov_property_check(pe, lambda x: x, 2, Grid(0.0, 1.0, 8)) >= 8.0
 
