@@ -4,25 +4,29 @@ formula, quasi-invariance of the path measure, and martingales from
 harmonic functions.
 
 Samplers are vectorized over a batch of paths.  All randomness for an
-ensemble comes from one generator seeded by the sampler's seed: the initial
-uniforms first, then one block of uniforms per step, so a truncated
-simulation with the same number of paths is a bit-exact prefix of a longer
-one.  An ensemble is stored step-major, and each move is applied to fixed
-blocks of ``_BLOCK`` paths, on as many threads as the caller asks for (at
-most the CPU count).  Every kernel acts path by path, so the bits depend on
-neither the block nor the thread count.
+ensemble comes from one PCG64 stream seeded by the sampler's seed, laid out
+as if drawn in turn: the initial uniforms first, then one block of uniforms
+per step, so a truncated simulation with the same number of paths is a
+bit-exact prefix of a longer one.  An ensemble is stored step-major, and
+its paths are moved in fixed blocks of ``_BLOCK`` paths, on as many threads
+as the caller asks for (at most the CPU count).  Each block draws its own
+slice of the stream, by jumping a copy of the generator ahead to the
+slice's offset, and every kernel acts path by path, so the bits depend on
+neither the block nor the thread count.  The ensemble's reductions run on
+the same threads and are exact in any order.
 """
 
 from __future__ import annotations
 
+import copy
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .grids import DiscreteMeasure, Grid, GridFunction, stream_rng
+from .grids import (_BLOCK, DiscreteMeasure, Grid, GridFunction, _blocks, histogram,
+                    stream_rng)
 
 __all__ = [
     "MarkovSampler",
@@ -165,23 +169,42 @@ def _state_indices(x, states) -> np.ndarray:
 # ensembles
 # ---------------------------------------------------------------------------
 
-# paths per block: each move of an ensemble, and each reduction over one,
-# works on blocks of this size, whose temporaries stay in cache
-_BLOCK = 1 << 16
+def _map_blocks(fn, tasks, workers: int) -> list:
+    """[fn(t) for t in tasks], on up to ``workers`` threads (none but the
+    caller's for one): results, and so the first error, in task order."""
+    tasks = list(tasks)
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    # imported here, so that commands which sample nothing do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
-def _blocks(n_paths: int) -> list:
-    """Slices of ``_BLOCK`` consecutive paths (the last may be shorter)."""
-    return [slice(a, min(a + _BLOCK, n_paths)) for a in range(0, n_paths, _BLOCK)]
+def _uniforms(stream, starts, out: np.ndarray) -> np.ndarray:
+    """``out`` filled row by row, row r with the draws from ``starts[r]``
+    on of the bit generator ``stream``, which is left as it is: each row is
+    drawn from a copy jumped ahead by ``advance``.  ``Generator.random``
+    takes one 64-bit output per double, so these are the bits of drawing
+    the whole stream in turn."""
+    for row, start in zip(out, starts):
+        bits = copy.copy(stream)
+        bits.advance(start)
+        np.random.Generator(bits).random(out=row)
+    return out
 
 
 @dataclass(frozen=True)
 class PathEnsemble:
     """A batch of sampled trajectories, stored step-major: paths[k, p] = T_k
-    on path p, so T_k over the ensemble is the contiguous row paths[k]."""
+    on path p, so T_k over the ensemble is the contiguous row paths[k].
+    Its reductions run on ``workers`` threads, the count that sampled it."""
 
     paths: np.ndarray
     sampler: MarkovSampler
+    workers: int = 1
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.paths, dtype=float)
@@ -197,63 +220,74 @@ class PathEnsemble:
         return self.paths.shape[0] - 1
 
     def solenoid_violation(self) -> float:
-        """Max |sigma(T_{k+1}) - T_k| over all stored transitions, taken row
-        pair by row pair in blocks of paths."""
+        """Max |sigma(T_{k+1}) - T_k| over all stored transitions, one task
+        per step and block of paths."""
         g, sigma = self.sampler.grid, self.sampler.sigma
 
-        def gap(prev, nxt):
-            back = sigma(nxt)
+        def gap(task):
+            k, b = task
+            back, prev = sigma(self.paths[k + 1, b]), self.paths[k, b]
             return np.max(np.abs(back - prev) if g is None else g.distance(back, prev))
 
-        return float(np.max([gap(self.paths[k, b], self.paths[k + 1, b])
-                             for k in range(self.n_steps) for b in _blocks(self.n_paths)],
-                            initial=0.0))
+        tasks = [(k, b) for k in range(self.n_steps) for b in _blocks(self.n_paths)]
+        return float(np.max(_map_blocks(gap, tasks, self.workers), initial=0.0))
+
+    def extent(self) -> tuple:
+        """(min, max) over all stored states, one task per row."""
+        lows, highs = zip(*_map_blocks(lambda row: (row.min(), row.max()),
+                                       self.paths, self.workers))
+        return float(np.min(lows)), float(np.max(highs))
+
+    def marginals(self, grid: Grid) -> list:
+        """``histogram`` of each T_k on ``grid``, k = 0 .. n_steps."""
+        return _map_blocks(lambda row: histogram(row, grid), self.paths, self.workers)
 
 
 def simulate_paths(s: MarkovSampler, n_paths: int, n_steps: int,
                    threads: int = 1) -> PathEnsemble:
     """Independent paths with initial states drawn i.i.d. from the initial law.
 
-    The initial uniforms and then each step's ``(channels, n_paths)``
-    uniforms are drawn in turn from one generator seeded by the sampler
-    seed, so a shorter simulation of the same seed and path count is a
-    bit-exact prefix of a longer one.  The initial law and each move are
-    applied to blocks of ``_BLOCK`` paths, on ``min(threads, cpu count)``
-    threads, each block writing its slice of row k + 1 of the step-major
-    ``paths``.  The result does not depend on ``threads``, and neither does
-    an error: a failing move raises the error of its first failing block.
+    The uniforms are laid out in one PCG64 stream seeded by the sampler
+    seed as if drawn in turn: the initial uniforms at offset p for path p,
+    then channel c of step k at ``n_paths + (j * channels + c) * n_paths
+    + p``, with j = k, or j = 0 at every step under ``reuse_driver_noise``.
+    So a shorter simulation of the same seed and path count is a bit-exact
+    prefix of a longer one.  Each block of ``_BLOCK`` paths draws its own
+    slices of the stream and runs every move, on ``min(threads, cpu count)``
+    threads, writing its slice of each row of the step-major ``paths``.
+    The result does not depend on ``threads``, and neither does an error: a
+    failing run raises the error of the first block to fail at the first
+    failing step.
     """
     if n_paths < 1 or n_steps < 0:
         raise ValueError("need n_paths >= 1 and n_steps >= 0")
     if threads < 1:
         raise ValueError("need threads >= 1")
-    # imported here, so that commands which sample nothing do not load it
-    from concurrent.futures import ThreadPoolExecutor
-
     blocks = _blocks(n_paths)
     workers = min(threads, os.cpu_count() or 1, len(blocks))
-    rng = stream_rng(s.master_seed, 0)
+    stream = stream_rng(s.master_seed, 0).bit_generator
+    channels = s.channels
     paths = np.empty((n_steps + 1, n_paths))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
 
-        def fill(row, kernel):
-            def one(b):
-                row[b] = kernel(b)
+    def run(b):
+        """Block b through every move: None, or (step, error) of its first
+        failure, the initial law being step -1."""
+        k, u = -1, np.empty((channels, b.stop - b.start))  # one buffer for every move
+        try:
+            paths[0, b] = s.initial_ppf(_uniforms(stream, [b.start], u[:1])[0])
+            for k in range(n_steps):
+                j = 0 if s.reuse_driver_noise else k
+                first = n_paths + j * channels * n_paths + b.start
+                _uniforms(stream, [first + c * n_paths for c in range(channels)], u)
+                paths[k + 1, b] = step_batch(s, paths[k, b], u)
+        except Exception as err:
+            return k, err
+        return None
 
-            for _ in run(one, blocks):  # results in block order, so errors too
-                pass
-
-        u0 = rng.random(n_paths)
-        fill(paths[0], lambda b: s.initial_ppf(u0[b]))
-        prev_u = None
-        for k in range(n_steps):
-            u = rng.random((s.channels, n_paths))
-            if s.reuse_driver_noise and prev_u is not None:
-                u = prev_u
-            fill(paths[k + 1], lambda b: step_batch(s, paths[k, b], u[:, b]))
-            prev_u = u
-    return PathEnsemble(paths=paths, sampler=s)
+    failures = [f for f in _map_blocks(run, blocks, workers) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]  # the first block among the first step's
+    return PathEnsemble(paths=paths, sampler=s, workers=workers)
 
 
 def chain_apply(s: MarkovSampler, f: GridFunction) -> GridFunction:

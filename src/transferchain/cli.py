@@ -252,27 +252,25 @@ def cmd_simulate(config: RunConfig) -> int:
                ["path"] + [f"step_{k}" for k in range(pe.n_steps + 1)],
                ([int(i)] + [float(v) for v in row] for i, row in enumerate(head)))
 
-    lo = float(np.min(pe.paths))
-    hi = float(np.max(pe.paths))
+    lo, hi = pe.extent()
     span = (hi - lo) or 1.0
     hist_grid = Grid(lo - 1e-9 * span, hi + 1e-9 * span, 128)
     rows = []
-    for k in range(pe.n_steps + 1):
-        mu = grids.histogram(pe.paths[k], hist_grid)
+    for k, mu in enumerate(pe.marginals(hist_grid)):
         for x, w, d in zip(hist_grid.nodes, mu.weights, mu.density):
             rows.append([int(k), float(x), float(w * pe.n_paths), float(d)])
     _write_csv(config.out_dir, "marginals.csv", ["step", "x_mid", "count", "density"], rows)
 
+    # the checks read transitions and step marginals, which zero steps lack
     checks = []
-    if getattr(sampler.system, "sigma", None) is not None:  # the chain undoes an endomorphism
+    if pe.n_steps and getattr(sampler.system, "sigma", None) is not None:
+        # the chain undoes an endomorphism
         checks.append(CheckResult(name="solenoid-constraint",
                                   statistic=pe.solenoid_violation(), threshold=1e-10,
                                   direction="<=", runtime_ms=ms))
-    if ref is not None:
+    if pe.n_steps and ref is not None:
         ks_thresh = max(0.02, 3.0 / np.sqrt(config.n_paths))
-        worst = 0.0
-        for k in sorted({1, config.n_steps} & set(range(1, config.n_steps + 1))):
-            worst = max(worst, ks_distance(pe.paths[k], ref))
+        worst = max(ks_distance(pe.paths[k], ref) for k in {1, pe.n_steps})
         checks.append(CheckResult(name="marginal-ks-vs-stationary", statistic=worst,
                                   threshold=ks_thresh, direction="<=", runtime_ms=ms,
                                   detail="KS of step marginals against the stationary law"))
@@ -380,7 +378,8 @@ SHARED = ("master_seed", "out")  # read by every command, as is --config
 
 _FLAG_OPTIONS = {  # argparse keywords of a flag; _resolve_config checks every value
     "threads": {"help": "worker count (>= 1, at most the CPU count is used) for "
-                        "sampling path ensembles; results do not depend on this value"},
+                        "sampling path ensembles and reducing them; results do not depend on "
+                        "this value"},
     "param": {"action": "append", "metavar": "KEY=VALUE",
               "help": "system parameter (u, a, m, K)"},
     "suite": {"choices": SUITE_CHOICES},

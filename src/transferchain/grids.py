@@ -49,6 +49,15 @@ def _readonly(a) -> np.ndarray:
 
 _TINY = float(np.finfo(float).tiny)  # the least normal float
 
+# points per block: long inputs are evaluated, counted and sampled in
+# blocks of this size, whose temporaries stay in cache
+_BLOCK = 1 << 16
+
+
+def _blocks(n: int) -> list:
+    """Slices of ``_BLOCK`` consecutive indices of 0..n-1 (the last may be shorter)."""
+    return [slice(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK)]
+
 
 def _mod_width(y, width: float):
     """np.mod(y, width) for a period width > 0, bit for bit, overwriting
@@ -185,9 +194,20 @@ class GridFunction:
         return self.eval(x)
 
     def eval(self, x):
+        """Values at x, of x's shape.  Inputs longer than ``_BLOCK`` points
+        are evaluated block by block; each point's value is the same bits."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        if x.ndim == 0:
+            return float(self._eval(x[None])[0])
+        if x.size <= _BLOCK:
+            return self._eval(x)
+        out = np.empty(x.shape)
+        flat, out_flat = x.reshape(-1), out.reshape(-1)
+        for b in _blocks(flat.size):
+            out_flat[b] = self._eval(flat[b])
+        return out
+
+    def _eval(self, x) -> np.ndarray:
         g, v = self.grid, self.values
         if g.domain_kind == "circle":
             # reduce into the period before the half-cell shift so that
@@ -196,10 +216,8 @@ class GridFunction:
             t = _mod_width(x - g.lower, g.width) / g.dx - 0.5
             i0 = np.floor(t).astype(int)
             frac = t - i0
-            out = v[i0 % g.n] * (1 - frac) + v[(i0 + 1) % g.n] * frac
-        else:
-            out = self.sign_clamp(self.linear(x))
-        return float(out[0]) if scalar else out
+            return v[i0 % g.n] * (1 - frac) + v[(i0 + 1) % g.n] * frac
+        return self.sign_clamp(self.linear(x))
 
     def linear(self, x) -> np.ndarray:
         """Interval grids: linear interpolation between midpoints, extended
@@ -318,14 +336,17 @@ def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 
 def histogram(points, grid: Grid) -> DiscreteMeasure:
-    """Normalized bin counts of sample points on a grid."""
-    points = np.asarray(points, dtype=float)
+    """Normalized bin counts of sample points on a grid: integer counts
+    summed over blocks of ``_BLOCK`` points, so exact in any order."""
+    points = np.asarray(points, dtype=float).reshape(-1)
     if points.size == 0:
         raise ValueError("cannot histogram an empty sample")
-    if not grid.contains(points):
-        raise ValueError("sample points outside the grid domain")
-    idx = grid.cell_index(points)
-    counts = np.bincount(idx, minlength=grid.n).astype(float)
+    counts = np.zeros(grid.n, dtype=np.int64)
+    for b in _blocks(points.size):
+        if not grid.contains(points[b]):
+            raise ValueError("sample points outside the grid domain")
+        counts += np.bincount(grid.cell_index(points[b]), minlength=grid.n)
+    counts = counts.astype(float)
     return DiscreteMeasure(grid, counts / counts.sum(), normalized=True)
 
 

@@ -308,16 +308,40 @@ PATH_COUNTS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 def test_blocked_sampler_matches_one_pass_loop_bitwise(case, n_paths):
     s = SAMPLER_CASES[case]()
     want = one_pass_paths(s, n_paths, 3)
+    bins = Grid(want.min() - 1e-9, want.max() + 1e-9, 128)
+    want_marginals = [np.bincount(bins.cell_index(row), minlength=bins.n) / n_paths
+                      for row in want]
+    want_extent = (float(want.min()), float(want.max()))
+    if getattr(s.system, "sigma", None) is not None:
+        back, prev, g = s.sigma(want[1:]), want[:-1], s.grid
+        want_violation = np.max(np.abs(back - prev) if g is None else g.distance(back, prev))
     for threads in (1, 2, 3):
         before = threading.active_count()
         pe = simulate_paths(s, n_paths, 3, threads)
-        assert threading.active_count() == before
         assert pe.paths.shape == (4, n_paths)
         assert pe.paths.tobytes() == want.tobytes(), (case, n_paths, threads)
-    if getattr(s.system, "sigma", None) is not None:
-        back, prev, g = s.sigma(want[1:]), want[:-1], s.grid
-        one_pass = np.max(np.abs(back - prev) if g is None else g.distance(back, prev))
-        assert pe.solenoid_violation() == one_pass
+        assert [mu.weights.tobytes() for mu in pe.marginals(bins)] == \
+            [w.tobytes() for w in want_marginals]
+        assert pe.extent() == want_extent
+        if getattr(s.system, "sigma", None) is not None:
+            assert pe.solenoid_violation() == want_violation
+        assert threading.active_count() == before
+
+
+def test_sampling_memory_is_the_paths_and_bounded_blocks():
+    # the uniforms are drawn block by block on the workers, not as a whole
+    # (channels, n_paths) array per step
+    s = MarkovSampler(random_control_system(G512), arcsine_ppf, master_seed=72,
+                      reuse_driver_noise=True)
+    n_paths = 16 * _BLOCK
+    tracemalloc.start()
+    try:
+        pe = simulate_paths(s, n_paths, 3, threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.channels == 2 and pe.paths.nbytes == 4 * n_paths * 8
+    assert peak <= pe.paths.nbytes + 16 * 2**20
 
 
 def recording(system, threads_seen):

@@ -79,6 +79,17 @@ def test_simulate_haar_solenoid_constraint(tmp_path):
     assert float(c["statistic"]) <= 1e-10
 
 
+@pytest.mark.parametrize("system", ["doubling", "gauss", "random-control", "bernoulli-a"])
+def test_simulate_zero_steps_reports_no_transition_check(tmp_path, system):
+    # with no transition there is no step marginal to compare and no
+    # constraint to check: a statistic of 0 would be a vacuous pass
+    code, out, report = run(tmp_path, "simulate", "-s", system, "--paths", "1",
+                            "--steps", "0")
+    assert code == 0
+    assert [c["name"] for c in report["checks"]] == ["simulation-completed"]
+    assert len((out / "marginals.csv").read_text().splitlines()) == 1 + 128
+
+
 def test_verify_wavelet_all_pass(tmp_path):
     code, _, report = run(tmp_path, "verify", "--suite", "wavelet")
     assert code == 0

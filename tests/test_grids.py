@@ -17,6 +17,7 @@ from transferchain.grids import (
     uniform_measure,
     wasserstein1,
 )
+from transferchain.grids import _BLOCK
 
 
 def test_grid_validation():
@@ -146,6 +147,83 @@ def test_histogram_bernoulli_half_is_uniform():
 def test_histogram_empty_error():
     with pytest.raises(ValueError):
         histogram(np.array([]), Grid(0.0, 1.0, 8))
+
+
+# ---------------------------------------------------------------------------
+# blocked eval and histogram against one pass over the whole input
+# ---------------------------------------------------------------------------
+
+def one_pass_eval(f, x):
+    """GridFunction.eval in one pass: the circle form with np.mod, the
+    interval form linear interpolation, then the sign clamp."""
+    g, v = f.grid, f.values
+    if g.domain_kind == "circle":
+        t = np.mod(x - g.lower, g.width) / g.dx - 0.5
+        i0 = np.floor(t).astype(int)
+        frac = t - i0
+        return v[i0 % g.n] * (1 - frac) + v[(i0 + 1) % g.n] * frac
+    i0, frac = g.stencil(x)
+    out = v[i0] * (1 - frac) + v[i0 + 1] * frac
+    if v.min() >= 0.0:
+        return np.maximum(out, 0.0)
+    if v.max() <= 0.0:
+        return np.minimum(out, 0.0)
+    return out
+
+
+def one_pass_histogram(points, grid):
+    """Normalized counts from one bincount over all points."""
+    if not grid.contains(points):
+        raise ValueError("sample points outside the grid domain")
+    counts = np.bincount(grid.cell_index(points), minlength=grid.n).astype(float)
+    return counts / counts.sum()
+
+
+CHUNK_GRIDS = {"interval": Grid(-0.5, 2.0, 512), "circle": Grid(0.25, 1.25, 64, "circle")}
+CHUNK_SIZES = (1, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5)
+
+
+def chunk_points(grid, n, seed, spill):
+    """n points over the grid and ``spill`` widths beyond each end, with
+    both ends and the first node among them."""
+    x = grid.lower - spill * grid.width + (1 + 2 * spill) * grid.width * stream_rng(seed).random(n)
+    ends = [grid.nodes[0], grid.lower, grid.upper][:n]
+    x[: len(ends)] = ends
+    return x
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("kind", sorted(CHUNK_GRIDS))
+def test_blocked_eval_matches_one_pass(kind, n):
+    g = CHUNK_GRIDS[kind]
+    x = chunk_points(g, n, 70, spill=0.1 if kind == "interval" else 3.0)
+    signed = np.cos(7 * g.nodes)
+    for values in (signed, np.abs(signed), -np.abs(signed)):
+        f = GridFunction(g, values)
+        assert f.eval(x).tobytes() == one_pass_eval(f, x).tobytes()
+        # a strided view and a 2-d array of the same points
+        wide = np.stack([x, x[::-1]])
+        assert f.eval(wide.T[:, 0]).tobytes() == one_pass_eval(f, x).tobytes()
+        assert f.eval(wide).shape == wide.shape
+        assert f.eval(wide).tobytes() == one_pass_eval(f, wide).tobytes()
+    assert f.eval(x[0]) == float(one_pass_eval(f, x[:1])[0])
+
+
+@pytest.mark.parametrize("n", CHUNK_SIZES)
+@pytest.mark.parametrize("kind", sorted(CHUNK_GRIDS))
+def test_blocked_histogram_matches_one_pass(kind, n):
+    g = CHUNK_GRIDS[kind]
+    x = chunk_points(g, n, 71, spill=0.0 if kind == "interval" else 3.0)
+    assert histogram(x, g).weights.tobytes() == one_pass_histogram(x, g).tobytes()
+    strided = np.stack([x, x]).T[:, 1]
+    assert histogram(strided, g).weights.tobytes() == one_pass_histogram(x, g).tobytes()
+    if kind == "interval":  # one point past the upper end, in the last block
+        x[-1] = np.nextafter(g.upper, np.inf)
+        with pytest.raises(ValueError) as ref:
+            one_pass_histogram(x, g)
+        with pytest.raises(ValueError) as got:
+            histogram(x, g)
+        assert str(got.value) == str(ref.value)
 
 
 def test_ks_quantile_sample():
