@@ -13,14 +13,16 @@ as the caller asks for (at most the CPU count).  Each block draws its own
 slice of the stream, by jumping a copy of the generator ahead to the
 slice's offset, and every kernel acts path by path, so the bits depend on
 neither the block nor the thread count.  The ensemble's reductions run on
-the same threads and are exact in any order.
+the same threads and are exact in any order.  The estimators stream over
+the same blocks on the caller's thread, adding into their bins in block
+order, so each holds the paths and a few block-sized arrays at a time.
 """
 
 from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -64,6 +66,7 @@ class FiniteChain:
 
     states: np.ndarray
     probabilities: np.ndarray
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)  # row CDFs
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=float)
@@ -74,10 +77,11 @@ class FiniteChain:
             raise ValueError("rows must be probability distributions")
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "probabilities", P)
+        object.__setattr__(self, "cdf", np.cumsum(P, axis=1))
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """The next state where uniforms[0] falls in the current row's CDF."""
-        rows = np.cumsum(self.probabilities, axis=1)[_state_indices(x, self.states)]
+        rows = self.cdf[_state_indices(x, self.states)]
         nxt = (uniforms[0][:, None] >= rows).sum(axis=1)
         return self.states[np.clip(nxt, 0, self.states.size - 1)]
 
@@ -158,10 +162,13 @@ def step(s: MarkovSampler, x: float, rng: np.random.Generator) -> float:
 
 
 def _state_indices(x, states) -> np.ndarray:
+    """Index of the state nearest each x, a ``_BLOCK`` of points at a time."""
     x = np.asarray(x, dtype=float).ravel()
-    idx = np.argmin(np.abs(x[:, None] - states[None, :]), axis=1)
-    if np.max(np.abs(x - states[idx])) > 1e-9:
-        raise ValueError("path value outside the declared finite state set")
+    idx = np.empty(x.size, dtype=np.intp)
+    for b in _blocks(x.size):
+        idx[b] = np.argmin(np.abs(x[b, None] - states[None, :]), axis=1)
+        if np.max(np.abs(x[b] - states[idx[b]])) > 1e-9:
+            raise ValueError("path value outside the declared finite state set")
     return idx
 
 
@@ -319,11 +326,28 @@ class ConditionalEstimate:
         return self.counts >= _MIN_COUNT
 
 
-def _binned_stats(grid: Grid, x: np.ndarray, y: np.ndarray) -> ConditionalEstimate:
-    idx = grid.cell_index(x)
-    counts = np.bincount(idx, minlength=grid.n).astype(int)
-    sums = np.bincount(idx, weights=y, minlength=grid.n)
-    sq = np.bincount(idx, weights=y * y, minlength=grid.n)
+def _bin_sums(n_bins: int, blocks, squares: bool = True) -> tuple:
+    """Per bin, the count, the sum and (if ``squares``) the sum of squares of
+    the values of ``blocks``, an iterable of (bin indices, values) pairs.
+    ``np.add.at`` adds the values one by one in block order, the additions
+    of one ``np.bincount(weights=...)`` over the whole sample, so the sums
+    are its bits; summing per-block ``bincount``s would round differently."""
+    counts = np.zeros(n_bins, dtype=np.intp)
+    sums = np.zeros(n_bins)
+    sq = np.zeros(n_bins) if squares else None
+    for idx, y in blocks:
+        counts += np.bincount(idx, minlength=n_bins)
+        np.add.at(sums, idx, y)
+        if squares:
+            np.add.at(sq, idx, y * y)
+    return counts, sums, sq
+
+
+def _binned_stats(grid: Grid, x: np.ndarray, y: Callable) -> ConditionalEstimate:
+    """Binned mean of the observations ``y(b)`` at the points ``x[b]``, over
+    the ``_BLOCK``-point slices b of x."""
+    counts, sums, sq = _bin_sums(grid.n, ((grid.cell_index(x[b]), y(b))
+                                          for b in _blocks(x.size)))
     values = np.full(grid.n, np.nan)
     ses = np.full(grid.n, np.nan)
     nz = counts > 0
@@ -339,9 +363,8 @@ def estimate_conditional(pe: PathEnsemble, f, from_step: int, bins: Grid) -> Con
     """Binned mean of f(T_{from_step+1}) given T_{from_step}."""
     if from_step >= pe.n_steps:
         raise ValueError("from_step must leave at least one transition")
-    x = pe.paths[from_step]
-    y = f(pe.paths[from_step + 1])
-    return _binned_stats(bins, x, y)
+    x, nxt = pe.paths[from_step], pe.paths[from_step + 1]
+    return _binned_stats(bins, x, lambda b: f(nxt[b]))
 
 
 def pooled_transitions(pe: PathEnsemble, lag: int = 1):
@@ -366,20 +389,19 @@ def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid) -> float:
     """
     if n < 1 or n + 1 > pe.n_steps:
         raise ValueError("need 1 <= n and n+1 <= n_steps")
-    x = pe.paths[n]
-    y = f(pe.paths[n + 1])
+    prev, x, nxt = pe.paths[n - 1], pe.paths[n], pe.paths[n + 1]
+    blocks = _blocks(pe.n_paths)
 
     fine = Grid(bins.lower, bins.upper, min(bins.n * 128, 8192), bins.domain_kind)
-    fine_idx = fine.cell_index(x)
-    fine_counts = np.bincount(fine_idx, minlength=fine.n)
-    fine_sums = np.bincount(fine_idx, weights=y, minlength=fine.n)
+    fine_counts, fine_sums, _ = _bin_sums(
+        fine.n, ((fine.cell_index(x[b]), f(nxt[b])) for b in blocks), squares=False)
     baseline = np.where(fine_counts > 0, fine_sums / np.maximum(fine_counts, 1), 0.0)
-    r = y - baseline[fine_idx]
 
-    pair_idx = bins.cell_index(pe.paths[n - 1]) * bins.n + bins.cell_index(x)
-    counts = np.bincount(pair_idx, minlength=bins.n * bins.n)
-    sums = np.bincount(pair_idx, weights=r, minlength=bins.n * bins.n)
-    sq = np.bincount(pair_idx, weights=r * r, minlength=bins.n * bins.n)
+    def residuals(b):
+        pair = bins.cell_index(prev[b]) * bins.n + bins.cell_index(x[b])
+        return pair, f(nxt[b]) - baseline[fine.cell_index(x[b])]
+
+    counts, sums, sq = _bin_sums(bins.n * bins.n, map(residuals, blocks))
     live = counts >= _MIN_COUNT
     if not np.any(live):
         return 0.0
@@ -411,9 +433,12 @@ def path_moment_mc(pe: PathEnsemble, fs: Sequence) -> MomentEstimate:
     """Sample mean and standard error of prod_k f_k(T_k)."""
     if len(fs) > pe.n_steps + 1:
         raise ValueError("more factors than stored coordinates")
-    prod = np.ones(pe.n_paths)
-    for k, f in enumerate(fs):
-        prod = prod * f(pe.paths[k])
+    prod = np.empty(pe.n_paths)
+    for b in _blocks(pe.n_paths):
+        p = np.ones(b.stop - b.start)
+        for k, f in enumerate(fs):
+            p = p * f(pe.paths[k, b])
+        prod[b] = p
     mean = float(prod.mean())
     se = float(prod.std(ddof=1) / np.sqrt(pe.n_paths))
     return MomentEstimate(mean=mean, std_error=se)
@@ -442,34 +467,42 @@ class QuasiInvarianceResult(NamedTuple):
     z: float
 
 
-def _shifted_block(pe: PathEnsemble, m: int) -> np.ndarray:
-    """Coordinates 0..m of sigma-hat applied pathwise, as rows: (sigma(x0), x0, ..)."""
-    return np.vstack([pe.sampler.sigma(pe.paths[0]), pe.paths[:m]])
+def _shifted_block(pe: PathEnsemble, m: int, b: slice) -> np.ndarray:
+    """Coordinates 0..m of sigma-hat applied to the paths b, as rows:
+    (sigma(x0), x0, ..)."""
+    return np.vstack([pe.sampler.sigma(pe.paths[0, b]), pe.paths[:m, b]])
 
 
 def quasi_invariance_check(pe: PathEnsemble, W: Callable,
                            psi: PathFunctional) -> QuasiInvarianceResult:
     """Paired Monte Carlo check of E[psi] = E[(psi o sigma-hat) (W o pi_0)],
     for any vectorized W, such as the ``GridFunction`` ``radon_nikodym``
-    returns or an exact weight function."""
+    returns or an exact weight function.  The paired differences are made
+    a ``_BLOCK`` of paths at a time; ``lhs`` and ``rhs`` are the means of
+    the two sides, summed block by block."""
     m = psi.depends_on
     if m > pe.n_steps:
         raise ValueError("functional needs more coordinates than stored")
-    lhs_vals = psi.fn(pe.paths[: m + 1])
-    rhs_vals = psi.fn(_shifted_block(pe, m)) * W(pe.paths[0])
-    d = lhs_vals - rhs_vals
+    d = np.empty(pe.n_paths)
+    lhs = rhs = 0.0
+    for b in _blocks(pe.n_paths):
+        lhs_vals = psi.fn(pe.paths[: m + 1, b])
+        rhs_vals = psi.fn(_shifted_block(pe, m, b)) * W(pe.paths[0, b])
+        d[b] = lhs_vals - rhs_vals
+        lhs, rhs = lhs + lhs_vals.sum(), rhs + rhs_vals.sum()
     se = d.std(ddof=1) / np.sqrt(pe.n_paths)
     z = abs(d.mean()) / se if se > 0 else 0.0
-    return QuasiInvarianceResult(lhs=float(lhs_vals.mean()),
-                                 rhs=float(rhs_vals.mean()), z=float(z))
+    return QuasiInvarianceResult(lhs=float(lhs / pe.n_paths),
+                                 rhs=float(rhs / pe.n_paths), z=float(z))
 
 
 # ---------------------------------------------------------------------------
 # martingales
 # ---------------------------------------------------------------------------
 
-def _paired_bin_z(bins: Grid, x: np.ndarray, resid: np.ndarray, scale: float = 1.0) -> float:
-    """Max over occupied bins of |mean residual| / its standard error.
+def _paired_bin_z(bins: Grid, x: np.ndarray, resid: Callable, scale: float = 1.0) -> float:
+    """Max over occupied bins of |mean residual| / its standard error, with
+    ``resid(b)`` the residuals at the points ``x[b]`` (``_binned_stats``).
 
     The denominator is floored at round-off relative to ``scale`` so that a
     residual which is identically zero up to float dust scores zero instead
@@ -500,9 +533,10 @@ def martingale_check(pe: PathEnsemble, h: GridFunction, k: int, bins: Grid,
         raise ValueError(
             f"h is not harmonic for the chain operator (residual {harm_resid:.2e})"
         )
-    x, y_state = pooled_transitions(pe, lag=k)
-    d = h(y_state) - eigenvalue**k * h(x)
-    return _paired_bin_z(bins, x, d, scale=float(np.max(np.abs(h.values))))
+    x, y = pooled_transitions(pe, lag=k)
+    lam = eigenvalue**k
+    return _paired_bin_z(bins, x, lambda b: h(y[b]) - lam * h(x[b]),
+                         scale=float(np.max(np.abs(h.values))))
 
 
 def conditional_expectation_check(pe: PathEnsemble, f: GridFunction, k: int,
@@ -515,9 +549,9 @@ def conditional_expectation_check(pe: PathEnsemble, f: GridFunction, k: int,
     g = f
     for _ in range(k):
         g = chain_apply(pe.sampler, g)
-    x, y_state = pooled_transitions(pe, lag=k)
-    d = f(y_state) - g.eval(x)
-    return _paired_bin_z(bins, x, d, scale=float(np.max(np.abs(f.values))))
+    x, y = pooled_transitions(pe, lag=k)
+    return _paired_bin_z(bins, x, lambda b: f(y[b]) - g.eval(x[b]),
+                         scale=float(np.max(np.abs(f.values))))
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +578,9 @@ def estimate_transition_matrix(pe: PathEnsemble, states) -> TransitionMatrixEsti
     states = np.asarray(states, dtype=float)
     m = states.size
     x, y = pooled_transitions(pe, lag=1)
-    xi = _state_indices(x, states)
-    yi = _state_indices(y, states)
-    counts = np.bincount(xi * m + yi, minlength=m * m).reshape(m, m).astype(float)
+    counts = sum(np.bincount(_state_indices(x[b], states) * m + _state_indices(y[b], states),
+                             minlength=m * m) for b in _blocks(x.size))
+    counts = counts.reshape(m, m).astype(float)
     row_tot = counts.sum(axis=1)
     present = row_tot > 0
     probs = np.zeros_like(counts)

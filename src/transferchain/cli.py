@@ -377,9 +377,9 @@ COMMANDS = {
 SHARED = ("master_seed", "out")  # read by every command, as is --config
 
 _FLAG_OPTIONS = {  # argparse keywords of a flag; _resolve_config checks every value
-    "threads": {"help": "worker count (>= 1, at most the CPU count is used) for "
-                        "sampling path ensembles and reducing them; results do not depend on "
-                        "this value"},
+    "threads": {"help": "worker count (>= 1, at most the CPU count is used): simulate "
+                        "samples and reduces blocks of paths on these threads, verify runs "
+                        "its checks on them; results do not depend on this value"},
     "param": {"action": "append", "metavar": "KEY=VALUE",
               "help": "system parameter (u, a, m, K)"},
     "suite": {"choices": SUITE_CHOICES},

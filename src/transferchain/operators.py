@@ -31,6 +31,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -695,7 +696,24 @@ def _add_stencil_runs(acc, xs, grid: Grid, K: int) -> None:
     acc[:, key + 1] += to_right
 
 
-@functools.lru_cache(maxsize=4)
+def _built_once(fn):
+    """``functools.lru_cache(maxsize=4)`` of fn behind one lock, so that
+    threads asking at once for the same arguments build the value once; a
+    bare lru_cache calls fn in each thread that misses.  ``cache_info`` and
+    ``cache_clear`` are the cache's."""
+    cached = functools.lru_cache(maxsize=4)(fn)
+    lock = threading.Lock()
+
+    @functools.wraps(fn)
+    def once(*args):
+        with lock:
+            return cached(*args)
+
+    once.cache_info, once.cache_clear = cached.cache_info, cached.cache_clear
+    return once
+
+
+@_built_once
 def _gauss_compiled(K: int, grid: Grid) -> tuple:
     """The branch sums over n <= K at the grid's nodes x as two n x n
     matrices sharing one sparsity pattern, with ``_raw_weights`` and with

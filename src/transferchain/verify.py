@@ -3,11 +3,14 @@
 Each check computes one statistic and compares it against a declared
 threshold; the CLI's ``verify`` command runs a suite and reports one
 record per check.  All randomness is derived from the run's master seed
-through fixed stream offsets, so a seed pins every statistic exactly.
+through fixed stream offsets, so a seed pins every statistic exactly, and
+checks can run at the same time.  A check holds one path ensemble at a
+time, so two checks at once stay within memory.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -68,23 +71,28 @@ def _check(suite: str, name: str):
 
 def run_suite(suite: str, master_seed: int = 9001,
               inject_fault: Optional[str] = None, threads: int = 1) -> list:
-    """Run every check of a suite ("all" runs the union, suite order).
-    ``threads`` is the worker count of the checks' path sampling; the
-    statistics do not depend on it."""
+    """Run every check of a suite ("all" runs the union, suite order) on
+    ``min(threads, cpu count)`` threads, each check sampling on its own.
+    Every check seeds itself, so the statistics do not depend on
+    ``threads``.  The results come in registry order, and a failing run
+    raises the error of the first failing check in that order."""
     known = {s for s, _, _ in _REGISTRY}
     if suite != "all" and suite not in known:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(known)} or 'all'")
-    results = []
-    for s, name, fn in _REGISTRY:
-        if suite != "all" and s != suite:
-            continue
+    if threads < 1:
+        raise ValueError("need threads >= 1")
+
+    def run(check) -> CheckResult:
+        s, name, fn = check
         t0 = time.perf_counter()
-        stat, thresh, direction, detail = fn(master_seed, inject_fault, threads)
+        stat, thresh, direction, detail = fn(master_seed, inject_fault)
         ms = (time.perf_counter() - t0) * 1000.0
-        results.append(CheckResult(name=name, suite=s, statistic=float(stat),
-                                   threshold=float(thresh), direction=direction,
-                                   runtime_ms=ms, detail=detail))
-    return results
+        return CheckResult(name=name, suite=s, statistic=float(stat),
+                           threshold=float(thresh), direction=direction,
+                           runtime_ms=ms, detail=detail)
+
+    checks = [c for c in _REGISTRY if suite in ("all", c[0])]
+    return chains._map_blocks(run, checks, min(threads, os.cpu_count() or 1))
 
 
 def _trig_pair(grid: Grid, rng: np.random.Generator):
@@ -111,7 +119,7 @@ def _trig_pair(grid: Grid, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 @_check("operators", "gauss-invariant-density-l1")
-def _gauss_density(seed, fault, threads):
+def _gauss_density(seed, fault):
     g = Grid(0.0, 1.0, 512)
     m = invariant.build_ulam(operators.gauss_operator(K=10_000), g)
     res = invariant.power_iterate(m, tol=1e-12, max_iters=2000)
@@ -120,7 +128,7 @@ def _gauss_density(seed, fault, threads):
 
 
 @_check("operators", "gauss-ulam-column-sums")
-def _gauss_colsums(seed, fault, threads):
+def _gauss_colsums(seed, fault):
     g = Grid(0.0, 1.0, 512)
     cs = invariant.build_ulam(operators.gauss_operator(K=10_000), g).column_sums
     worst = float(np.max(np.abs(cs - 1.0)))
@@ -128,7 +136,7 @@ def _gauss_colsums(seed, fault, threads):
 
 
 @_check("operators", "doubling-invariant-uniform-l1")
-def _doubling_density(seed, fault, threads):
+def _doubling_density(seed, fault):
     g = Grid(0.0, 1.0, 512)
     res = invariant.power_iterate(invariant.build_ulam(operators.doubling_system(g), g))
     l1 = float(np.abs(res.measure.weights - uniform_measure(g).weights).sum())
@@ -136,7 +144,7 @@ def _doubling_density(seed, fault, threads):
 
 
 @_check("operators", "random-control-invariant-arcsine-l1")
-def _rc_density(seed, fault, threads):
+def _rc_density(seed, fault):
     g = Grid(0.0, 1.0, 1024)
     res = invariant.power_iterate(
         invariant.build_ulam(operators.random_control_system(g), g), max_iters=3000)
@@ -145,7 +153,7 @@ def _rc_density(seed, fault, threads):
 
 
 @_check("operators", "arcsine-invariance-residuals")
-def _arcsine_residuals(seed, fault, threads):
+def _arcsine_residuals(seed, fault):
     g = Grid(0.0, 1.0, 2048)
     rc = operators.random_control_system(g)
     fs = [GridFunction.constant(g, 1.0),
@@ -157,7 +165,7 @@ def _arcsine_residuals(seed, fault, threads):
 
 
 @_check("operators", "gauss-lebesgue-invariance")
-def _gauss_lebesgue(seed, fault, threads):
+def _gauss_lebesgue(seed, fault):
     g = Grid(0.0, 1.0, 512)
     res = invariant.verify_invariance(
         uniform_measure(g), operators.gauss_operator(K=10_000),
@@ -166,7 +174,7 @@ def _gauss_lebesgue(seed, fault, threads):
 
 
 @_check("operators", "logistic-pushforward-arcsine-ks")
-def _logistic_pushforward(seed, fault, threads):
+def _logistic_pushforward(seed, fault):
     rng = stream_rng(seed, 101)
     x = arcsine_ppf(rng.random(100_000))
     for _ in range(20):
@@ -176,7 +184,7 @@ def _logistic_pushforward(seed, fault, threads):
 
 
 @_check("operators", "logistic-uniform-weight-separation")
-def _logistic_separation(seed, fault, threads):
+def _logistic_separation(seed, fault):
     best_name, best = logistic_separation_search()
     detail = ("no separating test function exists: the uniform-weight "
               "backward move provably preserves the arcsine law "
@@ -218,7 +226,7 @@ def logistic_separation_search():
 
 
 @_check("operators", "normalization-R1")
-def _normalization(seed, fault, threads):
+def _normalization(seed, fault):
     g = Grid(0.0, 1.0, 1024)
     gc = Grid(0.0, 1.0, 1024, "circle")
     ops = [operators.doubling_system(g),
@@ -237,7 +245,7 @@ def _normalization(seed, fault, threads):
 
 
 @_check("operators", "pullout-residual")
-def _pullout(seed, fault, threads):
+def _pullout(seed, fault):
     g = Grid(0.0, 1.0, 4096)
     rng = stream_rng(seed, 102)
     f = GridFunction.from_callable(g, lambda x: np.sin(2 * np.pi * x))
@@ -250,7 +258,7 @@ def _pullout(seed, fault, threads):
 
 
 @_check("operators", "ruelle-adjoint-duality")
-def _duality(seed, fault, threads):
+def _duality(seed, fault):
     g = Grid(0.0, 1.0, 1024, "circle")
     rng = stream_rng(seed, 103)
     op = operators.CircleFilterOperator(wavelets.haar_filter())
@@ -265,7 +273,7 @@ def _duality(seed, fault, threads):
 
 
 @_check("operators", "radon-nikodym-parametric")
-def _rn_parametric(seed, fault, threads):
+def _rn_parametric(seed, fault):
     g = Grid(0.0, 1.0, 1000)
     W = operators.radon_nikodym(operators.parametric_system(g, 0.3), uniform_measure(g))
     exact = operators.parametric_weight(0.3)(g.nodes)
@@ -274,7 +282,7 @@ def _rn_parametric(seed, fault, threads):
 
 
 @_check("operators", "positivity")
-def _positivity(seed, fault, threads):
+def _positivity(seed, fault):
     rng = stream_rng(seed, 104)
     g = Grid(0.0, 1.0, 512)
     gc = Grid(0.0, 1.0, 512, "circle")
@@ -290,7 +298,7 @@ def _positivity(seed, fault, threads):
 
 
 @_check("operators", "hutchinson-cantor-moments")
-def _cantor(seed, fault, threads):
+def _cantor(seed, fault):
     g = Grid(0.0, 1.0, 2187)
     res = invariant.hutchinson_iterate(invariant.cantor_ifs(g), uniform_measure(g), 40)
     mean, var = invariant.measure_moments(res.measure)
@@ -299,7 +307,7 @@ def _cantor(seed, fault, threads):
 
 
 @_check("operators", "hutchinson-contraction-ratio")
-def _cantor_ratio(seed, fault, threads):
+def _cantor_ratio(seed, fault):
     g = Grid(0.0, 1.0, 2187)
     spike = np.zeros(g.n)
     spike[100] = 1.0
@@ -321,13 +329,13 @@ def _doubling_sampler(seed, offset=0):
 
 
 @_check("chains", "kolmogorov-moment-doubling")
-def _moment_doubling(seed, fault, threads):
+def _moment_doubling(seed, fault):
     gq = Grid(0.0, 1.0, 32768)
     op = operators.doubling_system(gq)
     one = GridFunction.constant(gq, 1.0)
     ident = GridFunction.from_callable(gq, lambda x: x)
     sq = GridFunction.from_callable(gq, lambda x: x**2)
-    pe = chains.simulate_paths(_doubling_sampler(seed), 1_000_000, 2, threads)
+    pe = chains.simulate_paths(_doubling_sampler(seed), 1_000_000, 2)
     worst = 0.0
     for fs_grid, fs_mc in (([ident, ident], [lambda x: x] * 2),
                            ([ident, sq, ident], [lambda x: x, lambda x: x**2, lambda x: x])):
@@ -338,14 +346,14 @@ def _moment_doubling(seed, fault, threads):
 
 
 @_check("chains", "kolmogorov-moment-random-control")
-def _moment_rc(seed, fault, threads):
+def _moment_rc(seed, fault):
     gq = Grid(0.0, 1.0, 8192)
     op = operators.random_control_system(gq)
     one = GridFunction.constant(gq, 1.0)
     ident = GridFunction.from_callable(gq, lambda x: x)
     cosf = GridFunction.from_callable(gq, lambda x: np.cos(2 * np.pi * x))
     s = chains.MarkovSampler(op, arcsine_ppf, master_seed=seed + 1)
-    pe = chains.simulate_paths(s, 1_000_000, 2, threads)
+    pe = chains.simulate_paths(s, 1_000_000, 2)
     worst = 0.0
     for fs_grid, fs_mc in (([ident, ident], [lambda x: x] * 2),
                            ([ident, cosf, ident],
@@ -357,37 +365,37 @@ def _moment_rc(seed, fault, threads):
 
 
 @_check("chains", "quasi-invariance-parametric")
-def _quasi(seed, fault, threads):
+def _quasi(seed, fault):
     worst = 0.0
     details = []
     for i, u in enumerate((0.3, 0.5, 0.7)):
         g = Grid(0.0, 1.0, 512)
         s = chains.MarkovSampler(operators.parametric_system(g, u), uniform_ppf,
                                  master_seed=seed + 10 + i)
-        pe = chains.simulate_paths(s, 1_000_000, 2, threads)
         W = operators.parametric_weight(u)
         if u == 0.5:
             flat = float(np.max(np.abs(W(g.nodes) - 1.0)))
             details.append(f"W(0.5) deviates from 1 by {flat:.1e}")
-        res = chains.quasi_invariance_check(pe, W, chains.coordinate_functional(lambda x: x, 1))
+        res = chains.quasi_invariance_check(chains.simulate_paths(s, 1_000_000, 2), W,
+                                            chains.coordinate_functional(lambda x: x, 1))
         worst = max(worst, res.z)
         details.append(f"u={u}: z={res.z:.2f}")
     return worst, 4.0, "<=", "; ".join(details)
 
 
 @_check("chains", "quasi-invariance-wrong-weight")
-def _quasi_wrong(seed, fault, threads):
+def _quasi_wrong(seed, fault):
     g = Grid(0.0, 1.0, 512)
     s = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
                              master_seed=seed + 13)
-    pe = chains.simulate_paths(s, 1_000_000, 2, threads)
+    pe = chains.simulate_paths(s, 1_000_000, 2)
     res = chains.quasi_invariance_check(pe, operators.parametric_weight(0.7),
                                         chains.coordinate_functional(lambda x: x, 1))
     return res.z, 8.0, ">=", "swapped weight constants must be detected"
 
 
 @_check("chains", "martingale-harmonic")
-def _martingale(seed, fault, threads):
+def _martingale(seed, fault):
     g = Grid(0.0, 1.0, 512)
     gc = Grid(0.0, 1.0, 4096, "circle")
     bins = Grid(0.0, 1.0, 32)
@@ -407,20 +415,21 @@ def _martingale(seed, fault, threads):
     ]
     worst = 0.0
     for name, s, h, grid in systems:
-        pe = chains.simulate_paths(s, 500_000, 2, threads)
+        pe = chains.simulate_paths(s, 500_000, 2)
         for k in (1, 2):
             bins_here = bins if grid.domain_kind == "interval" else Grid(0, 1, 32, "circle")
             worst = max(worst, chains.martingale_check(pe, h, k, bins_here))
+        del pe  # before the next system samples
     return worst, 5.0, "<=", "h = 1 on every normalized system, k in {1, 2}"
 
 
 @_check("chains", "martingale-gauss-density")
-def _martingale_gauss(seed, fault, threads):
+def _martingale_gauss(seed, fault):
     g = Grid(0.0, 1.0, 512)
     h = GridFunction.from_callable(g, operators.GaussOperator.density)
     s = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
                              master_seed=seed + 25)
-    pe = chains.simulate_paths(s, 1_000_000, 2, threads)
+    pe = chains.simulate_paths(s, 1_000_000, 2)
     worst = max(chains.conditional_expectation_check(pe, h, k, Grid(0.0, 1.0, 32))
                 for k in (1, 2))
     return worst, 5.0, "<=", \
@@ -428,17 +437,17 @@ def _martingale_gauss(seed, fault, threads):
 
 
 @_check("chains", "martingale-eigenfunction-doubling")
-def _martingale_eigen(seed, fault, threads):
+def _martingale_eigen(seed, fault):
     g = Grid(0.0, 1.0, 512)
     b1 = GridFunction.from_callable(g, lambda x: x - 0.5)
-    pe = chains.simulate_paths(_doubling_sampler(seed, 26), 1_000_000, 2, threads)
+    pe = chains.simulate_paths(_doubling_sampler(seed, 26), 1_000_000, 2)
     worst = max(chains.martingale_check(pe, b1, k, Grid(0.0, 1.0, 16), eigenvalue=0.5)
                 for k in (1, 2))
     return worst, 4.0, "<=", "eigenpair (x - 1/2, 1/2) of the doubling operator"
 
 
 @_check("chains", "markov-property-honest")
-def _markov_honest(seed, fault, threads):
+def _markov_honest(seed, fault):
     g = Grid(0.0, 1.0, 512)
     bins = Grid(0.0, 1.0, 8)
     samplers = [
@@ -448,25 +457,23 @@ def _markov_honest(seed, fault, threads):
         chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
                              master_seed=seed + 32),
     ]
-    worst = 0.0
-    for s in samplers:
-        pe = chains.simulate_paths(s, 1_000_000, 3, threads)
-        worst = max(worst, chains.markov_property_check(pe, lambda x: x, 2, bins))
+    worst = max(chains.markov_property_check(chains.simulate_paths(s, 1_000_000, 3),
+                                             lambda x: x, 2, bins) for s in samplers)
     return worst, 5.0, "<=", "10^6 paths per system"
 
 
 @_check("chains", "markov-property-violation")
-def _markov_violation(seed, fault, threads):
+def _markov_violation(seed, fault):
     g = Grid(0.0, 1.0, 512)
     s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
                              seed + 33, reuse_driver_noise=True)
-    pe = chains.simulate_paths(s, 1_000_000, 3, threads)
+    pe = chains.simulate_paths(s, 1_000_000, 3)
     z = chains.markov_property_check(pe, lambda x: x, 2, Grid(0.0, 1.0, 8))
     return z, 8.0, ">=", "driver noise reused from the previous step"
 
 
 @_check("chains", "solenoid-constraint")
-def _solenoid_constraint(seed, fault, threads):
+def _solenoid_constraint(seed, fault):
     worst = 0.0
     g = Grid(0.0, 1.0, 512)
     for s in (_doubling_sampler(seed, 34),
@@ -474,24 +481,23 @@ def _solenoid_constraint(seed, fault, threads):
                                    master_seed=seed + 35),
               chains.MarkovSampler(operators.parametric_system(g, 0.7), uniform_ppf,
                                    master_seed=seed + 36)):
-        pe = chains.simulate_paths(s, 50_000, 10, threads)
-        worst = max(worst, pe.solenoid_violation())
+        worst = max(worst, chains.simulate_paths(s, 50_000, 10).solenoid_violation())
     return worst, 1e-10, "<=", "sigma(T_{k+1}) = T_k along every stored path"
 
 
 @_check("chains", "stationarity-marginals")
-def _stationarity(seed, fault, threads):
+def _stationarity(seed, fault):
     g = Grid(0.0, 1.0, 512)
     ref = arcsine_measure(Grid(0.0, 1.0, 2048))
     s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
                              master_seed=seed + 37)
-    pe = chains.simulate_paths(s, 100_000, 25, threads)
+    pe = chains.simulate_paths(s, 100_000, 25)
     worst = max(ks_distance(pe.paths[k], ref) for k in (1, 5, 25))
+    del pe  # before the Gauss chain samples
     refg = gauss_measure(Grid(0.0, 1.0, 2048))
     sg = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
                               master_seed=seed + 38)
-    peg = chains.simulate_paths(sg, 100_000, 10, threads)
-    worst = max(worst, ks_distance(peg.paths[10], refg))
+    worst = max(worst, ks_distance(chains.simulate_paths(sg, 100_000, 10).paths[10], refg))
     return worst, 0.02, "<=", "arcsine at steps {1,5,25}; gauss law at step 10"
 
 
@@ -500,26 +506,25 @@ def _closed_form_z(pe: chains.PathEnsemble, closed_form: Callable) -> float:
     each sample rather than at the bin centre, so the binned mean carries no
     bias from where the samples sit inside a bin."""
     x, y = pe.paths[0], pe.paths[1]
-    return chains._paired_bin_z(Grid(0.0, 1.0, 32), x, y - closed_form(x))
+    return chains._paired_bin_z(Grid(0.0, 1.0, 32), x, lambda b: y[b] - closed_form(x[b]))
 
 
 @_check("chains", "conditional-expectation-closed-form")
-def _conditional_closed(seed, fault, threads):
-    pe = chains.simulate_paths(_doubling_sampler(seed, 39), 1_000_000, 1, threads)
-    z1 = _closed_form_z(pe, lambda x: x / 2 + 0.25)
+def _conditional_closed(seed, fault):
+    z1 = _closed_form_z(chains.simulate_paths(_doubling_sampler(seed, 39), 1_000_000, 1),
+                        lambda x: x / 2 + 0.25)
     g = Grid(0.0, 1.0, 512)
     s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
                              master_seed=seed + 40)
-    pe2 = chains.simulate_paths(s, 1_000_000, 1, threads)
-    z2 = _closed_form_z(pe2, lambda x: (1 + 2 * x) / 4)
+    z2 = _closed_form_z(chains.simulate_paths(s, 1_000_000, 1), lambda x: (1 + 2 * x) / 4)
     return max(z1, z2), 5.0, "<=", \
         "R(id) closed forms for doubling and random control"
 
 
 @_check("chains", "kolmogorov-consistency")
-def _consistency(seed, fault, threads):
-    long_pe = chains.simulate_paths(_doubling_sampler(seed, 41), 100_000, 6, threads)
-    short_pe = chains.simulate_paths(_doubling_sampler(seed, 42), 100_000, 3, threads)
+def _consistency(seed, fault):
+    long_pe = chains.simulate_paths(_doubling_sampler(seed, 41), 100_000, 6)
+    short_pe = chains.simulate_paths(_doubling_sampler(seed, 42), 100_000, 3)
     worst = max(ks_two_sample(long_pe.paths[k], short_pe.paths[k]) for k in range(4))
     # 4-sigma-level Kolmogorov quantile with a Bonferroni factor for the
     # max over 4 coordinates
@@ -528,19 +533,19 @@ def _consistency(seed, fault, threads):
 
 
 @_check("chains", "reproducibility")
-def _reproducibility(seed, fault, threads):
-    a = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8, threads)
-    b = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8, threads)
+def _reproducibility(seed, fault):
+    a = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8)
+    b = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8)
     same = np.array_equal(a.paths, b.paths)
     return 0.0 if same else 1.0, 0.0, "<=", "bit-identical ensembles from one seed"
 
 
 @_check("chains", "transition-matrix-2state")
-def _transition(seed, fault, threads):
+def _transition(seed, fault):
     P = np.array([[0.9, 0.1], [0.5, 0.5]])
     fc = chains.FiniteChain(states=np.array([0.0, 1.0]), probabilities=P)
     s = chains.finite_chain_sampler(fc, [0.5, 0.5], master_seed=seed + 44)
-    pe = chains.simulate_paths(s, 10_000, 100, threads)
+    pe = chains.simulate_paths(s, 10_000, 100)
     est = chains.estimate_transition_matrix(pe, [0.0, 1.0])
     dev = float(np.max(np.abs(est.probabilities - P)))
     harm = chains.perron_harmonic_residual(est)
@@ -553,20 +558,20 @@ def _transition(seed, fault, threads):
 # ---------------------------------------------------------------------------
 
 @_check("solenoid", "prefix-invariant")
-def _prefix_invariant(seed, fault, threads):
+def _prefix_invariant(seed, fault):
     gc = Grid(0.0, 1.0, 8192, "circle")
     s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
                              uniform_ppf, master_seed=seed + 50)
-    pe = chains.simulate_paths(s, 20_000, 8, threads)
+    pe = chains.simulate_paths(s, 20_000, 8)
     return pe.solenoid_violation(), 1e-12, "<=", "N t_{k+1} = t_k mod 1 along sampled paths"
 
 
 @_check("solenoid", "shift-roundtrip")
-def _shift_roundtrip(seed, fault, threads):
+def _shift_roundtrip(seed, fault):
     gc = Grid(0.0, 1.0, 64, "circle")
     s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
                              uniform_ppf, master_seed=seed + 51)
-    p = solenoid.SolenoidPrefix(2, chains.simulate_paths(s, 1, 6, threads).paths[:, 0])
+    p = solenoid.SolenoidPrefix(2, chains.simulate_paths(s, 1, 6).paths[:, 0])
     q = solenoid.shift_inverse(solenoid.shift_hat(p))
     back = float(np.max(np.abs(q.angles - p.angles)))
     k = 3
@@ -578,7 +583,7 @@ def _shift_roundtrip(seed, fault, threads):
 
 
 @_check("solenoid", "pd-gram-minimum-eigenvalue")
-def _pd_gram(seed, fault, threads):
+def _pd_gram(seed, fault):
     rng = stream_rng(seed, 52)
     h_haar = wavelets.TrigPoly(0, [1.0])
     h_box = wavelets.autocorrelation(wavelets.box_scaling_function(1, 8))
@@ -593,7 +598,7 @@ def _pd_gram(seed, fault, threads):
 
 
 @_check("solenoid", "pd-well-defined")
-def _pd_well(seed, fault, threads):
+def _pd_well(seed, fault):
     rng = stream_rng(seed, 53)
     h1 = wavelets.TrigPoly(0, [1.0])
     worst = 0.0
@@ -608,7 +613,7 @@ def _pd_well(seed, fault, threads):
 
 
 @_check("solenoid", "coordinate-distribution-mass")
-def _pi_k_mass(seed, fault, threads):
+def _pi_k_mass(seed, fault):
     g = Grid(0.0, 1.0, 1024, "circle")
     h1 = wavelets.TrigPoly(0, [1.0])
     h_box = wavelets.autocorrelation(wavelets.box_scaling_function(1, 8))
@@ -622,11 +627,11 @@ def _pi_k_mass(seed, fault, threads):
 
 
 @_check("solenoid", "coordinate-distribution-sampled")
-def _pi_k_sampled(seed, fault, threads):
+def _pi_k_sampled(seed, fault):
     gc = Grid(0.0, 1.0, 8192, "circle")
     s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
                              uniform_ppf, master_seed=seed + 54)
-    pe = chains.simulate_paths(s, 100_000, 3, threads)
+    pe = chains.simulate_paths(s, 100_000, 3)
     h1 = wavelets.TrigPoly(0, [1.0])
     mu3 = solenoid.pi_k_distribution(wavelets.haar_filter(), h1, 3, Grid(0, 1, 2048, "circle"))
     ks = ks_distance(pe.paths[3], mu3)
@@ -634,26 +639,26 @@ def _pi_k_sampled(seed, fault, threads):
 
 
 @_check("solenoid", "scaling-unitary")
-def _scaling_unitary(seed, fault, threads):
+def _scaling_unitary(seed, fault):
     g = Grid(0.0, 1.0, 512)
     s = chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
                              master_seed=seed + 55)
-    pe = chains.simulate_paths(s, 1_000_000, 2, threads)
     # the isometry E[W o pi_0 |psi o sigma-hat|^2] = E[|psi|^2] is the
     # quasi-invariance of the path measure applied to psi^2
     res1 = chains.quasi_invariance_check(
-        pe, lambda x: 1.0, chains.coordinate_functional(lambda x: np.sin(2 * np.pi * x) ** 2, 0))
+        chains.simulate_paths(s, 1_000_000, 2), lambda x: 1.0,
+        chains.coordinate_functional(lambda x: np.sin(2 * np.pi * x) ** 2, 0))
     sp = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
                               master_seed=seed + 56)
-    pep = chains.simulate_paths(sp, 1_000_000, 2, threads)
-    res2 = chains.quasi_invariance_check(pep, operators.parametric_weight(0.3),
+    res2 = chains.quasi_invariance_check(chains.simulate_paths(sp, 1_000_000, 2),
+                                         operators.parametric_weight(0.3),
                                          chains.coordinate_functional(lambda x: x ** 2, 1))
     return max(res1.z, res2.z), 4.0, "<=", \
         f"doubling z={res1.z:.2f}, parametric z={res2.z:.2f}"
 
 
 @_check("solenoid", "line-embedding")
-def _line_embed(seed, fault, threads):
+def _line_embed(seed, fault):
     rng = stream_rng(seed, 57)
     worst = 0.0
     for _ in range(5):
@@ -670,7 +675,7 @@ def _line_embed(seed, fault, threads):
 # ---------------------------------------------------------------------------
 
 @_check("wavelet", "haar-orthonormality")
-def _haar_h(seed, fault, threads):
+def _haar_h(seed, fault):
     phi = wavelets.cascade(wavelets.haar_filter(), J=10, iters=2)
     h = wavelets.autocorrelation(phi)
     g = Grid(0.0, 1.0, 1024, "circle")
@@ -679,7 +684,7 @@ def _haar_h(seed, fault, threads):
 
 
 @_check("wavelet", "fejer-autocorrelation")
-def _fejer(seed, fault, threads):
+def _fejer(seed, fault):
     worst = 0.0
     for m in (1, 2, 3):
         h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
@@ -693,7 +698,7 @@ def _fejer(seed, fault, threads):
 
 
 @_check("wavelet", "ruelle-fixed-point")
-def _ruelle_fixed(seed, fault, threads):
+def _ruelle_fixed(seed, fault):
     worst = wavelets.verify_ruelle_fixed(wavelets.haar_filter(),
                                          wavelets.TrigPoly(0, [1.0]))
     for m in (1, 2, 3):
@@ -703,7 +708,7 @@ def _ruelle_fixed(seed, fault, threads):
 
 
 @_check("wavelet", "intertwining")
-def _intertwine(seed, fault, threads):
+def _intertwine(seed, fault):
     rng = stream_rng(seed, 60)
     phi = wavelets.cascade(wavelets.haar_filter(), J=10, iters=3)
     worst = wavelets.intertwine_check(wavelets.haar_filter(), phi, {0: 1.0})
@@ -713,13 +718,13 @@ def _intertwine(seed, fault, threads):
 
 
 @_check("wavelet", "cascade-contraction")
-def _cascade_contract(seed, fault, threads):
+def _cascade_contract(seed, fault):
     phi = wavelets.cascade(wavelets.haar_filter(), J=10, iters=9)
     return phi.sup_delta, 1e-6, "<=", "sup distance of cascade iterates 8 and 9"
 
 
 @_check("wavelet", "compact-support-autocorrelation")
-def _compact_support(seed, fault, threads):
+def _compact_support(seed, fault):
     worst = 0.0
     for m in (1, 2):
         h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
@@ -734,7 +739,7 @@ def _compact_support(seed, fault, threads):
 # ---------------------------------------------------------------------------
 
 @_check("schur", "roundtrip")
-def _schur_roundtrip(seed, fault, threads):
+def _schur_roundtrip(seed, fault):
     rng = stream_rng(seed, 70)
     worst = 0.0
     for _ in range(100):
@@ -746,7 +751,7 @@ def _schur_roundtrip(seed, fault, threads):
 
 
 @_check("schur", "blaschke-termination")
-def _blaschke(seed, fault, threads):
+def _blaschke(seed, fault):
     rng = stream_rng(seed, 71)
     worst = 0.0
     for d in (1, 2, 3):
@@ -759,7 +764,7 @@ def _blaschke(seed, fault, threads):
 
 
 @_check("schur", "contractivity-preservation")
-def _contractivity(seed, fault, threads):
+def _contractivity(seed, fault):
     rng = stream_rng(seed, 72)
     worst = -np.inf
     for i in range(10):
@@ -773,7 +778,7 @@ def _contractivity(seed, fault, threads):
 
 
 @_check("schur", "move-matches-step")
-def _move_step(seed, fault, threads):
+def _move_step(seed, fault):
     rng = stream_rng(seed, 73)
     z = 0.7 * np.sqrt(rng.random(16)) * np.exp(2j * np.pi * rng.random(16))
     s = schur.SchurEval(num=[0.5, 0.1j], den=[1.0, -0.2])
@@ -783,7 +788,7 @@ def _move_step(seed, fault, threads):
 
 
 @_check("schur", "shift-invariance")
-def _shift_invariance(seed, fault, threads):
+def _shift_invariance(seed, fault):
     nu = schur.uniform_disk_sampler(0.5)
     rng = stream_rng(seed, 74)
     draws = nu(rng, 3 * 100_000).reshape(100_000, 3)

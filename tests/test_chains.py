@@ -437,6 +437,24 @@ def test_reductions_allocate_less_than_two_rows(system, ppf):
         assert peak < 2 * row_bytes
 
 
+def test_estimators_hold_the_paths_and_bounded_blocks():
+    # the binned estimators stream over path blocks: no residual, index or
+    # pooled-value array as long as a row, let alone the pooled rows
+    s = MarkovSampler(doubling_system(G512), uniform_ppf, master_seed=73)
+    b1 = GridFunction.from_callable(G512, lambda x: x - 0.5)
+    tracemalloc.start()
+    try:
+        pe = simulate_paths(s, 16 * _BLOCK, 3)
+        for check in (lambda: markov_property_check(pe, lambda x: x, 2, Grid(0.0, 1.0, 8)),
+                      lambda: martingale_check(pe, b1, 1, Grid(0.0, 1.0, 16), eigenvalue=0.5)):
+            tracemalloc.reset_peak()
+            check()
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak <= pe.paths.nbytes + 16 * _BLOCK * 8
+    finally:
+        tracemalloc.stop()
+
+
 # ---------------------------------------------------------------------------
 # conditional expectation estimates
 # ---------------------------------------------------------------------------

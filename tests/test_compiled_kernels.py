@@ -9,7 +9,10 @@ n >= K, and sum every branch, where the library sums runs of them in
 closed form."""
 
 import math
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -238,6 +241,32 @@ def test_equal_operators_share_one_compiled_matrix():
     apply_gauss(gauss_operator(K=777), f)
     gauss_operator(K=777).chain_apply(f)
     assert compiled.cache_info().hits == hits + 2
+
+
+def test_threads_asking_at_once_build_the_compiled_matrices_once(monkeypatch):
+    builds = []
+    build = operators._csc_from_blocks
+
+    def slow_build(*args):
+        builds.append(threading.get_ident())
+        time.sleep(0.05)  # both threads ask while the first build runs
+        return build(*args)
+
+    monkeypatch.setattr(operators, "_csc_from_blocks", slow_build)
+    operators._gauss_compiled.cache_clear()
+    g = Grid(0.0, 1.0, 96)
+    start = threading.Barrier(2)
+
+    def ask(_):
+        start.wait()
+        return operators._gauss_compiled(779, g)
+
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            first, second = pool.map(ask, range(2))
+    finally:
+        operators._gauss_compiled.cache_clear()
+    assert len(builds) == 1 and first is second
 
 
 def test_compiled_gauss_matrices_share_one_pattern():

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import os
 import pkgutil
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from transferchain.grids import Grid, arcsine_ppf
 @pytest.mark.parametrize("seed", [41, 161, 205, 222, 240, 280])
 def test_closed_form_check_passes_at_formerly_red_seeds(seed):
     # these seeds pushed the bin-centre comparison past 5 under the arcsine law
-    stat, thresh, direction, _ = verify._conditional_closed(seed, None, 2)
+    stat, thresh, direction, _ = verify._conditional_closed(seed, None)
     assert direction == "<=" and thresh == 5.0
     assert stat <= thresh
 
@@ -25,6 +27,33 @@ def test_closed_form_check_flags_shifted_closed_form():
     pe = chains.simulate_paths(s, 1_000_000, 1)
     assert verify._closed_form_z(pe, lambda x: (1 + 2 * x) / 4) <= 5.0
     assert verify._closed_form_z(pe, lambda x: (1 + 2 * x) / 4 + 0.02) > 5.0
+
+
+class _CheckFailed(Exception):
+    pass
+
+
+def test_run_suite_raises_the_registry_first_error(monkeypatch):
+    # the later check fails first; the earlier one fails once it has
+    later_failed = threading.Event()
+
+    def early(seed, fault):
+        later_failed.wait(timeout=10)
+        raise _CheckFailed("early")
+
+    def late(seed, fault):
+        later_failed.set()
+        raise _CheckFailed("late")
+
+    def fine(seed, fault):
+        return 0.0, 0.0, "<=", ""
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_REGISTRY", [("t", "fine", fine), ("t", "early", early),
+                                              ("t", "late", late), ("t", "after", fine)])
+    with pytest.raises(_CheckFailed, match="early"):
+        verify.run_suite("t", threads=2)
+    assert later_failed.is_set()
 
 
 def test_public_names_resolve():
