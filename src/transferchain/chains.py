@@ -162,13 +162,12 @@ def step(s: MarkovSampler, x: float, rng: np.random.Generator) -> float:
 
 
 def _state_indices(x, states) -> np.ndarray:
-    """Index of the state nearest each x, a ``_BLOCK`` of points at a time."""
+    """Index of the state nearest each x; its callers pass at most a
+    ``_BLOCK`` of points, so the distance table stays block-sized."""
     x = np.asarray(x, dtype=float).ravel()
-    idx = np.empty(x.size, dtype=np.intp)
-    for b in _blocks(x.size):
-        idx[b] = np.argmin(np.abs(x[b, None] - states[None, :]), axis=1)
-        if np.max(np.abs(x[b] - states[idx[b]])) > 1e-9:
-            raise ValueError("path value outside the declared finite state set")
+    idx = np.argmin(np.abs(x[:, None] - states[None, :]), axis=1)
+    if np.max(np.abs(x - states[idx]), initial=0.0) > 1e-9:
+        raise ValueError("path value outside the declared finite state set")
     return idx
 
 
@@ -343,20 +342,22 @@ def _bin_sums(n_bins: int, blocks, squares: bool = True) -> tuple:
     return counts, sums, sq
 
 
-def _binned_stats(grid: Grid, x: np.ndarray, y: Callable) -> ConditionalEstimate:
-    """Binned mean of the observations ``y(b)`` at the points ``x[b]``, over
-    the ``_BLOCK``-point slices b of x."""
-    counts, sums, sq = _bin_sums(grid.n, ((grid.cell_index(x[b]), y(b))
-                                          for b in _blocks(x.size)))
-    values = np.full(grid.n, np.nan)
-    ses = np.full(grid.n, np.nan)
-    nz = counts > 0
-    values[nz] = sums[nz] / counts[nz]
-    var = np.zeros(grid.n)
-    var[nz] = np.maximum(sq[nz] / counts[nz] - values[nz] ** 2, 0.0)
-    pos = counts > 1
-    ses[pos] = np.sqrt(var[pos] / counts[pos])
-    return ConditionalEstimate(grid=grid, values=values, counts=counts, std_errors=ses)
+def _grid_sums(grid: Grid, x: np.ndarray, y: Callable) -> tuple:
+    """``_bin_sums`` of the observations ``y(b)`` in the cells of ``grid``
+    holding the points ``x[b]``, over the ``_BLOCK``-point slices b of x."""
+    return _bin_sums(grid.n, ((grid.cell_index(x[b]), y(b)) for b in _blocks(x.size)))
+
+
+def _max_z(counts, sums, sq, floor: float) -> float:
+    """Max over bins of at least ``_MIN_COUNT`` values of |mean| / its
+    standard error, from the bins' counts, sums and sums of squares; the
+    variance is floored at 1e-300 and the standard error at ``floor``."""
+    live = counts >= _MIN_COUNT
+    if not np.any(live):
+        return 0.0
+    mean = sums[live] / counts[live]
+    var = np.maximum(sq[live] / counts[live] - mean**2, 1e-300)
+    return float(np.max(np.abs(mean) / np.maximum(np.sqrt(var / counts[live]), floor)))
 
 
 def estimate_conditional(pe: PathEnsemble, f, from_step: int, bins: Grid) -> ConditionalEstimate:
@@ -364,7 +365,16 @@ def estimate_conditional(pe: PathEnsemble, f, from_step: int, bins: Grid) -> Con
     if from_step >= pe.n_steps:
         raise ValueError("from_step must leave at least one transition")
     x, nxt = pe.paths[from_step], pe.paths[from_step + 1]
-    return _binned_stats(bins, x, lambda b: f(nxt[b]))
+    counts, sums, sq = _grid_sums(bins, x, lambda b: f(nxt[b]))
+    values = np.full(bins.n, np.nan)
+    ses = np.full(bins.n, np.nan)
+    nz = counts > 0
+    values[nz] = sums[nz] / counts[nz]
+    var = np.zeros(bins.n)
+    var[nz] = np.maximum(sq[nz] / counts[nz] - values[nz] ** 2, 0.0)
+    pos = counts > 1
+    ses[pos] = np.sqrt(var[pos] / counts[pos])
+    return ConditionalEstimate(grid=bins, values=values, counts=counts, std_errors=ses)
 
 
 def pooled_transitions(pe: PathEnsemble, lag: int = 1):
@@ -401,14 +411,7 @@ def markov_property_check(pe: PathEnsemble, f, n: int, bins: Grid) -> float:
         pair = bins.cell_index(prev[b]) * bins.n + bins.cell_index(x[b])
         return pair, f(nxt[b]) - baseline[fine.cell_index(x[b])]
 
-    counts, sums, sq = _bin_sums(bins.n * bins.n, map(residuals, blocks))
-    live = counts >= _MIN_COUNT
-    if not np.any(live):
-        return 0.0
-    mean = sums[live] / counts[live]
-    var = np.maximum(sq[live] / counts[live] - mean**2, 1e-300)
-    z = np.abs(mean) / np.sqrt(var / counts[live])
-    return float(np.max(z))
+    return _max_z(*_bin_sums(bins.n * bins.n, map(residuals, blocks)), floor=0.0)
 
 
 def nested_operator_expectation(op, h: GridFunction, lam: DiscreteMeasure,
@@ -502,18 +505,12 @@ def quasi_invariance_check(pe: PathEnsemble, W: Callable,
 
 def _paired_bin_z(bins: Grid, x: np.ndarray, resid: Callable, scale: float = 1.0) -> float:
     """Max over occupied bins of |mean residual| / its standard error, with
-    ``resid(b)`` the residuals at the points ``x[b]`` (``_binned_stats``).
+    ``resid(b)`` the residuals at the points ``x[b]``.
 
     The denominator is floored at round-off relative to ``scale`` so that a
     residual which is identically zero up to float dust scores zero instead
     of dust-over-dust."""
-    est = _binned_stats(bins, x, resid)
-    live = est.occupied
-    if not np.any(live):
-        return 0.0
-    floor = 1e-13 * max(scale, 1e-300)
-    se = np.maximum(np.where(np.isnan(est.std_errors), 0.0, est.std_errors)[live], floor)
-    return float(np.max(np.abs(est.values[live]) / se))
+    return _max_z(*_grid_sums(bins, x, resid), floor=1e-13 * max(scale, 1e-300))
 
 
 def martingale_check(pe: PathEnsemble, h: GridFunction, k: int, bins: Grid,

@@ -19,27 +19,15 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import __version__, chains, grids, invariant, operators, schur, solenoid, verify, wavelets
-from .grids import (
-    Grid,
-    arcsine_measure,
-    arcsine_ppf,
-    gauss_measure,
-    gauss_ppf,
-    ks_distance,
-    uniform_measure,
-    uniform_ppf,
-    wasserstein1,
-)
-from .verify import CheckResult
+from . import __version__, chains, invariant, schur, verify
+from .grids import Grid, ks_distance, wasserstein1
+from .verify import SYSTEMS, CheckResult
 
-SUITE_CHOICES = ("operators", "chains", "solenoid", "wavelet", "schur", "all")
-FAULT_CHOICES = ("mis-normalized-filter",)
+SUITE_CHOICES = (*verify.SUITES, "all")
 SCHUR_GRAMMAR = "constant:C, blaschke:Z1[,Z2..] or random:R[,DEPTH]"
 # random:R,DEPTH draws all DEPTH parameters up front; at 64, R = 0.5 still
 # round-trips within the 1e-8 check (README, "Schur round-trip accuracy")
@@ -118,70 +106,8 @@ def _emit(config: RunConfig, checks: list, manifest: list) -> int:
 
 
 # ---------------------------------------------------------------------------
-# built-in systems
+# built-in systems (declared in ``verify.SYSTEMS``)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class System:
-    """A built-in system, declared once.  ``build(grid_n, **params)``
-    constructs it; ``params`` holds each parameter's default, whose type is
-    the parameter's.  ``simulate`` serves the systems with a ``t0``, where
-    ``t0(**params)`` is the quantile function of T_0's law; ``invariant``
-    those with a ``gate``, the metric ("l1" or "w1") and tolerance the
-    stationary density on ``Grid(0, 1, grid_n)`` is held to.  Both compare
-    against ``stationary(grid)``, the stationary law, where there is one."""
-
-    build: Callable
-    params: dict = field(default_factory=dict)
-    t0: Optional[Callable] = None
-    stationary: Optional[Callable] = None
-    gate: Optional[tuple] = None
-
-
-def _circle(n: int) -> Grid:
-    return Grid(0.0, 1.0, max(n, 4096), "circle")
-
-
-def _bernoulli(n: int, a: float):
-    span = operators.bernoulli_support(a)
-    return operators.bernoulli_system(Grid(-span, span, n), a)
-
-
-def _fejer(m: int):  # the stretched box filter and its harmonic function
-    return (wavelets.stretched_box_filter(m),
-            wavelets.autocorrelation(wavelets.box_scaling_function(m, 8)))
-
-
-def _fejer_t0(m: int):  # the law of the solenoid coordinate 0
-    return partial(grids.measure_ppf, solenoid.pi_k_distribution(*_fejer(m), 0, _circle(4096)))
-
-
-SYSTEMS = {
-    "gauss": System(lambda n, K: operators.gauss_operator(K), {"K": 10_000},
-                    t0=lambda K: gauss_ppf, stationary=gauss_measure, gate=("l1", 0.02)),
-    "doubling": System(lambda n: operators.doubling_system(Grid(0.0, 1.0, n)),
-                       t0=lambda: uniform_ppf, stationary=uniform_measure, gate=("l1", 1e-6)),
-    "random-control": System(lambda n: operators.random_control_system(Grid(0.0, 1.0, n)),
-                             t0=lambda: arcsine_ppf, stationary=arcsine_measure,
-                             gate=("l1", 0.03)),
-    # the arcsine density is unbounded at both ends, so the logistic law is
-    # gated on Wasserstein-1, which weighs the endpoint cells by their mass
-    "logistic": System(lambda n: operators.logistic_system(Grid(0.0, 1.0, n)),
-                       t0=lambda: arcsine_ppf, stationary=arcsine_measure, gate=("w1", 0.01)),
-    "halving": System(lambda n: invariant.halving_ifs(Grid(0.0, 1.0, n)),
-                      stationary=uniform_measure, gate=("l1", 1e-3)),
-    "parametric-u": System(lambda n, u: operators.parametric_system(Grid(0.0, 1.0, n), u),
-                           {"u": 0.3}, t0=lambda u: uniform_ppf),
-    # starts at the fixed point 0 and mixes toward the convolution law, so
-    # no stationary-marginal check applies at finite step counts
-    "bernoulli-a": System(_bernoulli, {"a": 0.5}, t0=lambda a: np.zeros_like),
-    "haar": System(lambda n: operators.circle_filter_system(_circle(n),
-                                                            wavelets.haar_filter()),
-                   t0=lambda: uniform_ppf),
-    "fejer-m": System(lambda n, m: operators.circle_filter_system(_circle(n), *_fejer(m)),
-                      {"m": 1}, t0=_fejer_t0),
-}
-
 
 def _build(config: RunConfig, serves: str, make):
     """``make(system, params)`` for the run's system, with the given
@@ -239,8 +165,8 @@ def cmd_invariant(config: RunConfig) -> int:
 def cmd_simulate(config: RunConfig) -> int:
     def make(system, params):
         ref = system.stationary(Grid(0.0, 1.0, 2048)) if system.stationary else None
-        return (chains.MarkovSampler(system.build(config.grid_n, **params),
-                                     system.t0(**params), config.master_seed), ref)
+        return verify._sampler(config.system, config.master_seed, config.grid_n,
+                               **params), ref
 
     t0 = time.perf_counter()
     sampler, ref = _build(config, "t0", make)
@@ -383,7 +309,7 @@ _FLAG_OPTIONS = {  # argparse keywords of a flag; _resolve_config checks every v
     "param": {"action": "append", "metavar": "KEY=VALUE",
               "help": "system parameter (u, a, m, K)"},
     "suite": {"choices": SUITE_CHOICES},
-    "inject_fault": {"choices": FAULT_CHOICES,
+    "inject_fault": {"choices": verify.FAULTS,
                      "help": "diagnostic fault injection for testing the harness"},
     "schur_spec": {"help": SCHUR_GRAMMAR},
     "out": {"help": "artifact directory"},
@@ -450,7 +376,7 @@ def _settings(command: str, given: dict) -> RunConfig:
     cfg.threads = _size(given, "threads", os.cpu_count() or 1, 1)
     cfg.out_dir = _text(given, "out", cfg.out_dir)
     cfg.suite = _text(given, "suite", cfg.suite, SUITE_CHOICES)
-    cfg.inject_fault = _text(given, "inject_fault", cfg.inject_fault, FAULT_CHOICES)
+    cfg.inject_fault = _text(given, "inject_fault", cfg.inject_fault, verify.FAULTS)
     cfg.schur_spec = _text(given, "schur_spec", cfg.schur_spec)
     return cfg
 

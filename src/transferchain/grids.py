@@ -194,30 +194,21 @@ class GridFunction:
         return self.eval(x)
 
     def eval(self, x):
-        """Values at x, of x's shape.  Inputs longer than ``_BLOCK`` points
-        are evaluated block by block; each point's value is the same bits."""
+        """Values at x, of x's shape (a float for a scalar x)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return float(self._eval(x[None])[0])
-        if x.size <= _BLOCK:
-            return self._eval(x)
-        out = np.empty(x.shape)
-        flat, out_flat = x.reshape(-1), out.reshape(-1)
-        for b in _blocks(flat.size):
-            out_flat[b] = self._eval(flat[b])
-        return out
-
-    def _eval(self, x) -> np.ndarray:
+        xs = x[None] if x.ndim == 0 else x
         g, v = self.grid, self.values
         if g.domain_kind == "circle":
             # reduce into the period before the half-cell shift so that
             # exactly representable translates by the period evaluate
             # bit-identically
-            t = _mod_width(x - g.lower, g.width) / g.dx - 0.5
+            t = _mod_width(xs - g.lower, g.width) / g.dx - 0.5
             i0 = np.floor(t).astype(int)
             frac = t - i0
-            return v[i0 % g.n] * (1 - frac) + v[(i0 + 1) % g.n] * frac
-        return self.sign_clamp(self.linear(x))
+            out = v[i0 % g.n] * (1 - frac) + v[(i0 + 1) % g.n] * frac
+        else:
+            out = self.sign_clamp(self.linear(xs))
+        return float(out[0]) if x.ndim == 0 else out
 
     def linear(self, x) -> np.ndarray:
         """Interval grids: linear interpolation between midpoints, extended

@@ -1,6 +1,9 @@
-"""Named verification checks grouped into suites.
+"""Named verification checks grouped into suites, and the built-in systems.
 
-Each check computes one statistic and compares it against a declared
+``SYSTEMS`` declares each built-in system once: its operator, the law of
+T_0 and its stationary law where there is one.  The checks and the CLI's
+``invariant`` and ``simulate`` commands build their chains from it.  Each
+check computes one statistic and compares it against a declared
 threshold; the CLI's ``verify`` command runs a suite and reports one
 record per check.  All randomness is derived from the run's master seed
 through fixed stream offsets, so a seed pins every statistic exactly, and
@@ -12,7 +15,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +32,7 @@ from .grids import (
     gauss_ppf,
     ks_distance,
     ks_two_sample,
+    measure_ppf,
     stream_rng,
     uniform_measure,
     uniform_ppf,
@@ -95,6 +100,80 @@ def run_suite(suite: str, master_seed: int = 9001,
     return chains._map_blocks(run, checks, min(threads, os.cpu_count() or 1))
 
 
+# ---------------------------------------------------------------------------
+# built-in systems
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class System:
+    """A built-in system, declared once.  ``build(grid_n, **params)``
+    constructs it; ``params`` holds each parameter's default, whose type is
+    the parameter's.  ``simulate`` serves the systems with a ``t0``, where
+    ``t0(**params)`` is the quantile function of T_0's law; ``invariant``
+    those with a ``gate``, the metric ("l1" or "w1") and tolerance the
+    stationary density on ``Grid(0, 1, grid_n)`` is held to.  Both compare
+    against ``stationary(grid)``, the stationary law, where there is one."""
+
+    build: Callable
+    params: dict = field(default_factory=dict)
+    t0: Optional[Callable] = None
+    stationary: Optional[Callable] = None
+    gate: Optional[tuple] = None
+
+
+def _circle(n: int) -> Grid:
+    return Grid(0.0, 1.0, max(n, 4096), "circle")
+
+
+def _bernoulli(n: int, a: float):
+    span = operators.bernoulli_support(a)
+    return operators.bernoulli_system(Grid(-span, span, n), a)
+
+
+def _fejer(m: int):  # the stretched box filter and its harmonic function
+    return (wavelets.stretched_box_filter(m),
+            wavelets.autocorrelation(wavelets.box_scaling_function(m, 8)))
+
+
+def _fejer_t0(m: int):  # the law of the solenoid coordinate 0
+    return partial(measure_ppf, solenoid.pi_k_distribution(*_fejer(m), 0, _circle(4096)))
+
+
+SYSTEMS = {
+    "gauss": System(lambda n, K: operators.gauss_operator(K), {"K": 10_000},
+                    t0=lambda K: gauss_ppf, stationary=gauss_measure, gate=("l1", 0.02)),
+    "doubling": System(lambda n: operators.doubling_system(Grid(0.0, 1.0, n)),
+                       t0=lambda: uniform_ppf, stationary=uniform_measure, gate=("l1", 1e-6)),
+    "random-control": System(lambda n: operators.random_control_system(Grid(0.0, 1.0, n)),
+                             t0=lambda: arcsine_ppf, stationary=arcsine_measure,
+                             gate=("l1", 0.03)),
+    # the arcsine density is unbounded at both ends, so the logistic law is
+    # gated on Wasserstein-1, which weighs the endpoint cells by their mass
+    "logistic": System(lambda n: operators.logistic_system(Grid(0.0, 1.0, n)),
+                       t0=lambda: arcsine_ppf, stationary=arcsine_measure, gate=("w1", 0.01)),
+    "halving": System(lambda n: invariant.halving_ifs(Grid(0.0, 1.0, n)),
+                      stationary=uniform_measure, gate=("l1", 1e-3)),
+    "parametric-u": System(lambda n, u: operators.parametric_system(Grid(0.0, 1.0, n), u),
+                           {"u": 0.3}, t0=lambda u: uniform_ppf),
+    # starts at the fixed point 0 and mixes toward the convolution law, so
+    # no stationary-marginal check applies at finite step counts
+    "bernoulli-a": System(_bernoulli, {"a": 0.5}, t0=lambda a: np.zeros_like),
+    "haar": System(lambda n: operators.circle_filter_system(_circle(n),
+                                                            wavelets.haar_filter()),
+                   t0=lambda: uniform_ppf),
+    "fejer-m": System(lambda n, m: operators.circle_filter_system(_circle(n), *_fejer(m)),
+                      {"m": 1}, t0=_fejer_t0),
+}
+
+
+def _sampler(name: str, seed: int, n: int = 512, **params) -> chains.MarkovSampler:
+    """The chain of the built-in system ``name`` on ``n`` cells, started in
+    its T_0 law and seeded with ``seed``; ``params`` override the defaults."""
+    system = SYSTEMS[name]
+    params = {**system.params, **params}
+    return chains.MarkovSampler(system.build(n, **params), system.t0(**params), seed)
+
+
 def _trig_pair(grid: Grid, rng: np.random.Generator):
     deg = 3  # harmonics in each random trigonometric polynomial
 
@@ -118,13 +197,21 @@ def _trig_pair(grid: Grid, rng: np.random.Generator):
 # operators suite (includes the invariant-measure criteria)
 # ---------------------------------------------------------------------------
 
+def _stationary_l1(name: str, n: int, **iterate):
+    """The L1 distance of the Ulam stationary law of the built-in system
+    ``name`` on ``n`` cells from its stationary law, the system's gate
+    tolerance and the power iteration's result."""
+    system, g = SYSTEMS[name], Grid(0.0, 1.0, n)
+    ulam = invariant.build_ulam(system.build(n, **system.params), g)
+    res = invariant.power_iterate(ulam, **iterate)
+    l1 = float(np.abs(res.measure.weights - system.stationary(g).weights).sum())
+    return l1, system.gate[1], res
+
+
 @_check("operators", "gauss-invariant-density-l1")
 def _gauss_density(seed, fault):
-    g = Grid(0.0, 1.0, 512)
-    m = invariant.build_ulam(operators.gauss_operator(K=10_000), g)
-    res = invariant.power_iterate(m, tol=1e-12, max_iters=2000)
-    l1 = float(np.abs(res.measure.weights - gauss_measure(g).weights).sum())
-    return l1, 0.02, "<=", f"{res.iterations} iterations, residual {res.residual:.2e}"
+    l1, tol, res = _stationary_l1("gauss", 512, tol=1e-12, max_iters=2000)
+    return l1, tol, "<=", f"{res.iterations} iterations, residual {res.residual:.2e}"
 
 
 @_check("operators", "gauss-ulam-column-sums")
@@ -137,19 +224,14 @@ def _gauss_colsums(seed, fault):
 
 @_check("operators", "doubling-invariant-uniform-l1")
 def _doubling_density(seed, fault):
-    g = Grid(0.0, 1.0, 512)
-    res = invariant.power_iterate(invariant.build_ulam(operators.doubling_system(g), g))
-    l1 = float(np.abs(res.measure.weights - uniform_measure(g).weights).sum())
-    return l1, 1e-6, "<=", ""
+    l1, tol, _ = _stationary_l1("doubling", 512)
+    return l1, tol, "<=", ""
 
 
 @_check("operators", "random-control-invariant-arcsine-l1")
 def _rc_density(seed, fault):
-    g = Grid(0.0, 1.0, 1024)
-    res = invariant.power_iterate(
-        invariant.build_ulam(operators.random_control_system(g), g), max_iters=3000)
-    l1 = float(np.abs(res.measure.weights - arcsine_measure(g).weights).sum())
-    return l1, 0.03, "<=", ""
+    l1, tol, _ = _stationary_l1("random-control", 1024, max_iters=3000)
+    return l1, tol, "<=", ""
 
 
 @_check("operators", "arcsine-invariance-residuals")
@@ -225,6 +307,10 @@ def logistic_separation_search():
     return best_name, best
 
 
+_MIS_NORMALIZED = "mis-normalized-filter"
+FAULTS = (_MIS_NORMALIZED,)  # the faults a run can inject, each read by the check below
+
+
 @_check("operators", "normalization-R1")
 def _normalization(seed, fault):
     g = Grid(0.0, 1.0, 1024)
@@ -233,7 +319,7 @@ def _normalization(seed, fault):
            operators.parametric_system(g, 0.3),
            operators.random_control_system(g),
            operators.circle_filter_system(gc, wavelets.haar_filter())]
-    if fault == "mis-normalized-filter":
+    if fault == _MIS_NORMALIZED:
         bad = wavelets.WaveletFilter(N=2, coeffs=np.array([0.8, 0.7]), name="bad")
         ops.append(operators.CircleFilterOperator(bad))
     worst = 0.0
@@ -322,12 +408,6 @@ def _cantor_ratio(seed, fault):
 # chains suite
 # ---------------------------------------------------------------------------
 
-def _doubling_sampler(seed, offset=0):
-    g = Grid(0.0, 1.0, 512)
-    return chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
-                                master_seed=seed + offset)
-
-
 @_check("chains", "kolmogorov-moment-doubling")
 def _moment_doubling(seed, fault):
     gq = Grid(0.0, 1.0, 32768)
@@ -335,7 +415,7 @@ def _moment_doubling(seed, fault):
     one = GridFunction.constant(gq, 1.0)
     ident = GridFunction.from_callable(gq, lambda x: x)
     sq = GridFunction.from_callable(gq, lambda x: x**2)
-    pe = chains.simulate_paths(_doubling_sampler(seed), 1_000_000, 2)
+    pe = chains.simulate_paths(_sampler("doubling", seed), 1_000_000, 2)
     worst = 0.0
     for fs_grid, fs_mc in (([ident, ident], [lambda x: x] * 2),
                            ([ident, sq, ident], [lambda x: x, lambda x: x**2, lambda x: x])):
@@ -348,11 +428,11 @@ def _moment_doubling(seed, fault):
 @_check("chains", "kolmogorov-moment-random-control")
 def _moment_rc(seed, fault):
     gq = Grid(0.0, 1.0, 8192)
-    op = operators.random_control_system(gq)
+    s = _sampler("random-control", seed + 1, gq.n)
+    op = s.system
     one = GridFunction.constant(gq, 1.0)
     ident = GridFunction.from_callable(gq, lambda x: x)
     cosf = GridFunction.from_callable(gq, lambda x: np.cos(2 * np.pi * x))
-    s = chains.MarkovSampler(op, arcsine_ppf, master_seed=seed + 1)
     pe = chains.simulate_paths(s, 1_000_000, 2)
     worst = 0.0
     for fs_grid, fs_mc in (([ident, ident], [lambda x: x] * 2),
@@ -370,8 +450,7 @@ def _quasi(seed, fault):
     details = []
     for i, u in enumerate((0.3, 0.5, 0.7)):
         g = Grid(0.0, 1.0, 512)
-        s = chains.MarkovSampler(operators.parametric_system(g, u), uniform_ppf,
-                                 master_seed=seed + 10 + i)
+        s = _sampler("parametric-u", seed + 10 + i, u=u)
         W = operators.parametric_weight(u)
         if u == 0.5:
             flat = float(np.max(np.abs(W(g.nodes) - 1.0)))
@@ -385,10 +464,7 @@ def _quasi(seed, fault):
 
 @_check("chains", "quasi-invariance-wrong-weight")
 def _quasi_wrong(seed, fault):
-    g = Grid(0.0, 1.0, 512)
-    s = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
-                             master_seed=seed + 13)
-    pe = chains.simulate_paths(s, 1_000_000, 2)
+    pe = chains.simulate_paths(_sampler("parametric-u", seed + 13, u=0.3), 1_000_000, 2)
     res = chains.quasi_invariance_check(pe, operators.parametric_weight(0.7),
                                         chains.coordinate_functional(lambda x: x, 1))
     return res.z, 8.0, ">=", "swapped weight constants must be detected"
@@ -397,24 +473,18 @@ def _quasi_wrong(seed, fault):
 @_check("chains", "martingale-harmonic")
 def _martingale(seed, fault):
     g = Grid(0.0, 1.0, 512)
-    gc = Grid(0.0, 1.0, 4096, "circle")
+    gc = _circle(g.n)
     bins = Grid(0.0, 1.0, 32)
     one = GridFunction.constant(g, 1.0)
     systems = [
-        ("doubling", chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
-                                          master_seed=seed + 20), one, g),
-        ("parametric-0.3", chains.MarkovSampler(operators.parametric_system(g, 0.3),
-                                                uniform_ppf, master_seed=seed + 21), one, g),
-        ("random-control", chains.MarkovSampler(operators.random_control_system(g),
-                                                arcsine_ppf, master_seed=seed + 22), one, g),
-        ("gauss-backward", chains.MarkovSampler(operators.gauss_operator(K=10_000),
-                                                gauss_ppf, master_seed=seed + 23), one, g),
-        ("haar-chain", chains.MarkovSampler(
-            operators.circle_filter_system(gc, wavelets.haar_filter()), uniform_ppf,
-            master_seed=seed + 24), GridFunction.constant(gc, 1.0), gc),
+        (_sampler("doubling", seed + 20), one, g),
+        (_sampler("parametric-u", seed + 21, u=0.3), one, g),
+        (_sampler("random-control", seed + 22), one, g),
+        (_sampler("gauss", seed + 23), one, g),
+        (_sampler("haar", seed + 24), GridFunction.constant(gc, 1.0), gc),
     ]
     worst = 0.0
-    for name, s, h, grid in systems:
+    for s, h, grid in systems:
         pe = chains.simulate_paths(s, 500_000, 2)
         for k in (1, 2):
             bins_here = bins if grid.domain_kind == "interval" else Grid(0, 1, 32, "circle")
@@ -427,9 +497,7 @@ def _martingale(seed, fault):
 def _martingale_gauss(seed, fault):
     g = Grid(0.0, 1.0, 512)
     h = GridFunction.from_callable(g, operators.GaussOperator.density)
-    s = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                             master_seed=seed + 25)
-    pe = chains.simulate_paths(s, 1_000_000, 2)
+    pe = chains.simulate_paths(_sampler("gauss", seed + 25), 1_000_000, 2)
     worst = max(chains.conditional_expectation_check(pe, h, k, Grid(0.0, 1.0, 32))
                 for k in (1, 2))
     return worst, 5.0, "<=", \
@@ -440,7 +508,7 @@ def _martingale_gauss(seed, fault):
 def _martingale_eigen(seed, fault):
     g = Grid(0.0, 1.0, 512)
     b1 = GridFunction.from_callable(g, lambda x: x - 0.5)
-    pe = chains.simulate_paths(_doubling_sampler(seed, 26), 1_000_000, 2)
+    pe = chains.simulate_paths(_sampler("doubling", seed + 26), 1_000_000, 2)
     worst = max(chains.martingale_check(pe, b1, k, Grid(0.0, 1.0, 16), eigenvalue=0.5)
                 for k in (1, 2))
     return worst, 4.0, "<=", "eigenpair (x - 1/2, 1/2) of the doubling operator"
@@ -448,15 +516,9 @@ def _martingale_eigen(seed, fault):
 
 @_check("chains", "markov-property-honest")
 def _markov_honest(seed, fault):
-    g = Grid(0.0, 1.0, 512)
     bins = Grid(0.0, 1.0, 8)
-    samplers = [
-        _doubling_sampler(seed, 30),
-        chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
-                             master_seed=seed + 31),
-        chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                             master_seed=seed + 32),
-    ]
+    samplers = [_sampler("doubling", seed + 30), _sampler("random-control", seed + 31),
+                _sampler("gauss", seed + 32)]
     worst = max(chains.markov_property_check(chains.simulate_paths(s, 1_000_000, 3),
                                              lambda x: x, 2, bins) for s in samplers)
     return worst, 5.0, "<=", "10^6 paths per system"
@@ -464,9 +526,7 @@ def _markov_honest(seed, fault):
 
 @_check("chains", "markov-property-violation")
 def _markov_violation(seed, fault):
-    g = Grid(0.0, 1.0, 512)
-    s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
-                             seed + 33, reuse_driver_noise=True)
+    s = replace(_sampler("random-control", seed + 33), reuse_driver_noise=True)
     pe = chains.simulate_paths(s, 1_000_000, 3)
     z = chains.markov_property_check(pe, lambda x: x, 2, Grid(0.0, 1.0, 8))
     return z, 8.0, ">=", "driver noise reused from the previous step"
@@ -475,29 +535,21 @@ def _markov_violation(seed, fault):
 @_check("chains", "solenoid-constraint")
 def _solenoid_constraint(seed, fault):
     worst = 0.0
-    g = Grid(0.0, 1.0, 512)
-    for s in (_doubling_sampler(seed, 34),
-              chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                                   master_seed=seed + 35),
-              chains.MarkovSampler(operators.parametric_system(g, 0.7), uniform_ppf,
-                                   master_seed=seed + 36)):
+    for s in (_sampler("doubling", seed + 34), _sampler("gauss", seed + 35),
+              _sampler("parametric-u", seed + 36, u=0.7)):
         worst = max(worst, chains.simulate_paths(s, 50_000, 10).solenoid_violation())
     return worst, 1e-10, "<=", "sigma(T_{k+1}) = T_k along every stored path"
 
 
 @_check("chains", "stationarity-marginals")
 def _stationarity(seed, fault):
-    g = Grid(0.0, 1.0, 512)
     ref = arcsine_measure(Grid(0.0, 1.0, 2048))
-    s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
-                             master_seed=seed + 37)
-    pe = chains.simulate_paths(s, 100_000, 25)
+    pe = chains.simulate_paths(_sampler("random-control", seed + 37), 100_000, 25)
     worst = max(ks_distance(pe.paths[k], ref) for k in (1, 5, 25))
     del pe  # before the Gauss chain samples
     refg = gauss_measure(Grid(0.0, 1.0, 2048))
-    sg = chains.MarkovSampler(operators.gauss_operator(K=10_000), gauss_ppf,
-                              master_seed=seed + 38)
-    worst = max(worst, ks_distance(chains.simulate_paths(sg, 100_000, 10).paths[10], refg))
+    pe = chains.simulate_paths(_sampler("gauss", seed + 38), 100_000, 10)
+    worst = max(worst, ks_distance(pe.paths[10], refg))
     return worst, 0.02, "<=", "arcsine at steps {1,5,25}; gauss law at step 10"
 
 
@@ -511,20 +563,18 @@ def _closed_form_z(pe: chains.PathEnsemble, closed_form: Callable) -> float:
 
 @_check("chains", "conditional-expectation-closed-form")
 def _conditional_closed(seed, fault):
-    z1 = _closed_form_z(chains.simulate_paths(_doubling_sampler(seed, 39), 1_000_000, 1),
+    z1 = _closed_form_z(chains.simulate_paths(_sampler("doubling", seed + 39), 1_000_000, 1),
                         lambda x: x / 2 + 0.25)
-    g = Grid(0.0, 1.0, 512)
-    s = chains.MarkovSampler(operators.random_control_system(g), arcsine_ppf,
-                             master_seed=seed + 40)
-    z2 = _closed_form_z(chains.simulate_paths(s, 1_000_000, 1), lambda x: (1 + 2 * x) / 4)
+    z2 = _closed_form_z(chains.simulate_paths(_sampler("random-control", seed + 40),
+                                              1_000_000, 1), lambda x: (1 + 2 * x) / 4)
     return max(z1, z2), 5.0, "<=", \
         "R(id) closed forms for doubling and random control"
 
 
 @_check("chains", "kolmogorov-consistency")
 def _consistency(seed, fault):
-    long_pe = chains.simulate_paths(_doubling_sampler(seed, 41), 100_000, 6)
-    short_pe = chains.simulate_paths(_doubling_sampler(seed, 42), 100_000, 3)
+    long_pe = chains.simulate_paths(_sampler("doubling", seed + 41), 100_000, 6)
+    short_pe = chains.simulate_paths(_sampler("doubling", seed + 42), 100_000, 3)
     worst = max(ks_two_sample(long_pe.paths[k], short_pe.paths[k]) for k in range(4))
     # 4-sigma-level Kolmogorov quantile with a Bonferroni factor for the
     # max over 4 coordinates
@@ -534,8 +584,8 @@ def _consistency(seed, fault):
 
 @_check("chains", "reproducibility")
 def _reproducibility(seed, fault):
-    a = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8)
-    b = chains.simulate_paths(_doubling_sampler(seed, 43), 20_000, 8)
+    a = chains.simulate_paths(_sampler("doubling", seed + 43), 20_000, 8)
+    b = chains.simulate_paths(_sampler("doubling", seed + 43), 20_000, 8)
     same = np.array_equal(a.paths, b.paths)
     return 0.0 if same else 1.0, 0.0, "<=", "bit-identical ensembles from one seed"
 
@@ -559,19 +609,14 @@ def _transition(seed, fault):
 
 @_check("solenoid", "prefix-invariant")
 def _prefix_invariant(seed, fault):
-    gc = Grid(0.0, 1.0, 8192, "circle")
-    s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
-                             uniform_ppf, master_seed=seed + 50)
-    pe = chains.simulate_paths(s, 20_000, 8)
+    pe = chains.simulate_paths(_sampler("haar", seed + 50, 8192), 20_000, 8)
     return pe.solenoid_violation(), 1e-12, "<=", "N t_{k+1} = t_k mod 1 along sampled paths"
 
 
 @_check("solenoid", "shift-roundtrip")
 def _shift_roundtrip(seed, fault):
-    gc = Grid(0.0, 1.0, 64, "circle")
-    s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
-                             uniform_ppf, master_seed=seed + 51)
-    p = solenoid.SolenoidPrefix(2, chains.simulate_paths(s, 1, 6).paths[:, 0])
+    pe = chains.simulate_paths(_sampler("haar", seed + 51, 64), 1, 6)
+    p = solenoid.SolenoidPrefix(2, pe.paths[:, 0])
     q = solenoid.shift_inverse(solenoid.shift_hat(p))
     back = float(np.max(np.abs(q.angles - p.angles)))
     k = 3
@@ -586,10 +631,8 @@ def _shift_roundtrip(seed, fault):
 def _pd_gram(seed, fault):
     rng = stream_rng(seed, 52)
     h_haar = wavelets.TrigPoly(0, [1.0])
-    h_box = wavelets.autocorrelation(wavelets.box_scaling_function(1, 8))
     worst = np.inf
-    for filt, h in ((wavelets.haar_filter(), h_haar),
-                    (wavelets.stretched_box_filter(1), h_box)):
+    for filt, h in ((wavelets.haar_filter(), h_haar), _fejer(1)):
         for _ in range(20):
             pts = [(int(rng.integers(-8, 9)), int(rng.integers(0, 4))) for _ in range(6)]
             G = solenoid.pd_gram(filt, h, pts, z_angle=float(rng.random()))
@@ -616,10 +659,8 @@ def _pd_well(seed, fault):
 def _pi_k_mass(seed, fault):
     g = Grid(0.0, 1.0, 1024, "circle")
     h1 = wavelets.TrigPoly(0, [1.0])
-    h_box = wavelets.autocorrelation(wavelets.box_scaling_function(1, 8))
     worst = 0.0
-    for filt, h in ((wavelets.haar_filter(), h1),
-                    (wavelets.stretched_box_filter(1), h_box)):
+    for filt, h in ((wavelets.haar_filter(), h1), _fejer(1)):
         for k in range(6):
             mu = solenoid.pi_k_distribution(filt, h, k, g)
             worst = max(worst, abs(float(mu.weights.sum()) - 1.0))
@@ -628,10 +669,7 @@ def _pi_k_mass(seed, fault):
 
 @_check("solenoid", "coordinate-distribution-sampled")
 def _pi_k_sampled(seed, fault):
-    gc = Grid(0.0, 1.0, 8192, "circle")
-    s = chains.MarkovSampler(operators.circle_filter_system(gc, wavelets.haar_filter()),
-                             uniform_ppf, master_seed=seed + 54)
-    pe = chains.simulate_paths(s, 100_000, 3)
+    pe = chains.simulate_paths(_sampler("haar", seed + 54, 8192), 100_000, 3)
     h1 = wavelets.TrigPoly(0, [1.0])
     mu3 = solenoid.pi_k_distribution(wavelets.haar_filter(), h1, 3, Grid(0, 1, 2048, "circle"))
     ks = ks_distance(pe.paths[3], mu3)
@@ -640,16 +678,12 @@ def _pi_k_sampled(seed, fault):
 
 @_check("solenoid", "scaling-unitary")
 def _scaling_unitary(seed, fault):
-    g = Grid(0.0, 1.0, 512)
-    s = chains.MarkovSampler(operators.doubling_system(g), uniform_ppf,
-                             master_seed=seed + 55)
     # the isometry E[W o pi_0 |psi o sigma-hat|^2] = E[|psi|^2] is the
     # quasi-invariance of the path measure applied to psi^2
     res1 = chains.quasi_invariance_check(
-        chains.simulate_paths(s, 1_000_000, 2), lambda x: 1.0,
+        chains.simulate_paths(_sampler("doubling", seed + 55), 1_000_000, 2), lambda x: 1.0,
         chains.coordinate_functional(lambda x: np.sin(2 * np.pi * x) ** 2, 0))
-    sp = chains.MarkovSampler(operators.parametric_system(g, 0.3), uniform_ppf,
-                              master_seed=seed + 56)
+    sp = _sampler("parametric-u", seed + 56, u=0.3)
     res2 = chains.quasi_invariance_check(chains.simulate_paths(sp, 1_000_000, 2),
                                          operators.parametric_weight(0.3),
                                          chains.coordinate_functional(lambda x: x ** 2, 1))
@@ -684,10 +718,10 @@ def _haar_h(seed, fault):
 
 
 @_check("wavelet", "fejer-autocorrelation")
-def _fejer(seed, fault):
+def _fejer_autocorrelation(seed, fault):
     worst = 0.0
     for m in (1, 2, 3):
-        h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
+        h = _fejer(m)[1]
         r = h.c[-h.lo :]  # r_0 .. r_M
         L = 2 * m + 1
         expect = np.maximum(L - np.arange(len(r)), 0) / L
@@ -702,8 +736,7 @@ def _ruelle_fixed(seed, fault):
     worst = wavelets.verify_ruelle_fixed(wavelets.haar_filter(),
                                          wavelets.TrigPoly(0, [1.0]))
     for m in (1, 2, 3):
-        h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
-        worst = max(worst, wavelets.verify_ruelle_fixed(wavelets.stretched_box_filter(m), h))
+        worst = max(worst, wavelets.verify_ruelle_fixed(*_fejer(m)))
     return worst, 1e-8, "<=", "R h = h in coefficient arithmetic"
 
 
@@ -727,7 +760,7 @@ def _cascade_contract(seed, fault):
 def _compact_support(seed, fault):
     worst = 0.0
     for m in (1, 2):
-        h = wavelets.autocorrelation(wavelets.box_scaling_function(m, 8))
+        h = _fejer(m)[1]
         beyond = h.c[-h.lo + 2 * m + 1 :]  # r_{2m+1} .. r_M
         if beyond.size:
             worst = max(worst, float(np.max(np.abs(beyond))))
@@ -798,3 +831,6 @@ def _shift_invariance(seed, fault):
     mean0 = abs(draws[:, 0].mean())
     return max(worst, mean0 * (0.01 / (4 * 0.25 / np.sqrt(100_000)))), 0.01, "<=", \
         "coordinate laws of the parameter sequence agree under the shift"
+
+
+SUITES = tuple(dict.fromkeys(s for s, _, _ in _REGISTRY))  # in registry order

@@ -17,6 +17,7 @@ from transferchain.chains import (
     FiniteChain,
     MarkovSampler,
     _paired_bin_z,
+    _state_indices,
     chain_apply,
     conditional_expectation_check,
     coordinate_functional,
@@ -303,6 +304,11 @@ def test_state_lookup_raises_the_reference_error():
                    lambda: reference_finite_step(THREE_STATE, x, np.zeros((1, x.size)))):
         with pytest.raises(ValueError, match="outside the declared finite state set"):
             lookup()
+
+
+def test_state_lookup_of_no_points_is_empty():
+    idx = _state_indices(np.array([]), THREE_STATE.states)
+    assert idx.dtype == np.intp and idx.size == 0
 
 
 def test_paired_bin_z_floors_a_zero_residual():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import transferchain
-from transferchain import chains, operators, verify
+from transferchain import chains, cli, operators, verify
 from transferchain.grids import Grid, arcsine_ppf
 
 
@@ -27,6 +27,41 @@ def test_closed_form_check_flags_shifted_closed_form():
     pe = chains.simulate_paths(s, 1_000_000, 1)
     assert verify._closed_form_z(pe, lambda x: (1 + 2 * x) / 4) <= 5.0
     assert verify._closed_form_z(pe, lambda x: (1 + 2 * x) / 4 + 0.02) > 5.0
+
+
+def _markov_sampler_builders(path: Path) -> list:
+    """The names of the functions in ``path`` that call MarkovSampler, one
+    entry per call ("<module>" for a call outside any function)."""
+    builders = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name == "MarkovSampler":
+                    builders.append(where)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return builders
+
+
+def test_built_in_chains_are_built_in_one_place():
+    # every built-in chain comes from verify.SYSTEMS through verify._sampler;
+    # the finite chain goes through chains.finite_chain_sampler
+    src = Path(transferchain.__file__).parent
+    assert _markov_sampler_builders(src / "verify.py") == ["_sampler"]
+    assert _markov_sampler_builders(src / "cli.py") == []
+
+
+def test_cli_choices_come_from_verify():
+    assert cli.SUITE_CHOICES == ("operators", "chains", "solenoid", "wavelet", "schur", "all")
+    assert verify.FAULTS == ("mis-normalized-filter",)
+    assert cli.SYSTEMS is verify.SYSTEMS
 
 
 class _CheckFailed(Exception):
