@@ -63,7 +63,6 @@ from .chains import (  # noqa: F401
     path_moment_mc,
     quasi_invariance_check,
     simulate_paths,
-    step,
 )
 from .solenoid import (  # noqa: F401
     SolenoidPrefix,

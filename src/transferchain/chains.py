@@ -34,11 +34,6 @@ __all__ = [
     "MarkovSampler",
     "PathEnsemble",
     "ConditionalEstimate",
-    "TransitionMatrixEstimate",
-    "PathFunctional",
-    "coordinate_functional",
-    "QuasiInvarianceResult",
-    "step",
     "step_batch",
     "simulate_paths",
     "chain_apply",
@@ -153,12 +148,6 @@ def finite_chain_sampler(chain: FiniteChain, initial_probs,
 def step_batch(s: MarkovSampler, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Advance a batch of states one move; uniforms has shape (channels, len(x))."""
     return s.system.step(np.asarray(x, dtype=float), uniforms)
-
-
-def step(s: MarkovSampler, x: float, rng: np.random.Generator) -> float:
-    """One move from state x, consuming the sampler's channel count of uniforms."""
-    u = rng.random((s.channels, 1))
-    return float(step_batch(s, np.array([float(x)]), u)[0])
 
 
 def _state_indices(x, states) -> np.ndarray:
@@ -448,55 +437,29 @@ def path_moment_mc(pe: PathEnsemble, fs: Sequence) -> MomentEstimate:
 
 
 # ---------------------------------------------------------------------------
-# path functionals and quasi-invariance
+# quasi-invariance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathFunctional:
-    """psi depending on coordinates 0..depends_on of a path."""
-
-    depends_on: int
-    fn: Callable  # (depends_on+1, n_paths) array, a row per step -> (n_paths,) values
-
-
-def coordinate_functional(f, k: int) -> PathFunctional:
-    """psi = f o pi_k."""
-    return PathFunctional(depends_on=k, fn=lambda block: f(block[k]))
-
-
-class QuasiInvarianceResult(NamedTuple):
-    lhs: float
-    rhs: float
-    z: float
-
-
-def _shifted_block(pe: PathEnsemble, m: int, b: slice) -> np.ndarray:
-    """Coordinates 0..m of sigma-hat applied to the paths b, as rows:
-    (sigma(x0), x0, ..)."""
-    return np.vstack([pe.sampler.sigma(pe.paths[0, b]), pe.paths[:m, b]])
-
-
-def quasi_invariance_check(pe: PathEnsemble, W: Callable,
-                           psi: PathFunctional) -> QuasiInvarianceResult:
-    """Paired Monte Carlo check of E[psi] = E[(psi o sigma-hat) (W o pi_0)],
-    for any vectorized W, such as the ``GridFunction`` ``radon_nikodym``
-    returns or an exact weight function.  The paired differences are made
-    a ``_BLOCK`` of paths at a time; ``lhs`` and ``rhs`` are the means of
-    the two sides, summed block by block."""
-    m = psi.depends_on
-    if m > pe.n_steps:
+def quasi_invariance_check(pe: PathEnsemble, W: Callable, f: Callable, k: int) -> float:
+    """z-score of the paired Monte Carlo check of E[psi] = E[(psi o
+    sigma-hat) (W o pi_0)] for psi = f o pi_k, with any vectorized W, such
+    as the ``GridFunction`` ``radon_nikodym`` returns or an exact weight
+    function.  Coordinate k of sigma-hat(x0, x1, ..) = (sigma(x0), x0, ..)
+    is sigma(x0) for k = 0 and x_{k-1} after; sigma-hat is defined only
+    where the chain undoes an endomorphism, so a sampler with none is
+    refused at every k.  The paired differences are made a ``_BLOCK`` of
+    paths at a time."""
+    if k > pe.n_steps:
         raise ValueError("functional needs more coordinates than stored")
+    sigma = pe.sampler.sigma
+    sigma(pe.paths[0, :0])  # raises for a sampler with no endomorphism
     d = np.empty(pe.n_paths)
-    lhs = rhs = 0.0
     for b in _blocks(pe.n_paths):
-        lhs_vals = psi.fn(pe.paths[: m + 1, b])
-        rhs_vals = psi.fn(_shifted_block(pe, m, b)) * W(pe.paths[0, b])
-        d[b] = lhs_vals - rhs_vals
-        lhs, rhs = lhs + lhs_vals.sum(), rhs + rhs_vals.sum()
+        x0 = pe.paths[0, b]
+        shifted = sigma(x0) if k == 0 else pe.paths[k - 1, b]
+        d[b] = f(pe.paths[k, b]) - f(shifted) * W(x0)
     se = d.std(ddof=1) / np.sqrt(pe.n_paths)
-    z = abs(d.mean()) / se if se > 0 else 0.0
-    return QuasiInvarianceResult(lhs=float(lhs / pe.n_paths),
-                                 rhs=float(rhs / pe.n_paths), z=float(z))
+    return float(abs(d.mean()) / se if se > 0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -555,41 +518,22 @@ def conditional_expectation_check(pe: PathEnsemble, f: GridFunction, k: int,
 # discrete chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransitionMatrixEstimate:
-    states: np.ndarray
-    counts: np.ndarray
-    probabilities: np.ndarray
-    row_present: np.ndarray
-
-    def __post_init__(self):
-        for key in ("states", "counts", "probabilities", "row_present"):
-            a = np.asarray(getattr(self, key))
-            a = a.copy()
-            a.flags.writeable = False
-            object.__setattr__(self, key, a)
-
-
-def estimate_transition_matrix(pe: PathEnsemble, states) -> TransitionMatrixEstimate:
-    """Row-normalized empirical transition counts over a declared state set."""
+def estimate_transition_matrix(pe: PathEnsemble, states) -> np.ndarray:
+    """Row-normalized empirical transition counts over a declared state
+    set; the row of a state that is never left is zero."""
     states = np.asarray(states, dtype=float)
     m = states.size
     x, y = pooled_transitions(pe, lag=1)
     counts = sum(np.bincount(_state_indices(x[b], states) * m + _state_indices(y[b], states),
                              minlength=m * m) for b in _blocks(x.size))
     counts = counts.reshape(m, m).astype(float)
-    row_tot = counts.sum(axis=1)
-    present = row_tot > 0
-    probs = np.zeros_like(counts)
-    probs[present] = counts[present] / row_tot[present, None]
-    return TransitionMatrixEstimate(states=states, counts=counts,
-                                    probabilities=probs, row_present=present)
+    row_tot = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, row_tot, out=np.zeros_like(counts), where=row_tot > 0)
 
 
-def perron_harmonic_residual(est: TransitionMatrixEstimate) -> float:
+def perron_harmonic_residual(P: np.ndarray) -> float:
     """Residual max|P h - h| for P's own right eigenvector at the eigenvalue
     nearest 1 (the discrete harmonic-function identity)."""
-    P = est.probabilities
     vals, vecs = np.linalg.eig(P)
     i = int(np.argmin(np.abs(vals - 1.0)))
     h = np.real(vecs[:, i])

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, chains, invariant, schur, verify
+from . import __version__, chains, schur, verify
 from .grids import Grid, ks_distance, wasserstein1
 from .verify import SYSTEMS, CheckResult
 
@@ -131,16 +131,14 @@ def _build(config: RunConfig, serves: str, make):
 
 def cmd_invariant(config: RunConfig) -> int:
     def make(system, params):
-        grid = Grid(0.0, 1.0, config.grid_n)
-        return grid, system.build(config.grid_n, **params), system.stationary(grid)
+        return verify._ulam_stationary(config.system, config.grid_n,
+                                       dict(tol=1e-12, max_iters=3000), **params)
 
     t0 = time.perf_counter()
-    grid, op, ref = _build(config, "gate", make)
-    res = invariant.power_iterate(invariant.build_ulam(op, grid), tol=1e-12, max_iters=3000)
+    l1, res, ref = _build(config, "gate", make)
     ms = (time.perf_counter() - t0) * 1000.0
-    l1 = float(np.abs(res.measure.weights - ref.weights).sum())
     w1 = wasserstein1(res.measure, ref)
-    rows = zip(grid.nodes, res.measure.density, ref.density,
+    rows = zip(ref.grid.nodes, res.measure.density, ref.density,
                np.abs(res.measure.density - ref.density))
     _write_csv(config.out_dir, "density.csv", ["x_mid", "density", "reference_density", "abs_err"],
                ([float(a), float(b), float(c), float(d)] for a, b, c, d in rows))

@@ -5,8 +5,6 @@ import pytest
 
 from transferchain.chains import (
     MarkovSampler,
-    PathFunctional,
-    coordinate_functional,
     quasi_invariance_check,
     simulate_paths,
 )
@@ -233,19 +231,15 @@ def test_scaling_unitary_constant_psi():
     g = Grid(0.0, 1.0, 512)
     s = MarkovSampler(doubling_system(g), uniform_ppf, master_seed=8)
     pe = simulate_paths(s, 100_000, 2)
-    res = quasi_invariance_check(pe, lambda x: 1.0,
-                                 PathFunctional(0, lambda b: np.ones(b.shape[1]) ** 2))
-    assert res.lhs == 1.0
-    assert res.rhs == 1.0
-    assert res.z == 0.0
+    assert quasi_invariance_check(pe, lambda x: 1.0, lambda x: np.ones(x.size) ** 2, 0) == 0.0
 
 
 def test_scaling_unitary_measure_preserving():
     g = Grid(0.0, 1.0, 512)
     s = MarkovSampler(doubling_system(g), uniform_ppf, master_seed=9)
     pe = simulate_paths(s, 1_000_000, 2)
-    psi_sq = coordinate_functional(lambda x: np.sin(2 * np.pi * x) ** 2, 0)
-    assert quasi_invariance_check(pe, lambda x: 1.0, psi_sq).z <= 4.0
+    assert quasi_invariance_check(pe, lambda x: 1.0,
+                                  lambda x: np.sin(2 * np.pi * x) ** 2, 0) <= 4.0
 
 
 def test_scaling_unitary_parametric():
@@ -253,4 +247,4 @@ def test_scaling_unitary_parametric():
     s = MarkovSampler(parametric_system(g, 0.3), uniform_ppf, master_seed=10)
     pe = simulate_paths(s, 1_000_000, 2)
     W = parametric_weight(0.3)
-    assert quasi_invariance_check(pe, W, coordinate_functional(lambda x: x ** 2, 1)).z <= 4.0
+    assert quasi_invariance_check(pe, W, lambda x: x ** 2, 1) <= 4.0

@@ -106,14 +106,38 @@ UNREAD_PUBLIC_NAMES = {
 }
 
 
+def _names_read(stem: str, tree: ast.Module) -> set:
+    """The ``module.name``s that the module ``stem`` reads: a bare name of
+    its own or one it imports by ``from .m import name``, and ``alias.name``
+    on a module it imports by ``from . import m``.  A bare attribute read
+    such as ``x.step`` names no module, so it counts for none."""
+    bare = {}  # local name -> qualified name
+    modules = {}  # local alias -> module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    bare[local] = f"{node.module}.{alias.name}"
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(bare.get(node.id, f"{stem}.{node.id}"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            read.add(f"{modules[node.value.id]}.{node.attr}")
+    return read
+
+
 def test_every_public_name_is_read_in_src():
     src = Path(transferchain.__file__).parent
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(src.glob("*.py")) if p.stem != "__init__"}
-    loaded = {node.id if isinstance(node, ast.Name) else node.attr
-              for tree in trees.values() for node in ast.walk(tree)
-              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
-    unread = [f"{stem}.{name}" for stem in trees
-              for name in getattr(importlib.import_module(f"transferchain.{stem}"), "__all__", [])
-              if name not in loaded and f"{stem}.{name}" not in UNREAD_PUBLIC_NAMES]
+    stems = [p.stem for p in sorted(src.glob("*.py")) if p.stem != "__init__"]
+    read = set()
+    for stem in stems:
+        read |= _names_read(stem, ast.parse((src / f"{stem}.py").read_text(encoding="utf-8")))
+    public = [f"{stem}.{name}" for stem in stems
+              for name in getattr(importlib.import_module(f"transferchain.{stem}"), "__all__", [])]
+    unread = [name for name in public if name not in read and name not in UNREAD_PUBLIC_NAMES]
     assert unread == [], f"public names that nothing in src/ reads: {unread}"
