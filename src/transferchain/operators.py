@@ -170,15 +170,14 @@ def _flow_from_entries(n: int, entries) -> CSCMatrix:
 
 
 def _gauss_blocks(K: int, m: int, n: int):
-    """Blocks of the m points x K branches of a Gauss sum over an n-cell
-    grid, each of at most _BLOCK (point, branch) pairs and _BLOCK // n
-    points (one point at least): yields (point slice, branch-number chunks)."""
-    points = max(1, min(_BLOCK // K, _BLOCK // n))
-    step = min(K, _BLOCK)
+    """Blocks of the m points of a Gauss sum over an n-cell grid with the
+    branches below _RUNS_FROM that the truncation K keeps, each block of at
+    most _BLOCK (point, branch) pairs and _BLOCK // n points (one point at
+    least): yields (point slice, branch numbers)."""
+    ns = np.arange(1, min(K, _RUNS_FROM - 1) + 1, dtype=float)
+    points = max(1, min(_BLOCK // ns.size, _BLOCK // n))
     for p0 in range(0, m, points):
-        yield (slice(p0, min(p0 + points, m)),
-               (np.arange(k, min(k + step, K + 1), dtype=float)
-                for k in range(1, K + 1, step)))
+        yield slice(p0, min(p0 + points, m)), ns
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +444,7 @@ class GaussOperator:
 
     def chain_apply(self, f: GridFunction) -> GridFunction:
         """The chain's operator: the branch sum with the chain kernel's weights."""
-        chain = _gauss_compiled(self.truncation_K, f.grid)[1]
-        return GridFunction(f.grid, _compiled_gauss_sum(self.truncation_K, f, chain,
-                                                        _chain_weights))
+        return GridFunction(f.grid, _compiled_gauss_sum(self.truncation_K, f, 1))
 
     def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
         """Each source cell's images 1/(n + cell) for n <= K, weighted by the
@@ -464,20 +461,18 @@ class GaussOperator:
         n, K = grid.n, self.truncation_K
         nodes, edges = grid.nodes, grid.edges
         kernel = 0 if raw else 1
-        weights = _raw_weights if raw else _chain_weights
+        weights = _WEIGHTS[kernel]
 
         def spread(x, ns, left, right):
             return _spread_interval(weights(x, ns, ns + x, K).ravel(), (1.0 / (ns + right)).ravel(),
                                     (1.0 / (ns + left)).ravel(), grid)
 
         def blocks():
-            for cols, branch_chunks in _gauss_blocks(min(K, _RUNS_FROM - 1), n, n):
+            for cols, ns in _gauss_blocks(K, n, n):
                 x = nodes[cols]
                 left, right = edges[:-1][cols], edges[1:][cols]
-                entries = []
-                for ns in branch_chunks:
-                    rows, j, vals = spread(x[:, None], ns, left[:, None], right[:, None])
-                    entries.append((rows, j // ns.size, vals))
+                rows, j, vals = spread(x[:, None], ns, left[:, None], right[:, None])
+                entries = [(rows, j // ns.size, vals)]
                 if K >= _RUNS_FROM:
                     # a branch's image lies in one cell whole where its two
                     # ends do, as _spread_interval places them
@@ -580,8 +575,7 @@ def apply_ruelle_adjoint(op: CircleFilterOperator, f: GridFunction) -> GridFunct
 
 
 def apply_gauss(op: GaussOperator, f: GridFunction) -> GridFunction:
-    raw = _gauss_compiled(op.truncation_K, f.grid)[0]
-    return GridFunction(f.grid, _compiled_gauss_sum(op.truncation_K, f, raw, _raw_weights))
+    return GridFunction(f.grid, _compiled_gauss_sum(op.truncation_K, f, 0))
 
 
 # The truncated Gauss kernel's weights at points x and branches ns, which
@@ -598,6 +592,9 @@ def _chain_weights(x, ns, denom, K):
     normalized (n+x)^-2 h(1/(n+x)) / h(x), and P(N >= K | x) = (1+x)/(K+x)
     on branch K: it sums to 1 at every x."""
     return np.where(ns == K, (1.0 + x) / (K + x), (1.0 + x) / (denom * (denom + 1.0)))
+
+
+_WEIGHTS = (_raw_weights, _chain_weights)  # by kernel: 0 raw, 1 chain
 
 
 # Branches from A = _RUNS_FROM on are summed by runs in closed form.  At
@@ -730,23 +727,22 @@ def _gauss_compiled(K: int, grid: Grid) -> tuple:
     n, x = grid.n, grid.nodes
 
     def blocks():
-        for cols, branch_chunks in _gauss_blocks(min(K, _RUNS_FROM - 1), x.size, n):
+        for cols, ns in _gauss_blocks(K, x.size, n):
             xs = x[cols, None]
             base = n * np.arange(xs.size)[:, None]
             acc = np.zeros((2, xs.size * n))
-            for ns in branch_chunks:
-                denom = ns + xs
-                i0, frac = grid.stencil(1.0 / denom)
-                # along a point's branches the images fall, and so does i0:
-                # equal keys form runs, each key one run of the block
-                key = (base + i0).ravel()
-                starts = np.flatnonzero(np.diff(key, prepend=-1))
-                key = key[starts]
-                to_left, to_right = (1 - frac).ravel(), frac.ravel()
-                for a, weights in zip(acc, (_raw_weights, _chain_weights)):
-                    w = weights(xs, ns, denom, K).ravel()
-                    a[key] += np.add.reduceat(w * to_left, starts)
-                    a[key + 1] += np.add.reduceat(w * to_right, starts)
+            denom = ns + xs
+            i0, frac = grid.stencil(1.0 / denom)
+            # along a point's branches the images fall, and so does i0:
+            # equal keys form runs, each key one run of the block
+            key = (base + i0).ravel()
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            key = key[starts]
+            to_left, to_right = (1 - frac).ravel(), frac.ravel()
+            for a, weights in zip(acc, _WEIGHTS):
+                w = weights(xs, ns, denom, K).ravel()
+                a[key] += np.add.reduceat(w * to_left, starts)
+                a[key + 1] += np.add.reduceat(w * to_right, starts)
             if K >= _RUNS_FROM:
                 _add_stencil_runs(acc, xs[:, 0], grid, K)
             yield acc
@@ -756,28 +752,52 @@ def _gauss_compiled(K: int, grid: Grid) -> tuple:
     return compiled, compiled.with_data(chain)
 
 
-def _compiled_gauss_sum(K: int, f: GridFunction, M: CSCMatrix, weights) -> np.ndarray:
+def _compiled_gauss_sum(K: int, f: GridFunction, kernel: int) -> np.ndarray:
     """sum over n <= K of w_n(x) f(1/(n+x)) at the nodes x of f's grid, with
-    the compiled matrix M of the weights w.
+    the raw weights (kernel 0) or the chain kernel's (kernel 1), by the
+    compiled matrix of those weights.
 
-    M holds ``eval`` without its sign clamp.  The clamp changes a value
-    only in an end strip, where the boundary segment is extrapolated, and
-    the extrapolated lines are extreme at the outermost images 1/(K + x)
-    and 1/(1 + x).  When it can bind there, the images are regenerated and
-    the exact correction sum w (clamp(u) - u) is added.  The sum is then
-    clamped like eval's values: R is a positive operator, so that only
-    removes round-off, and R f >= 0 holds exactly for f >= 0."""
-    v, x = f.values, f.grid.nodes
-    out = v @ M
+    The matrix holds ``eval`` without its sign clamp.  The clamp changes a
+    value only in an end strip, where the boundary segment p + q u is
+    extrapolated, and there only past the line's zero; the extrapolated
+    lines are extreme at the outermost images 1/(K + x) and 1/(1 + x).
+    When the clamp can bind there, the correction sum w (clamp(u) - u) =
+    -w (p + q u) is added over the run of branches whose images lie past
+    the zero, one run per end: -(p S0 + q S1) from _RUNS_FROM on
+    (``_gauss_run_sums``), term by term below it.  The sum is then clamped
+    like eval's values: R is a positive operator, so that only removes
+    round-off, and R f >= 0 holds exactly for f >= 0."""
+    grid, v, x = f.grid, f.values, f.grid.nodes
+    out = v @ _gauss_compiled(K, grid)[kernel]
     extremes = np.array([1.0 / (K + x.max()), 1.0 / (1.0 + x.min())])
     u = f.linear(extremes)
-    if np.any(f.sign_clamp(u) != u):
-        for cols, branch_chunks in _gauss_blocks(K, x.size, f.grid.n):
-            xs = x[cols, None]
-            for ns in branch_chunks:
-                denom = ns + xs
-                u = f.linear(1.0 / denom)
-                out[cols] += np.sum(weights(xs, ns, denom, K) * (f.sign_clamp(u) - u), axis=1)
+    if np.all(f.sign_clamp(u) == u):
+        return f.sign_clamp(out)
+    sign = 1.0 if v.min() >= 0.0 else -1.0  # the clamp floors at 0, or caps at 0
+    A = float(_RUNS_FROM)
+    for i, side in ((0, 1.0), (grid.n - 2, -1.0)):
+        q = (v[i + 1] - v[i]) / grid.dx
+        # the left line takes the wrong sign below its zero, the right one
+        # above it
+        if sign * side * q <= 0.0:
+            continue
+        p, zero = v[i] - q * x[i], x[i] - v[i] / q
+        # the image 1/(k + x) lies left of a zero > 0 where k > 1/zero - x
+        c = 1.0 / zero - x if zero > 0.0 else np.full(x.size, np.inf)
+        if side > 0.0:
+            first, last = np.floor(c) + 1.0, np.full(x.size, float(K))
+        else:
+            first, last = np.ones(x.size), np.minimum(np.ceil(c) - 1.0, K)
+        runs = np.flatnonzero(np.maximum(first, A) <= last)
+        s0, s1 = _gauss_run_sums(x[runs], np.maximum(first[runs], A), last[runs], K)[kernel]
+        out[runs] -= p * s0 + q * s1
+        low = np.flatnonzero((first <= last) & (first < A))
+        for cols, ns in _gauss_blocks(K, low.size, grid.n):
+            j = low[cols]
+            xs, denom = x[j, None], ns + x[j, None]
+            past = (ns >= first[j, None]) & (ns <= last[j, None])
+            out[j] -= np.sum(np.where(past, _WEIGHTS[kernel](xs, ns, denom, K)
+                                      * (p + q / denom), 0.0), axis=1)
     return f.sign_clamp(out)
 
 

@@ -11,9 +11,11 @@ than weakening the assertion; see the README's known-defect note.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from transferchain.operators import GaussOperator
 from transferchain.verify import logistic_separation_search
 
 SEED = 9001
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def report(criterion, ok, detail):
@@ -269,13 +272,17 @@ def test_criterion_10_hutchinson():
 
 
 def test_criterion_11_determinism(tmp_path):
+    # the CLI runs in a fresh interpreter, which must import this checkout
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     t0 = time.perf_counter()
     reports = []
     for i, extra in enumerate((["--threads", "1"], ["--threads", "4"])):
         out = tmp_path / f"run{i}"
         cmd = [sys.executable, "-m", "transferchain.cli", "verify", "--suite", "all",
                "--master-seed", "7", "--out", str(out)] + extra
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 1, "exit must flag the documented red check"
         reports.append((out / "report.json").read_bytes())
     elapsed = time.perf_counter() - t0

@@ -214,6 +214,16 @@ def test_end_strip_clamp_binds_in_the_examples():
         assert _close(apply_gauss(op, f).values, want)
 
 
+def test_end_strip_clamp_at_the_default_truncation():
+    # x^2 extrapolates below 0 left of the first node, past the zero 3/8 of
+    # a cell in: the images of the branches from about 2730 to K lie there,
+    # so the correction is one closed-form run sum per node
+    g = Grid(0.0, 1.0, 1024)
+    op = gauss_operator(K=10_000)
+    f = GridFunction.from_callable(g, lambda x: x**2)
+    assert _close(apply_gauss(op, f).values, _reference_apply(op, f, g.nodes))
+
+
 @SETTINGS
 @given(sizes, st.sampled_from(("nonnegative with zeros", "spike")))
 def test_gauss_positivity_is_exact(size, kind):

@@ -1,10 +1,12 @@
 import ast
+import csv
 import importlib
 import os
 import pkgutil
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import transferchain
@@ -15,7 +17,9 @@ from transferchain.grids import Grid, arcsine_ppf
 @pytest.mark.parametrize("seed", [41, 161, 205, 222, 240, 280])
 def test_closed_form_check_passes_at_formerly_red_seeds(seed):
     # these seeds pushed the bin-centre comparison past 5 under the arcsine law
-    stat, thresh, direction, _ = verify._conditional_closed(seed, None)
+    (thresh, direction), = [(t, d) for _, name, t, d, _ in verify._REGISTRY
+                            if name == "conditional-expectation-closed-form"]
+    stat, _ = verify._conditional_closed(seed, None)
     assert direction == "<=" and thresh == 5.0
     assert stat <= thresh
 
@@ -81,14 +85,38 @@ def test_run_suite_raises_the_registry_first_error(monkeypatch):
         raise _CheckFailed("late")
 
     def fine(seed, fault):
-        return 0.0, 0.0, "<=", ""
+        return 0.0, ""
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(verify, "_REGISTRY", [("t", "fine", fine), ("t", "early", early),
-                                              ("t", "late", late), ("t", "after", fine)])
+    monkeypatch.setattr(verify, "_REGISTRY", [("t", "fine", 0.0, "<=", fine),
+                                              ("t", "early", 0.0, "<=", early),
+                                              ("t", "late", 0.0, "<=", late),
+                                              ("t", "after", 0.0, "<=", fine)])
     with pytest.raises(_CheckFailed, match="early"):
         verify.run_suite("t", threads=2)
     assert later_failed.is_set()
+
+
+def test_run_suite_compares_each_statistic_with_its_declaration(monkeypatch):
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        ("t", "low", 1.0, "<=", lambda seed, fault: (2.0, "above")),
+        ("t", "high", 8.0, ">=", lambda seed, fault: (np.float64(9.0), f"seed {seed}"))])
+    low, high = verify.run_suite("t", master_seed=3)
+    assert (low.label, low.statistic, low.threshold, low.direction, low.detail, low.passed) \
+        == ("t/low", 2.0, 1.0, "<=", "above", False)
+    assert (high.label, high.statistic, high.threshold, high.direction, high.detail,
+            high.passed) == ("t/high", 9.0, 8.0, ">=", "seed 3", True)
+    assert type(high.statistic) is float
+
+
+def test_declared_checks_match_the_pinned_table():
+    # the thresholds and directions are the contract: changing one, or
+    # adding, removing or moving a check, must change tests/checks.csv too
+    with open(Path(__file__).with_name("checks.csv"), newline="", encoding="utf-8") as fh:
+        pinned = [(r["suite"], r["name"], float(r["threshold"]), r["direction"])
+                  for r in csv.DictReader(fh)]
+    declared = [(s, name, float(t), d) for s, name, t, d, _ in verify._REGISTRY]
+    assert declared == pinned
 
 
 def test_public_names_resolve():
