@@ -12,26 +12,23 @@ alone, in ``TrigPoly`` arithmetic: its chain and flow are those of
 ``circle_filter_system``.
 
 A random-control flow is a closed-form ``ControlFlow`` of O(n) arrays.  The
-other flows, and the Gauss branch sum compiled once at a grid's nodes, are
-``CSCMatrix`` objects built in blocks of at most ``_BLOCK`` elements, so
-their build memory does not grow with n^2 or with the Gauss truncation.
+other flows are ``CSCMatrix`` objects built in blocks of at most ``_BLOCK``
+elements, so their build memory does not grow with n^2 or with the Gauss
+truncation.
 
-Neither does the Gauss builds' time grow with the truncation K.  Past
+Neither does the Gauss sums' time grow with the truncation K.  Past
 A = ``_RUNS_FROM`` branches, many consecutive images 1/(k+x) share one
 stencil segment or one cell, and each such run enters by its two sums
 S0 = sum w_k and S1 = sum w_k/(k+x) in closed form (``_gauss_run_sums``):
 the chain weights telescope, and the other sums are differences of
 Euler-Maclaurin tails of zeta(2, .) and zeta(3, .), within 1e-18 for
-z >= A - 1.  So the compiled matrices and the flow take O(n (A + cells
-hit)) (point, branch) terms, not O(n K).
+z >= A - 1.  So a Gauss apply, summed afresh each time, and the flow take
+O(n (A + segments or cells hit)) (point, branch) terms, not O(n K).
 """
 
 from __future__ import annotations
 
-import copy
-import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -97,14 +94,6 @@ class CSCMatrix:
             a.flags.writeable = False  # frozen in place, not copied
         self._cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
 
-    def with_data(self, data) -> "CSCMatrix":
-        """The matrix of this one's sparsity pattern, whose index arrays it
-        shares, holding ``data`` in the same storage order."""
-        twin = copy.copy(self)
-        twin.data = np.asarray(data)
-        twin.data.flags.writeable = False
-        return twin
-
     def __matmul__(self, w) -> np.ndarray:
         """(M w)_i = sum_j M[i, j] w_j."""
         return np.bincount(self.indices, self.data * np.asarray(w)[self._cols],
@@ -126,28 +115,21 @@ class CSCMatrix:
         return dense
 
 
-def _csc_from_blocks(n_rows: int, blocks):
-    """indptr, indices and a stack of data rows from dense block sums.
-
-    ``blocks`` yields, for consecutive blocks of columns, arrays of shape
-    (d, columns * n_rows) with the rows of a column contiguous; an entry
-    that is 0 in all d sums is dropped."""
+def _flow(n: int, blocks) -> CSCMatrix:
+    """The n x n cell flow of per-block sums: ``blocks`` yields, for
+    consecutive blocks of columns, flat arrays of columns * n sums with the
+    rows of a column contiguous.  Each is clipped at 0 in place, so that
+    round-off never leaves a negative mass, and its zeros are dropped."""
     counts, indices, data = [], [], []
     for acc in blocks:
-        nz = np.flatnonzero(np.any(acc != 0.0, axis=0))
-        counts.append(np.bincount(nz // n_rows, minlength=acc.shape[1] // n_rows))
-        indices.append(nz % n_rows)
-        data.append(acc[:, nz])
+        # np.flatnonzero finds the entries of a bool mask several times
+        # faster than those of a float array
+        nz = np.flatnonzero(np.maximum(acc, 0.0, out=acc) != 0.0)
+        counts.append(np.bincount(nz // n, minlength=acc.size // n))
+        indices.append(nz % n)
+        data.append(acc[nz])
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return indptr, np.concatenate(indices), np.concatenate(data, axis=1)
-
-
-def _flow(n: int, blocks) -> CSCMatrix:
-    """The n x n cell flow of per-block sums (a 1 x columns * n array each),
-    clipped at 0 in place so that round-off never leaves a negative mass."""
-    indptr, indices, (data,) = _csc_from_blocks(
-        n, (np.maximum(acc, 0.0, out=acc) for acc in blocks))
-    return CSCMatrix((n, n), indptr, indices, data)
+    return CSCMatrix((n, n), indptr, np.concatenate(indices), np.concatenate(data))
 
 
 def _flow_from_entries(n: int, entries) -> CSCMatrix:
@@ -164,7 +146,7 @@ def _flow_from_entries(n: int, entries) -> CSCMatrix:
             c1 = min(c0 + width, n)
             lo, hi = np.searchsorted(cols, [c0, c1])
             key = (cols[lo:hi] - c0) * n + rows[lo:hi]
-            yield np.bincount(key, vals[lo:hi], minlength=(c1 - c0) * n)[None, :]
+            yield np.bincount(key, vals[lo:hi], minlength=(c1 - c0) * n)
 
     return _flow(n, blocks())
 
@@ -444,7 +426,7 @@ class GaussOperator:
 
     def chain_apply(self, f: GridFunction) -> GridFunction:
         """The chain's operator: the branch sum with the chain kernel's weights."""
-        return GridFunction(f.grid, _compiled_gauss_sum(self.truncation_K, f, 1))
+        return GridFunction(f.grid, _gauss_sum(self.truncation_K, f, 1))
 
     def flow(self, grid: Grid, raw: bool = False) -> CSCMatrix:
         """Each source cell's images 1/(n + cell) for n <= K, weighted by the
@@ -493,7 +475,7 @@ class GaussOperator:
                     rows, j, vals = spread(x[q], ns, left[q], right[q])
                     entries.append((rows, q[j], vals))
                 rows, col, vals = map(np.concatenate, zip(*entries))
-                yield np.bincount(col * n + rows, vals, minlength=x.size * n)[None, :]
+                yield np.bincount(col * n + rows, vals, minlength=x.size * n)
 
         return _flow(n, blocks())
 
@@ -575,7 +557,7 @@ def apply_ruelle_adjoint(op: CircleFilterOperator, f: GridFunction) -> GridFunct
 
 
 def apply_gauss(op: GaussOperator, f: GridFunction) -> GridFunction:
-    return GridFunction(f.grid, _compiled_gauss_sum(op.truncation_K, f, 0))
+    return GridFunction(f.grid, _gauss_sum(op.truncation_K, f, 0))
 
 
 # The truncated Gauss kernel's weights at points x and branches ns, which
@@ -674,130 +656,66 @@ def _branch_runs(m, cells, K):
     return q[keep], first[keep].astype(float), last[keep].astype(float)
 
 
-def _add_stencil_runs(acc, xs, grid: Grid, K: int) -> None:
-    """Add the branches _RUNS_FROM..K of the points xs to the stencil sums
-    ``acc`` (raw and chain rows, point-major), one run per stencil segment
-    s: row s gets S0 - T and row s + 1 gets T = sum w frac = (S1 - x_s S0)/dx."""
-    def segment(q, k):
+def _gauss_sum(K: int, f: GridFunction, kernel: int) -> np.ndarray:
+    """sum over n <= K of w_n(x) f(1/(n+x)) at the nodes x of f's grid, with
+    the raw weights (kernel 0) or the chain kernel's (kernel 1), summed
+    directly at each apply: nothing is kept between applies.
+
+    Branches below _RUNS_FROM enter one by one through ``f.eval``, its sign
+    clamp included.  From _RUNS_FROM on, the branches whose images share a
+    stencil segment s enter as one run, by the segment's line p_s + q_s u:
+    p_s S0 + q_s S1 (``_gauss_run_sums``).  That line is ``eval`` without
+    its clamp, which changes a value only in an end strip, where the
+    boundary segment is extrapolated, and there only past the line's zero.
+    When the clamp can bind on the runs' images, which lie between
+    1/(K + x) and 1/(_RUNS_FROM + x), the correction sum w (clamp(u) - u) =
+    -w (p + q u) = -(p S0 + q S1) is added over the branches from
+    _RUNS_FROM on whose images lie past the zero, one run per end.  The sum
+    is then clamped like eval's values: R is a positive operator, so that
+    only removes round-off, and R f >= 0 holds exactly for f >= 0."""
+    grid, v, x = f.grid, f.values, f.grid.nodes
+    if grid.domain_kind != "interval":
+        raise GridMismatchError("Gauss operator lives on an interval grid")
+    slope = np.diff(v) / grid.dx  # segment s is the line p_s + q_s u
+    icept = v[:-1] - slope * x[:-1]
+
+    def segment(q, k):  # at the points xs of the block being summed
         return grid.stencil(1.0 / (k + xs[q]))[0]
 
     def below(q, s):  # the first branch whose image is left of node s
         return np.floor(1.0 / (grid.lower + (s + 0.5) * grid.dx) - xs[q]) + 1.0
 
-    q, first, last = _branch_runs(xs.size, [(segment, below)], K)
-    s = segment(q, first)
-    sums = _gauss_run_sums(xs[q], first, last, K)
-    to_right = (sums[:, 1] - (grid.lower + (s + 0.5) * grid.dx) * sums[:, 0]) / grid.dx
-    key = q * grid.n + s
-    acc[:, key] += sums[:, 0] - to_right
-    acc[:, key + 1] += to_right
-
-
-def _built_once(fn):
-    """``functools.lru_cache(maxsize=4)`` of fn behind one lock, so that
-    threads asking at once for the same arguments build the value once; a
-    bare lru_cache calls fn in each thread that misses.  ``cache_info`` and
-    ``cache_clear`` are the cache's."""
-    cached = functools.lru_cache(maxsize=4)(fn)
-    lock = threading.Lock()
-
-    @functools.wraps(fn)
-    def once(*args):
-        with lock:
-            return cached(*args)
-
-    once.cache_info, once.cache_clear = cached.cache_info, cached.cache_clear
-    return once
-
-
-@_built_once
-def _gauss_compiled(K: int, grid: Grid) -> tuple:
-    """The branch sums over n <= K at the grid's nodes x as two n x n
-    matrices sharing one sparsity pattern, with ``_raw_weights`` and with
-    ``_chain_weights``: column j is the linear-interpolation stencil
-    (``Grid.stencil``) of the images 1/(n + x_j) -- ``GridFunction.eval``
-    without its sign clamp -- so ``f.values @ M`` is the unclamped sum.
-    Branches below _RUNS_FROM enter one by one; from it on, the branches
-    whose images share a stencil segment enter as one run
-    (``_add_stencil_runs``), so a column costs O(_RUNS_FROM + segments
-    hit), not O(K).  Built once per (K, grid): the matrices depend on
-    nothing else, so equal operators share them."""
-    if grid.domain_kind != "interval":
-        raise GridMismatchError("Gauss operator lives on an interval grid")
-    n, x = grid.n, grid.nodes
-
-    def blocks():
-        for cols, ns in _gauss_blocks(K, x.size, n):
-            xs = x[cols, None]
-            base = n * np.arange(xs.size)[:, None]
-            acc = np.zeros((2, xs.size * n))
-            denom = ns + xs
-            i0, frac = grid.stencil(1.0 / denom)
-            # along a point's branches the images fall, and so does i0:
-            # equal keys form runs, each key one run of the block
-            key = (base + i0).ravel()
-            starts = np.flatnonzero(np.diff(key, prepend=-1))
-            key = key[starts]
-            to_left, to_right = (1 - frac).ravel(), frac.ravel()
-            for a, weights in zip(acc, _WEIGHTS):
-                w = weights(xs, ns, denom, K).ravel()
-                a[key] += np.add.reduceat(w * to_left, starts)
-                a[key + 1] += np.add.reduceat(w * to_right, starts)
-            if K >= _RUNS_FROM:
-                _add_stencil_runs(acc, xs[:, 0], grid, K)
-            yield acc
-
-    indptr, indices, (raw, chain) = _csc_from_blocks(n, blocks())
-    compiled = CSCMatrix((n, n), indptr, indices, raw)
-    return compiled, compiled.with_data(chain)
-
-
-def _compiled_gauss_sum(K: int, f: GridFunction, kernel: int) -> np.ndarray:
-    """sum over n <= K of w_n(x) f(1/(n+x)) at the nodes x of f's grid, with
-    the raw weights (kernel 0) or the chain kernel's (kernel 1), by the
-    compiled matrix of those weights.
-
-    The matrix holds ``eval`` without its sign clamp.  The clamp changes a
-    value only in an end strip, where the boundary segment p + q u is
-    extrapolated, and there only past the line's zero; the extrapolated
-    lines are extreme at the outermost images 1/(K + x) and 1/(1 + x).
-    When the clamp can bind there, the correction sum w (clamp(u) - u) =
-    -w (p + q u) is added over the run of branches whose images lie past
-    the zero, one run per end: -(p S0 + q S1) from _RUNS_FROM on
-    (``_gauss_run_sums``), term by term below it.  The sum is then clamped
-    like eval's values: R is a positive operator, so that only removes
-    round-off, and R f >= 0 holds exactly for f >= 0."""
-    grid, v, x = f.grid, f.values, f.grid.nodes
-    out = v @ _gauss_compiled(K, grid)[kernel]
-    extremes = np.array([1.0 / (K + x.max()), 1.0 / (1.0 + x.min())])
-    u = f.linear(extremes)
+    out = np.empty(x.size)
+    for cols, ns in _gauss_blocks(K, x.size, grid.n):
+        xs = x[cols]
+        denom = ns + xs[:, None]
+        out[cols] = np.sum(_WEIGHTS[kernel](xs[:, None], ns, denom, K) * f.eval(1.0 / denom),
+                           axis=1)
+        if K >= _RUNS_FROM:
+            q, first, last = _branch_runs(xs.size, [(segment, below)], K)
+            s = segment(q, first)
+            s0, s1 = _gauss_run_sums(xs[q], first, last, K)[kernel]
+            out[cols] += np.bincount(q, icept[s] * s0 + slope[s] * s1, minlength=xs.size)
+    A = float(_RUNS_FROM)
+    u = f.linear(np.array([1.0 / (K + x.max()), 1.0 / (A + x.min())]))
     if np.all(f.sign_clamp(u) == u):
         return f.sign_clamp(out)
     sign = 1.0 if v.min() >= 0.0 else -1.0  # the clamp floors at 0, or caps at 0
-    A = float(_RUNS_FROM)
     for i, side in ((0, 1.0), (grid.n - 2, -1.0)):
-        q = (v[i + 1] - v[i]) / grid.dx
         # the left line takes the wrong sign below its zero, the right one
         # above it
-        if sign * side * q <= 0.0:
+        if sign * side * slope[i] <= 0.0:
             continue
-        p, zero = v[i] - q * x[i], x[i] - v[i] / q
+        zero = x[i] - v[i] / slope[i]
         # the image 1/(k + x) lies left of a zero > 0 where k > 1/zero - x
         c = 1.0 / zero - x if zero > 0.0 else np.full(x.size, np.inf)
         if side > 0.0:
-            first, last = np.floor(c) + 1.0, np.full(x.size, float(K))
+            first, last = np.maximum(np.floor(c) + 1.0, A), np.full(x.size, float(K))
         else:
-            first, last = np.ones(x.size), np.minimum(np.ceil(c) - 1.0, K)
-        runs = np.flatnonzero(np.maximum(first, A) <= last)
-        s0, s1 = _gauss_run_sums(x[runs], np.maximum(first[runs], A), last[runs], K)[kernel]
-        out[runs] -= p * s0 + q * s1
-        low = np.flatnonzero((first <= last) & (first < A))
-        for cols, ns in _gauss_blocks(K, low.size, grid.n):
-            j = low[cols]
-            xs, denom = x[j, None], ns + x[j, None]
-            past = (ns >= first[j, None]) & (ns <= last[j, None])
-            out[j] -= np.sum(np.where(past, _WEIGHTS[kernel](xs, ns, denom, K)
-                                      * (p + q / denom), 0.0), axis=1)
+            first, last = np.full(x.size, A), np.minimum(np.ceil(c) - 1.0, K)
+        runs = np.flatnonzero(first <= last)
+        s0, s1 = _gauss_run_sums(x[runs], first[runs], last[runs], K)[kernel]
+        out[runs] -= icept[i] * s0 + slope[i] * s1
     return f.sign_clamp(out)
 
 

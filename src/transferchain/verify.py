@@ -83,10 +83,13 @@ def run_suite(suite: str, master_seed: int = 9001,
     Every check seeds itself, so the statistics do not depend on
     ``threads``.  Each statistic is compared against its check's declared
     threshold.  The results come in registry order, and a failing run
-    raises the error of the first failing check in that order."""
+    raises the error of the first failing check in that order.  An
+    ``inject_fault`` outside ``FAULTS`` is refused, not ignored."""
     known = {c[0] for c in _REGISTRY}
     if suite != "all" and suite not in known:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(known)} or 'all'")
+    if inject_fault is not None and inject_fault not in FAULTS:
+        raise ValueError(f"unknown fault {inject_fault!r}; choose from {list(FAULTS)}")
     if threads < 1:
         raise ValueError("need threads >= 1")
 

@@ -101,8 +101,9 @@ def test_finite_chain_has_no_grid_operator():
 def test_gauss_chain_apply_matches_chunked_branch_loop():
     op = gauss_operator(K=10_000)
     f = GridFunction.from_callable(Grid(0.0, 1.0, 256), lambda x: np.cos(3 * x) + x**2)
-    # the loop chain_apply ran before the branch sum was compiled into a
-    # matrix; the matrix sums in another order, so the match is to round-off.
+    # the loop chain_apply once ran; the library sums the branches from
+    # operators._RUNS_FROM on by runs in closed form, so the match is to
+    # round-off.
     # Branch K carries P(N >= K | x) = (1+x)/(K+x), so the kernel sums to 1
     x = f.grid.nodes
     K = op.truncation_K

@@ -1,18 +1,14 @@
-"""The compiled Gauss branch sum and the sparse cell flows against the
-constructions they replaced, which are kept here as references: the chunked
-``GridFunction.eval`` loop of the Gauss sums, the branch-by-branch stencil
-of its compiled matrices, the per-column two-cell split of the Gauss flow,
-and the dense ``np.add.at`` overlap spreading of the branch flows, the
-circle-filter chain's among them.  The Gauss references use the one
-truncated kernel, in which branch K carries the mass of every branch
-n >= K, and sum every branch, where the library sums runs of them in
-closed form."""
+"""The Gauss branch sum and the sparse cell flows against the constructions
+they replaced, which are kept here as references: the chunked
+``GridFunction.eval`` loop of the Gauss sums, the per-column two-cell split
+of the Gauss flow, and the dense ``np.add.at`` overlap spreading of the
+branch flows, the circle-filter chain's among them.  The Gauss references
+use the one truncated kernel, in which branch K carries the mass of every
+branch n >= K, and sum every branch, where the library sums runs of them
+in closed form."""
 
 import math
-import threading
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -41,7 +37,7 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 # ---------------------------------------------------------------------------
-# references: the constructions before compilation
+# references: the constructions the library replaced
 # ---------------------------------------------------------------------------
 
 def _reference_weights(K, x, ns, raw):
@@ -69,21 +65,6 @@ def _reference_apply(op, f, x):
 
 def _reference_chain_apply(op, f):
     return _chunked_branch_sum(op, f, f.grid.nodes, raw=False)
-
-
-def _reference_compiled(K, grid, raw):
-    """The stencil matrix of the branch sum, one branch at a time: column j
-    gives each image 1/(k + x_j) its weight split between the two nodes
-    around it, as ``GridFunction.linear`` interpolates."""
-    n = grid.n
-    M = np.zeros((n, n))
-    ns = np.arange(1, K + 1, dtype=float)
-    for j, x in enumerate(grid.nodes):
-        i0, frac = grid.stencil(1.0 / (ns + x))
-        w = _reference_weights(K, x, ns, raw)
-        M[:, j] = (np.bincount(i0, w * (1 - frac), minlength=n)
-                   + np.bincount(i0 + 1, w * frac, minlength=n))
-    return M
 
 
 def _reference_gauss_flow(op, grid, raw):
@@ -185,15 +166,22 @@ def _close(got, want):
     return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-sizes = st.tuples(st.integers(2, 700), st.integers(2, 3000), st.integers(0, 10_000))
+# grid bounds off the unit interval too: on [0, 0.2] and [0, 0.02] the
+# images up to 1/(1 + x) lie many grid widths past the right end.  Grids
+# narrower than 1/operators._RUNS_FROM are left out: there the run sums
+# extrapolate past the right end, and miss by a few 1e-12
+BOUNDS = ((0.0, 1.0), (-0.3, 1.0), (0.01, 1.0), (0.0, 0.2), (0.3, 0.9), (0.0, 3.0),
+          (0.0, 0.02))
+sizes = st.tuples(st.integers(2, 700), st.integers(2, 3000), st.integers(0, 10_000),
+                  st.sampled_from(BOUNDS))
 
 
 @SETTINGS
 @given(sizes, st.sampled_from(KINDS))
 def test_compiled_gauss_apply_matches_chunked_eval_loop(size, kind):
-    n, K, seed = size
+    n, K, seed, bounds = size
     op = gauss_operator(K=K)
-    f = _test_function(kind, Grid(0.0, 1.0, n), seed)
+    f = _test_function(kind, Grid(*bounds, n), seed)
     assert _close(apply_gauss(op, f).values, _reference_apply(op, f, f.grid.nodes))
     assert _close(op.chain_apply(f).values, _reference_chain_apply(op, f))
 
@@ -201,7 +189,7 @@ def test_compiled_gauss_apply_matches_chunked_eval_loop(size, kind):
 def test_end_strip_clamp_binds_in_the_examples():
     # these functions make eval's sign clamp bind in an end strip: the
     # unclamped branch sum misses eval's by far more than the 1e-12 the
-    # compiled sum is held to, so the clamp correction is needed
+    # direct sum is held to, so the clamp correction is needed
     g = Grid(0.0, 1.0, 64)
     op = gauss_operator(K=500)
     x = g.nodes
@@ -227,9 +215,9 @@ def test_end_strip_clamp_at_the_default_truncation():
 @SETTINGS
 @given(sizes, st.sampled_from(("nonnegative with zeros", "spike")))
 def test_gauss_positivity_is_exact(size, kind):
-    n, K, seed = size
+    n, K, seed, bounds = size
     op = gauss_operator(K=K)
-    g = Grid(0.0, 1.0, n)
+    g = Grid(*bounds, n)
     if kind == "spike":
         # only node n-2: at x near 0 the one image that reaches it is in the
         # right end strip, where the clamp correction cancels it to round-off
@@ -240,62 +228,6 @@ def test_gauss_positivity_is_exact(size, kind):
         f = _test_function(kind, g, seed)
     assert np.min(apply_gauss(op, f).values) >= 0.0
     assert np.min(op.chain_apply(f).values) >= 0.0
-
-
-def test_equal_operators_share_one_compiled_matrix():
-    compiled = operators._gauss_compiled
-    g = Grid(0.0, 1.0, 96)
-    f = GridFunction.from_callable(g, lambda x: x)
-    apply_gauss(gauss_operator(K=777), f)
-    hits = compiled.cache_info().hits
-    apply_gauss(gauss_operator(K=777), f)
-    gauss_operator(K=777).chain_apply(f)
-    assert compiled.cache_info().hits == hits + 2
-
-
-def test_threads_asking_at_once_build_the_compiled_matrices_once(monkeypatch):
-    builds = []
-    build = operators._csc_from_blocks
-
-    def slow_build(*args):
-        builds.append(threading.get_ident())
-        time.sleep(0.05)  # both threads ask while the first build runs
-        return build(*args)
-
-    monkeypatch.setattr(operators, "_csc_from_blocks", slow_build)
-    operators._gauss_compiled.cache_clear()
-    g = Grid(0.0, 1.0, 96)
-    start = threading.Barrier(2)
-
-    def ask(_):
-        start.wait()
-        return operators._gauss_compiled(779, g)
-
-    try:
-        with ThreadPoolExecutor(2) as pool:
-            first, second = pool.map(ask, range(2))
-    finally:
-        operators._gauss_compiled.cache_clear()
-    assert len(builds) == 1 and first is second
-
-
-def test_compiled_gauss_matrices_share_one_pattern():
-    raw, chain = operators._gauss_compiled(777, Grid(0.0, 1.0, 96))
-    for name in ("indptr", "indices", "_cols"):
-        assert getattr(raw, name) is getattr(chain, name)
-    assert not np.shares_memory(raw.data, chain.data)
-    assert not chain.data.flags.writeable
-
-
-@pytest.mark.parametrize("raw", [False, True])
-def test_compiled_gauss_keeps_the_reference_pattern(raw):
-    # branches from operators._RUNS_FROM on enter by runs, summed in closed
-    # form: an entry the run sums create, lose or cancel would show here
-    g = Grid(0.0, 1.0, 512)
-    want = _reference_compiled(10_000, g, raw)
-    got = np.asarray(operators._gauss_compiled(10_000, g)[0 if raw else 1])
-    assert np.array_equal(got != 0, want != 0)
-    assert _close(got, want)
 
 
 @SETTINGS
@@ -317,25 +249,25 @@ def test_run_sums_match_the_branch_sums(data, x, K):
 
 
 def test_gauss_builds_do_not_grow_with_the_truncation():
-    # a branch-by-branch build would take n K = 2.6e8 (point, branch)
-    # pairs; by runs it takes about n (_RUNS_FROM + cells hit).  A
-    # chain column sums at most 2 _RUNS_FROM parts below the runs and at
-    # most 4 per cell above, each within a few roundings, so its sum is 1
-    # to within that many eps
+    # a branch-by-branch sum would take n K = 2.6e8 (point, branch) pairs;
+    # by runs it takes about n (_RUNS_FROM + segments or cells hit).  The
+    # chain sum of 1 at a node, and a flow column, sum at most 2 _RUNS_FROM
+    # parts below the runs and at most 4 per cell above, each within a few
+    # roundings, so each is 1 to within that many eps
     g = Grid(0.0, 1.0, 256)
     K = 10**6
     tol = (2 * operators._RUNS_FROM + 4 * g.n + 16) * np.finfo(float).eps
-    chain = operators._gauss_compiled(K, g)[1]
-    flow = cell_flow_matrix(gauss_operator(K=K), g)
-    for M in (chain, flow):
-        assert np.all(np.abs(np.ones(g.n) @ M - 1.0) <= tol)
+    op = gauss_operator(K=K)
+    ones = op.chain_apply(GridFunction.constant(g, 1.0)).values
+    flow = np.ones(g.n) @ cell_flow_matrix(op, g)
+    for sums in (ones, flow):
+        assert np.all(np.abs(sums - 1.0) <= tol)
 
 
 def test_compiled_gauss_apply_memory_is_bounded():
-    """Memory stays bounded as ``grid_n`` grows: the first Gauss apply at
-    n = 4096 and K = 10^4 (the build of its matrix) peaks under 128 MB of
-    traced allocations; the branch-by-node loop it replaced peaked over 1 GB."""
-    operators._gauss_compiled.cache_clear()
+    """Memory stays bounded as ``grid_n`` grows: a Gauss apply at n = 4096
+    and K = 10^4 peaks under 128 MB of traced allocations; the
+    branch-by-node loop it replaced peaked over 1 GB."""
     g = Grid(0.0, 1.0, 4096)
     f = GridFunction.from_callable(g, lambda x: x)
     tracemalloc.start()
@@ -344,7 +276,6 @@ def test_compiled_gauss_apply_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        operators._gauss_compiled.cache_clear()
     assert peak < 128 * 2**20
 
 

@@ -97,6 +97,19 @@ def test_run_suite_raises_the_registry_first_error(monkeypatch):
     assert later_failed.is_set()
 
 
+def test_run_suite_refuses_an_unknown_fault(monkeypatch):
+    # an unknown fault reached no check, so the run reported all green
+    ran = []
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        ("t", "fine", 1.0, "<=", lambda seed, fault: ran.append(fault) or (0.0, ""))])
+    with pytest.raises(ValueError, match=r"unknown fault 'bogus'; choose from "
+                                         r"\['mis-normalized-filter'\]"):
+        verify.run_suite("t", inject_fault="bogus")
+    assert ran == []
+    verify.run_suite("t", inject_fault=verify.FAULTS[0])
+    assert ran == [verify.FAULTS[0]]
+
+
 def test_run_suite_compares_each_statistic_with_its_declaration(monkeypatch):
     monkeypatch.setattr(verify, "_REGISTRY", [
         ("t", "low", 1.0, "<=", lambda seed, fault: (2.0, "above")),
