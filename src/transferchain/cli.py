@@ -63,13 +63,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(out_dir: str, name: str, header: list, rows) -> None:
+def _write_csv(out_dir: str, name: str, header: list, rows: list) -> None:
+    """Each row by one format string, from the first row's types: %.17g for a float, else %s."""
+    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n" if rows else ""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def _emit(config: RunConfig, checks: list, manifest: list) -> int:
@@ -138,10 +138,9 @@ def cmd_invariant(config: RunConfig) -> int:
     l1, res, ref = _build(config, "gate", make)
     ms = (time.perf_counter() - t0) * 1000.0
     w1 = wasserstein1(res.measure, ref)
-    rows = zip(ref.grid.nodes, res.measure.density, ref.density,
-               np.abs(res.measure.density - ref.density))
     _write_csv(config.out_dir, "density.csv", ["x_mid", "density", "reference_density", "abs_err"],
-               ([float(a), float(b), float(c), float(d)] for a, b, c, d in rows))
+               np.column_stack((ref.grid.nodes, res.measure.density, ref.density,
+                                np.abs(res.measure.density - ref.density))).tolist())
     metric, tol = SYSTEMS[config.system].gate
     checks = [
         CheckResult(name=f"{config.system}-stationary-{metric}",
@@ -174,7 +173,7 @@ def cmd_simulate(config: RunConfig) -> int:
     head = pe.paths[:, : min(100, pe.n_paths)].T
     _write_csv(config.out_dir, "paths_head.csv",
                ["path"] + [f"step_{k}" for k in range(pe.n_steps + 1)],
-               ([int(i)] + [float(v) for v in row] for i, row in enumerate(head)))
+               [[int(i)] + [float(v) for v in row] for i, row in enumerate(head)])
 
     lo, hi = pe.extent()
     span = (hi - lo) or 1.0

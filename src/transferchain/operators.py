@@ -12,9 +12,9 @@ alone, in ``TrigPoly`` arithmetic: its chain and flow are those of
 ``circle_filter_system``.
 
 A random-control flow is a closed-form ``ControlFlow`` of O(n) arrays.  The
-other flows are ``CSCMatrix`` objects built in blocks of at most ``_BLOCK``
-elements, so their build memory does not grow with n^2 or with the Gauss
-truncation.
+other flows are ``CSCMatrix`` objects summed from their sparse (row, column,
+value) entries, the Gauss flow's in blocks of at most ``_BLOCK`` entries, so
+their build memory does not grow with n^2 or with the Gauss truncation.
 
 Neither does the Gauss sums' time grow with the truncation K.  Past
 A = ``_RUNS_FROM`` branches, many consecutive images 1/(k+x) share one
@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grids import DiscreteMeasure, Grid, GridFunction, GridMismatchError, _mod_width
+from .grids import DiscreteMeasure, Grid, GridFunction, GridMismatchError, _blocks, _mod_width
 from .wavelets import TrigPoly, WaveletFilter
 
 __all__ = [
@@ -74,16 +74,25 @@ class BranchEscapeError(ValueError):
     """A branch image left the grid domain by more than round-off."""
 
 
-# elements per build block of a sparse matrix; each float temporary of a
-# block then takes 1 MB
+# terms per block of a Gauss sum or flow; each float temporary of a block
+# then takes 1 MB
 _BLOCK = 1 << 17
+
+
+def _vector(x, shape, axis: int) -> np.ndarray:
+    """x as a float vector along ``axis`` of a flow of the given shape."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape[axis:axis + 1]:
+        raise ValueError(f"a flow of shape {shape} and a vector of shape {x.shape} do not align")
+    return x
 
 
 class CSCMatrix:
     """Sparse matrix in compressed sparse column arrays: column j holds the
     values data[indptr[j]:indptr[j+1]] in rows indices[indptr[j]:indptr[j+1]],
     rows ascending.  ``M @ w`` and ``v @ M`` are its products, each summing
-    in storage order, and ``np.asarray(M)`` is its dense view."""
+    in storage order one ``grids._BLOCK`` of stored entries at a time, and
+    ``np.asarray(M)`` is its dense view."""
 
     __array_ufunc__ = None  # so that ``ndarray @ M`` defers to __rmatmul__
 
@@ -94,15 +103,22 @@ class CSCMatrix:
             a.flags.writeable = False  # frozen in place, not copied
         self._cols = np.repeat(np.arange(self.shape[1]), np.diff(self.indptr))
 
+    def _sum(self, x, at, gather, axis: int) -> np.ndarray:
+        """out[at[e]] += x[gather[e]] * data[e] over the stored entries e, in
+        order and a chunk at a time: np.add.at gives one np.bincount's bits."""
+        x = _vector(x, self.shape, axis)
+        out = np.zeros(self.shape[1 - axis])
+        for b in _blocks(self.data.size):
+            np.add.at(out, at[b], x[gather[b]] * self.data[b])
+        return out
+
     def __matmul__(self, w) -> np.ndarray:
         """(M w)_i = sum_j M[i, j] w_j."""
-        return np.bincount(self.indices, self.data * np.asarray(w)[self._cols],
-                           minlength=self.shape[0])
+        return self._sum(w, self.indices, self._cols, 1)
 
     def __rmatmul__(self, v) -> np.ndarray:
         """(v M)_j = sum_i v_i M[i, j]."""
-        return np.bincount(self._cols, np.asarray(v)[self.indices] * self.data,
-                           minlength=self.shape[1])
+        return self._sum(v, self._cols, self.indices, 0)
 
     def min(self) -> float:
         """The smallest entry, counting the entries not stored as zeros."""
@@ -116,50 +132,34 @@ class CSCMatrix:
 
 
 def _flow(n: int, blocks) -> CSCMatrix:
-    """The n x n cell flow of per-block sums: ``blocks`` yields, for
-    consecutive blocks of columns, flat arrays of columns * n sums with the
-    rows of a column contiguous.  Each is clipped at 0 in place, so that
-    round-off never leaves a negative mass, and its zeros are dropped."""
-    counts, indices, data = [], [], []
-    for acc in blocks:
-        # np.flatnonzero finds the entries of a bool mask several times
-        # faster than those of a float array
-        nz = np.flatnonzero(np.maximum(acc, 0.0, out=acc) != 0.0)
-        counts.append(np.bincount(nz // n, minlength=acc.size // n))
-        indices.append(nz % n)
-        data.append(acc[nz])
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return CSCMatrix((n, n), indptr, np.concatenate(indices), np.concatenate(data))
+    """The n x n cell flow that sums the (rows, cols, values) entry arrays
+    ``blocks`` yields for consecutive ranges of columns: np.bincount over the
+    ranks of the sorted keys col * n + row adds each cell's values one by one
+    in the order given.  A sum is clipped at 0, so that round-off never
+    leaves a negative mass, and dropped where it is 0."""
+    counts, indices, data = np.zeros(n + 1, dtype=np.intp), [], []
+    for rows, cols, vals in blocks:
+        key, rank = np.unique(cols * n + rows, return_inverse=True)
+        sums = np.bincount(rank, vals)
+        live = np.maximum(sums, 0.0, out=sums) != 0.0
+        col, row = np.divmod(key[live], n)
+        counts[1:] += np.bincount(col, minlength=n)
+        indices.append(row)
+        data.append(sums[live])
+    return CSCMatrix((n, n), np.cumsum(counts), np.concatenate(indices), np.concatenate(data))
 
 
-def _flow_from_entries(n: int, entries) -> CSCMatrix:
-    """The cell flow that sums (rows, cols, values) entry arrays.  Each
-    (row, col) adds its values in the order given, one block of columns at
-    a time."""
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*entries))
-    order = np.argsort(cols, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    width = max(1, _BLOCK // n)
-
-    def blocks():
-        for c0 in range(0, n, width):
-            c1 = min(c0 + width, n)
-            lo, hi = np.searchsorted(cols, [c0, c1])
-            key = (cols[lo:hi] - c0) * n + rows[lo:hi]
-            yield np.bincount(key, vals[lo:hi], minlength=(c1 - c0) * n)
-
-    return _flow(n, blocks())
-
-
-def _gauss_blocks(K: int, m: int, n: int):
-    """Blocks of the m points of a Gauss sum over an n-cell grid with the
-    branches below _RUNS_FROM that the truncation K keeps, each block of at
-    most _BLOCK (point, branch) pairs and _BLOCK // n points (one point at
-    least): yields (point slice, branch numbers)."""
-    ns = np.arange(1, min(K, _RUNS_FROM - 1) + 1, dtype=float)
-    points = max(1, min(_BLOCK // ns.size, _BLOCK // n))
-    for p0 in range(0, m, points):
-        yield slice(p0, min(p0 + points, m)), ns
+def _gauss_blocks(K: int, grid: Grid, per_term: int):
+    """Blocks of the nodes of an interval grid for a Gauss sum or flow, with
+    the branches below _RUNS_FROM that the truncation K keeps: yields (node
+    slice, branch numbers).  A block holds at most _BLOCK terms, one node at
+    least: ``per_term`` at each node for each of those branches and for each
+    cell that the later branches' images, split into runs, reach from it."""
+    ns, lo, A = np.arange(1, min(K, _RUNS_FROM - 1) + 1, dtype=float), grid.lower, _RUNS_FROM
+    cells = (1.0 / (A + lo) - 1.0 / (K + lo)) / grid.dx + 2.0 if K >= A else 0.0
+    points = max(1, int(_BLOCK // (per_term * (ns.size + cells))))
+    for p0 in range(0, grid.n, points):
+        yield slice(p0, min(p0 + points, grid.n)), ns
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ class BranchSystem:
                 b = base + (b - a)
                 a = base
             entries.append(_spread_interval(probs[i], a, b, grid))
-        return _flow_from_entries(grid.n, entries)
+        return _flow(grid.n, [tuple(map(np.concatenate, zip(*entries)))])
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Branch i for each state where uniforms[0] falls in p_i's CDF slot."""
@@ -292,7 +292,7 @@ class ControlFlow:
 
     def __matmul__(self, w) -> np.ndarray:
         """(M w)_i = sum_j M[i, j] w_j."""
-        w = np.asarray(w, dtype=float)
+        w = _vector(w, self.shape, 1)
         jumps = (self._scale * w).ravel()
         density = np.cumsum(np.concatenate((jumps, -jumps, np.zeros(w.size + 1)))[self._order])
         out = np.bincount(self._cell, density[:-1] * self._length, minlength=w.size)
@@ -301,7 +301,8 @@ class ControlFlow:
 
     def __rmatmul__(self, v) -> np.ndarray:
         """(v M)_j = sum_i v_i M[i, j]."""
-        at_ends = np.concatenate(([0.0], np.cumsum(np.asarray(v)[self._cell] * self._length)))
+        v = _vector(v, self.shape, 0)
+        at_ends = np.concatenate(([0.0], np.cumsum(v[self._cell] * self._length)))
         lo, hi = at_ends[self._rank[:2 * self._scale.size]].reshape(2, *self._scale.shape)
         return ((hi - lo) * self._scale).sum(axis=0)
 
@@ -450,7 +451,7 @@ class GaussOperator:
                                     (1.0 / (ns + left)).ravel(), grid)
 
         def blocks():
-            for cols, ns in _gauss_blocks(K, n, n):
+            for cols, ns in _gauss_blocks(K, grid, 2):  # an image meets up to 2 cells
                 x = nodes[cols]
                 left, right = edges[:-1][cols], edges[1:][cols]
                 rows, j, vals = spread(x[:, None], ns, left[:, None], right[:, None])
@@ -475,7 +476,7 @@ class GaussOperator:
                     rows, j, vals = spread(x[q], ns, left[q], right[q])
                     entries.append((rows, q[j], vals))
                 rows, col, vals = map(np.concatenate, zip(*entries))
-                yield np.bincount(col * n + rows, vals, minlength=x.size * n)
+                yield rows, col + cols.start, vals
 
         return _flow(n, blocks())
 
@@ -686,7 +687,7 @@ def _gauss_sum(K: int, f: GridFunction, kernel: int) -> np.ndarray:
         return np.floor(1.0 / (grid.lower + (s + 0.5) * grid.dx) - xs[q]) + 1.0
 
     out = np.empty(x.size)
-    for cols, ns in _gauss_blocks(K, x.size, grid.n):
+    for cols, ns in _gauss_blocks(K, grid, 1):
         xs = x[cols]
         denom = ns + xs[:, None]
         out[cols] = np.sum(_WEIGHTS[kernel](xs[:, None], ns, denom, K) * f.eval(1.0 / denom),

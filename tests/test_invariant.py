@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,24 @@ def test_power_iterate_residual_monotone_after_burn_in():
             mu = nxt
         tail = steps[5:]
         assert all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(tail, tail[1:]))
+
+
+def test_power_iterate_allocates_chunks_not_flow_sized_arrays():
+    # memory stays bounded as grid_n grows: each product adds one chunk of
+    # stored entries at a time, so the 524k-entry Gauss flow at n = 4096 is
+    # iterated in well under 2 MiB of temporaries; products through two
+    # entry-sized temporaries took 8 MiB
+    g = Grid(0.0, 1.0, 4096)
+    m = build_ulam(gauss_operator(K=10_000), g)
+    assert m.entries.data.size > 500_000
+    tracemalloc.start()
+    try:
+        res = power_iterate(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak <= 2 * 2**20
 
 
 def test_power_iterate_rejects_bad_tol():

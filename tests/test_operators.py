@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from transferchain.grids import (
     stream_rng,
     uniform_measure,
 )
+from transferchain.invariant import halving_ifs
 from transferchain.operators import (
     BranchEscapeError,
     BranchSystem,
@@ -142,6 +145,23 @@ def test_controlled_flow_refuses_zero_width_interval():
                              branch_probs=np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="the controlled system has a control interval"):
         mixed.flow(g)
+
+
+@pytest.mark.parametrize("make", [halving_ifs, random_control_system],
+                         ids=["sparse", "controlled"])
+def test_flow_products_refuse_a_vector_of_the_wrong_length(make):
+    # a vector one too long was read up to the flow's length, silently
+    g = Grid(0.0, 1.0, 8)
+    M = cell_flow_matrix(make(g), g)
+    for x in (np.ones(9), np.ones(7), np.ones((8, 1)), np.float64(1.0)):
+        shapes = rf"a flow of shape \(8, 8\) and a vector of shape {re.escape(str(x.shape))}"
+        with pytest.raises(ValueError, match=shapes):
+            M @ x
+        with pytest.raises(ValueError, match=shapes):
+            x @ M
+    # the right lengths still pass: both flows are column-stochastic
+    assert (M @ np.full(8, 0.125)).sum() == pytest.approx(1.0)
+    assert np.allclose(np.ones(8) @ M, np.ones(8))
 
 
 def test_controlled_validation():
