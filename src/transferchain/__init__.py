@@ -24,7 +24,6 @@ from .grids import (  # noqa: F401
 )
 from .operators import (  # noqa: F401
     BranchSystem,
-    CircleFilterOperator,
     ControlledSystem,
     GaussOperator,
     apply_branch,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -47,41 +47,7 @@ __all__ = [
     "martingale_check",
     "estimate_transition_matrix",
     "perron_harmonic_residual",
-    "finite_chain_sampler",
-    "FiniteChain",
 ]
-
-
-@dataclass(frozen=True)
-class FiniteChain:
-    """Row-stochastic transition matrix over a declared finite state set."""
-
-    kind = "finite"
-    channels = 1
-
-    states: np.ndarray
-    probabilities: np.ndarray
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)  # row CDFs
-
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=float)
-        P = np.asarray(self.probabilities, dtype=float)
-        if P.shape != (s.size, s.size):
-            raise ValueError("transition matrix must be square over the states")
-        if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("rows must be probability distributions")
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "probabilities", P)
-        object.__setattr__(self, "cdf", np.cumsum(P, axis=1))
-
-    def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """The next state where uniforms[0] falls in the current row's CDF."""
-        rows = self.cdf[_state_indices(x, self.states)]
-        nxt = (uniforms[0][:, None] >= rows).sum(axis=1)
-        return self.states[np.clip(nxt, 0, self.states.size - 1)]
-
-    def chain_apply(self, f: GridFunction) -> GridFunction:
-        raise ValueError("a finite chain has no operator on a grid")
 
 
 @dataclass(frozen=True)
@@ -89,7 +55,7 @@ class MarkovSampler:
     """One-step sampler of the chain generated by a transfer operator.
 
     The system decides how the chain moves: it carries the ``kind`` label
-    ("branch", "controlled", "gauss-backward" or "finite"), the number of
+    ("branch", "controlled" or "gauss-backward"), the number of
     uniform ``channels`` one move consumes, and the ``step`` and
     ``chain_apply`` kernels.  ``initial_ppf`` maps uniforms to initial
     states (exact inverse CDF).
@@ -129,18 +95,6 @@ class MarkovSampler:
         return back(x) if g is None else g.wrap(back(x))
 
 
-def finite_chain_sampler(chain: FiniteChain, initial_probs,
-                         master_seed: int = 9001) -> MarkovSampler:
-    p0 = np.asarray(initial_probs, dtype=float)
-    cdf0 = np.cumsum(p0)
-
-    def ppf(u):
-        idx = np.searchsorted(cdf0, np.asarray(u, dtype=float), side="left")
-        return chain.states[np.clip(idx, 0, chain.states.size - 1)]
-
-    return MarkovSampler(chain, ppf, master_seed)
-
-
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
@@ -148,16 +102,6 @@ def finite_chain_sampler(chain: FiniteChain, initial_probs,
 def step_batch(s: MarkovSampler, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Advance a batch of states one move; uniforms has shape (channels, len(x))."""
     return s.system.step(np.asarray(x, dtype=float), uniforms)
-
-
-def _state_indices(x, states) -> np.ndarray:
-    """Index of the state nearest each x; its callers pass at most a
-    ``_BLOCK`` of points, so the distance table stays block-sized."""
-    x = np.asarray(x, dtype=float).ravel()
-    idx = np.argmin(np.abs(x[:, None] - states[None, :]), axis=1)
-    if np.max(np.abs(x - states[idx]), initial=0.0) > 1e-9:
-        raise ValueError("path value outside the declared finite state set")
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +461,16 @@ def conditional_expectation_check(pe: PathEnsemble, f: GridFunction, k: int,
 # ---------------------------------------------------------------------------
 # discrete chains
 # ---------------------------------------------------------------------------
+
+def _state_indices(x, states) -> np.ndarray:
+    """Index of the state nearest each x; its caller passes at most a
+    ``_BLOCK`` of points, so the distance table stays block-sized."""
+    x = np.asarray(x, dtype=float).ravel()
+    idx = np.argmin(np.abs(x[:, None] - states[None, :]), axis=1)
+    if np.max(np.abs(x - states[idx]), initial=0.0) > 1e-9:
+        raise ValueError("path value outside the declared finite state set")
+    return idx
+
 
 def estimate_transition_matrix(pe: PathEnsemble, states) -> np.ndarray:
     """Row-normalized empirical transition counts over a declared state

@@ -1,15 +1,15 @@
 """Concrete transfer-operator forms and their action on grid functions.
 
-Four operator shapes are supported: branch-weighted sums over the maps of
+Three chain kernels are defined here: branch-weighted sums over the maps of
 an iterated function system (the inverse branches of an endomorphism, where
 there is one; the branch weights are one function of x with a row per
-branch), an IFS with random control, the weighted Ruelle operator of
-a circle filter, and the Gauss (continued fraction) operator.  Each is its
-own kernel: ``apply`` acts on grid functions, ``flow`` moves cell masses
-(the matrix behind the invariant measures), and ``step`` and
-``chain_apply`` move its chain.  The circle Ruelle operator has ``apply``
-alone, in ``TrigPoly`` arithmetic: its chain and flow are those of
-``circle_filter_system``.
+branch), an IFS with random control, and the Gauss (continued fraction)
+operator.  Each has the four operations: ``apply`` acts on grid functions,
+``flow`` moves cell masses (the matrix behind the invariant measures), and
+``step`` and ``chain_apply`` move its chain.  A finite chain and a circle
+filter's move are branch systems (``finite_system``, ``circle_filter_system``);
+the filter's weighted Ruelle operator and its adjoint act in ``TrigPoly``
+arithmetic (``apply_ruelle_circle``, ``apply_ruelle_adjoint``).
 
 A random-control flow is a closed-form ``ControlFlow`` of O(n) arrays.  The
 other flows are ``CSCMatrix`` objects summed from their sparse (row, column,
@@ -40,7 +40,6 @@ from .wavelets import TrigPoly, WaveletFilter
 __all__ = [
     "BranchSystem",
     "ControlledSystem",
-    "CircleFilterOperator",
     "GaussOperator",
     "BranchEscapeError",
     "CSCMatrix",
@@ -62,6 +61,7 @@ __all__ = [
     "bernoulli_support",
     "bernoulli_system",
     "circle_filter_system",
+    "finite_system",
 ]
 
 
@@ -172,10 +172,10 @@ class BranchSystem:
 
     Defines (Rf)(x) = sum_i p_i(x) f(tau_i(x)).  Branch maps are vectorized
     callables, and ``weights`` is one vectorized callable p(x) whose value
-    broadcasts to (n_branches, len(x)): row i holds p_i.  ``normalized``
-    asserts sum_i p_i(x) = 1 at nodes.  ``sigma`` is the endomorphism the
-    branches invert, when there is one; an IFS whose branch images overlap
-    has none.
+    broadcasts to (n_branches, len(x)): row i holds p_i, at least 0 at
+    nodes.  ``normalized`` asserts sum_i p_i(x) = 1 at nodes.  ``sigma`` is
+    the endomorphism the branches invert, when there is one; an IFS whose
+    branch images overlap has none.
     """
 
     kind = "branch"
@@ -195,6 +195,9 @@ class BranchSystem:
         if probs.ndim > 2 or any(s not in (1, r) for s, r in zip(probs.shape[::-1], rows[::-1])):
             raise ValueError(f"{self.name or 'the branch system'}: weights of shape "
                              f"{probs.shape} do not give one row per branch, {rows}")
+        if probs.min() < 0.0:
+            raise ValueError(f"{self.name or 'the branch system'}: a branch weight is "
+                             f"negative at the nodes (min {probs.min():.3g})")
         if self.sigma is not None:
             for i, tau in enumerate(self.branches):
                 err = self.grid.distance(self.sigma(np.asarray(tau(x), dtype=float)), x)
@@ -376,22 +379,6 @@ class ControlledSystem:
 
 
 @dataclass(frozen=True)
-class CircleFilterOperator:
-    """Weighted Ruelle operator (Rf)(t) = (1/N) sum_k (|m0|^2 f)((t+k)/N).
-
-    It acts on functions only: its chain is ``circle_filter_system``."""
-
-    filt: WaveletFilter
-
-    @property
-    def N(self) -> int:
-        return self.filt.N
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        return apply_ruelle_circle(self, f)
-
-
-@dataclass(frozen=True)
 class GaussOperator:
     """Gauss operator (Rf)(x) = sum_{n>=1} (n+x)^-2 f(1/(n+x)), truncated.
 
@@ -537,23 +524,23 @@ def apply_integral(cs: ControlledSystem, f: GridFunction) -> GridFunction:
     return GridFunction(cs.grid, f.sign_clamp((cs.branch_probs[live, None] * mean).sum(axis=0)))
 
 
-def apply_ruelle_circle(op: CircleFilterOperator, f: GridFunction) -> GridFunction:
-    """(Rf)(t) = (1/N) sum_k |m0((t+k)/N)|^2 f((t+k)/N) on the same grid,
-    exact on the trigonometric interpolant of f's node values."""
+def apply_ruelle_circle(filt: WaveletFilter, f: GridFunction) -> GridFunction:
+    """The filter's (Rf)(t) = (1/N) sum_k |m0((t+k)/N)|^2 f((t+k)/N) on the
+    same grid, exact on the trigonometric interpolant of f's node values."""
     g = f.grid
     if g.domain_kind != "circle":
         raise GridMismatchError("Ruelle circle operator needs a circle grid")
-    rf = op.filt.ruelle(TrigPoly.from_samples(f.values))
+    rf = filt.ruelle(TrigPoly.from_samples(f.values))
     return GridFunction(g, rf.on_grid(g.n).real)
 
 
-def apply_ruelle_adjoint(op: CircleFilterOperator, f: GridFunction) -> GridFunction:
+def apply_ruelle_adjoint(filt: WaveletFilter, f: GridFunction) -> GridFunction:
     """(R* f)(t) = |m0(t)|^2 f(N t mod 1), exact on the trigonometric
     interpolant of f's node values."""
     g = f.grid
     if g.domain_kind != "circle":
         raise GridMismatchError("adjoint Ruelle operator needs a circle grid")
-    adj = op.filt.autocorr * TrigPoly.from_samples(f.values).dilate(op.N)
+    adj = filt.autocorr * TrigPoly.from_samples(f.values).dilate(filt.N)
     return GridFunction(g, adj.on_grid(g.n).real)
 
 
@@ -967,4 +954,24 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
         branches=[make_tau(k) for k in range(N)],
         weights=weights,
         name=f"filter-{filt.name or 'circle'}",
+    )
+
+
+def finite_system(grid: Grid, states, P) -> BranchSystem:
+    """The chain on ``states`` with transition matrix P as an IFS: branch j
+    maps every point to states[j], and the weights p(x) are the row of P of
+    the state nearest x.  A P that is not square over the states, has a
+    negative entry or a row not summing to 1 is refused."""
+    s, P = np.asarray(states, dtype=float), np.asarray(P, dtype=float)
+    if P.shape != (s.size, s.size):
+        raise ValueError("transition matrix must be square over the states")
+    if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
+        raise ValueError("rows must be probability distributions")
+    order = np.argsort(s)
+    mids = 0.5 * (s[order][1:] + s[order][:-1])  # the edges between nearest states
+    return BranchSystem(
+        grid=grid,
+        branches=[lambda x, state=state: np.full(np.shape(x), state) for state in s],
+        weights=lambda x: P[order[np.searchsorted(mids, x)]].T,
+        name=f"finite-{s.size}",
     )

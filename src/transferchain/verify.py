@@ -145,6 +145,8 @@ def _fejer_t0(m: int):  # the law of the solenoid coordinate 0
     return partial(measure_ppf, solenoid.pi_k_distribution(*_fejer(m), 0, _circle(4096)))
 
 
+_TWO_STATE = np.array([[0.9, 0.1], [0.5, 0.5]])  # the two-state chain's transition matrix
+
 SYSTEMS = {
     "gauss": System(lambda n, K: operators.gauss_operator(K), {"K": 10_000},
                     t0=lambda K: gauss_ppf, stationary=gauss_measure, gate=("l1", 0.02)),
@@ -169,6 +171,10 @@ SYSTEMS = {
                    t0=lambda: uniform_ppf),
     "fejer-m": System(lambda n, m: operators.circle_filter_system(_circle(n), *_fejer(m)),
                       {"m": 1}, t0=_fejer_t0),
+    # the chain on the states 0 and 1, started uniform on them
+    "two-state": System(lambda n: operators.finite_system(Grid(0.0, 1.0, n), [0.0, 1.0],
+                                                          _TWO_STATE),
+                        t0=lambda: lambda u: np.where(u > 0.5, 1.0, 0.0)),
 }
 
 
@@ -326,14 +332,11 @@ def _normalization(seed, fault):
            operators.parametric_system(g, 0.3),
            operators.random_control_system(g),
            operators.circle_filter_system(gc, wavelets.haar_filter())]
+    r1s = [op.apply(GridFunction.constant(op.grid, 1.0)) for op in ops]
     if fault == _MIS_NORMALIZED:
         bad = wavelets.WaveletFilter(N=2, coeffs=np.array([0.8, 0.7]), name="bad")
-        ops.append(operators.CircleFilterOperator(bad))
-    worst = 0.0
-    for op in ops:
-        f1 = GridFunction.constant(getattr(op, "grid", gc), 1.0)
-        r1 = op.apply(f1)
-        worst = max(worst, float(np.max(np.abs(r1.values - 1.0))))
+        r1s.append(operators.apply_ruelle_circle(bad, GridFunction.constant(gc, 1.0)))
+    worst = max(float(np.max(np.abs(r1.values - 1.0))) for r1 in r1s)
     return worst, "R1 = 1 on every normalized operator"
 
 
@@ -353,12 +356,12 @@ def _pullout(seed, fault):
 def _duality(seed, fault):
     g = Grid(0.0, 1.0, 1024, "circle")
     rng = stream_rng(seed, 103)
-    op = operators.CircleFilterOperator(wavelets.haar_filter())
+    haar = wavelets.haar_filter()
     worst = 0.0
     for _ in range(3):
         f, h = _trig_pair(g, rng)
-        lhs = float(np.mean(operators.apply_ruelle_circle(op, f).values * h.values))
-        rhs = float(np.mean(f.values * operators.apply_ruelle_adjoint(op, h).values))
+        lhs = float(np.mean(operators.apply_ruelle_circle(haar, f).values * h.values))
+        rhs = float(np.mean(f.values * operators.apply_ruelle_adjoint(haar, h).values))
         scale = max(np.max(np.abs(f.values)) * np.max(np.abs(h.values)), 1e-30)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst, ""
@@ -595,12 +598,9 @@ def _reproducibility(seed, fault):
 
 @_check("chains", "transition-matrix-2state", 0.005)
 def _transition(seed, fault):
-    P = np.array([[0.9, 0.1], [0.5, 0.5]])
-    fc = chains.FiniteChain(states=np.array([0.0, 1.0]), probabilities=P)
-    s = chains.finite_chain_sampler(fc, [0.5, 0.5], master_seed=seed + 44)
-    pe = chains.simulate_paths(s, 10_000, 100)
+    pe = chains.simulate_paths(_sampler("two-state", seed + 44), 10_000, 100)
     est = chains.estimate_transition_matrix(pe, [0.0, 1.0])
-    dev = float(np.max(np.abs(est - P)))
+    dev = float(np.max(np.abs(est - _TWO_STATE)))
     harm = chains.perron_harmonic_residual(est)
     return max(dev, harm * (0.005 / 1e-6)), \
         f"entry deviation {dev:.4f}; harmonic residual {harm:.1e} (<= 1e-6)"

@@ -22,13 +22,11 @@ from transferchain.grids import (
 )
 from transferchain.chains import (
     _BLOCK,
-    FiniteChain,
     MarkovSampler,
     chain_apply,
     conditional_expectation_check,
     estimate_conditional,
     estimate_transition_matrix,
-    finite_chain_sampler,
     markov_property_check,
     martingale_check,
     nested_operator_expectation,
@@ -42,12 +40,12 @@ from transferchain.chains import (
 from transferchain.operators import (
     BranchEscapeError,
     BranchSystem,
-    CircleFilterOperator,
     GaussOperator,
     bernoulli_support,
     bernoulli_system,
     circle_filter_system,
     doubling_system,
+    finite_system,
     gauss_operator,
     parametric_system,
     parametric_weight,
@@ -70,15 +68,26 @@ def deterministic_doubling(grid=G512):
 # kernel contract: the system decides how the chain moves
 # ---------------------------------------------------------------------------
 
-TWO_STATE = FiniteChain(states=np.array([0.0, 1.0]),
-                        probabilities=np.array([[0.9, 0.1], [0.5, 0.5]]))
+TWO_STATE_P = np.array([[0.9, 0.1], [0.5, 0.5]])
+TWO_STATE = finite_system(G512, [0.0, 1.0], TWO_STATE_P)
+
+
+def finite_sampler(states, P, p0, master_seed):
+    """The chain of ``finite_system`` on a grid spanning the states, with
+    T_0 drawn from the law p0 on them."""
+    states = np.asarray(states, dtype=float)
+    system = finite_system(Grid(states.min(), states.max(), 64), states, P)
+    def ppf(u):
+        return states[np.minimum(np.searchsorted(np.cumsum(p0), u), states.size - 1)]
+
+    return MarkovSampler(system, ppf, master_seed)
 
 
 @pytest.mark.parametrize("system, kind, channels", [
     (doubling_system(G512), "branch", 1),
     (random_control_system(G512), "controlled", 2),
     (gauss_operator(K=100), "gauss-backward", 1),
-    (TWO_STATE, "finite", 1),
+    (TWO_STATE, "branch", 1),
 ])
 def test_sampler_kind_and_channels_come_from_the_system(system, kind, channels):
     s = MarkovSampler(system, uniform_ppf)
@@ -88,14 +97,8 @@ def test_sampler_kind_and_channels_come_from_the_system(system, kind, channels):
 
 
 def test_operator_without_a_chain_is_no_sampler():
-    with pytest.raises(TypeError, match="CircleFilterOperator"):
-        MarkovSampler(CircleFilterOperator(haar_filter()), uniform_ppf)
-
-
-def test_finite_chain_has_no_grid_operator():
-    s = finite_chain_sampler(TWO_STATE, [0.5, 0.5])
-    with pytest.raises(ValueError, match="finite chain"):
-        chain_apply(s, GridFunction.constant(G512, 1.0))
+    with pytest.raises(TypeError, match="WaveletFilter does not generate a Markov chain"):
+        MarkovSampler(haar_filter(), uniform_ppf)
 
 
 def test_gauss_chain_apply_matches_chunked_branch_loop():
@@ -293,7 +296,7 @@ SAMPLER_CASES = {
                                         master_seed=61),
     "gauss-backward": lambda: MarkovSampler(gauss_operator(K=10_000), gauss_ppf,
                                             master_seed=62),
-    "finite": lambda: finite_chain_sampler(TWO_STATE, [0.5, 0.5], master_seed=63),
+    "finite": lambda: finite_sampler([0.0, 1.0], TWO_STATE_P, [0.5, 0.5], 63),
     "circle-filter": lambda: MarkovSampler(circle_filter_system(GC64, haar_filter()),
                                            uniform_ppf, master_seed=64),
     "reused-noise": lambda: MarkovSampler(random_control_system(G512), arcsine_ppf, 65,
@@ -668,27 +671,23 @@ def test_kolmogorov_consistency_across_lengths():
 # ---------------------------------------------------------------------------
 
 def test_transition_matrix_two_state():
-    P = np.array([[0.9, 0.1], [0.5, 0.5]])
-    chain = FiniteChain(states=np.array([0.0, 1.0]), probabilities=P)
-    s = finite_chain_sampler(chain, [0.5, 0.5], master_seed=36)
+    s = finite_sampler([0.0, 1.0], TWO_STATE_P, [0.5, 0.5], 36)
     pe = simulate_paths(s, 10_000, 100)
     est = estimate_transition_matrix(pe, [0.0, 1.0])
-    assert np.max(np.abs(est - P)) <= 0.005
+    assert np.max(np.abs(est - TWO_STATE_P)) <= 0.005
     assert perron_harmonic_residual(est) <= 1e-6
 
 
 def test_transition_matrix_deterministic_cycle():
     P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    chain = FiniteChain(states=np.array([0.0, 1.0, 2.0]), probabilities=P)
-    s = finite_chain_sampler(chain, [1.0, 0.0, 0.0], master_seed=37)
+    s = finite_sampler([0.0, 1.0, 2.0], P, [1.0, 0.0, 0.0], 37)
     pe = simulate_paths(s, 100, 30)
     assert np.array_equal(estimate_transition_matrix(pe, [0.0, 1.0, 2.0]), P)
 
 
 def test_transition_matrix_absent_state_flagged():
     P = np.array([[1.0, 0.0], [0.0, 1.0]])
-    chain = FiniteChain(states=np.array([0.0, 1.0]), probabilities=P)
-    s = finite_chain_sampler(chain, [1.0, 0.0], master_seed=38)
+    s = finite_sampler([0.0, 1.0], P, [1.0, 0.0], 38)
     pe = simulate_paths(s, 50, 10)  # never leaves state 0
     est = estimate_transition_matrix(pe, [0.0, 1.0, 2.0])
     assert np.array_equal(est, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])

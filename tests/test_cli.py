@@ -489,7 +489,7 @@ def test_report_schema_and_manifest(tmp_path):
 # the systems each command serves, and a tiny size for it
 SERVED = {"invariant": {"gauss", "doubling", "random-control", "logistic", "halving"},
           "simulate": {"gauss", "doubling", "random-control", "logistic", "parametric-u",
-                       "bernoulli-a", "haar", "fejer-m"}}
+                       "bernoulli-a", "haar", "fejer-m", "two-state"}}
 SIZES = {"invariant": ["--grid-n", "64"], "simulate": ["--paths", "200", "--steps", "2"]}
 
 

@@ -2,8 +2,8 @@
 replaced, kept here as frozen references, as test_step_reference keeps the
 sampler steps: the binned statistics by one ``np.bincount(weights=...)``
 over the whole sample, the Markov-property residuals, the path moments,
-the quasi-invariance differences and the finite chain's state lookup, each
-over whole rows.  The estimators now stream over blocks of ``_BLOCK``
+the quasi-invariance differences and the finite chain's state lookup and
+step, each over whole rows.  The estimators now stream over blocks of ``_BLOCK``
 paths; every statistic must be the same bits."""
 
 import functools
@@ -14,15 +14,14 @@ import pytest
 from transferchain import verify
 from transferchain.chains import (
     _BLOCK,
-    FiniteChain,
     MarkovSampler,
+    PathEnsemble,
     _paired_bin_z,
     _state_indices,
     chain_apply,
     conditional_expectation_check,
     estimate_conditional,
     estimate_transition_matrix,
-    finite_chain_sampler,
     markov_property_check,
     martingale_check,
     path_moment_mc,
@@ -35,6 +34,7 @@ from transferchain.operators import (
     GaussOperator,
     circle_filter_system,
     doubling_system,
+    finite_system,
     gauss_operator,
     parametric_system,
     parametric_weight,
@@ -138,10 +138,10 @@ def reference_state_indices(x, states):
     return idx
 
 
-def reference_finite_step(chain, x, uniforms):
-    rows = np.cumsum(chain.probabilities, axis=1)[reference_state_indices(x, chain.states)]
+def reference_finite_step(states, P, x, uniforms):
+    rows = np.cumsum(P, axis=1)[reference_state_indices(x, states)]
     nxt = (uniforms[0][:, None] >= rows).sum(axis=1)
-    return chain.states[np.clip(nxt, 0, chain.states.size - 1)]
+    return states[np.clip(nxt, 0, states.size - 1)]
 
 
 def reference_transition_counts(pe, states):
@@ -291,36 +291,50 @@ def test_quasi_invariance_refuses_a_chain_with_no_endomorphism():
             quasi_invariance_check(pe, lambda x: 1.0, lambda x: x, k)
 
 
-THREE_STATE = FiniteChain(states=np.array([0.0, 0.5, 2.0]),
-                          probabilities=np.array([[0.2, 0.3, 0.5],
-                                                  [0.6, 0.0, 0.4],
-                                                  [0.1, 0.8, 0.1]]))
+THREE_STATE = (np.array([0.0, 0.5, 2.0]),  # the states and the transition matrix
+               np.array([[0.2, 0.3, 0.5],
+                         [0.6, 0.0, 0.4],
+                         [0.1, 0.8, 0.1]]))
+G3 = Grid(0.0, 2.0, 64)
+
+
+def three_state_sampler(master_seed):
+    """The three-state chain, started in the law (0.3, 0.3, 0.4)."""
+    states = THREE_STATE[0]
+
+    def ppf(u):
+        return states[np.clip(np.searchsorted(np.cumsum([0.3, 0.3, 0.4]), u), 0, 2)]
+
+    return MarkovSampler(finite_system(G3, *THREE_STATE), ppf, master_seed)
 
 
 def test_finite_chain_matches_reference():
-    s = finite_chain_sampler(THREE_STATE, [0.3, 0.3, 0.4], master_seed=86)
-    pe = simulate_paths(s, N_PATHS, 2)
+    pe = simulate_paths(three_state_sampler(86), N_PATHS, 2)
     x, _ = pooled_transitions(pe, lag=1)
     # a fourth state, never visited, gets a zero row
-    for states in (THREE_STATE.states, np.append(THREE_STATE.states, 7.0)):
+    for states in (THREE_STATE[0], np.append(THREE_STATE[0], 7.0)):
         counts = reference_transition_counts(pe, states)
         assert same(estimate_transition_matrix(pe, states), reference_transition_matrix(counts))
     u = np.random.default_rng(87).random((1, x.size))
-    assert same(THREE_STATE.step(x, u), reference_finite_step(THREE_STATE, x, u))
-    assert same(THREE_STATE.cdf, np.cumsum(THREE_STATE.probabilities, axis=1))
+    # the branches follow the states in the order given, sorted or not
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+        states, P = THREE_STATE[0][order], THREE_STATE[1][np.ix_(order, order)]
+        assert same(finite_system(G3, states, P).step(x, u),
+                    reference_finite_step(states, P, x, u))
 
 
 def test_state_lookup_raises_the_reference_error():
     x = np.zeros(2 * _BLOCK + 5)
     x[_BLOCK + 3] = 0.25  # in the second block, between two states
-    for lookup in (lambda: THREE_STATE.step(x, np.zeros((1, x.size))),
-                   lambda: reference_finite_step(THREE_STATE, x, np.zeros((1, x.size)))):
+    pe = PathEnsemble(np.stack([x, x]), three_state_sampler(88))
+    for lookup in (lambda: estimate_transition_matrix(pe, THREE_STATE[0]),
+                   lambda: reference_finite_step(*THREE_STATE, x, np.zeros((1, x.size)))):
         with pytest.raises(ValueError, match="outside the declared finite state set"):
             lookup()
 
 
 def test_state_lookup_of_no_points_is_empty():
-    idx = _state_indices(np.array([]), THREE_STATE.states)
+    idx = _state_indices(np.array([]), THREE_STATE[0])
     assert idx.dtype == np.intp and idx.size == 0
 
 

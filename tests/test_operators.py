@@ -12,11 +12,10 @@ from transferchain.grids import (
     stream_rng,
     uniform_measure,
 )
-from transferchain.invariant import halving_ifs
+from transferchain.invariant import build_ulam, halving_ifs, power_iterate
 from transferchain.operators import (
     BranchEscapeError,
     BranchSystem,
-    CircleFilterOperator,
     ControlledSystem,
     GaussOperator,
     apply_branch,
@@ -29,6 +28,7 @@ from transferchain.operators import (
     bernoulli_support,
     bernoulli_system,
     doubling_system,
+    finite_system,
     gauss_operator,
     logistic_system,
     parametric_system,
@@ -208,23 +208,21 @@ def test_from_samples_interpolates_midpoint_samples():
 
 def test_ruelle_haar_constant():
     g = Grid(0.0, 1.0, 1024, "circle")
-    op = CircleFilterOperator(haar_filter())
-    r1 = apply_ruelle_circle(op, GridFunction.constant(g, 1.0))
+    r1 = apply_ruelle_circle(haar_filter(), GridFunction.constant(g, 1.0))
     assert np.max(np.abs(r1.values - 1.0)) <= 1e-12
 
 
 def test_ruelle_zero_filter():
     g = Grid(0.0, 1.0, 64, "circle")
     zero = WaveletFilter(N=2, coeffs=np.zeros(2))
-    out = apply_ruelle_circle(CircleFilterOperator(zero), GridFunction.constant(g, 1.0))
+    out = apply_ruelle_circle(zero, GridFunction.constant(g, 1.0))
     assert np.all(out.values == 0.0)
 
 
 def test_ruelle_haar_cosine_closed_form():
     g = Grid(0.0, 1.0, 1024, "circle")
-    op = CircleFilterOperator(haar_filter())
     f = GridFunction.from_callable(g, lambda t: np.cos(2 * np.pi * t))
-    rf = apply_ruelle_circle(op, f)
+    rf = apply_ruelle_circle(haar_filter(), f)
     t = g.nodes
     # |m0|^2 = 2 cos^2(pi t); average the two preimage contributions by hand
     expect = 0.5 * ((1 + np.cos(np.pi * t)) * np.cos(np.pi * t)
@@ -235,19 +233,19 @@ def test_ruelle_haar_cosine_closed_form():
 def test_ruelle_grid_divisibility():
     # R acts on the trigonometric interpolant, so n need not be a multiple of N
     g = Grid(0.0, 1.0, 63, "circle")
-    op = CircleFilterOperator(haar_filter())
-    r1 = apply_ruelle_circle(op, GridFunction.constant(g, 1.0))
+    haar = haar_filter()
+    r1 = apply_ruelle_circle(haar, GridFunction.constant(g, 1.0))
     assert np.max(np.abs(r1.values - 1.0)) <= 1e-12
-    rc = apply_ruelle_circle(op, GridFunction.from_callable(g, lambda t: np.cos(2 * np.pi * t)))
+    rc = apply_ruelle_circle(haar, GridFunction.from_callable(g, lambda t: np.cos(2 * np.pi * t)))
     assert np.max(np.abs(rc.values - 0.5 * (1 + np.cos(2 * np.pi * g.nodes)))) <= 1e-12
 
 
 def test_adjoint_closed_form_and_zero():
     g = Grid(0.0, 1.0, 512, "circle")
-    op = CircleFilterOperator(haar_filter())
-    a1 = apply_ruelle_adjoint(op, GridFunction.constant(g, 1.0))
+    haar = haar_filter()
+    a1 = apply_ruelle_adjoint(haar, GridFunction.constant(g, 1.0))
     assert np.max(np.abs(a1.values - 2 * np.cos(np.pi * g.nodes) ** 2)) <= 1e-10
-    z = apply_ruelle_adjoint(op, GridFunction.constant(g, 0.0))
+    z = apply_ruelle_adjoint(haar, GridFunction.constant(g, 0.0))
     assert np.all(z.values == 0.0)
 
 
@@ -257,7 +255,7 @@ def test_adjoint_n3_alternating_closed_form():
     g = Grid(0.0, 1.0, 12, "circle")
     box = WaveletFilter(N=3, coeffs=np.ones(3) / np.sqrt(3), name="box-3taps")
     t = g.nodes
-    out = apply_ruelle_adjoint(CircleFilterOperator(box), GridFunction(g, (-1.0) ** np.arange(12)))
+    out = apply_ruelle_adjoint(box, GridFunction(g, (-1.0) ** np.arange(12)))
     m0_sq = (3 + 4 * np.cos(2 * np.pi * t) + 2 * np.cos(4 * np.pi * t)) / 3
     assert np.max(np.abs(out.values - m0_sq * np.sin(36 * np.pi * t))) <= 1e-12
 
@@ -265,12 +263,12 @@ def test_adjoint_n3_alternating_closed_form():
 def test_adjoint_duality():
     g = Grid(0.0, 1.0, 1024, "circle")
     rng = stream_rng(7, 0)
-    for op in (CircleFilterOperator(haar_filter()), CircleFilterOperator(stretched_box_filter(3))):
+    for filt in (haar_filter(), stretched_box_filter(3)):
         for _ in range(3):
             f = rand_trig(g, rng)
             h = rand_trig(g, rng)
-            lhs = np.mean(apply_ruelle_circle(op, f).values * h.values)
-            rhs = np.mean(f.values * apply_ruelle_adjoint(op, h).values)
+            lhs = np.mean(apply_ruelle_circle(filt, f).values * h.values)
+            rhs = np.mean(f.values * apply_ruelle_adjoint(filt, h).values)
             scale = np.max(np.abs(f.values)) * np.max(np.abs(h.values))
             assert abs(lhs - rhs) <= 1e-9 * max(scale, 1e-30)
 
@@ -325,6 +323,56 @@ def test_branch_weights_need_one_row_per_branch(shape):
     ok = BranchSystem(grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
                       weights=lambda x: np.full((2, 1), 0.5), name="halves")
     assert np.array_equal(ok.weight_matrix(g.nodes), np.full((2, 64), 0.5))
+
+
+def test_branch_weights_must_not_be_negative():
+    # (1.5, -0.5) sums to 1, so R1 = 1 holds, yet no chain takes branch 1
+    # with probability -0.5: its sampler took branch 0 on every move
+    g = Grid(0.0, 1.0, 64)
+    with pytest.raises(ValueError, match=r"skewed: a branch weight is negative at the "
+                                         r"nodes \(min -0.5\)"):
+        BranchSystem(grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
+                     weights=lambda x: np.array([[1.5], [-0.5]]), name="skewed")
+    # a weight of 0 is a branch the chain never takes, and is allowed
+    BranchSystem(grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
+                 weights=lambda x: np.array([[1.0], [0.0]]), name="left-only")
+
+
+# ---------------------------------------------------------------------------
+# finite chains as branch systems
+# ---------------------------------------------------------------------------
+
+TWO_STATE_P = np.array([[0.9, 0.1], [0.5, 0.5]])
+
+
+def test_finite_system_chain_apply_is_the_transition_matrix():
+    g = Grid(0.0, 1.0, 64)
+    op = finite_system(g, [0.0, 1.0], TWO_STATE_P)
+    f = GridFunction.from_callable(g, lambda x: np.cos(3 * x) + x**2)
+    rf = op.chain_apply(f)
+    want = TWO_STATE_P @ f.eval(np.array([0.0, 1.0]))
+    assert np.array_equal(rf.values[[0, g.n - 1]], want)
+    # every node takes the row of its nearest state
+    assert np.array_equal(rf.values, want[(g.nodes > 0.5).astype(int)])
+
+
+def test_finite_system_ulam_stationary_law():
+    g = Grid(0.0, 1.0, 64)
+    res = power_iterate(build_ulam(finite_system(g, [0.0, 1.0], TWO_STATE_P), g), tol=1e-14)
+    w = res.measure.weights
+    # (5/6, 1/6) is the left fixed vector of P
+    assert abs(w[0] - 5 / 6) <= 1e-14 and abs(w[-1] - 1 / 6) <= 1e-14
+    assert np.all(w[1:-1] == 0.0)
+
+
+@pytest.mark.parametrize("P, message", [
+    (np.array([[0.5, 0.5]]), "square over the states"),
+    (np.array([[1.2, -0.2], [0.5, 0.5]]), "probability distributions"),
+    (np.array([[0.9, 0.2], [0.5, 0.5]]), "probability distributions"),
+], ids=["not-square", "negative", "row-sum"])
+def test_finite_system_refuses_a_malformed_matrix(P, message):
+    with pytest.raises(ValueError, match=message):
+        finite_system(Grid(0.0, 1.0, 64), [0.0, 1.0], P)
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,28 @@ def _markov_sampler_builders(path: Path) -> list:
 
 
 def test_built_in_chains_are_built_in_one_place():
-    # every built-in chain comes from verify.SYSTEMS through verify._sampler;
-    # the finite chain goes through chains.finite_chain_sampler
+    # every built-in chain comes from verify.SYSTEMS through verify._sampler
     src = Path(transferchain.__file__).parent
     assert _markov_sampler_builders(src / "verify.py") == ["_sampler"]
     assert _markov_sampler_builders(src / "cli.py") == []
+
+
+def test_every_chain_kernel_lives_in_operators_with_all_four_operations():
+    # a class whose ``kind`` is a label is a chain kernel, which MarkovSampler
+    # takes; the sampler's own ``kind`` is a property that reads the kernel's
+    kernels = {}
+    for info in pkgutil.iter_modules(transferchain.__path__):
+        module = importlib.import_module(f"transferchain.{info.name}")
+        for name, cls in vars(module).items():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ \
+                    and isinstance(vars(cls).get("kind"), str):
+                kernels[f"{info.name}.{name}"] = cls
+    assert sorted(kernels) == ["operators.BranchSystem", "operators.ControlledSystem",
+                               "operators.GaussOperator"]
+    for name, cls in kernels.items():
+        missing = [op for op in ("apply", "chain_apply", "flow", "step")
+                   if not callable(vars(cls).get(op))]
+        assert missing == [], f"{name} lacks {missing}"
 
 
 def test_cli_choices_come_from_verify():
