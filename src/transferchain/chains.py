@@ -10,7 +10,7 @@ per step, so a truncated simulation with the same number of paths is a
 bit-exact prefix of a longer one.  An ensemble is stored step-major, and
 its paths are moved in fixed blocks of ``_BLOCK`` paths, on as many threads
 as the caller asks for (at most the CPU count).  Each block draws its own
-slice of the stream, by jumping a copy of the generator ahead to the
+slices of the stream, by jumping its own copy of the generator to each
 slice's offset, and every kernel acts path by path, so the bits depend on
 neither the block nor the thread count.  The ensemble's reductions run on
 the same threads and are exact in any order.  The estimators stream over
@@ -122,17 +122,25 @@ def _map_blocks(fn, tasks, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _uniforms(stream, starts, out: np.ndarray) -> np.ndarray:
-    """``out`` filled row by row, row r with the draws from ``starts[r]``
-    on of the bit generator ``stream``, which is left as it is: each row is
-    drawn from a copy jumped ahead by ``advance``.  ``Generator.random``
-    takes one 64-bit output per double, so these are the bits of drawing
-    the whole stream in turn."""
-    for row, start in zip(out, starts):
-        bits = copy.copy(stream)
-        bits.advance(start)
-        np.random.Generator(bits).random(out=row)
-    return out
+def _stream_reader(stream) -> Callable:
+    """A function draw(starts, out) that fills ``out`` row by row, row r
+    with the draws from ``starts[r]`` on of the bit generator ``stream``,
+    which is left as it is: one copy of it is moved by ``advance`` (modulo
+    2^128, so back too) from where its last row ended.  ``Generator.random``
+    takes one 64-bit output per double, so these are the bits of drawing the
+    whole stream in turn."""
+    bits = copy.copy(stream)
+    gen, at = np.random.Generator(bits), 0
+
+    def draw(starts, out: np.ndarray) -> np.ndarray:
+        nonlocal at
+        for row, start in zip(out, starts):
+            bits.advance(start - at)
+            gen.random(out=row)
+            at = start + row.size
+        return out
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -162,11 +170,15 @@ class PathEnsemble:
         """Max |sigma(T_{k+1}) - T_k| over all stored transitions, one task
         per step and block of paths."""
         g, sigma = self.sampler.grid, self.sampler.sigma
+        circle = g is not None and g.domain_kind == "circle"
 
         def gap(task):
             k, b = task
-            back, prev = sigma(self.paths[k + 1, b]), self.paths[k, b]
-            return np.max(np.abs(back - prev) if g is None else g.distance(back, prev))
+            d = np.subtract(sigma(self.paths[k + 1, b]), self.paths[k, b])
+            np.abs(d, out=d)
+            if circle:
+                np.minimum(d, g.width - d, out=d)  # g.distance, in place
+            return d.max()
 
         tasks = [(k, b) for k in range(self.n_steps) for b in _blocks(self.n_paths)]
         return float(np.max(_map_blocks(gap, tasks, self.workers), initial=0.0))
@@ -212,12 +224,13 @@ def simulate_paths(s: MarkovSampler, n_paths: int, n_steps: int,
         """Block b through every move: None, or (step, error) of its first
         failure, the initial law being step -1."""
         k, u = -1, np.empty((channels, b.stop - b.start))  # one buffer for every move
+        draw = _stream_reader(stream)
         try:
-            paths[0, b] = s.initial_ppf(_uniforms(stream, [b.start], u[:1])[0])
+            paths[0, b] = s.initial_ppf(draw([b.start], u[:1])[0])
             for k in range(n_steps):
                 j = 0 if s.reuse_driver_noise else k
                 first = n_paths + j * channels * n_paths + b.start
-                _uniforms(stream, [first + c * n_paths for c in range(channels)], u)
+                draw([first + c * n_paths for c in range(channels)], u)
                 paths[k + 1, b] = step_batch(s, paths[k, b], u)
         except Exception as err:
             return k, err

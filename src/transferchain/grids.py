@@ -64,15 +64,17 @@ def _mod_width(y, width: float):
     the float array y, which the caller hands over.
 
     Where all of y lies in [0, 2 width), the remainder is y or y - width,
-    and y - width is exact there (Sterbenz's lemma), as np.mod's is; np.mod
-    turns a zero of either sign into +0.0.  The rest (negatives, NaN,
-    infinities, far values, scalars) goes to np.mod itself."""
+    and y - width is exact there (Sterbenz's lemma), as np.mod's is; a
+    block already in [0, width) is left as it is.  np.mod turns a zero of
+    either sign into +0.0.  The rest (negatives, NaN, infinities, far
+    values, scalars) goes to np.mod itself."""
     if np.ndim(y) == 0 or y.size == 0:
         return np.mod(y, width)
-    low = y.min()
-    if not (0.0 <= low and y.max() < 2.0 * width):
+    low, high = y.min(), y.max()
+    if not (0.0 <= low and high < 2.0 * width):
         return np.mod(y, width)
-    y -= (y >= width) * width  # y - 0.0 is y, bit for bit
+    if high >= width:
+        y -= (y >= width) * width  # y - 0.0 is y, bit for bit
     if low == 0.0:
         y += 0.0  # -0.0 + 0.0 is +0.0; every other value is unchanged
     return y
@@ -129,7 +131,8 @@ class Grid:
         x = np.asarray(x, dtype=float)
         if self.domain_kind == "circle":
             y = _mod_width(x - self.lower, self.width)
-            y += self.lower  # a float sum is commutative, bit for bit
+            if self.lower:  # y holds no -0.0, so y + 0.0 is y, bit for bit
+                y += self.lower  # a float sum is commutative, bit for bit
             return y
         return x
 
@@ -156,8 +159,9 @@ class Grid:
     def contains(self, x) -> bool:
         if self.domain_kind == "circle":
             return True
-        x = np.asarray(x, dtype=float)
-        return bool(np.all((x >= self.lower) & (x <= self.upper)))
+        x = np.asarray(x, dtype=float)  # by its min and max, which a NaN fails
+        return bool(self.lower <= np.min(x, initial=np.inf)
+                    and np.max(x, initial=-np.inf) <= self.upper)
 
 
 @dataclass(frozen=True)
@@ -334,11 +338,27 @@ def histogram(points, grid: Grid) -> DiscreteMeasure:
         raise ValueError("cannot histogram an empty sample")
     counts = np.zeros(grid.n, dtype=np.int64)
     for b in _blocks(points.size):
-        if not grid.contains(points[b]):
-            raise ValueError("sample points outside the grid domain")
-        counts += np.bincount(grid.cell_index(points[b]), minlength=grid.n)
+        counts += np.bincount(_histogram_cells(points[b], grid), minlength=grid.n)
     counts = counts.astype(float)
     return DiscreteMeasure(grid, counts / counts.sum(), normalized=True)
+
+
+def _histogram_cells(x, grid: Grid) -> np.ndarray:
+    """``cell_index`` of a block of histogram points, bit for bit.  On an
+    interval grid the block is tested by its min and max, which a NaN fails,
+    and its cells are (x - lower) / dx truncated, which for x >= lower is
+    the floor, and capped at n - 1 only where its max needs it."""
+    if grid.domain_kind == "circle":
+        return grid.cell_index(x)
+    high = x.max()
+    if not (grid.lower <= x.min() and high <= grid.upper):
+        raise ValueError("sample points outside the grid domain")
+    t = x - grid.lower
+    t /= grid.dx
+    cells = t.astype(np.intp)
+    if (high - grid.lower) / grid.dx >= grid.n:  # the largest cell, as t is monotone in x
+        np.minimum(cells, grid.n - 1, out=cells)
+    return cells
 
 
 def ks_distance(points, mu: DiscreteMeasure) -> float:

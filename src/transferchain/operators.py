@@ -271,8 +271,12 @@ class BranchSystem:
         # the running sum in branch order is np.cumsum's, bit for bit; its
         # last row is the sum over branches
         cdf = list(itertools.accumulate(probs))
-        if np.max(np.abs(cdf[-1] - 1.0)) > 1e-9:
-            raise ValueError("branch weights at the current states do not sum to 1")
+        # max |sum - 1| <= 1e-9 by the sums' min and max, as x - 1.0 is
+        # monotone in x; a NaN sum fails both tests
+        low, high = cdf[-1].min(), cdf[-1].max()
+        if not (high - 1.0 <= 1e-9 and 1.0 - low <= 1e-9):
+            nan = " (NaN at some state)" if np.isnan(low) else ""  # min and max propagate NaN
+            raise ValueError(f"branch weights at the current states do not sum to 1{nan}")
         return _pick(self.branch_values(x), _branch_choice(uniforms[0], cdf))
 
 
@@ -401,8 +405,9 @@ class GaussOperator:
 
     @staticmethod
     def sigma(x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 / x - np.floor(1.0 / x)
+        r = 1.0 / np.asarray(x, dtype=float)
+        r -= np.floor(r)
+        return r
 
     @staticmethod
     def density(x):
@@ -479,7 +484,12 @@ class GaussOperator:
 def _branch_choice(u, cdf) -> np.ndarray:
     """The branch of each state: how many rows of the CDF ``cdf`` (a
     sequence, each row a scalar or broadcasting to u) lie at or below u,
-    capped at the last branch."""
+    capped at the last branch.  For two branches that count is a bool:
+    u >= cdf[0] or u >= cdf[1]."""
+    if len(cdf) == 2:
+        choice = u >= cdf[0]
+        choice |= u >= cdf[1]
+        return choice
     choice = np.zeros(np.shape(u), dtype=np.intp)
     for row in cdf:
         choice += u >= row
@@ -487,9 +497,21 @@ def _branch_choice(u, cdf) -> np.ndarray:
 
 
 def _pick(rows, choice) -> np.ndarray:
-    """rows[choice[j], j] for every column j, by one take from the flat
-    rows (an index array into the 2-D rows gathers several times slower);
-    choice is overwritten with the flat index."""
+    """rows[choice[j], j] for every column j of the float rows.  Two rows
+    are selected without a branch, on their 64-bit patterns: r0 ^ ((r0 ^ r1)
+    & mask), the mask all ones where choice is 1 (np.where branches on each
+    column, at several times the cost for a random choice).  More rows are
+    gathered by one take from the flat rows (an index array into the 2-D
+    rows gathers several times slower), and choice is overwritten with the
+    flat index."""
+    if len(rows) == 2:
+        bits = rows.view(np.uint64)
+        mask = choice.astype(np.int64)
+        np.negative(mask, out=mask)
+        out = np.bitwise_xor(bits[0], bits[1])
+        out &= mask.view(np.uint64)
+        out ^= bits[0]
+        return out.view(float)
     n = rows.shape[1]
     choice *= n
     choice += np.arange(n)
@@ -823,8 +845,9 @@ def doubling_system(grid: Grid) -> BranchSystem:
     """sigma(x) = 2x mod 1 with branches x/2 and (x+1)/2, weights 1/2."""
     def sigma(x):
         y = 2.0 * np.asarray(x, dtype=float)
-        # y - 1 where y >= 1, as y - True; y - False is y, bit for bit
-        return y - (y >= 1.0) if grid.domain_kind == "interval" else y
+        if grid.domain_kind == "interval":
+            y -= y >= 1.0  # y - 1 where y >= 1, as y - True; y - False is y, bit for bit
+        return y
 
     return BranchSystem(
         grid=grid,
@@ -942,9 +965,13 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
     def weights(t):
         # the raw weights sum to (R h)(t) = h(t); dividing by their own sum
         # instead of h(t) is the same ratio but stays conditioned near the
-        # zeros of h
+        # zeros of h.  Row k is evaluated at (t + k)/N, all rows at once.
         t = np.asarray(t, dtype=float)
-        raw = np.stack([raw_weight((t + k) / N) for k in range(N)])
+        s = np.empty((N,) + t.shape)
+        for k, row in enumerate(s):
+            np.add(t, k, out=row)
+        s /= N
+        raw = raw_weight(s)
         raw /= raw.sum(axis=0)
         return raw
 

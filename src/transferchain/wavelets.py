@@ -103,21 +103,29 @@ class TrigPoly:
         return n * np.fft.ifft(d)
 
     def __call__(self, t):
-        """p(t), vectorized in t.  Lags +-m are paired into a cosine and a
-        sine term, and a zero term is skipped, so a real even polynomial
-        evaluates in real arithmetic."""
-        t = np.asarray(t, dtype=float)[()]  # a scalar stays a scalar
+        """p(t), vectorized in t; a scalar t gives a scalar.  Lags +-m are
+        paired into a cosine and a sine term, and a zero term is skipped, so
+        a real even polynomial evaluates in real arithmetic, each of its
+        cosine terms formed in one buffer and added in place."""
+        t = np.asarray(t, dtype=float)
         hi = max(-self.lo, self.lo + len(self.c) - 1, 0)
         full = np.zeros(2 * hi + 1, dtype=self.c.dtype)  # lags -hi..hi
         full[hi + self.lo : hi + self.lo + len(self.c)] = self.c
         pos, neg = full[hi + 1 :], full[:hi][::-1]
         out = np.full(t.shape, full[hi])
+        term = np.empty(t.shape)
         for m, a, b in zip(range(1, hi + 1), pos + neg, pos - neg):
             if a != 0:
-                out = out + a * np.cos(2 * np.pi * m * t)
+                np.cos(np.multiply(2 * np.pi * m, t, out=term), out=term)
+                if out.dtype == complex:
+                    out += a * term
+                else:
+                    term *= a  # a * cos, bit for bit
+                    out += term
             if b != 0:
-                out = out + 1j * b * np.sin(2 * np.pi * m * t)
-        return out
+                np.sin(np.multiply(2 * np.pi * m, t, out=term), out=term)
+                out = out + 1j * b * term
+        return out[()]
 
 
 @dataclass(frozen=True)

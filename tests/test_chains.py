@@ -439,6 +439,21 @@ def test_reductions_allocate_less_than_two_rows(system, ppf):
         assert peak < 2 * row_bytes
 
 
+@pytest.mark.parametrize("system", [doubling_system(G512), gauss_operator(1000),
+                                    circle_filter_system(GC64, haar_filter())],
+                         ids=["interval", "no grid", "circle"])
+def test_solenoid_gap_memory_is_a_few_blocks(system):
+    # 10^6 paths: each gap is formed in place, a block at a time
+    pe = simulate_paths(MarkovSampler(system, uniform_ppf, master_seed=87), 10**6, 2)
+    tracemalloc.start()
+    try:
+        pe.solenoid_violation()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * _BLOCK * 8 < pe.paths[0].nbytes
+
+
 def test_estimators_hold_the_paths_and_bounded_blocks():
     # the binned estimators stream over path blocks: no residual, index or
     # pooled-value array as long as a row, let alone the pooled rows

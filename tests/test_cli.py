@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -118,6 +119,35 @@ def test_simulate_artifacts_identical_at_any_thread_count(tmp_path, system):
         assert "paths_head.csv" in names and "marginals.csv" in names
         artifacts.append({name: read_bytes(out / name) for name in names + ["report.json"]})
     assert artifacts[0] == artifacts[1]
+
+
+# sha256 of report.json, marginals.csv and paths_head.csv of simulate at 2e4
+# paths x 3 steps, seed 7: a bit that moves in a sampler step, a histogram
+# or a reduction fails here
+SIMULATE_SHA256 = {
+    "doubling": ("75675641ec0f71169246ec575d3627f007779b76451a9d4c4fcad857c2307037",
+                 "aba47e8e3535b7c2109755051a5a745ff7dce3b325a76be22709a33c9fc1d14b",
+                 "0bc9e04cf9d8e3eeedec1fa90f941bfa8a553812eb49232c2a4cd07c080b76a8"),
+    "random-control": ("7f2051c9ed828f82383b1df06130174ee4c470983f83a7f809a935a40e187792",
+                       "d0dbf00731cf6d58b7be23e5862315d2f7949899ff80888d916f63fed51ec230",
+                       "717e30799b72608541fb4e3f16f2c3f6734b7138864e8abf9cfc086721045835"),
+    "gauss": ("39aa629a0853e48cf83ea0f445a16d144193f0dd3b4c11d612a0d965dbdb32de",
+              "0f1baffce4308fd9128ae5456f0aa132162af34c038054a0c163f02c5d65280a",
+              "5d488fbd5c87e969945e20bf4a184c68eb0d249b084d1d0d5321c5215109b99f"),
+    "haar": ("3026b56dcdeeb55ac8a5e831bc65cea5588378a19ea62171846d4fd4dbb58711",
+             "4d3301069e0bc73aabf49bf39dbe37ba6ff1ff923ed444992648d1b9ba0356e2",
+             "99e0a82584a6f16089aaaf3fc2d7898130eb2b29798dc0b8dbb96288e625946f"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("system", sorted(SIMULATE_SHA256))
+def test_simulate_bytes_are_pinned(tmp_path, system, threads):
+    _, out, _ = run(tmp_path, "simulate", "-s", system, "--paths", "20000", "--steps", "3",
+                    "--master-seed", "7", "--threads", threads)
+    got = tuple(hashlib.sha256(read_bytes(out / name)).hexdigest()
+                for name in ("report.json", "marginals.csv", "paths_head.csv"))
+    assert got == SIMULATE_SHA256[system]
 
 
 def test_verify_operators_known_defect_only(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,19 @@ def test_ks_matching_and_separating_laws():
     assert ks_distance(uniform_draws, mu) >= 0.1
 
 
+@pytest.mark.parametrize("points", [[], [0.0, 1.0], [-0.0], [0.5, np.nan], [np.nan], [np.inf],
+                                    [0.2, -np.inf], [np.nextafter(1.0, 2.0)], [-5e-324, 0.5]])
+def test_contains_is_the_two_comparisons_per_point(points):
+    # contains tests by the min and max, which a NaN fails; ks_distance
+    # refuses a sample by it
+    g = Grid(0.0, 1.0, 8)
+    x = np.array(points, dtype=float)
+    assert g.contains(x) is bool(np.all((x >= g.lower) & (x <= g.upper)))
+    if x.size and not g.contains(x):
+        with pytest.raises(GridMismatchError, match="sample outside the measure's domain"):
+            ks_distance(x, uniform_measure(g))
+
+
 def test_ks_decreases_with_sample_size():
     g = Grid(0.0, 1.0, 1024)
     mu = gauss_measure(g)
@@ -316,3 +331,18 @@ def test_normalized_measure_validation():
         DiscreteMeasure(g, -np.ones(8), normalized=False)
     mu = uniform_measure(g)
     assert mu.density == pytest.approx(np.ones(8))
+
+
+@pytest.mark.parametrize("grid, blocks", [(Grid(-1e-9, 1.0 + 1e-9, 128), 2.5),
+                                          (Grid(0.0, 1.0, 64, "circle"), 3.5)])
+def test_histogram_memory_is_a_few_blocks(grid, blocks):
+    # 10^6 points, as one row of simulate's ensembles: the counts take a
+    # block at a time, and no array as long as the row
+    x = stream_rng(86, 0).random(10**6)
+    tracemalloc.start()
+    try:
+        histogram(x, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= blocks * _BLOCK * 8 < x.nbytes

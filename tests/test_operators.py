@@ -303,7 +303,8 @@ def test_filter_weights_evaluate_m0_sq_once_per_branch(base, h):
     points.clear()
     t = stream_rng(11, 0).random(37)
     w = system.weight_matrix(t)
-    assert points == [t.size] * filt.N
+    # one call on the N rows of preimages: each preimage evaluated once
+    assert points == [filt.N * t.size]
     # (1/N) |m0|^2 h at the preimages over h(t), row k for preimage (t + k)/N;
     # the weights divide by the raw sum, which equals h(t) to round-off
     h_eval = h if h is not None else (lambda s: np.ones(np.shape(s)))
@@ -336,6 +337,26 @@ def test_branch_weights_must_not_be_negative():
     # a weight of 0 is a branch the chain never takes, and is allowed
     BranchSystem(grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
                  weights=lambda x: np.array([[1.0], [0.0]]), name="left-only")
+
+
+def test_branch_step_refuses_nan_weights():
+    # NaN weights off the nodes pass construction; the step's old sum test,
+    # max |sum - 1| > 1e-9, is False for NaN, and such a state took branch 0
+    g = Grid(0.0, 1.0, 8)
+    bs = BranchSystem(grid=g, branches=[lambda x: 0.5 * x, lambda x: 0.5 * (x + 1.0)],
+                      weights=lambda x: np.where(np.asarray(x) > 0.999, np.nan, 0.5),
+                      name="nan-tail")
+    u = np.array([[0.9]])
+    assert bs.step(np.array([0.2]), u).tolist() == [0.6]  # branch 1
+    for x in ([0.9995], [0.2, 0.9995], [0.9995, 0.2]):
+        with pytest.raises(ValueError, match=r"^branch weights at the current states do not "
+                                             r"sum to 1 \(NaN at some state\)$"):
+            bs.step(np.array(x), np.full((1, len(x)), 0.9))
+    # an infinite sum is refused as off 1, with no NaN named
+    inf = BranchSystem(grid=g, branches=bs.branches, normalized=False, name="inf-tail",
+                       weights=lambda x: np.where(np.asarray(x) > 0.999, np.inf, 0.5))
+    with pytest.raises(ValueError, match=r"do not sum to 1$"):
+        inf.step(np.array([0.2, 0.9995]), np.full((1, 2), 0.5))
 
 
 # ---------------------------------------------------------------------------
