@@ -480,7 +480,7 @@ def _state_indices(x, states) -> np.ndarray:
     ``_BLOCK`` of points, so the distance table stays block-sized."""
     x = np.asarray(x, dtype=float).ravel()
     idx = np.argmin(np.abs(x[:, None] - states[None, :]), axis=1)
-    if np.max(np.abs(x - states[idx]), initial=0.0) > 1e-9:
+    if not np.max(np.abs(x - states[idx]), initial=0.0) <= 1e-9:  # a NaN fails
         raise ValueError("path value outside the declared finite state set")
     return idx
 

@@ -157,11 +157,13 @@ class Grid:
         return np.clip(idx, 0, self.n - 1)
 
     def contains(self, x) -> bool:
+        """Every point in the domain; on circles, every point finite (it
+        wraps).  Tested by the min and max, which a NaN fails."""
+        x = np.asarray(x, dtype=float)
+        low, high = np.min(x, initial=np.inf), np.max(x, initial=-np.inf)
         if self.domain_kind == "circle":
-            return True
-        x = np.asarray(x, dtype=float)  # by its min and max, which a NaN fails
-        return bool(self.lower <= np.min(x, initial=np.inf)
-                    and np.max(x, initial=-np.inf) <= self.upper)
+            return bool(-np.inf < low and high < np.inf)
+        return bool(self.lower <= low and high <= self.upper)
 
 
 @dataclass(frozen=True)
@@ -347,8 +349,11 @@ def _histogram_cells(x, grid: Grid) -> np.ndarray:
     """``cell_index`` of a block of histogram points, bit for bit.  On an
     interval grid the block is tested by its min and max, which a NaN fails,
     and its cells are (x - lower) / dx truncated, which for x >= lower is
-    the floor, and capped at n - 1 only where its max needs it."""
+    the floor, and capped at n - 1 only where its max needs it.  A circle
+    block must be finite."""
     if grid.domain_kind == "circle":
+        if not grid.contains(x):
+            raise ValueError("sample points outside the grid domain")
         return grid.cell_index(x)
     high = x.max()
     if not (grid.lower <= x.min() and high <= grid.upper):

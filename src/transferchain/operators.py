@@ -176,6 +176,13 @@ class BranchSystem:
     nodes.  ``normalized`` asserts sum_i p_i(x) = 1 at nodes.  ``sigma`` is
     the endomorphism the branches invert, when there is one; an IFS whose
     branch images overlap has none.
+
+    ``draft``, where given, maps x to (q, tol): q a new float array like
+    p(x), cheaper and inexact, and tol a row per branch, each a scalar or
+    an array over x, with |sum_{i<=j} q_i - sum_{i<=j} p_i| <= tol[j] for
+    the running sums in branch order.  ``step`` then evaluates p only at
+    the states whose uniform or sum the bounds leave undecided, and moves
+    every state as it would from p alone.
     """
 
     kind = "branch"
@@ -187,6 +194,7 @@ class BranchSystem:
     sigma: Optional[Callable] = None
     normalized: bool = True
     name: str = ""
+    draft: Optional[Callable] = None
 
     def __post_init__(self):
         x = self.grid.nodes
@@ -264,7 +272,39 @@ class BranchSystem:
         return _flow(grid.n, [tuple(map(np.concatenate, zip(*entries)))])
 
     def step(self, x: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Branch i for each state where uniforms[0] falls in p_i's CDF slot."""
+        """Branch i for each state where uniforms[0] falls in p_i's CDF slot.
+        With a ``draft``, each running sum c_j of p lies within tol_j of the
+        draft's c~_j.  Rounding is monotone and c_j and tol_j are floats, so
+        where fl(|u - c~_j|) > tol_j, u lies on the same side of c_j as of
+        c~_j; and where fl(c~ + tol) and fl(c~ - tol) of the last row pass
+        the sum test, so does its c.  The other states, a NaN among them,
+        take p itself."""
+        u = uniforms[0]
+        if self.draft is None or x.size == 0:
+            choice = self._choice(x, u)  # its sum test before any branch's escape test
+            return _pick(self.branch_values(x), choice)
+        q, tol = self.draft(x)
+        for j in range(1, len(q)):  # the running sums in place, np.cumsum's bits
+            q[j] += q[j - 1]
+        last, e = q[-1], tol[-1]
+        # the sum test, passed by every state at once where the widest ends
+        # pass it (a NaN fails), else state by state
+        far = None
+        if not (np.max(last) + np.max(e) - 1.0 <= 1e-9
+                and 1.0 - (np.min(last) - np.max(e)) <= 1e-9):
+            far = (last + e - 1.0 <= 1e-9) & (1.0 - (last - e) <= 1e-9)
+        choice = _branch_choice(u, q)
+        for c, e in zip(q, tol):  # each edge's distance from u, in place
+            np.abs(np.subtract(u, c, out=c), out=c)
+            far = c > e if far is None else np.logical_and(far, c > e, out=far)
+        redo = np.flatnonzero(~far)
+        if redo.size:
+            choice[redo] = self._choice(x[redo], u[redo])
+        return _pick(self.branch_values(x), choice)
+
+    def _choice(self, x, u) -> np.ndarray:
+        """The branch of each state from its weights p(x) and uniform u,
+        after the test that p sums to 1 there."""
         probs = self.weight_matrix(x)
         if probs.strides[-1] == 0:
             probs = probs[:, :1]  # weights constant in x: one column does
@@ -277,7 +317,7 @@ class BranchSystem:
         if not (high - 1.0 <= 1e-9 and 1.0 - low <= 1e-9):
             nan = " (NaN at some state)" if np.isnan(low) else ""  # min and max propagate NaN
             raise ValueError(f"branch weights at the current states do not sum to 1{nan}")
-        return _pick(self.branch_values(x), _branch_choice(uniforms[0], cdf))
+        return _branch_choice(u, cdf)
 
 
 class ControlFlow:
@@ -981,7 +1021,65 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
         branches=[make_tau(k) for k in range(N)],
         weights=weights,
         name=f"filter-{filt.name or 'circle'}",
+        draft=_filter_draft(filt, h if given else None),
     )
+
+
+def _filter_draft(filt: WaveletFilter, h: Optional[TrigPoly]) -> Optional[Callable]:
+    """The ``BranchSystem.draft`` of a filter chain with N = 2 and a real
+    even h (or none), else None.  Its raw weights R_k = |m0|^2 h at
+    s_k = (t + k)/2 are drafted by ``TrigPoly.draft_halves`` of the product
+    |m0|^2 h as R~_0 = E + O and R~_1 = E - O, so their sum is S~ = 2E,
+    and q_k = R~_k / S~.
+
+    The bound.  Let l_A and l_H be the l1 masses of |m0|^2 and h, so that
+    |A| <= l_A and |H| <= l_H (l_H = 1 without h).
+      - The exact weights round A and H within eta_A and eta_H
+        (``TrigPoly.rounding``), and R = A H within eta = eta_A (l_H +
+        eta_H) + l_A eta_H + 2^-53 (l_A + eta_A)(l_H + eta_H).
+      - The draft is within eps of the real product, plus (k + 1) 2^-53
+        l_A l_H for its convolved coefficients (k the shorter length).
+      - So the raw weights of the two sides differ by at most e_R, the sum
+        of the three, and both are at most W = l_A l_H + e_R in size (where
+        h makes S vary with t, the tighter max_k |R~_k| + e_R per state).
+      - The sums differ by at most e_S = 2 e_R + 2^-50 W (2E is R~_0 + R~_1
+        within 2^-52 W, and the exact sum rounds), so the exact sum is at
+        least L = S~ - e_S.  States with L <= 0, near the zeros of h, take
+        tol = inf: the exact weights decide them.
+      - Elsewhere P = W / L bounds every weight of either side, and
+        |q_0 - p_0| <= (e_R + P e_S) / L + 2^-50 P, from |R~/S~ - R/S| <=
+        (|R~ - R| + |R/S| |S~ - S|) / S~ and the rounding of both quotients.
+      - Each side's sum of its two weights lies within 3 P + 2 units of
+        2^-53 of 1, so the last running sums agree within 2^-48 P."""
+    A = filt.autocorr
+    if filt.N != 2 or (h is not None and not h.real_even):
+        return None
+    raw = A if h is None else A * h
+    l_A, l_H = float(np.sum(np.abs(A.c))), 1.0 if h is None else float(np.sum(np.abs(h.c)))
+    conv = 0.0 if h is None else (min(len(A.c), len(h.c)) + 1) * 2.0**-53 * l_A * l_H
+
+    def draft(t):
+        t = np.asarray(t, dtype=float)
+        t_abs = max(-t.min(), t.max())  # NaN if any state is
+        q = np.empty((2,) + t.shape)
+        with np.errstate(all="ignore"):  # a state the draft cannot bound takes p
+            E, eps = raw.draft_halves(t, t_abs, q)
+            S = 2.0 * E
+            if not eps < np.inf:
+                return q / S, (np.inf, np.inf)
+            eta_A = A.rounding(t_abs + 1.0)
+            eta_H = 0.0 if h is None else h.rounding(t_abs + 1.0)
+            eta = eta_A * (l_H + eta_H) + l_A * eta_H + 2.0**-53 * (l_A + eta_A) * (l_H + eta_H)
+            e_R = eps + conv + eta
+            W = e_R + (l_A * l_H if np.ndim(E) == 0 else np.abs(q).max(axis=0))
+            q /= S
+            e_S = 2.0 * e_R + 2.0**-50 * W
+            L = S - e_S
+            big = W / L
+            tol = np.where(L > 0, (e_R + big * e_S) / L + 2.0**-50 * big, np.inf)
+            return q, (tol, np.where(L > 0, 2.0**-48 * big, np.inf))
+
+    return draft
 
 
 def finite_system(grid: Grid, states, P) -> BranchSystem:

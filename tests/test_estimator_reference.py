@@ -333,6 +333,19 @@ def test_state_lookup_raises_the_reference_error():
             lookup()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_lookup_refuses_a_non_finite_path_value(bad):
+    # a NaN is no state: it must not count as the first one
+    states = THREE_STATE[0]
+    with pytest.raises(ValueError, match="outside the declared finite state set"):
+        _state_indices(np.array([states[0], bad, states[1]]), states)
+    x = np.full(2 * _BLOCK + 5, states[0])
+    x[_BLOCK + 3] = bad
+    pe = PathEnsemble(np.stack([x, np.full_like(x, states[1])]), three_state_sampler(88))
+    with pytest.raises(ValueError, match="outside the declared finite state set"):
+        estimate_transition_matrix(pe, states)
+
+
 def test_state_lookup_of_no_points_is_empty():
     idx = _state_indices(np.array([]), THREE_STATE[0])
     assert idx.dtype == np.intp and idx.size == 0

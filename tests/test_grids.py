@@ -260,6 +260,42 @@ def test_contains_is_the_two_comparisons_per_point(points):
             ks_distance(x, uniform_measure(g))
 
 
+@pytest.mark.parametrize("points", [[], [0.0, 1.0], [-3.5, 7.25], [0.5, np.nan], [np.nan],
+                                    [np.inf], [0.2, -np.inf], [1e308, -1e308]])
+def test_circle_contains_is_finiteness(points):
+    # every finite point wraps into a circle; NaN and +-inf (which wrap to
+    # NaN) are refused by ks_distance and by histogram
+    g = Grid(0.0, 1.0, 8, "circle")
+    x = np.array(points, dtype=float)
+    assert g.contains(x) is bool(np.all(np.isfinite(x)))
+    if not g.contains(x):
+        with pytest.raises(GridMismatchError, match="sample outside the measure's domain"):
+            ks_distance(x, uniform_measure(g))
+        with pytest.raises(ValueError, match="sample points outside the grid domain"):
+            histogram(x, g)
+
+
+def test_circle_ks_refuses_a_half_nan_sample():
+    g = Grid(0.0, 1.0, 64, "circle")
+    x = stream_rng(5, 0).random(1000)
+    x[::2] = np.nan
+    with pytest.raises(GridMismatchError, match="sample outside the measure's domain"):
+        ks_distance(x, uniform_measure(g))
+    assert ks_distance(x[1::2], uniform_measure(g)) < 0.1
+
+
+@pytest.mark.parametrize("where", [0, _BLOCK + 7])
+def test_circle_histogram_refuses_a_nan_in_any_block(where):
+    g = Grid(0.0, 1.0, 16, "circle")
+    x = 3.0 * stream_rng(6, 0).random(2 * _BLOCK) - 1.0
+    finite = histogram(x, g).weights.copy()
+    x[where] = np.nan
+    with pytest.raises(ValueError, match="sample points outside the grid domain"):
+        histogram(x, g)
+    x[where] = 0.5
+    assert histogram(x, g).weights.sum() == 1.0 and finite.sum() == 1.0
+
+
 def test_ks_decreases_with_sample_size():
     g = Grid(0.0, 1.0, 1024)
     mu = gauss_measure(g)

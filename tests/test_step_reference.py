@@ -282,6 +282,9 @@ ERROR_CASES = {
     "under-weighted": (BranchSystem(grid=G, branches=list(doubling_system(G).branches),
                                     weights=lambda x: 0.45, normalized=False, name="under"),
                        np.linspace(0.0, 1.0, 11)),
+    "under-weighted and escaping": (BranchSystem(grid=G, branches=[lambda x: x - 0.25],
+                                                 weights=lambda x: 0.9, normalized=False,
+                                                 name="both"), np.linspace(0.0, 1.0, 11)),
     "weights off at some states": (BranchSystem(
         grid=G, branches=list(doubling_system(G).branches),
         weights=lambda x: np.stack((np.where(x > 0.95, 0.6, 0.5), np.full(np.shape(x), 0.5))),
