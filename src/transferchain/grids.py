@@ -272,9 +272,11 @@ class DiscreteMeasure:
         w = _readonly(self.weights)
         if w.shape != (self.grid.n,):
             raise ValueError("weights must have one entry per grid cell")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("measure weights must be finite")
         if np.any(w < 0):
             raise ValueError("measure weights must be nonnegative")
-        if self.normalized and abs(w.sum() - 1.0) > 1e-12:
+        if self.normalized and not abs(w.sum() - 1.0) <= 1e-12:  # a NaN sum fails
             raise ValueError(
                 f"normalized measure weights sum to {w.sum()!r}, not 1"
             )
@@ -440,6 +442,8 @@ def ks_two_sample(a, b) -> float:
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     both = np.concatenate((a, b))
+    if not np.all(np.isfinite(both)):
+        raise ValueError("two-sample KS needs finite samples")
     ca = np.searchsorted(a, both, side="right") / a.size
     cb = np.searchsorted(b, both, side="right") / b.size
     return float(np.max(np.abs(ca - cb)))

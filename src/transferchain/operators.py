@@ -981,9 +981,9 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
     """The solenoid Markov move of a circle filter as a branch system.
 
     Branches (t+k)/N with weights (1/N) |m0|^2((t+k)/N) h((t+k)/N) / h(t);
-    h defaults to the constant 1 (orthonormal filters).  An h with
-    coefficient residual |Rh - h| above 1e-8 is refused: its weights would
-    not be a chain's.
+    h defaults to the constant 1 (orthonormal filters), and multiplying by
+    it keeps every bit.  An h with coefficient residual |Rh - h| above 1e-8
+    is refused: its weights would not be a chain's.
     """
     if grid.domain_kind != "circle":
         raise ValueError("filter chains live on circle grids")
@@ -995,53 +995,113 @@ def circle_filter_system(grid: Grid, filt: WaveletFilter,
                          f"for h = {'the given h' if given else '1 (not normalized)'}")
     N = filt.N
 
-    def make_tau(k):
-        return lambda t: (t + k) / N
-
-    def raw_weight(s):
-        # the default h = 1 is not multiplied in: v * 1.0 == v, bit for bit
-        return filt.m0_sq(s) * h(s) if given else filt.m0_sq(s)
-
     def weights(t):
         # the raw weights sum to (R h)(t) = h(t); dividing by their own sum
         # instead of h(t) is the same ratio but stays conditioned near the
         # zeros of h.  Row k is evaluated at (t + k)/N, all rows at once.
-        t = np.asarray(t, dtype=float)
-        s = np.empty((N,) + t.shape)
-        for k, row in enumerate(s):
-            np.add(t, k, out=row)
-        s /= N
-        raw = raw_weight(s)
-        raw /= raw.sum(axis=0)
-        return raw
+        s = np.add.outer(np.arange(N), np.asarray(t, dtype=float)) / N
+        raw = filt.m0_sq(s) * h(s)
+        return raw / raw.sum(axis=0)
 
     return BranchSystem(
         grid=grid,
         sigma=lambda t: _mod_width(N * np.asarray(t, dtype=float), grid.width),
-        branches=[make_tau(k) for k in range(N)],
+        branches=[lambda t, k=k: (t + k) / N for k in range(N)],
         weights=weights,
         name=f"filter-{filt.name or 'circle'}",
-        draft=_filter_draft(filt, h if given else None),
+        draft=_filter_draft(filt, h),
     )
 
 
-def _filter_draft(filt: WaveletFilter, h: Optional[TrigPoly]) -> Optional[Callable]:
-    """The ``BranchSystem.draft`` of a filter chain with N = 2 and a real
-    even h (or none), else None.  Its raw weights R_k = |m0|^2 h at
-    s_k = (t + k)/2 are drafted by ``TrigPoly.draft_halves`` of the product
-    |m0|^2 h as R~_0 = E + O and R~_1 = E - O, so their sum is S~ = 2E,
-    and q_k = R~_k / S~.
+def _cosines(p: TrigPoly) -> np.ndarray:
+    """alpha_0 = c_0 and alpha_m = c_m + c_{-m}, m = 1 .. d, of a real even
+    p(t) = sum_m alpha_m cos(2 pi m t) with lags -d .. d."""
+    d = -p.lo
+    return np.concatenate(([p.c[d]], p.c[d + 1:] + p.c[:d][::-1]))
 
-    The bound.  Let l_A and l_H be the l1 masses of |m0|^2 and h, so that
-    |A| <= l_A and |H| <= l_H (l_H = 1 without h).
-      - The exact weights round A and H within eta_A and eta_H
-        (``TrigPoly.rounding``), and R = A H within eta = eta_A (l_H +
-        eta_H) + l_A eta_H + 2^-53 (l_A + eta_A)(l_H + eta_H).
-      - The draft is within eps of the real product, plus (k + 1) 2^-53
-        l_A l_H for its convolved coefficients (k the shorter length).
-      - So the raw weights of the two sides differ by at most e_R, the sum
-        of the three, and both are at most W = l_A l_H + e_R in size (where
-        h makes S vary with t, the tighter max_k |R~_k| + e_R per state).
+
+def _draft_halves(a) -> Callable:
+    """halves(t, t_abs, out) -> (E, err): the polynomial with cosine
+    coefficients a at the half-turn points t/2 and (t + 1)/2, drafted from
+    one float32 cosine per state into out[0] = E + O and out[1] = E - O
+    (float64, shape (2,) + t.shape), E and O its even and odd degrees'
+    parts; E is a float where a has no even degree but 0.  err is the bound
+    eps of ``_filter_draft`` for every state |t| <= t_abs, inf past 2^14 or
+    for a NaN t_abs."""
+    d, m = len(a) - 1, np.arange(len(a))
+    markov = float(np.sum(np.abs(a) * m * m))
+    fixed = float(np.sum(np.abs(a))) * (d + 2) ** 2 * 2.0**-50
+
+    def halves(t, t_abs, out):
+        err = markov * (2.0**-21 * t_abs + 2.0**-22) + fixed if t_abs <= 2.0**14 else np.inf
+        even, odd = out
+        c = np.multiply(t, np.pi, out=even).astype(np.float32)  # even is a work buffer here
+        np.cos(c, out=c)
+        np.clip(c, -1.0, 1.0, out=c)
+        E, O = a[0], 0.0
+        if d == 1:
+            O = np.multiply(c, a[1], out=odd, dtype=float)
+        elif d > 1:
+            # T_n = 2 x T_{n-1} - T_{n-2} in three rotating buffers; E in its
+            # own, O in the odd row
+            x = c.astype(float)
+            E, O = np.full(x.shape, a[0]), np.multiply(x, a[1], out=odd)
+            prev, cur, spare, term = np.ones_like(x), x.copy(), np.empty_like(x), np.empty_like(x)
+            for n in range(2, d + 1):
+                np.multiply(x, cur, out=spare)
+                spare *= 2.0
+                spare -= prev
+                prev, cur, spare = cur, spare, prev
+                if a[n]:
+                    acc = E if n % 2 == 0 else O
+                    np.add(acc, np.multiply(cur, a[n], out=term), out=acc)
+        np.add(E, O, out=even)
+        np.subtract(E, O, out=odd)
+        return E, err
+
+    return halves
+
+
+def _filter_draft(filt: WaveletFilter, h: TrigPoly) -> Optional[Callable]:
+    """The ``BranchSystem.draft`` of a filter chain with N = 2 and a real
+    even h, else None.  The raw weights R_k = A H, A = |m0|^2 and H = h at
+    s_k = (t + k)/2, are drafted by ``_draft_halves`` of the product A h as
+    R~_0 = E + O and R~_1 = E - O, so their sum is S~ = 2E, and q_k =
+    R~_k / S~.  Cosine coefficients and l1 masses are taken once, here.
+
+    The bound, with u = 2^-53, and l_A, l_H the l1 masses of the
+    coefficients of A and h, so that |A| <= l_A and |H| <= l_H.
+      - The draft.  With theta = pi t, cos(2 pi m (t + k)/2) =
+        (-1)^(mk) T_m(cos theta), so E and O are the even and odd m of
+        sum_m a_m T_m(c), a_m the cosine coefficients of A h (degree d), c
+        the float32 cosine of theta clipped to [-1, 1] and T_m by its
+        recurrence in float64.  For |t| <= t_abs <= 2^14 this is within
+        eps = sum_m |a_m| m^2 (2^-21 t_abs + 2^-22)
+        + sum_m |a_m| (d + 2)^2 2^-50 of real arithmetic: theta rounds to
+        float32 within 2^-23 |theta| <= 2^-21 t_abs (pi < 4); numpy keeps
+        float32 ``np.cos`` within 1.49 ulp below |theta| = 71476, and 2^-22
+        = 4 ulp of 1 is allowed; Markov's inequality, |T_m'| <= m^2 on
+        [-1, 1], carries the error of c into sum_m |a_m| m^2; and the
+        recurrence (each T_m within 2.5 m^2 u), the products by a_m, the
+        sums and E +- O round within (d + 2)^2 2^-50 of sum_m |a_m|, a wide
+        margin over their 2.5 d^2 + 2 d + 2 units.  Past 2^14, or at a NaN
+        state, the exact weights decide every state.
+      - A h is convolved in float64, within conv = (k + 1) u l_A l_H of
+        its coefficients (k the shorter length).
+      - The exact weights evaluate A and H (``TrigPoly.__call__``) at
+        s = fl(fl(t + k)/2), |s| <= s_max = t_abs + 1, each within
+        sum_m |alpha_m| (2^-48 d s_max + (d + 12) u) of its value at
+        (t + k)/2, for its own cosine coefficients alpha and degree d: the
+        argument 2 pi m s rounds at most 5 times (s twice, 2 pi, the
+        products by m and by s), within 31.7 m s_max u < 2^-48 m s_max;
+        ``np.cos`` errs by less than 4 ulp of 1, 2^-50; the term and the sum
+        of at most d + 1 terms round by (d + 2) u.  With eta_A and eta_H
+        these, R = A H is within eta = eta_A (l_H + eta_H) + l_A eta_H
+        + u (l_A + eta_A)(l_H + eta_H).
+      - So the raw weights of the two sides differ by at most
+        e_R = eps + conv + eta, and both are at most W = l_A l_H + e_R in
+        size (where h makes S vary with t, the tighter max_k |R~_k| + e_R
+        per state).
       - The sums differ by at most e_S = 2 e_R + 2^-50 W (2E is R~_0 + R~_1
         within 2^-52 W, and the exact sum rounds), so the exact sum is at
         least L = S~ - e_S.  States with L <= 0, near the zeros of h, take
@@ -1052,23 +1112,24 @@ def _filter_draft(filt: WaveletFilter, h: Optional[TrigPoly]) -> Optional[Callab
       - Each side's sum of its two weights lies within 3 P + 2 units of
         2^-53 of 1, so the last running sums agree within 2^-48 P."""
     A = filt.autocorr
-    if filt.N != 2 or (h is not None and not h.real_even):
+    if filt.N != 2 or not h.real_even:
         return None
-    raw = A if h is None else A * h
-    l_A, l_H = float(np.sum(np.abs(A.c))), 1.0 if h is None else float(np.sum(np.abs(h.c)))
-    conv = 0.0 if h is None else (min(len(A.c), len(h.c)) + 1) * 2.0**-53 * l_A * l_H
+    halves = _draft_halves(_cosines(A * h))
+    l_A, l_H = float(np.sum(np.abs(A.c))), float(np.sum(np.abs(h.c)))
+    conv = (min(len(A.c), len(h.c)) + 1) * 2.0**-53 * l_A * l_H
+    masses = [(float(np.sum(np.abs(a))), len(a) - 1) for a in (_cosines(A), _cosines(h))]
 
     def draft(t):
         t = np.asarray(t, dtype=float)
         t_abs = max(-t.min(), t.max())  # NaN if any state is
         q = np.empty((2,) + t.shape)
         with np.errstate(all="ignore"):  # a state the draft cannot bound takes p
-            E, eps = raw.draft_halves(t, t_abs, q)
+            E, eps = halves(t, t_abs, q)
             S = 2.0 * E
             if not eps < np.inf:
                 return q / S, (np.inf, np.inf)
-            eta_A = A.rounding(t_abs + 1.0)
-            eta_H = 0.0 if h is None else h.rounding(t_abs + 1.0)
+            eta_A, eta_H = (l1 * (2.0**-48 * d * (t_abs + 1.0) + (d + 12) * 2.0**-53)
+                            for l1, d in masses)
             eta = eta_A * (l_H + eta_H) + l_A * eta_H + 2.0**-53 * (l_A + eta_A) * (l_H + eta_H)
             e_R = eps + conv + eta
             W = e_R + (l_A * l_H if np.ndim(E) == 0 else np.abs(q).max(axis=0))

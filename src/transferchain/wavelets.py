@@ -105,26 +105,18 @@ class TrigPoly:
     def __call__(self, t):
         """p(t), vectorized in t; a scalar t gives a scalar.  Lags +-m are
         paired into a cosine and a sine term, and a zero term is skipped, so
-        a real even polynomial evaluates in real arithmetic, each of its
-        cosine terms formed in one buffer and added in place."""
+        a real even polynomial evaluates in real arithmetic."""
         t = np.asarray(t, dtype=float)
         hi = max(-self.lo, self.lo + len(self.c) - 1, 0)
         full = np.zeros(2 * hi + 1, dtype=self.c.dtype)  # lags -hi..hi
         full[hi + self.lo : hi + self.lo + len(self.c)] = self.c
         pos, neg = full[hi + 1 :], full[:hi][::-1]
         out = np.full(t.shape, full[hi])
-        term = np.empty(t.shape)
         for m, a, b in zip(range(1, hi + 1), pos + neg, pos - neg):
             if a != 0:
-                np.cos(np.multiply(2 * np.pi * m, t, out=term), out=term)
-                if out.dtype == complex:
-                    out += a * term
-                else:
-                    term *= a  # a * cos, bit for bit
-                    out += term
+                out = out + a * np.cos(2 * np.pi * m * t)
             if b != 0:
-                np.sin(np.multiply(2 * np.pi * m, t, out=term), out=term)
-                out = out + 1j * b * term
+                out = out + 1j * b * np.sin(2 * np.pi * m * t)
         return out[()]
 
     @property
@@ -133,78 +125,6 @@ class TrigPoly:
         ``__call__`` is real, p(t) = sum_m alpha_m cos(2 pi m t)."""
         c = self.c
         return bool(np.isrealobj(c) and 2 * self.lo == 1 - len(c) and np.array_equal(c, c[::-1]))
-
-    def _cosines(self) -> np.ndarray:
-        """alpha_0 .. alpha_d of Re p(t) = sum_m alpha_m cos(2 pi m t) for real
-        coefficients: alpha_0 = c_0 and alpha_m = c_m + c_{-m}."""
-        d = max(-self.lo, self.lo + len(self.c) - 1, 0)
-        return np.array([self.coef(0)] + [self.coef(m) + self.coef(-m) for m in range(1, d + 1)],
-                        dtype=float)
-
-    def rounding(self, s_max: float) -> float:
-        """A bound on the error of ``__call__`` for a real even p at a float
-        s = fl(fl(t + k)/N), |s| <= s_max, against p in real arithmetic at
-        (t + k)/N, as the filter weights evaluate it.  Per cosine term of
-        degree m <= d: its argument 2 pi m s rounds at most 5 times (s
-        twice, 2 pi, the products by m and by s), within 31.7 m s_max 2^-53
-        < 2^-48 m s_max; ``np.cos`` errs by less than 4 ulp of 1, 2^-50; the
-        term and the sum of at most d + 1 terms round by (d + 2) 2^-53;
-        each is taken relative to the l1 mass sum_m |alpha_m|."""
-        a = self._cosines()
-        d = len(a) - 1
-        return float(np.sum(np.abs(a))) * (2.0**-48 * d * s_max + (d + 12) * 2.0**-53)
-
-    def draft_halves(self, t, t_abs: float, out: np.ndarray) -> tuple:
-        """Re p at the two half-turn points t/2 and (t + 1)/2, drafted from
-        one float32 cosine per state into out[0] and out[1], shape
-        (2,) + t.shape.  With E and O the even and odd parts, out[k] holds
-        E +- O rounded in float64, within err of the real value for every
-        state |t| <= t_abs (err is inf past 2^14 or for a NaN t_abs).
-        Returns (E, err); E is a float where p has no even lag but 0.
-
-        With theta = pi t, cos(2 pi m (t + k)/2) = (-1)^(mk) T_m(cos theta),
-        so E and O are the even and odd m of sum_m alpha_m T_m(c), with c
-        the float32 cosine of theta clipped to [-1, 1] and T_m by its
-        recurrence in float64.  The bound has four parts:
-          - the float32 argument: theta rounds to float32 within
-            2^-23 |theta| <= 2^-21 t_abs (pi < 4);
-          - float32 ``np.cos``: numpy keeps it within 1.49 ulp below
-            |theta| = 71476, and 2^-22 = 4 ulp of 1 is allowed;
-          - Markov's inequality, |T_m'| <= m^2 on [-1, 1], carries the error
-            of c into sum_m |alpha_m| m^2 (the l1 mass weighted by m^2);
-          - the float64 recurrence (each T_m within 2.5 m^2 units of 2^-53),
-            alpha, the sums and E +- O round within (d + 2)^2 2^-50 of the
-            l1 mass, a wide margin over their 2.5 d^2 + 2 d + 2 units."""
-        a = self._cosines()
-        d, m = len(a) - 1, np.arange(len(a))
-        err = (float(np.sum(np.abs(a) * m * m)) * (2.0**-21 * t_abs + 2.0**-22)
-               + float(np.sum(np.abs(a))) * (d + 2) ** 2 * 2.0**-50)
-        if not t_abs <= 2.0**14:
-            err = np.inf
-        even, odd = out
-        c = np.multiply(t, np.pi, out=even).astype(np.float32)  # even is a work buffer here
-        np.cos(c, out=c)
-        np.clip(c, -1.0, 1.0, out=c)
-        E, O = a[0], 0.0
-        if d == 1:
-            O = np.multiply(c, a[1], out=odd, dtype=float)
-        elif d > 1:
-            # T_n = 2 x T_{n-1} - T_{n-2} in three rotating buffers; E in its
-            # own, O in the odd row
-            x = c.astype(float)
-            E, O = np.full(x.shape, a[0]), np.multiply(x, a[1], out=odd)
-            prev, cur, spare, term = np.ones_like(x), x.copy(), np.empty_like(x), np.empty_like(x)
-            for n in range(2, d + 1):
-                np.multiply(x, cur, out=spare)
-                spare *= 2.0
-                spare -= prev
-                prev, cur, spare = cur, spare, prev
-                if a[n]:
-                    acc = E if n % 2 == 0 else O
-                    np.add(acc, np.multiply(cur, a[n], out=term), out=acc)
-        np.add(E, O, out=even)
-        np.subtract(E, O, out=odd)
-        return E, err
 
 
 @dataclass(frozen=True)

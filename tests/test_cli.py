@@ -137,17 +137,54 @@ SIMULATE_SHA256 = {
     "haar": ("3026b56dcdeeb55ac8a5e831bc65cea5588378a19ea62171846d4fd4dbb58711",
              "4d3301069e0bc73aabf49bf39dbe37ba6ff1ff923ed444992648d1b9ba0356e2",
              "99e0a82584a6f16089aaaf3fc2d7898130eb2b29798dc0b8dbb96288e625946f"),
+    # the filter chains with an h, where the draft and the exact weights
+    # both multiply by h
+    "fejer-m:m=1": ("e586ffbd5aa91a61b1c097e8b3b510fec80c01f5d733c8a6f5b7c7f56765951e",
+                    "30625d0d59a667d0953698ce3165fb58600f44a924a0a5c4fcd54c264af23a89",
+                    "cc3ee081a8d97daed0fc4473573e719fc76cf614b5393bb38018f35a4b25d3bf"),
+    "fejer-m:m=3": ("3b7de46eb53e303c45399856282b3876bd0d068daa05a6de087dd73b8cd89e7e",
+                    "95529986ac5bcd99cab1405fa458656e3b3d4a566ae6000108362729c567139d",
+                    "b961e69c1ee6723264d0ef761c44de48f11890b57f2805f3caf6cc91fdc4c277"),
 }
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize("system", sorted(SIMULATE_SHA256))
 def test_simulate_bytes_are_pinned(tmp_path, system, threads):
-    _, out, _ = run(tmp_path, "simulate", "-s", system, "--paths", "20000", "--steps", "3",
-                    "--master-seed", "7", "--threads", threads)
+    kind, _, param = system.partition(":")
+    _, out, _ = run(tmp_path, "simulate", "-s", kind, *(["--param", param] if param else []),
+                    "--paths", "20000", "--steps", "3", "--master-seed", "7", "--threads", threads)
     got = tuple(hashlib.sha256(read_bytes(out / name)).hexdigest()
                 for name in ("report.json", "marginals.csv", "paths_head.csv"))
     assert got == SIMULATE_SHA256[system]
+
+
+# sha256 of report.json and density.csv of invariant at --grid-n 512 for the
+# systems with a stationary-law gate
+INVARIANT_SHA256 = {
+    "gauss": ("13d2db45e5d35e2ecd0d9a3b5be750ca278db8c028da08caa961f701588893e5",
+              "3381c94f397499727766763e5b7b109e346377809f8a0b64e0bd2b795fde92f8"),
+    "doubling": ("4e9c68001b2c77d447764468aa6e27d8c7580e62e254e472324e4b9fe221f52a",
+                 "b8b169faa5650b8530ac6432d2053a8c365f3d12a43723dcc44bdf8c86f48b1d"),
+    "random-control": ("08e85a7557ee203f6977ae474c65b54a1b9769bf918fbc92b984f23f157360f0",
+                       "70e347fa8e97cc7b840722fb0480e4621df8d529359499447513161e11d7c33c"),
+    "logistic": ("4022e6d840bef68dbe07e5a254b873e23e72b0512ce294e316ab7785ccc4d49a",
+                 "018429080a7ad517c2de30f309acea515bd790fa350c47226cfc621f0af665cd"),
+    "halving": ("59ac756240695484d9245f53a8b44c5f8cbe3a5a69dac63870e58641f9619691",
+                "b8b169faa5650b8530ac6432d2053a8c365f3d12a43723dcc44bdf8c86f48b1d"),
+}
+
+
+def test_invariant_pins_cover_every_gated_system():
+    assert sorted(INVARIANT_SHA256) == sorted(n for n, s in SYSTEMS.items() if s.gate)
+
+
+@pytest.mark.parametrize("system", sorted(INVARIANT_SHA256))
+def test_invariant_bytes_are_pinned(tmp_path, system):
+    _, out, _ = run(tmp_path, "invariant", "-s", system, "--grid-n", "512")
+    got = tuple(hashlib.sha256(read_bytes(out / name)).hexdigest()
+                for name in ("report.json", "density.csv"))
+    assert got == INVARIANT_SHA256[system]
 
 
 def test_verify_operators_known_defect_only(tmp_path):

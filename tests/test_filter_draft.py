@@ -1,4 +1,5 @@
-"""The filter chains' float32 draft of their branch weights.
+"""The filter chains' float32 draft of their branch weights, and the
+``BranchSystem.draft`` protocol it serves.
 
 ``circle_filter_system`` gives a two-branch filter a ``draft``: weights
 from one float32 cosine per state, with a bound on their distance from the
@@ -13,7 +14,7 @@ import pytest
 
 from transferchain.chains import _BLOCK
 from transferchain.grids import Grid, stream_rng
-from transferchain.operators import circle_filter_system
+from transferchain.operators import BranchSystem, _cosines, _draft_halves, circle_filter_system
 from transferchain.wavelets import (
     TrigPoly,
     WaveletFilter,
@@ -151,8 +152,74 @@ def test_draft_half_turns_of_a_constant_and_an_odd_polynomial():
     t = np.linspace(-1.0, 1.0, 101)
     for p in (TrigPoly(0, [2.5]), TrigPoly.even([0.0, 0.5, 0.0, 0.25])):
         out = np.empty((2, t.size))
-        E, err = p.draft_halves(t, 1.0, out)
+        E, err = _draft_halves(_cosines(p))(t, 1.0, out)
         assert np.max(np.abs(out[0] - p(t / 2))) <= err
         assert np.max(np.abs(out[1] - p((t + 1) / 2))) <= err
-    _, err = TrigPoly(0, [1.0]).draft_halves(np.array([np.nan]), np.nan, out[:, :1])
+    _, err = _draft_halves(_cosines(TrigPoly(0, [1.0])))(np.array([np.nan]), np.nan, out[:, :1])
     assert err == np.inf
+
+
+def exact_states(monkeypatch):
+    """A list that receives the number of states each later
+    ``BranchSystem._choice`` call evaluates at the exact weights."""
+    sizes, choice = [], BranchSystem._choice
+
+    def counted(self, x, u):
+        sizes.append(x.size)
+        return choice(self, x, u)
+
+    monkeypatch.setattr(BranchSystem, "_choice", counted)
+    return sizes
+
+
+# states that one step of a fixed block of 2^20 uniform states leaves to the
+# exact weights: a looser bound raises them, which no byte test can see
+EXACT_STATES = {"haar": 3, "fejer-1": 11472, "fejer-2": 33689, "fejer-3": 67105}
+
+
+@pytest.mark.parametrize("name", list(FILTERS))
+def test_draft_leaves_few_states_to_the_exact_weights(name, monkeypatch):
+    system = FILTERS[name]()
+    rng = stream_rng(5, 0)
+    x, u = rng.random(2**20), rng.random((1, 2**20))
+    sizes = exact_states(monkeypatch)
+    system.step(x, u)
+    assert sum(sizes) <= EXACT_STATES[name]
+
+
+def three_branches(scale=1.0):
+    """A three-branch IFS on [0, 1] with weights that vary with x, and its
+    draft: the weights plus 1e-6 sin(1e3 x) times (1, -2, 1), so the
+    running sums lie within 1e-6, 1e-6 and round-off of the exact ones,
+    and tol bounds them by 2e-6, 2e-6 and 1e-14.  ``scale`` < 1
+    under-weights both."""
+    def weights(x):
+        p0 = 0.2 + 0.1 * np.cos(2 * np.pi * x)
+        p1 = 0.3 + 0.2 * x * x
+        return scale * np.array([p0, p1, 1.0 - p0 - p1])
+
+    def draft(x):
+        return (weights(x) + scale * 1e-6 * np.sin(1e3 * x) * np.array([[1.0], [-2.0], [1.0]]),
+                (2e-6, 2e-6, 1e-14))
+
+    return BranchSystem(grid=Grid(0.0, 1.0, 64), branches=[lambda x, k=k: (x + k) / 3 for k in range(3)],
+                        weights=weights, normalized=scale == 1.0, name="three", draft=draft)
+
+
+def test_a_three_branch_draft_steps_as_its_weights(monkeypatch):
+    system = three_branches()
+    rng = stream_rng(12, 0)
+    x = rng.random(3000)
+    cdf = np.cumsum(system.weight_matrix(x), axis=0)
+    v = rng.random(x.size)
+    # a third of the uniforms within 1e-6 of a CDF edge, for the exact weights
+    edge = np.choose(rng.integers(0, 2, x.size), cdf[:2]) + (v - 0.5) * 2e-6
+    u = np.where(np.arange(x.size) % 3 == 0, edge, v)[None, :]
+    sizes = exact_states(monkeypatch)
+    got = system.step(x, u)
+    assert 0 < sum(sizes) < x.size  # both paths ran
+    assert got.tobytes() == exact(system).step(x, u).tobytes()
+    under = three_branches(0.9)
+    for s in (under, exact(under)):
+        with pytest.raises(ValueError, match="do not sum to 1$"):
+            s.step(x, u)

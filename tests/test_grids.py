@@ -14,6 +14,8 @@ from transferchain.grids import (
     histogram,
     integrate,
     ks_distance,
+    ks_two_sample,
+    measure_from_cdf,
     measure_ppf,
     stream_rng,
     uniform_measure,
@@ -367,6 +369,25 @@ def test_normalized_measure_validation():
         DiscreteMeasure(g, -np.ones(8), normalized=False)
     mu = uniform_measure(g)
     assert mu.density == pytest.approx(np.ones(8))
+
+
+def test_a_nan_weight_is_refused():
+    # neither abs(nan - 1) > 1e-12 nor nan < 0 holds, so a NaN weight once
+    # passed as a normalized measure
+    g = Grid(0.0, 1.0, 4)
+    for normalized in (True, False):
+        with pytest.raises(ValueError, match="measure weights must be finite"):
+            DiscreteMeasure(g, [np.nan, 0.5, 0.25, 0.25], normalized=normalized)
+    with pytest.raises(ValueError, match="measure weights must be finite"):
+        measure_from_cdf(g, lambda x: np.where(x == 0.5, np.nan, x))
+
+
+def test_ks_two_sample_refuses_non_finite_samples():
+    assert ks_two_sample([0.1, 0.2, 0.3], [0.1, 0.2, 0.3]) == 0.0
+    for bad in (np.nan, np.inf, -np.inf):
+        for a, b in (([0.1, 0.2, bad], [0.1, 0.2, 0.3]), ([0.1, 0.2, 0.3], [bad])):
+            with pytest.raises(ValueError, match="finite samples"):
+                ks_two_sample(a, b)
 
 
 @pytest.mark.parametrize("grid, blocks", [(Grid(-1e-9, 1.0 + 1e-9, 128), 2.5),
